@@ -32,7 +32,6 @@ from .entanglement import (
 from .errors import (
     ConfigError,
     DegenerateCoupling,
-    DivergentIntegral,
     DomainError,
     ImaginaryFrequency,
     NoConvergence,
@@ -53,7 +52,6 @@ from .lattice import (
 )
 from .quadrature import Divergent
 from .spectrum import (
-    ModeEntry,
     ModeSpectrum,
     build_spectrum,
     coupling_matrix,
@@ -80,13 +78,11 @@ __all__ = [
     "CovarianceMatrix",
     "DegenerateCoupling",
     "Divergent",
-    "DivergentIntegral",
     "DomainError",
     "EntanglementReport",
     "ImaginaryFrequency",
     "LatticeParams",
     "Model",
-    "ModeEntry",
     "ModeSpectrum",
     "NoConvergence",
     "NumericalFailure",

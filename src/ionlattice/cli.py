@@ -68,7 +68,6 @@ MEASURES = (
     "blockEntropy2",
     "blockEntropy3",
     "witness",
-    "spectrum",
 )
 DEFAULT_MEASURES = ("negativity", "entropy")
 
@@ -127,6 +126,8 @@ class SweepSpec:
         for name, grid in (("nuT", self.nu_t_grid), ("temperature", self.temperatures)):
             if not grid:
                 raise ConfigError(f"{name} grid must not be empty")
+            if not all(math.isfinite(v) for v in grid):
+                raise ConfigError(f"{name} grid must hold finite values")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} grid must be strictly increasing")
         bad = [m for m in self.measures if m not in MEASURES]
@@ -174,97 +175,80 @@ def _compute_row(spec: SweepSpec, nu_t_paper: float, t_paper: float) -> dict:
             row[c] = False
     row["error"] = ""
     params = spec.params
-    unit = params.nu_t_unit
-    t_unit = params.temperature_unit
-    nu_t = nu_t_paper * unit
-    temperature = t_paper * t_unit
+    nu_t = nu_t_paper * params.nu_t_unit
     try:
         if spec.td_limit:
             _td_row(spec, nu_t, row)
         else:
-            _finite_row(spec, params, nu_t, temperature, row)
+            _finite_row(spec, nu_t, t_paper * params.temperature_unit, row)
     except _ROW_ERRORS as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
-def _finite_row(spec, params, nu_t, temperature, row, entropy_params=None):
-    unit = params.nu_t_unit
-    t_unit = params.temperature_unit
+def _pair_cells(row, direction, s1, s2):
+    row[f"S1{direction}"] = s1
+    row[f"S2{direction}"] = s2
+    row[f"EN{direction}"] = negativity(s1, s2)
+
+
+def _block_cells(params, nu_t, temperature, sizes, row):
+    for size in sizes:
+        for d in ("x", "y"):
+            row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = _finite_entropy(
+                params, nu_t, temperature, size, d
+            )
+
+
+def _witness_cells(spec, params, nu_t, temperature, row):
+    rep = witness_report(params, nu_t, temperature, xy_mode=spec.xy_mode)
+    tc = rep.critical_temperature
+    row["U"] = rep.internal_energy / params.nu_t_unit
+    row["bound"] = rep.bound / params.nu_t_unit
+    row["Tc"] = None if tc is None else tc / params.temperature_unit
+    row["witnessTriggered"] = rep.triggered
+
+
+def _finite_row(spec, nu_t, temperature, row):
+    params = spec.params
     config = solve_equilibrium(params, nu_t)
     row["configVariant"] = config.variant.value
     row["b"] = config.b / params.spacing
-    if "spectrum" in spec.measures:
-        build_spectrum(params, nu_t)
     if "negativity" in spec.measures:
         for d in ("x", "y"):
             pm = pair_moments(params, nu_t, temperature, 1, d)
-            s1, s2 = separability_criteria(pm)
-            row[f"S1{d}"] = s1
-            row[f"S2{d}"] = s2
-            row[f"EN{d}"] = negativity(s1, s2)
-    ent_params = entropy_params or params
-    for size in _block_sizes(spec.measures):
-        for d in ("x", "y"):
-            val, div = _finite_entropy(ent_params, nu_t, temperature, size, d)
-            row[f"SV{size}{d}"] = val
-            row[f"SV{size}{d}Divergent"] = div
+            _pair_cells(row, d, *separability_criteria(pm))
+    _block_cells(params, nu_t, temperature, _block_sizes(spec.measures), row)
     if "witness" in spec.measures:
-        rep = witness_report(params, nu_t, temperature, xy_mode=spec.xy_mode)
-        row["U"] = rep.internal_energy / unit
-        row["bound"] = rep.bound / unit
-        row["Tc"] = None if rep.critical_temperature is None else rep.critical_temperature / t_unit
-        row["witnessTriggered"] = rep.triggered
+        _witness_cells(spec, params, nu_t, temperature, row)
 
 
 def _td_row(spec: SweepSpec, nu_t: float, row: dict):
     """Bulk-limit row: dispersion averages where the flat closed forms hold,
     a large-ring stand-in (n = TD_PROXY_N) everywhere else."""
     params = spec.params
-    crit = critical_potential(params, td_limit=True)
     proxy = dataclasses.replace(params, n=TD_PROXY_N)
-    flat = nu_t >= crit * (1.0 - 1e-12)
-    if flat:
-        row["configVariant"] = Variant.LINEAR.value
-        row["b"] = 0.0
-        if "negativity" in spec.measures:
-            for d in ("x", "y"):
-                s1, s2 = td_pair_criteria(params, nu_t, 1, d)
-                row[f"S1{d}"] = s1
-                row[f"S2{d}"] = s2
-                row[f"EN{d}"] = negativity(s1, s2)
-        if 1 in _block_sizes(spec.measures):
-            for d in ("x", "y"):
-                r = td_single_site_eigenvalue(params, nu_t, d)
-                if isinstance(r, Divergent):
-                    row[f"SV1{d}"] = None
-                    row[f"SV1{d}Divergent"] = True
-                else:
-                    row[f"SV1{d}"] = von_neumann_entropy(r)
-        for size in _block_sizes(spec.measures):
-            if size == 1:
-                continue
-            for d in ("x", "y"):
-                val, div = _finite_entropy(proxy, nu_t, 0.0, size, d)
-                row[f"SV{size}{d}"] = val
-                row[f"SV{size}{d}Divergent"] = div
-        if "witness" in spec.measures:
-            _witness_into_row(spec, proxy, nu_t, row)
-        if "spectrum" in spec.measures:
-            build_spectrum(proxy, nu_t)
-    else:
+    if nu_t < critical_potential(params, td_limit=True) * (1.0 - 1e-12):
         # below the buckling point only the large-ring stand-in is available
-        sub = dataclasses.replace(spec, params=proxy, td_limit=False)
-        _finite_row(sub, proxy, nu_t, 0.0, row)
-
-
-def _witness_into_row(spec, params, nu_t, row):
-    rep = witness_report(params, nu_t, 0.0, xy_mode=spec.xy_mode)
-    unit = params.nu_t_unit
-    row["U"] = rep.internal_energy / unit
-    row["bound"] = rep.bound / unit
-    row["Tc"] = None if rep.critical_temperature is None else rep.critical_temperature / params.temperature_unit
-    row["witnessTriggered"] = rep.triggered
+        _finite_row(dataclasses.replace(spec, params=proxy, td_limit=False), nu_t, 0.0, row)
+        return
+    row["configVariant"] = Variant.LINEAR.value
+    row["b"] = 0.0
+    if "negativity" in spec.measures:
+        for d in ("x", "y"):
+            _pair_cells(row, d, *td_pair_criteria(params, nu_t, 1, d))
+    sizes = _block_sizes(spec.measures)
+    if 1 in sizes:
+        for d in ("x", "y"):
+            r = td_single_site_eigenvalue(params, nu_t, d)
+            if isinstance(r, Divergent):
+                row[f"SV1{d}"] = None
+                row[f"SV1{d}Divergent"] = True
+            else:
+                row[f"SV1{d}"] = von_neumann_entropy(r)
+    _block_cells(proxy, nu_t, 0.0, [size for size in sizes if size > 1], row)
+    if "witness" in spec.measures:
+        _witness_cells(spec, proxy, nu_t, 0.0, row)
 
 
 def _row_worker(task):
@@ -365,26 +349,41 @@ def _params_from_mapping(raw: dict) -> LatticeParams:
         model = Model[str(raw.get("model", "NN")).upper()]
     except KeyError:
         raise ConfigError(f"model must be NN or LR, got {raw.get('model')!r}") from None
-    mass = float(raw.get("mass", 1.0))
-    charge = float(raw.get("charge", 1.0))
-    spacing = float(raw.get("spacing", 1.0))
+    try:
+        mass, charge, spacing, nu_paper = (
+            float(raw.get(key, 1.0)) for key in ("mass", "charge", "spacing", "nu")
+        )
+        n = int(raw.get("n", 20))
+        tau_max = raw.get("tauMax")
+        tau_max = None if tau_max is None else int(tau_max)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad parameter value: {exc}") from None
+    if not all(math.isfinite(v) for v in (mass, charge, spacing, nu_paper)):
+        raise ConfigError("mass, charge, spacing and nu must be finite")
     if charge <= 0 or mass <= 0 or spacing <= 0:
         raise ConfigError("mass, charge and spacing must be positive")
     unit = math.sqrt(charge**2 / (mass * spacing**3))
-    nu_paper = float(raw.get("nu", 1.0))
-    tau_max = raw.get("tauMax")
     return LatticeParams(
-        n=int(raw.get("n", 20)),
+        n=n,
         mass=mass,
         charge=charge,
         spacing=spacing,
         nu=nu_paper * unit,
         model=model,
-        tau_max=None if tau_max is None else int(tau_max),
+        tau_max=tau_max,
     )
 
 
+def _grid_flag(value, fallback):
+    """A grid from its flag: a grid string (sweep), one number (one-point
+    commands), or ``fallback`` when the flag is unset."""
+    if value is None:
+        return fallback
+    return _parse_grid(value) if isinstance(value, str) else (value,)
+
+
 def _spec_from_args(args) -> SweepSpec:
+    """Resolve the parameters of any subcommand: config file, then flags."""
     cfg = {}
     if getattr(args, "config", None):
         try:
@@ -411,14 +410,10 @@ def _spec_from_args(args) -> SweepSpec:
             raw_params[key] = val
     params = _params_from_mapping(raw_params)
 
-    nu_t_grid = cfg.get("nuTGrid")
-    if getattr(args, "nu_t", None) is not None:
-        nu_t_grid = _parse_grid(args.nu_t)
+    nu_t_grid = _grid_flag(getattr(args, "nu_t", None), cfg.get("nuTGrid"))
     if nu_t_grid is None:
         raise ConfigError("a nuT grid is required (--nu-t or config nuTGrid)")
-    temperatures = cfg.get("temperatures", [0.0])
-    if getattr(args, "temp", None) is not None:
-        temperatures = _parse_grid(args.temp)
+    temperatures = _grid_flag(getattr(args, "temp", None), cfg.get("temperatures", [0.0]))
     measures = cfg.get("measures", list(DEFAULT_MEASURES))
     if getattr(args, "measures", None):
         measures = [m.strip() for m in args.measures.split(",") if m.strip()]
@@ -428,14 +423,27 @@ def _spec_from_args(args) -> SweepSpec:
     xy_mode = cfg.get("xyMode", "signed")
     if getattr(args, "xy_mode", None):
         xy_mode = args.xy_mode
+    try:
+        nu_t_grid = tuple(float(v) for v in nu_t_grid)
+        temperatures = tuple(float(v) for v in temperatures)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grids must be lists of numbers: {exc}") from None
     return SweepSpec(
         params=params,
-        nu_t_grid=tuple(float(v) for v in nu_t_grid),
-        temperatures=tuple(float(v) for v in temperatures),
+        nu_t_grid=nu_t_grid,
+        temperatures=temperatures,
         measures=tuple(measures),
         td_limit=td_limit,
         xy_mode=xy_mode,
     )
+
+
+def _point_from_args(args):
+    """(params, raw nu_t, raw temperature, xy mode) of a one-point command."""
+    spec = _spec_from_args(args)
+    params = spec.params
+    nu_t = spec.nu_t_grid[0] * params.nu_t_unit
+    return params, nu_t, spec.temperatures[0] * params.temperature_unit, spec.xy_mode
 
 
 def _add_param_flags(sub, with_nu_t_grid: bool):
@@ -456,21 +464,6 @@ def _add_param_flags(sub, with_nu_t_grid: bool):
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def _single_params(args) -> LatticeParams:
-    raw = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            raw = dict(json.load(fh).get("params", {}))
-    for key, attr in (
-        ("n", "n"), ("mass", "mass"), ("charge", "charge"), ("spacing", "spacing"),
-        ("nu", "nu"), ("model", "model"), ("tauMax", "tau_max"),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            raw[key] = val
-    return _params_from_mapping(raw)
-
-
 # --------------------------------------------------------------- subcommands
 
 
@@ -483,21 +476,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    params = _single_params(args)
-    unit = params.nu_t_unit
-    spec = build_spectrum(params, args.nu_t * unit)
+    params, nu_t, _, _ = _point_from_args(args)
+    spec = build_spectrum(params, nu_t)
     cols = ("l", "variant", "omegaX", "omegaY", "omegaV", "omegaW")
+    names = cols[2:4] if spec.variant is Variant.LINEAR else cols[4:6]
     rows = []
-    for l in range(1, params.n + 1):
+    for l, freqs in enumerate(spec.omega.T / params.nu_t_unit, start=1):
         row = dict.fromkeys(cols)
-        row["l"] = l
-        row["variant"] = spec.variant.value
-        if spec.variant is Variant.LINEAR:
-            row["omegaX"] = spec.omega_x[l - 1] / unit
-            row["omegaY"] = spec.omega_y[l - 1] / unit
-        else:
-            row["omegaV"] = spec.omega_v[l - 1] / unit
-            row["omegaW"] = spec.omega_w[l - 1] / unit
+        row.update({"l": l, "variant": spec.variant.value, **dict(zip(names, freqs))})
         rows.append(row)
     text = rows_to_csv(rows, cols) if args.format == "csv" else rows_to_json(rows, cols)
     _emit(text, args.out)
@@ -505,11 +491,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_block_entropy(args) -> int:
-    params = _single_params(args)
+    params, nu_t, temperature, _ = _point_from_args(args)
     cov = block_covariance(
         params,
-        args.nu_t * params.nu_t_unit,
-        args.temp * params.temperature_unit,
+        nu_t,
+        temperature,
         sites=range(1, args.sites + 1),
         directions=(args.direction,),
         drop_soft_modes=args.drop_soft_modes,
@@ -534,18 +520,17 @@ def _cmd_block_entropy(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    params = _single_params(args)
+    params, nu_t, temperature, xy_mode = _point_from_args(args)
     unit = params.nu_t_unit
-    rep = witness_report(
-        params, args.nu_t * unit, args.temp * params.temperature_unit, xy_mode=args.xy_mode
-    )
+    rep = witness_report(params, nu_t, temperature, xy_mode=xy_mode)
+    tc = rep.critical_temperature
     row = {
         "omegaX": rep.omega_x / unit,
         "omegaY": rep.omega_y / unit,
         "omegaXY": rep.omega_xy / unit,
         "bound": rep.bound / unit,
         "U": rep.internal_energy / unit,
-        "Tc": None if rep.critical_temperature is None else rep.critical_temperature / params.temperature_unit,
+        "Tc": None if tc is None else tc / params.temperature_unit,
         "xyMode": rep.xy_mode,
         "triggered": rep.triggered,
     }
@@ -556,16 +541,10 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_covariance(args) -> int:
-    params = _single_params(args)
+    params, nu_t, temperature, _ = _point_from_args(args)
     sites = tuple(int(s) for s in args.sites.split(","))
     directions = tuple(d.strip() for d in args.directions.split(",") if d.strip())
-    cov = block_covariance(
-        params,
-        args.nu_t * params.nu_t_unit,
-        args.temp * params.temperature_unit,
-        sites=sites,
-        directions=directions,
-    )
+    cov = block_covariance(params, nu_t, temperature, sites=sites, directions=directions)
     if args.dump:
         with open(args.dump, "w") as fh:
             for r in cov.matrix:
@@ -747,7 +726,7 @@ def _build_parser() -> argparse.ArgumentParser:
     witness = subs.add_parser("witness", help="energy witness at one point")
     _add_param_flags(witness, with_nu_t_grid=False)
     witness.add_argument("--temp", type=float, default=0.0)
-    witness.add_argument("--xy-mode", choices=["signed", "absolute"], default="signed")
+    witness.add_argument("--xy-mode", choices=["signed", "absolute"])
     witness.set_defaults(func=_cmd_witness)
 
     covariance = subs.add_parser("covariance", help="covariance matrix of chosen sites")

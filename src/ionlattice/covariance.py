@@ -79,50 +79,38 @@ class _Kernels:
 
     x: list
     y: list
-    cross: list | None
+    cross: list
     dropped: int
 
 
 def _direction_kernels(spec: ModeSpectrum, drop_soft_modes: bool = False) -> _Kernels:
-    if spec.variant is Variant.LINEAR:
-        ones = np.ones(spec.params.n)
-        branches = {"x": [(spec.omega_x, ones)], "y": [(spec.omega_y, ones)], "cross": None}
-    else:
-        branches = {
-            "x": [(spec.omega_v, spec.c2), (spec.omega_w, spec.s2)],
-            "y": [(spec.omega_v, spec.s2), (spec.omega_w, spec.c2)],
-            "cross": [(spec.omega_v, spec.cs), (spec.omega_w, -spec.cs)],
-        }
+    # per branch: the weights of the x, y and cross mode sums
+    weights = [(spec.c2, spec.s2, spec.cs), (spec.s2, spec.c2, -spec.cs)]
     dropped = 0
     if drop_soft_modes:
-        tol = SOFT_FREQ_FACTOR * max(spec.params.nu, spec.nu_t)
-        masked = {}
-        seen = set()
-        for key, kern in branches.items():
-            if kern is None:
-                masked[key] = None
-                continue
-            new = []
-            for omega, wt in kern:
-                keep = omega > tol
-                new.append((omega, np.where(keep, wt, 0.0)))
-                marker = id(omega)
-                if marker not in seen:
-                    seen.add(marker)
-                    dropped += int((~keep).sum())
-            masked[key] = new
-        branches = masked
-    return _Kernels(x=branches["x"], y=branches["y"], cross=branches["cross"], dropped=dropped)
+        keep = spec.omega > SOFT_FREQ_FACTOR * max(spec.params.nu, spec.nu_t)
+        dropped = int((~keep).sum())
+        weights = [[np.where(k, w, 0.0) for w in ws] for k, ws in zip(keep, weights)]
+    (x0, y0, c0), (x1, y1, c1) = weights
+    w0, w1 = spec.omega
+    # a branch without weight (the flat phase has one per direction) adds
+    # nothing to a mode sum; leaving it out saves the work
+    return _Kernels(
+        x=[(w, wt) for w, wt in ((w0, x0), (w1, x1)) if np.count_nonzero(wt)],
+        y=[(w, wt) for w, wt in ((w0, y0), (w1, y1)) if np.count_nonzero(wt)],
+        cross=[(w0, c0), (w1, c1)],
+        dropped=dropped,
+    )
 
 
 def _weighted_mode_sum(kern, phase_weights, n, fac):
     """(1/n) sum_l w_l fac(omega_l), with exact-zero weights killing the term."""
     total = 0.0
     for omega, wt in kern:
-        w = np.asarray(wt * phase_weights, dtype=float)
+        w = wt * phase_weights
         nz = w != 0.0
         if nz.any():
-            total += float((w[nz] * fac(np.asarray(omega, float)[nz])).sum()) / n
+            total += float((w[nz] * fac(omega[nz])).sum()) / n
     return total
 
 

@@ -92,6 +92,15 @@ def pair_entanglement(
     )
 
 
+def _symplectic_form(k: int) -> np.ndarray:
+    """Symplectic form of k modes with interleaved quadratures (q1, p1, q2, p2, ...)."""
+    omega = np.zeros((2 * k, 2 * k))
+    i = np.arange(k)
+    omega[2 * i, 2 * i + 1] = 1.0
+    omega[2 * i + 1, 2 * i] = -1.0
+    return omega
+
+
 def symplectic_spectrum(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, one per mode pair.
 
@@ -102,12 +111,7 @@ def symplectic_spectrum(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
     sigma = cov.matrix if isinstance(cov, CovarianceMatrix) else np.asarray(cov, float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise ConfigError("covariance matrix must be square with even dimension")
-    k = sigma.shape[0] // 2
-    omega = np.zeros_like(sigma)
-    for i in range(k):
-        omega[2 * i, 2 * i + 1] = 1.0
-        omega[2 * i + 1, 2 * i] = -1.0
-    ev = np.abs(np.linalg.eigvals(1j * omega @ sigma))
+    ev = np.abs(np.linalg.eigvals(1j * _symplectic_form(sigma.shape[0] // 2) @ sigma))
     ev = 2.0 * np.sort(ev)
     pairs, partners = ev[::2], ev[1::2]
     scale = np.maximum(np.abs(pairs), 1.0)
@@ -201,11 +205,6 @@ def negativity_cross_check(
     )
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     sigma_pt = flip @ cov.matrix @ flip
-    k = 2
-    omega = np.zeros((4, 4))
-    for i in range(k):
-        omega[2 * i, 2 * i + 1] = 1.0
-        omega[2 * i + 1, 2 * i] = -1.0
-    ev = 2.0 * np.sort(np.abs(np.linalg.eigvals(1j * omega @ sigma_pt)))[::2]
+    ev = 2.0 * np.sort(np.abs(np.linalg.eigvals(1j * _symplectic_form(2) @ sigma_pt)))[::2]
     en_pt = float(sum(max(0.0, -math.log(r)) for r in ev))
     return report.log_negativity, en_pt

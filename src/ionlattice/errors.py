@@ -37,9 +37,5 @@ class QuadratureFailure(RuntimeError):
     """Adaptive integration did not reach the requested accuracy."""
 
 
-class DivergentIntegral(QuadratureFailure):
-    """An integral diverged where a finite value was required."""
-
-
 class NumericalFailure(RuntimeError):
     """A linear-algebra result violated a structural expectation."""

@@ -63,7 +63,7 @@ def _sqrt_radicand(w2: np.ndarray, branch: str) -> np.ndarray:
 def linear_dispersion(params: LatticeParams, nu_t: float, l: int | None = None):
     """Axial and transverse mode frequencies of the flat ring.
 
-    Returns the pair ``(omega_x, omega_y)`` for wave number ``l`` or, when
+    Returns the pair (axial, transverse) for wave number ``l`` or, when
     ``l`` is None, arrays over l = 1 .. n. The axial branch does not depend
     on ``nu_t``.
     """
@@ -145,8 +145,8 @@ def _rotation(wx2: float, wy2: float, wxy: float) -> tuple[float, float]:
 def symplectic_diagonalize(block: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Normal-form frequencies and symplectic congruence of one 4x4 block.
 
-    Returns ``(omega_v, omega_w, S)`` with ``omega_v >= omega_w`` such that
-    ``S @ block @ S.T = diag(omega_v/2, omega_v/2, omega_w/2, omega_w/2)``
+    Returns ``(wv, ww, S)`` with ``wv >= ww`` such that
+    ``S @ block @ S.T = diag(wv/2, wv/2, ww/2, ww/2)``
     and ``S @ OMEGA4 @ S.T = OMEGA4``. The normal-mode quadratures are
     obtained from the block quadratures via ``S^-T``.
     """
@@ -179,89 +179,39 @@ def symplectic_diagonalize(block: np.ndarray) -> tuple[float, float, np.ndarray]
 
 
 @dataclass(frozen=True)
-class ModeEntry:
-    """Normal-mode data of one wave-number block."""
-
-    l: int
-    variant: Variant
-    omega_x: float | None = None
-    omega_y: float | None = None
-    omega_v: float | None = None
-    omega_w: float | None = None
-    phi: float | None = None
-    psi: float | None = None
-    s_matrix: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class ModeSpectrum:
     """Full normal-mode spectrum at a given transverse trap frequency.
 
-    Flat configuration: ``omega_x``/``omega_y`` hold the two decoupled
-    branches. Buckled configuration: ``omega_v``/``omega_w`` hold the upper
-    and lower normal branches and ``c2``/``s2``/``cs`` the squared cosine,
-    squared sine and cosine*sine of the per-block mixing angle.
+    ``omega`` has shape (2, n): per wave number l = 1 .. n, the frequencies
+    of the two branches. ``c2``/``s2``/``cs`` are the squared cosine,
+    squared sine and cosine*sine of the per-block mixing angle; site
+    x-moments weight branch 0 by ``c2`` and branch 1 by ``s2``, y-moments
+    the other way round. Buckled configuration: branch 0 is the upper and
+    branch 1 the lower normal branch. Flat configuration: branch 0 is the
+    axial and branch 1 the transverse dispersion, unmixed (weights exactly
+    1, 0, 0) and indexed without the half-zone shift.
     """
 
     params: LatticeParams
     nu_t: float
     config: Configuration
-    omega_x: np.ndarray | None = None
-    omega_y: np.ndarray | None = None
-    omega_v: np.ndarray | None = None
-    omega_w: np.ndarray | None = None
-    c2: np.ndarray | None = None
-    s2: np.ndarray | None = None
-    cs: np.ndarray | None = None
-    wx2: np.ndarray | None = None
-    wy2: np.ndarray | None = None
-    wxy: np.ndarray | None = None
+    omega: np.ndarray
+    c2: np.ndarray
+    s2: np.ndarray
+    cs: np.ndarray
 
     @property
     def variant(self) -> Variant:
         return self.config.variant
-
-    def branch_frequencies(self) -> np.ndarray:
-        """All 2n mode frequencies, both branches concatenated."""
-        if self.variant is Variant.LINEAR:
-            return np.concatenate([self.omega_x, self.omega_y])
-        return np.concatenate([self.omega_v, self.omega_w])
-
-    def entry(self, l: int) -> ModeEntry:
-        if not 1 <= l <= self.params.n:
-            raise ConfigError(f"l must be in 1..{self.params.n}, got {l}")
-        i = l - 1
-        if self.variant is Variant.LINEAR:
-            return ModeEntry(
-                l=l,
-                variant=self.variant,
-                omega_x=float(self.omega_x[i]),
-                omega_y=float(self.omega_y[i]),
-            )
-        delta = self.wx2[i] - self.wy2[i]
-        big_r = float(np.hypot(delta, 2.0 * self.wxy[i]))
-        block = coupling_matrix(self.params, self.config, self.nu_t, l)
-        wv, ww, S = symplectic_diagonalize(block)
-        return ModeEntry(
-            l=l,
-            variant=self.variant,
-            omega_v=wv,
-            omega_w=ww,
-            phi=delta + big_r,
-            psi=big_r * (delta + big_r),
-            s_matrix=S,
-        )
-
-    def entries(self):
-        return [self.entry(l) for l in range(1, self.params.n + 1)]
 
 
 def build_spectrum(params: LatticeParams, nu_t: float) -> ModeSpectrum:
     """Solve the equilibrium at ``nu_t`` and assemble the full mode spectrum."""
     config = solve_equilibrium(params, nu_t)
     if config.variant is Variant.LINEAR:
-        wx, wy = linear_dispersion(params, nu_t)
-        return ModeSpectrum(params, nu_t, config, omega_x=wx, omega_y=wy)
+        zeros = np.zeros(params.n)
+        omega = np.array(linear_dispersion(params, nu_t))
+        return ModeSpectrum(params, nu_t, config, omega, np.ones(params.n), zeros, zeros)
 
     wx2, wy2, wxy = tilde_frequencies(params, config, nu_t)
     delta = wx2 - wy2
@@ -274,16 +224,4 @@ def build_spectrum(params: LatticeParams, nu_t: float) -> ModeSpectrum:
     c2 = np.where(tiny, np.where(delta >= 0.0, 1.0, 0.0), (big_r + delta) / (2 * safe_r))
     s2 = np.where(tiny, np.where(delta >= 0.0, 0.0, 1.0), (big_r - delta) / (2 * safe_r))
     cs = np.where(tiny, 0.0, wxy / safe_r)
-    return ModeSpectrum(
-        params,
-        nu_t,
-        config,
-        omega_v=wv,
-        omega_w=ww,
-        c2=c2,
-        s2=s2,
-        cs=cs,
-        wx2=wx2,
-        wy2=wy2,
-        wxy=wxy,
-    )
+    return ModeSpectrum(params, nu_t, config, np.array([wv, ww]), c2, s2, cs)

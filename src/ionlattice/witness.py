@@ -69,10 +69,8 @@ def internal_energy(params: LatticeParams, nu_t: float, temperature: float) -> f
     """Thermal internal energy U(T) summed over all normal modes."""
     if temperature < 0:
         raise ConfigError("temperature must be non-negative")
-    spec = build_spectrum(params, nu_t)
-    omega = spec.branch_frequencies()
     total = 0.0
-    for w in omega:
+    for w in build_spectrum(params, nu_t).omega.ravel():
         if w <= 0.0:
             # zero mode: equipartition kinetic share only
             total += temperature

@@ -300,3 +300,74 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys):
     bad.write_text("{not json")
     capsys.readouterr()
     assert main(["sweep", "--config", str(bad), "--nu-t", "2.0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", *base_args(), "--nu-t", "nan"],
+        ["sweep", *base_args(), "--nu-t", "1.5,inf"],
+        ["sweep", *base_args(), "--nu-t", "2.0", "--temp", "nan"],
+        ["sweep", *base_args(), "--nu-t", "2.0", "--temp", "0,0.1,inf"],
+        ["spectrum", *base_args(), "--nu-t", "nan"],
+        ["witness", *base_args(), "--nu-t", "2.0", "--temp", "inf"],
+        ["covariance", *base_args(), "--nu-t", "inf"],
+        ["sweep", *base_args(), "--mass", "nan", "--nu-t", "2.0"],
+        ["sweep", *base_args(), "--charge", "inf", "--nu-t", "2.0"],
+        ["sweep", *base_args(), "--spacing", "nan", "--nu-t", "2.0"],
+        ["block-entropy", *base_args(), "--nu", "nan", "--nu-t", "2.0"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[11:]),
+)
+def test_non_finite_input_is_a_config_error(argv, capsys):
+    assert main(argv) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"params": {"mass": float("nan")}, "nuTGrid": [2.0]},
+        {"params": {"nu": float("inf")}, "nuTGrid": [2.0]},
+        {"nuTGrid": [1.5, float("nan")]},
+        {"nuTGrid": [2.0], "temperatures": [0.0, float("inf")]},
+    ],
+    ids=["mass", "nu", "nuTGrid", "temperatures"],
+)
+def test_non_finite_config_value_is_a_config_error(config, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))  # writes the NaN and Infinity literals
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["witness", "spectrum", "block-entropy", "covariance"])
+def test_one_point_command_with_missing_config_is_a_config_error(command, tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert main([command, "--config", str(missing), "--nu-t", "2.0"]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_spectrum_is_not_a_sweep_measure(capsys):
+    assert main(["sweep", *base_args(), "--nu-t", "2.0", "--measures", "spectrum"]) == 2
+    assert "unknown measures" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"params": {"mass": "heavy"}, "nuTGrid": [2.0]}, {"nuTGrid": 2.0}],
+    ids=["mass", "nuTGrid"],
+)
+def test_malformed_config_value_is_a_config_error(config, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+def test_witness_reads_xy_mode_from_config(tmp_path, capsys):
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"xyMode": "absolute"}))
+    rc = main(["witness", *base_args(), "--config", str(path), "--nu-t", "1.0"])
+    assert rc == 0
+    assert parse_csv(capsys.readouterr().out)[0]["xyMode"] == "absolute"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ionlattice.covariance import block_covariance
 from ionlattice.errors import ConfigError, ImaginaryFrequency
 from ionlattice.lattice import (
     Configuration,
@@ -155,8 +156,8 @@ def test_build_spectrum_flat_matches_dispersion(nn_ring):
     spec = build_spectrum(params, 1.3)
     wx, wy = linear_dispersion(params, 1.3)
     assert spec.variant is Variant.LINEAR
-    assert_allclose(spec.omega_x, wx, rtol=1e-14)
-    assert_allclose(spec.omega_y, wy, rtol=1e-14)
+    assert_allclose(spec.omega[0], wx, rtol=1e-14)
+    assert_allclose(spec.omega[1], wy, rtol=1e-14)
 
 
 def test_build_spectrum_zigzag_matches_blockwise(nn_ring):
@@ -168,21 +169,24 @@ def test_build_spectrum_zigzag_matches_blockwise(nn_ring):
     for l in (1, 2, 4, 8):
         block = coupling_matrix(params, config, nu_t, l)
         wv, ww, _ = symplectic_diagonalize(block)
-        assert_allclose(spec.omega_v[l - 1], wv, rtol=1e-10)
-        assert_allclose(spec.omega_w[l - 1], ww, rtol=1e-10)
+        assert_allclose(spec.omega[0, l - 1], wv, rtol=1e-10)
+        assert_allclose(spec.omega[1, l - 1], ww, rtol=1e-10)
 
 
-def test_mode_entry_consistency(nn_ring):
-    params = nn_ring(n=8)
-    nu_t = 0.8 * critical_potential(params)
-    spec = build_spectrum(params, nu_t)
-    entry = spec.entry(2)
-    assert entry.l == 2
-    assert_allclose(entry.omega_v, spec.omega_v[1], rtol=1e-12)
-    assert_allclose(entry.omega_w, spec.omega_w[1], rtol=1e-12)
-    assert entry.psi >= 0 and entry.phi >= 0
-    smat = entry.s_matrix
-    assert_allclose(smat @ OMEGA4 @ smat.T, OMEGA4, atol=1e-10)
+def test_flat_phase_is_unmixed_with_exact_zero_cross_moments(lr_ring):
+    params = lr_ring(n=10)
+    spec = build_spectrum(params, 2.0)
+    assert spec.variant is Variant.LINEAR
+    assert spec.omega.shape == (2, 10)
+    assert np.array_equal(spec.c2, np.ones(10))
+    assert np.array_equal(spec.s2, np.zeros(10)) and np.array_equal(spec.cs, np.zeros(10))
+    # x-y entries are printed by the covariance command: they must be +0, never -0
+    cov = block_covariance(params, 2.0, 0.3, sites=(1, 2, 3)).matrix
+    for i in range(3):
+        for j in range(3):
+            for a, b in ((2 * i, 2 * j + 1), (2 * j + 1, 2 * i)):
+                for row, col in ((2 * a, 2 * b), (2 * a + 1, 2 * b + 1)):
+                    assert cov[row, col] == 0.0 and not np.signbit(cov[row, col])
 
 
 def test_unstable_configuration_raises_with_modes(lr_ring):
