@@ -10,11 +10,15 @@ throughout.
 from .covariance import (
     CovarianceMatrix,
     PairMoments,
+    WorkingPoint,
     block_covariance,
+    block_covariance_at,
     direct_covariance_oracle,
     pair_moments,
+    pair_moments_at,
     td_pair_criteria,
     td_single_site_eigenvalue,
+    working_point,
 )
 from .entanglement import (
     BlockEntropyReport,
@@ -66,6 +70,7 @@ from .witness import (
     internal_energy,
     separability_bound,
     witness_report,
+    witness_reports,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +97,9 @@ __all__ = [
     "Variant",
     "Violation",
     "WitnessReport",
+    "WorkingPoint",
     "block_covariance",
+    "block_covariance_at",
     "block_entropy",
     "block_entropy_profile",
     "build_spectrum",
@@ -108,6 +115,7 @@ __all__ = [
     "negativity_cross_check",
     "pair_entanglement",
     "pair_moments",
+    "pair_moments_at",
     "separability_bound",
     "separability_criteria",
     "solve_equilibrium",
@@ -119,4 +127,6 @@ __all__ = [
     "tilde_frequencies",
     "von_neumann_entropy",
     "witness_report",
+    "witness_reports",
+    "working_point",
 ]

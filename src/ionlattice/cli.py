@@ -26,10 +26,12 @@ import numpy as np
 
 from .covariance import (
     block_covariance,
+    block_covariance_at,
     direct_covariance_oracle,
-    pair_moments,
+    pair_moments_at,
     td_pair_criteria,
     td_single_site_eigenvalue,
+    working_point,
 )
 from .entanglement import (
     block_entropy,
@@ -56,7 +58,7 @@ from .lattice import (
 )
 from .quadrature import Divergent
 from .spectrum import OMEGA4, build_spectrum, coupling_matrix, symplectic_diagonalize
-from .witness import witness_report
+from .witness import witness_report, witness_reports
 
 #: Ring size standing in for the bulk limit where no closed form exists.
 TD_PROXY_N = 4096
@@ -70,6 +72,9 @@ MEASURES = (
     "witness",
 )
 DEFAULT_MEASURES = ("negativity", "entropy")
+
+#: top-level keys of a config file
+CONFIG_KEYS = {"params", "nuTGrid", "temperatures", "measures", "tdLimit", "xyMode"}
 
 COLUMNS = (
     "nuT",
@@ -153,10 +158,10 @@ def _block_sizes(measures) -> tuple:
     return tuple(sizes)
 
 
-def _finite_entropy(params, nu_t, temperature, size, direction):
+def _finite_entropy(point, temperature, size, direction):
     """(entropy or None, divergent flag) for one block column."""
-    cov = block_covariance(
-        params, nu_t, temperature, sites=range(1, size + 1), directions=(direction,)
+    cov = block_covariance_at(
+        point, temperature, sites=range(1, size + 1), directions=(direction,)
     )
     if not np.isfinite(cov.matrix).all():
         return None, True
@@ -166,7 +171,7 @@ def _finite_entropy(params, nu_t, temperature, size, direction):
     return rep.entropy, False
 
 
-def _compute_row(spec: SweepSpec, nu_t_paper: float, t_paper: float) -> dict:
+def _blank_row(nu_t_paper: float, t_paper: float) -> dict:
     row = {c: None for c in COLUMNS}
     row["nuT"] = nu_t_paper
     row["T"] = t_paper
@@ -174,16 +179,36 @@ def _compute_row(spec: SweepSpec, nu_t_paper: float, t_paper: float) -> dict:
         if c.endswith("Divergent"):
             row[c] = False
     row["error"] = ""
+    return row
+
+
+def _fail(rows, exc):
+    """Record ``exc`` on every row that has not failed yet."""
+    for row in rows:
+        if not row["error"]:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+
+
+def _compute_rows(spec: SweepSpec, nu_t_paper: float) -> list:
+    """The rows of one nuT, one per temperature, from one working point.
+
+    A row's cells are filled measure by measure until the first error,
+    which goes into its ``error`` cell; an error of a step shared by all
+    temperatures (equilibrium, spectrum, witness bound and crossing) ends
+    every row that has not failed yet.
+    """
+    rows = [_blank_row(nu_t_paper, t) for t in spec.temperatures]
     params = spec.params
     nu_t = nu_t_paper * params.nu_t_unit
     try:
         if spec.td_limit:
-            _td_row(spec, nu_t, row)
+            _td_row(spec, nu_t, rows[0])
         else:
-            _finite_row(spec, nu_t, t_paper * params.temperature_unit, row)
+            temperatures = [t * params.temperature_unit for t in spec.temperatures]
+            _finite_rows(spec, nu_t, temperatures, rows)
     except _ROW_ERRORS as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        _fail(rows, exc)
+    return rows
 
 
 def _pair_cells(row, direction, s1, s2):
@@ -192,35 +217,46 @@ def _pair_cells(row, direction, s1, s2):
     row[f"EN{direction}"] = negativity(s1, s2)
 
 
-def _block_cells(params, nu_t, temperature, sizes, row):
+def _block_cells(point, temperature, sizes, row):
     for size in sizes:
         for d in ("x", "y"):
             row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = _finite_entropy(
-                params, nu_t, temperature, size, d
+                point, temperature, size, d
             )
 
 
-def _witness_cells(spec, params, nu_t, temperature, row):
-    rep = witness_report(params, nu_t, temperature, xy_mode=spec.xy_mode)
-    tc = rep.critical_temperature
-    row["U"] = rep.internal_energy / params.nu_t_unit
-    row["bound"] = rep.bound / params.nu_t_unit
-    row["Tc"] = None if tc is None else tc / params.temperature_unit
-    row["witnessTriggered"] = rep.triggered
+def _witness_cells(spec, point, temperatures, rows):
+    params = point.params
+    reports = witness_reports(point, temperatures, xy_mode=spec.xy_mode)
+    for rep, row in zip(reports, rows):
+        if row["error"]:
+            continue
+        tc = rep.critical_temperature
+        row["U"] = rep.internal_energy / params.nu_t_unit
+        row["bound"] = rep.bound / params.nu_t_unit
+        row["Tc"] = None if tc is None else tc / params.temperature_unit
+        row["witnessTriggered"] = rep.triggered
 
 
-def _finite_row(spec, nu_t, temperature, row):
+def _finite_rows(spec, nu_t, temperatures, rows):
     params = spec.params
     config = solve_equilibrium(params, nu_t)
-    row["configVariant"] = config.variant.value
-    row["b"] = config.b / params.spacing
-    if "negativity" in spec.measures:
-        for d in ("x", "y"):
-            pm = pair_moments(params, nu_t, temperature, 1, d)
-            _pair_cells(row, d, *separability_criteria(pm))
-    _block_cells(params, nu_t, temperature, _block_sizes(spec.measures), row)
+    for row in rows:
+        row["configVariant"] = config.variant.value
+        row["b"] = config.b / params.spacing
+    point = working_point(params, nu_t, config)
+    sizes = _block_sizes(spec.measures)
+    for temperature, row in zip(temperatures, rows):
+        try:
+            if "negativity" in spec.measures:
+                for d in ("x", "y"):
+                    pm = pair_moments_at(point, temperature, 1, d)
+                    _pair_cells(row, d, *separability_criteria(pm))
+            _block_cells(point, temperature, sizes, row)
+        except _ROW_ERRORS as exc:
+            _fail([row], exc)
     if "witness" in spec.measures:
-        _witness_cells(spec, params, nu_t, temperature, row)
+        _witness_cells(spec, point, temperatures, rows)
 
 
 def _td_row(spec: SweepSpec, nu_t: float, row: dict):
@@ -230,7 +266,7 @@ def _td_row(spec: SweepSpec, nu_t: float, row: dict):
     proxy = dataclasses.replace(params, n=TD_PROXY_N)
     if nu_t < critical_potential(params, td_limit=True) * (1.0 - 1e-12):
         # below the buckling point only the large-ring stand-in is available
-        _finite_row(dataclasses.replace(spec, params=proxy, td_limit=False), nu_t, 0.0, row)
+        _finite_rows(dataclasses.replace(spec, params=proxy, td_limit=False), nu_t, (0.0,), [row])
         return
     row["configVariant"] = Variant.LINEAR.value
     row["b"] = 0.0
@@ -246,23 +282,33 @@ def _td_row(spec: SweepSpec, nu_t: float, row: dict):
                 row[f"SV1{d}Divergent"] = True
             else:
                 row[f"SV1{d}"] = von_neumann_entropy(r)
-    _block_cells(proxy, nu_t, 0.0, [size for size in sizes if size > 1], row)
-    if "witness" in spec.measures:
-        _witness_cells(spec, proxy, nu_t, 0.0, row)
+    sizes = [size for size in sizes if size > 1]
+    if sizes or "witness" in spec.measures:
+        point = working_point(proxy, nu_t)
+        _block_cells(point, 0.0, sizes, row)
+        if "witness" in spec.measures:
+            _witness_cells(spec, point, (0.0,), [row])
 
 
 def _row_worker(task):
-    spec, nu_t_paper, t_paper = task
-    return _compute_row(spec, nu_t_paper, t_paper)
+    """One pool task: every row of one nuT."""
+    spec, nu_t_paper = task
+    return _compute_rows(spec, nu_t_paper)
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
-    """All sweep rows in grid order (outer nuT, inner temperature)."""
-    tasks = [(spec, nt, t) for nt in spec.nu_t_grid for t in spec.temperatures]
+    """All sweep rows in grid order (outer nuT, inner temperature).
+
+    Each nuT is evaluated once for all its temperatures; ``jobs`` worker
+    processes share out the nuT points.
+    """
+    tasks = [(spec, nt) for nt in spec.nu_t_grid]
     if jobs <= 1 or len(tasks) == 1:
-        return [_row_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_row_worker, tasks))
+        groups = [_row_worker(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            groups = list(pool.map(_row_worker, tasks))
+    return [row for group in groups for row in group]
 
 
 # ---------------------------------------------------------------- formatting
@@ -395,7 +441,13 @@ def _spec_from_args(args) -> SweepSpec:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    raw_params = dict(cfg.get("params", {}))
+        extra = set(cfg) - CONFIG_KEYS
+        if extra:
+            raise ConfigError(f"unknown config keys {sorted(extra)}")
+    raw_params = cfg.get("params", {})
+    if not isinstance(raw_params, dict):
+        raise ConfigError("config key params must hold a JSON object")
+    raw_params = dict(raw_params)
     for key, attr in (
         ("n", "n"),
         ("mass", "mass"),
@@ -417,7 +469,9 @@ def _spec_from_args(args) -> SweepSpec:
     measures = cfg.get("measures", list(DEFAULT_MEASURES))
     if getattr(args, "measures", None):
         measures = [m.strip() for m in args.measures.split(",") if m.strip()]
-    td_limit = bool(cfg.get("tdLimit", False))
+    td_limit = cfg.get("tdLimit", False)
+    if not isinstance(td_limit, bool):
+        raise ConfigError("config key tdLimit must be true or false")
     if getattr(args, "td_limit", False):
         td_limit = True
     xy_mode = cfg.get("xyMode", "signed")

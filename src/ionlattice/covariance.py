@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ImaginaryFrequency, SizeLimitExceeded
 from .lattice import (
+    Configuration,
     LatticeParams,
     Variant,
     critical_potential,
@@ -75,7 +76,7 @@ def _momentum_factor(omega, temperature, mass):
 
 @dataclass(frozen=True)
 class _Kernels:
-    """Per-direction mode kernels: lists of (frequencies, mixing weights)."""
+    """Per-direction mode kernels: lists of (branch index, mixing weights)."""
 
     x: list
     y: list
@@ -92,25 +93,66 @@ def _direction_kernels(spec: ModeSpectrum, drop_soft_modes: bool = False) -> _Ke
         dropped = int((~keep).sum())
         weights = [[np.where(k, w, 0.0) for w in ws] for k, ws in zip(keep, weights)]
     (x0, y0, c0), (x1, y1, c1) = weights
-    w0, w1 = spec.omega
     # a branch without weight (the flat phase has one per direction) adds
     # nothing to a mode sum; leaving it out saves the work
     return _Kernels(
-        x=[(w, wt) for w, wt in ((w0, x0), (w1, x1)) if np.count_nonzero(wt)],
-        y=[(w, wt) for w, wt in ((w0, y0), (w1, y1)) if np.count_nonzero(wt)],
-        cross=[(w0, c0), (w1, c1)],
+        x=[(b, wt) for b, wt in ((0, x0), (1, x1)) if np.count_nonzero(wt)],
+        y=[(b, wt) for b, wt in ((0, y0), (1, y1)) if np.count_nonzero(wt)],
+        cross=[(0, c0), (1, c1)],
         dropped=dropped,
     )
 
 
-def _weighted_mode_sum(kern, phase_weights, n, fac):
-    """(1/n) sum_l w_l fac(omega_l), with exact-zero weights killing the term."""
+@dataclass(frozen=True)
+class WorkingPoint:
+    """Everything about one transverse trap frequency that does not depend
+    on temperature: the equilibrium (``spectrum.config``), the mode spectrum
+    and its mode kernels. Build it once with :func:`working_point` and
+    evaluate any number of temperatures and measures from it."""
+
+    spectrum: ModeSpectrum
+    kernels: _Kernels
+
+    @property
+    def params(self) -> LatticeParams:
+        return self.spectrum.params
+
+    @property
+    def nu_t(self) -> float:
+        return self.spectrum.nu_t
+
+    @property
+    def config(self) -> Configuration:
+        return self.spectrum.config
+
+
+def working_point(
+    params: LatticeParams, nu_t: float, config: Configuration | None = None
+) -> WorkingPoint:
+    """The working point at ``nu_t``; ``config`` skips a second equilibrium
+    solve when the caller already holds it."""
+    spec = build_spectrum(params, nu_t, config)
+    return WorkingPoint(spec, _direction_kernels(spec))
+
+
+def _mode_factors(point: WorkingPoint, temperature: float):
+    """Per-mode <q^2> and <p^2> factors, each of shape (2, n), at one
+    temperature; every mode sum indexes these."""
+    omega, mass = point.spectrum.omega, point.params.mass
+    return (
+        _position_factor(omega, temperature, mass),
+        _momentum_factor(omega, temperature, mass),
+    )
+
+
+def _weighted_mode_sum(kern, facs, phase_weights, n):
+    """(1/n) sum_l w_l fac_l, with exact-zero weights killing the term."""
     total = 0.0
-    for omega, wt in kern:
+    for branch, wt in kern:
         w = wt * phase_weights
         nz = w != 0.0
         if nz.any():
-            total += float((w[nz] * fac(omega[nz])).sum()) / n
+            total += float((w[nz] * facs[branch][nz]).sum()) / n
     return total
 
 
@@ -159,37 +201,38 @@ def pair_moments(
     params: LatticeParams, nu_t: float, temperature: float, tau: int, direction: str
 ) -> PairMoments:
     """Normalized second moments of two sites at neighbour distance tau."""
+    return pair_moments_at(working_point(params, nu_t), temperature, tau, direction)
+
+
+def pair_moments_at(
+    point: WorkingPoint, temperature: float, tau: int, direction: str
+) -> PairMoments:
+    """:func:`pair_moments` at a working point."""
+    params = point.params
     _check_direction(direction)
     if not 1 <= tau <= params.n // 2:
         raise ConfigError(f"tau must be in 1..{params.n // 2}, got {tau}")
     if temperature < 0:
         raise ConfigError("temperature must be non-negative")
-    spec = build_spectrum(params, nu_t)
-    kerns = _direction_kernels(spec)
-    kern = kerns.x if direction == "x" else kerns.y
+    kern = point.kernels.x if direction == "x" else point.kernels.y
     parity = -1.0 if (
-        spec.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
+        point.config.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
     ) else 1.0
-    nu_ref = params.nu if direction == "x" else nu_t
+    nu_ref = params.nu if direction == "x" else point.nu_t
     q_scale = params.mass * nu_ref
     n = params.n
-
-    def qf(w):
-        return _position_factor(w, temperature, params.mass)
-
-    def pf(w):
-        return _momentum_factor(w, temperature, params.mass)
+    qf, pf = _mode_factors(point, temperature)
 
     ones = np.ones(n)
     cosd = _cos_weights(n, tau)
-    var_q = q_scale * _weighted_mode_sum(kern, ones, n, qf)
-    cov_q = q_scale * parity * _weighted_mode_sum(kern, cosd, n, qf)
-    var_p = _weighted_mode_sum(kern, ones, n, pf) / q_scale
-    cov_p = parity * _weighted_mode_sum(kern, cosd, n, pf) / q_scale
-    q_plus = q_scale * _weighted_mode_sum(kern, 1.0 + parity * cosd, n, qf)
-    q_minus = q_scale * _weighted_mode_sum(kern, 1.0 - parity * cosd, n, qf)
-    p_plus = _weighted_mode_sum(kern, 1.0 + parity * cosd, n, pf) / q_scale
-    p_minus = _weighted_mode_sum(kern, 1.0 - parity * cosd, n, pf) / q_scale
+    var_q = q_scale * _weighted_mode_sum(kern, qf, ones, n)
+    cov_q = q_scale * parity * _weighted_mode_sum(kern, qf, cosd, n)
+    var_p = _weighted_mode_sum(kern, pf, ones, n) / q_scale
+    cov_p = parity * _weighted_mode_sum(kern, pf, cosd, n) / q_scale
+    q_plus = q_scale * _weighted_mode_sum(kern, qf, 1.0 + parity * cosd, n)
+    q_minus = q_scale * _weighted_mode_sum(kern, qf, 1.0 - parity * cosd, n)
+    p_plus = _weighted_mode_sum(kern, pf, 1.0 + parity * cosd, n) / q_scale
+    p_minus = _weighted_mode_sum(kern, pf, 1.0 - parity * cosd, n) / q_scale
     return PairMoments(
         direction=direction,
         tau=tau,
@@ -219,21 +262,22 @@ class CovarianceMatrix:
     dropped_soft_modes: int = 0
 
 
-def _pair_entry(spec, kerns, fac, s1, d1, s2, d2, mass):
-    """Raw same-kind moment <a_{s1,d1} a_{s2,d2}> for a = q or p via fac."""
-    n = spec.params.n
+def _pair_entry(point, kerns, facs, s1, d1, s2, d2):
+    """Raw same-kind moment <a_{s1,d1} a_{s2,d2}> for a = q or p via facs."""
+    n = point.params.n
+    zigzag = point.config.variant is Variant.ZIGZAG
     delta = s2 - s1
     if d1 == d2:
         kern = kerns.x if d1 == "x" else kerns.y
-        val = _weighted_mode_sum(kern, _cos_weights(n, delta), n, fac)
-        if d1 == "y" and spec.variant is Variant.ZIGZAG:
+        val = _weighted_mode_sum(kern, facs, _cos_weights(n, delta), n)
+        if d1 == "y" and zigzag:
             val *= (-1.0) ** (s1 + s2)
         return val
-    if spec.variant is Variant.LINEAR:
+    if not zigzag:
         return 0.0
     # cross-entry signs fixed by the (-1)^j staggering of the first site in
     # each coupled pair; validated against the dense oracle
-    sin_sum = _weighted_mode_sum(kerns.cross, _sin_weights(n, delta), n, fac)
+    sin_sum = _weighted_mode_sum(kerns.cross, facs, _sin_weights(n, delta), n)
     if d1 == "x":  # <x_{s1} y_{s2}>
         return ((-1.0) ** s2) * sin_sum
     return -((-1.0) ** s1) * sin_sum  # <y_{s1} x_{s2}>
@@ -257,10 +301,26 @@ def block_covariance(
         Subset of ("x", "y") defining the per-site mode order.
     drop_soft_modes : bool
         Exclude modes below ``SOFT_FREQ_FACTOR * max(nu, nu_t)`` from every
-        mode sum. This regularizes the exactly critical point, where the
-        zone-edge zero mode makes position variances infinite; the number
-        of excluded modes is reported on the result.
+        mode sum; the number of excluded modes is reported on the result.
+        This does not regularize the exactly critical point: the soft mode
+        there is transverse, so x blocks come out unchanged, and a y block
+        without it is not a physical state (its symplectic spectrum falls
+        below 1).
     """
+    return block_covariance_at(
+        working_point(params, nu_t), temperature, sites, directions, drop_soft_modes
+    )
+
+
+def block_covariance_at(
+    point: WorkingPoint,
+    temperature: float,
+    sites,
+    directions=DIRECTIONS,
+    drop_soft_modes: bool = False,
+) -> CovarianceMatrix:
+    """:func:`block_covariance` at a working point."""
+    params = point.params
     sites = tuple(int(s) for s in sites)
     if len(sites) == 0 or len(set(sites)) != len(sites):
         raise ConfigError("sites must be a non-empty collection of distinct indices")
@@ -273,24 +333,18 @@ def block_covariance(
     if temperature < 0:
         raise ConfigError("temperature must be non-negative")
 
-    spec = build_spectrum(params, nu_t)
-    kerns = _direction_kernels(spec, drop_soft_modes)
+    kerns = _direction_kernels(point.spectrum, True) if drop_soft_modes else point.kernels
     modes = tuple((s, d) for s in sites for d in directions)
     k = len(modes)
     cov = np.zeros((2 * k, 2 * k))
+    qf, pf = _mode_factors(point, temperature)
 
-    def qf(w):
-        return _position_factor(w, temperature, params.mass)
-
-    def pf(w):
-        return _momentum_factor(w, temperature, params.mass)
-
-    scale = {d: params.mass * (params.nu if d == "x" else nu_t) for d in DIRECTIONS}
+    scale = {d: params.mass * (params.nu if d == "x" else point.nu_t) for d in DIRECTIONS}
     for i, (s1, d1) in enumerate(modes):
         for j, (s2, d2) in enumerate(modes[i:], start=i):
             g = math.sqrt(scale[d1] * scale[d2])
-            qq = g * _pair_entry(spec, kerns, qf, s1, d1, s2, d2, params.mass)
-            pp = _pair_entry(spec, kerns, pf, s1, d1, s2, d2, params.mass) / g
+            qq = g * _pair_entry(point, kerns, qf, s1, d1, s2, d2)
+            pp = _pair_entry(point, kerns, pf, s1, d1, s2, d2) / g
             cov[2 * i, 2 * j] = cov[2 * j, 2 * i] = qq
             cov[2 * i + 1, 2 * j + 1] = cov[2 * j + 1, 2 * i + 1] = pp
     return CovarianceMatrix(
@@ -322,34 +376,24 @@ def direct_covariance_oracle(
     coeff = taylor_coefficients(params, config)
     m, q2 = params.mass, params.charge**2
 
-    # potential quadratic form V over u = (x_1..x_n, y_1..y_n), H = p^2/2m + u^T V u
+    # potential quadratic form V over u = (x_1..x_n, y_1..y_n), H = p^2/2m + u^T V u;
+    # a pair term c (u_j - u_{j+tau})^2 summed over j is the form d^T c d
+    # with row j of d equal to e_j - e_{j+tau}
     V = np.zeros((2 * n, 2 * n))
     np.fill_diagonal(V[:n, :n], 0.5 * m * params.nu**2)
     np.fill_diagonal(V[n:, n:], 0.5 * m * nu_t**2)
+    sites = np.arange(n)
     for idx, tau in enumerate(coeff.tau):
-        half_dx = 0.5 * q2 * coeff.dx[idx]
-        half_dy = 0.5 * q2 * coeff.dy[idx]
-        for j in range(n):
-            k = (j + tau) % n
-            V[j, j] += half_dx
-            V[k, k] += half_dx
-            V[j, k] -= half_dx
-            V[k, j] -= half_dx
-            V[n + j, n + j] += half_dy
-            V[n + k, n + k] += half_dy
-            V[n + j, n + k] -= half_dy
-            V[n + k, n + j] -= half_dy
-            if config.variant is Variant.ZIGZAG and tau % 2 == 1:
-                # cross coupling alternates with the parity of the first site
-                cd = 0.25 * q2 * coeff.dxy[idx] * ((-1.0) ** (j + 1))
-                V[j, n + j] += cd
-                V[n + j, j] += cd
-                V[k, n + k] += cd
-                V[n + k, k] += cd
-                V[j, n + k] -= cd
-                V[n + k, j] -= cd
-                V[k, n + j] -= cd
-                V[n + j, k] -= cd
+        d = np.eye(n) - np.eye(n)[(sites + tau) % n]
+        lap = d.T @ d
+        V[:n, :n] += 0.5 * q2 * coeff.dx[idx] * lap
+        V[n:, n:] += 0.5 * q2 * coeff.dy[idx] * lap
+        if config.variant is Variant.ZIGZAG and tau % 2 == 1:
+            # cross coupling alternates with the parity of the first site
+            cd = 0.25 * q2 * coeff.dxy[idx] * (-1.0) ** (sites + 1)
+            cross = d.T @ (cd[:, None] * d)
+            V[:n, n:] += cross
+            V[n:, :n] += cross
 
     w2, basis = np.linalg.eigh(2.0 * V / m)
     if (w2 < -RADICAND_TOL).any():
@@ -379,17 +423,13 @@ def direct_covariance_oracle(
         qmat[diverges] = np.sign(proj[diverges]) * np.inf
 
     modes = tuple((s, d) for s in range(1, n + 1) for d in DIRECTIONS)
+    # u index of each mode (1x, 1y, 2x, ...): 0, n, 1, n + 1, ...
+    u = np.arange(2 * n).reshape(2, n).T.ravel()
+    scale = np.tile([m * params.nu, m * nu_t], n)
+    g = np.sqrt(np.outer(scale, scale))
     cov = np.zeros((4 * n, 4 * n))
-    scale = {d: m * (params.nu if d == "x" else nu_t) for d in DIRECTIONS}
-
-    def uindex(site, d):
-        return site - 1 if d == "x" else n + site - 1
-
-    for i, (s1, d1) in enumerate(modes):
-        for j, (s2, d2) in enumerate(modes):
-            g = math.sqrt(scale[d1] * scale[d2])
-            cov[2 * i, 2 * j] = g * qmat[uindex(s1, d1), uindex(s2, d2)]
-            cov[2 * i + 1, 2 * j + 1] = pmat[uindex(s1, d1), uindex(s2, d2)] / g
+    cov[0::2, 0::2] = g * qmat[np.ix_(u, u)]
+    cov[1::2, 1::2] = pmat[np.ix_(u, u)] / g
     return CovarianceMatrix(matrix=cov, modes=modes, temperature=temperature)
 
 

@@ -205,9 +205,13 @@ class ModeSpectrum:
         return self.config.variant
 
 
-def build_spectrum(params: LatticeParams, nu_t: float) -> ModeSpectrum:
-    """Solve the equilibrium at ``nu_t`` and assemble the full mode spectrum."""
-    config = solve_equilibrium(params, nu_t)
+def build_spectrum(
+    params: LatticeParams, nu_t: float, config: Configuration | None = None
+) -> ModeSpectrum:
+    """Assemble the full mode spectrum at ``nu_t``, solving the equilibrium
+    unless ``config`` (the one at this ``nu_t``) is given."""
+    if config is None:
+        config = solve_equilibrium(params, nu_t)
     if config.variant is Variant.LINEAR:
         zeros = np.zeros(params.n)
         omega = np.array(linear_dispersion(params, nu_t))

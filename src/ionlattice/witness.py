@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .covariance import WorkingPoint, working_point
 from .errors import ConfigError, DomainError
 from .lattice import Configuration, LatticeParams, Variant, solve_equilibrium, taylor_coefficients
 from .spectrum import build_spectrum
@@ -65,21 +66,26 @@ def effective_frequencies(
     return math.sqrt(wx2), math.sqrt(wy2), wxy
 
 
+def _energy(omega: np.ndarray, temperature: float) -> float:
+    """U(T) of the modes ``omega`` (a flat array), summed left to right as
+    a scalar loop over the modes would, so U and the Tc found from it do
+    not move in the last bit."""
+    # zero mode: equipartition kinetic share T only
+    terms = np.where(omega > 0.0, 0.5 * omega, temperature)
+    if temperature > 0.0:
+        x = omega / temperature
+        warm = (omega > 0.0) & (x <= _BOSE_NEGLIGIBLE)
+        # math.expm1, not np.expm1: the vector kernel may differ in the last bit
+        bose = 1.0 / np.fromiter(map(math.expm1, x[warm].tolist()), float)
+        terms[warm] = omega[warm] * (bose + 0.5)
+    return float(np.add.accumulate(terms)[-1])
+
+
 def internal_energy(params: LatticeParams, nu_t: float, temperature: float) -> float:
     """Thermal internal energy U(T) summed over all normal modes."""
     if temperature < 0:
         raise ConfigError("temperature must be non-negative")
-    total = 0.0
-    for w in build_spectrum(params, nu_t).omega.ravel():
-        if w <= 0.0:
-            # zero mode: equipartition kinetic share only
-            total += temperature
-            continue
-        if temperature == 0.0 or w / temperature > _BOSE_NEGLIGIBLE:
-            total += 0.5 * w
-        else:
-            total += w * (1.0 / math.expm1(w / temperature) + 0.5)
-    return float(total)
+    return _energy(build_spectrum(params, nu_t).omega.ravel(), temperature)
 
 
 def separability_bound(
@@ -98,13 +104,17 @@ def critical_temperature(
     Returns None when even the ground state sits above the bound, so the
     witness never triggers.
     """
-    bound = separability_bound(params, nu_t, xy_mode)
-    u0 = internal_energy(params, nu_t, 0.0)
-    if u0 >= bound:
+    [report] = witness_reports(working_point(params, nu_t), (0.0,), xy_mode)
+    return report.critical_temperature
+
+
+def _crossing(params: LatticeParams, nu_t: float, omega: np.ndarray, bound: float):
+    """Tc of the modes ``omega`` against ``bound``, or None."""
+    if _energy(omega, 0.0) >= bound:
         return None
 
     def gap(t):
-        return internal_energy(params, nu_t, t) - bound
+        return _energy(omega, t) - bound
 
     hi = max(params.nu, nu_t)
     for _ in range(200):
@@ -134,17 +144,34 @@ def witness_report(
     params: LatticeParams, nu_t: float, temperature: float, xy_mode: str = "signed"
 ) -> WitnessReport:
     """Evaluate the witness at one (nu_t, T) point."""
-    wx, wy, wxy = effective_frequencies(params, nu_t, xy_mode=xy_mode)
+    return witness_reports(working_point(params, nu_t), (temperature,), xy_mode)[0]
+
+
+def witness_reports(
+    point: WorkingPoint, temperatures, xy_mode: str = "signed"
+) -> list[WitnessReport]:
+    """The witness at every temperature of one working point; the bound and
+    the crossing temperature do not depend on T and are evaluated once."""
+    if any(t < 0 for t in temperatures):
+        raise ConfigError("temperature must be non-negative")
+    params = point.params
+    wx, wy, wxy = effective_frequencies(params, point.nu_t, point.config, xy_mode)
     bound = 0.5 * params.n * (wx + wy + wxy)
-    u = internal_energy(params, nu_t, temperature)
-    tc = critical_temperature(params, nu_t, xy_mode)
-    return WitnessReport(
-        omega_x=wx,
-        omega_y=wy,
-        omega_xy=wxy,
-        bound=bound,
-        internal_energy=u,
-        critical_temperature=tc,
-        xy_mode=xy_mode,
-        triggered=bool(u < bound),
-    )
+    omega = point.spectrum.omega.ravel()
+    tc = _crossing(params, point.nu_t, omega, bound)
+    reports = []
+    for t in temperatures:
+        u = _energy(omega, t)
+        reports.append(
+            WitnessReport(
+                omega_x=wx,
+                omega_y=wy,
+                omega_xy=wxy,
+                bound=bound,
+                internal_energy=u,
+                critical_temperature=tc,
+                xy_mode=xy_mode,
+                triggered=bool(u < bound),
+            )
+        )
+    return reports

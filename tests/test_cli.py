@@ -7,6 +7,8 @@ exactly once against API calls made directly in raw units.
 
 import json
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,9 +24,12 @@ from ionlattice.cli import (
     rows_to_json,
     run_sweep,
 )
-from ionlattice.covariance import block_covariance
+from ionlattice import lattice, spectrum
+from ionlattice.covariance import block_covariance, pair_moments
+from ionlattice.entanglement import block_entropy, negativity, separability_criteria
 from ionlattice.errors import ConfigError
 from ionlattice.lattice import LatticeParams, solve_equilibrium
+from ionlattice.witness import witness_report
 
 #: reduced-unit value of the canonical test ring's raw nu = 1 (m=2, Q=1, a=1)
 NU_PAPER = "1.4142135623730951"
@@ -133,6 +138,77 @@ def test_parallel_rows_identical_to_serial():
     serial = rows_to_csv(run_sweep(spec, jobs=1))
     parallel = rows_to_csv(run_sweep(spec, jobs=2))
     assert serial == parallel
+
+
+ALL_MEASURES = (
+    "negativity", "entropy", "blockEntropy1", "blockEntropy2", "blockEntropy3", "witness",
+)
+
+
+def one_point_row(params, nu_t_paper, t_paper, xy_mode="signed"):
+    """The cells of one sweep row from the public one-point calls."""
+    nu_t = nu_t_paper * params.nu_t_unit
+    temperature = t_paper * params.temperature_unit
+    config = solve_equilibrium(params, nu_t)
+    row = {"configVariant": config.variant.value, "b": config.b / params.spacing}
+    for d in ("x", "y"):
+        s1, s2 = separability_criteria(pair_moments(params, nu_t, temperature, 1, d))
+        row.update({f"S1{d}": s1, f"S2{d}": s2, f"EN{d}": negativity(s1, s2)})
+        for k in (1, 2, 3):
+            cov = block_covariance(params, nu_t, temperature, range(1, k + 1), (d,))
+            row[f"SV{k}{d}"] = block_entropy(cov, n_sites=k, direction=d).entropy
+            row[f"SV{k}{d}Divergent"] = False
+    rep = witness_report(params, nu_t, temperature, xy_mode=xy_mode)
+    tc = rep.critical_temperature
+    row["U"] = rep.internal_energy / params.nu_t_unit
+    row["bound"] = rep.bound / params.nu_t_unit
+    row["Tc"] = None if tc is None else tc / params.temperature_unit
+    row["witnessTriggered"] = rep.triggered
+    row["error"] = ""
+    return row
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_cells_equal_the_one_point_calls(jobs):
+    # buckled at nuT 1.0, flat at 2.0 and 2.5 (critical at sqrt(2))
+    spec = small_spec(
+        nu_t_grid=(1.0, 2.0, 2.5), temperatures=(0.0, 0.2, 0.5), measures=ALL_MEASURES
+    )
+    rows = run_sweep(spec, jobs=jobs)
+    grid = [(nt, t) for nt in spec.nu_t_grid for t in spec.temperatures]
+    assert [(row["nuT"], row["T"]) for row in rows] == grid
+    assert {row["configVariant"] for row in rows} == {"zigzag", "linear"}
+    for row, (nt, t) in zip(rows, grid):
+        expect = one_point_row(spec.params, nt, t)
+        assert {c: row[c] for c in expect} == expect, (nt, t)
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Counts of equilibrium solves and spectrum builds, seen in every
+    ionlattice namespace that imported the functions."""
+    counts = Counter()
+    for module, name in ((lattice, "solve_equilibrium"), (spectrum, "build_spectrum")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, ns in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "ionlattice" and getattr(ns, name, None) is original:
+                monkeypatch.setattr(ns, name, counted)
+    return counts
+
+
+def test_sweep_builds_each_working_point_once(rebuilds):
+    spec = small_spec(
+        nu_t_grid=(1.0, 2.0, 2.5), temperatures=(0.0, 0.1, 0.2, 0.5), measures=ALL_MEASURES
+    )
+    rows = run_sweep(spec)
+    assert len(rows) == 12 and all(row["error"] == "" for row in rows)
+    for name in ("solve_equilibrium", "build_spectrum"):
+        assert 0 < rebuilds[name] <= len(spec.nu_t_grid), (name, rebuilds[name])
 
 
 # ------------------------------------------------------------------ commands
@@ -286,11 +362,18 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     # the override ring (n=8) is what actually ran
     params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
     unit = params.nu_t_unit
-    from ionlattice.covariance import pair_moments
-    from ionlattice.entanglement import separability_criteria
-
     s1, _ = separability_criteria(pair_moments(params, 2.0 * unit, 0.0, 1, "y"))
     assert_allclose(float(rows[0]["S1y"]), s1, rtol=1e-10)
+
+
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
+    # a misspelt key must not silently fall back to its default
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"nuTGrid": [2.0], "temperature": [0.5], "tdlimit": True}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: unknown config keys ['tdlimit', 'temperature']" in captured.err
 
 
 def test_unreadable_config_is_a_config_error(tmp_path, capsys):
@@ -355,8 +438,13 @@ def test_spectrum_is_not_a_sweep_measure(capsys):
 
 @pytest.mark.parametrize(
     "config",
-    [{"params": {"mass": "heavy"}, "nuTGrid": [2.0]}, {"nuTGrid": 2.0}],
-    ids=["mass", "nuTGrid"],
+    [
+        {"params": {"mass": "heavy"}, "nuTGrid": [2.0]},
+        {"nuTGrid": 2.0},
+        {"params": [8, 2.0], "nuTGrid": [2.0]},
+        {"nuTGrid": [2.0], "tdLimit": "no"},
+    ],
+    ids=["mass", "nuTGrid", "params", "tdLimit"],
 )
 def test_malformed_config_value_is_a_config_error(config, tmp_path, capsys):
     path = tmp_path / "sweep.json"

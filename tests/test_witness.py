@@ -7,11 +7,13 @@ giving sqrt(3) and sqrt(1.25) at C = 2, nu = 1, nu_t = 1.5.
 
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ionlattice.errors import ConfigError
 from ionlattice.lattice import critical_potential
+from ionlattice.spectrum import build_spectrum
 from ionlattice.witness import (
     critical_temperature,
     effective_frequencies,
@@ -128,3 +130,45 @@ def test_crossing_search_survives_cold_modes_on_a_large_ring(lr_ring, nu_t_reduc
     assert abs(internal_energy(params, nu_t, tc) - bound) < 1e-8 * bound
     # far below every mode frequency the energy is the zero-point energy exactly
     assert internal_energy(params, nu_t, 1e-6) == internal_energy(params, nu_t, 0.0)
+
+
+def scalar_energy(omega, temperature):
+    """U(T) as a scalar loop over the modes, summed left to right."""
+    total = 0.0
+    for w in omega.ravel():
+        if w <= 0.0:
+            total += temperature
+            continue
+        if temperature == 0.0 or w / temperature > 700.0:
+            total += 0.5 * w
+        else:
+            total += w * (1.0 / math.expm1(w / temperature) + 0.5)
+    return float(total)
+
+
+@pytest.mark.parametrize("nu_t_reduced", [1.31, 1.72])
+def test_energy_equals_scalar_loop_bit_for_bit(lr_ring, nu_t_reduced):
+    params = lr_ring(n=1000)
+    nu_t = nu_t_reduced * params.nu_t_unit
+    omega = build_spectrum(params, nu_t).omega
+    for t in (0.0, 1e-6, 0.2, 5.0):
+        assert internal_energy(params, nu_t, t) == scalar_energy(omega, t), t
+        assert witness_report(params, nu_t, t).internal_energy == scalar_energy(omega, t), t
+
+
+def test_energy_with_a_zero_mode_equals_scalar_loop_bit_for_bit(nn_ring):
+    params = nn_ring(n=20)
+    crit = critical_potential(params)
+    omega = build_spectrum(params, crit).omega
+    assert (omega == 0.0).any()
+    for t in (0.0, 0.05, 0.7):
+        assert internal_energy(params, crit, t) == scalar_energy(omega, t), t
+
+
+def test_energy_of_a_small_ring_equals_scalar_loop_bit_for_bit(nn_ring):
+    # U is small here, so a one-ulp change of a single Bose term (np.expm1
+    # and math.expm1 differ in the last bit for some arguments) shows in the sum
+    params = nn_ring(n=4)
+    omega = build_spectrum(params, 1.5).omega
+    for t in np.geomspace(0.05, 20.0, 60):
+        assert internal_energy(params, 1.5, t) == scalar_energy(omega, t), t
