@@ -18,6 +18,7 @@ as inf.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -156,16 +157,27 @@ def _weighted_mode_sum(kern, facs, phase_weights, n):
     return total
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+# The phase weights depend on the ring size and the site distance only, so
+# every working point and temperature shares them; the cached arrays are
+# read-only because every caller gets the same one. A sweep uses a handful
+# of (n, delta) pairs.
+@functools.lru_cache(maxsize=128)
 def _cos_weights(n, delta):
     ls = np.arange(1, n + 1, dtype=float)
-    return np.cos(2.0 * np.pi * ls * delta / n)
+    return _read_only(np.cos(2.0 * np.pi * ls * delta / n))
 
 
+@functools.lru_cache(maxsize=128)
 def _sin_weights(n, delta):
     if delta == 0:
-        return np.zeros(n)
+        return _read_only(np.zeros(n))
     ls = np.arange(1, n + 1, dtype=float)
-    return np.sin(2.0 * np.pi * ls * delta / n)
+    return _read_only(np.sin(2.0 * np.pi * ls * delta / n))
 
 
 @dataclass(frozen=True)
@@ -433,20 +445,31 @@ def direct_covariance_oracle(
     return CovarianceMatrix(matrix=cov, modes=modes, temperature=temperature)
 
 
+# QUADPACK evaluates the same Gauss-Kronrod nodes for every nuT, direction
+# and weight, so a bulk sweep needs about a thousand distinct sums.
+@functools.lru_cache(maxsize=4096)
+def _dispersion_sum(tau_max: int, a: float) -> float:
+    """sum_{tau=1}^{tau_max} sin^2(a tau) / tau^3, the nuT-independent part
+    of the bulk dispersion. NumPy's pairwise sum and its ``x**2`` are kept
+    as they are: a scalar rewrite differs in the last bit at some nodes."""
+    taus = np.arange(1, tau_max + 1, dtype=float)
+    return float(np.sum(np.sin(a * taus) ** 2 / taus**3))
+
+
 def _bulk_omega2(params: LatticeParams, nu_t: float, direction: str):
     c = params.coulomb_constant
-    taus = np.arange(1, params.tau_max + 1, dtype=float)
+    tau_max = params.tau_max
     if direction == "x":
         base = params.nu**2
 
         def w2(a):
-            return base + c * float(np.sum(np.sin(a * taus) ** 2 / taus**3))
+            return base + c * _dispersion_sum(tau_max, a)
 
     else:
         base = nu_t**2
 
         def w2(a):
-            return base - 0.5 * c * float(np.sum(np.sin(a * taus) ** 2 / taus**3))
+            return base - 0.5 * c * _dispersion_sum(tau_max, a)
 
     return w2
 

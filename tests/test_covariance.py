@@ -12,12 +12,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ionlattice import covariance
 from ionlattice.covariance import (
+    DIRECTIONS,
+    _cos_weights,
+    _dispersion_sum,
+    _sin_weights,
     block_covariance,
+    block_covariance_at,
     direct_covariance_oracle,
     pair_moments,
+    pair_moments_at,
+    td_pair_criteria,
+    td_single_site_eigenvalue,
+    working_point,
 )
-from ionlattice.errors import ConfigError, SizeLimitExceeded
+from ionlattice.errors import ConfigError, QuadratureFailure, SizeLimitExceeded
 from ionlattice.lattice import critical_potential
 
 
@@ -169,3 +179,103 @@ def test_block_covariance_validation(nn_ring, kwargs):
 def test_pair_moments_tau_range(nn_ring, tau):
     with pytest.raises(ConfigError):
         pair_moments(nn_ring(n=8), 1.3, 0.0, tau, "y")
+
+
+def _dispersion_reference(tau_max, a):
+    taus = np.arange(1, tau_max + 1, dtype=float)
+    return float(np.sum(np.sin(a * taus) ** 2 / taus**3))
+
+
+@pytest.mark.parametrize("tau_max", [1, 4, 8, 12])
+def test_cached_dispersion_sum_is_bit_identical(tau_max):
+    """The cached sum is the inline NumPy expression it replaced, to the
+    last bit: the quadrature's adaptive path depends on every value."""
+    rng = np.random.default_rng(tau_max)
+    nodes = [*rng.uniform(0.0, math.pi / 2, 2000),
+             *(math.acos(u) for u in rng.uniform(0.0, 1.0, 2000)),
+             0.0, math.pi / 2]
+    _dispersion_sum.cache_clear()
+    for a in nodes:
+        assert _dispersion_sum(tau_max, a) == _dispersion_reference(tau_max, a)
+    if tau_max >= 8:
+        # NumPy sums 8 or more terms pairwise, so a left-to-right scalar
+        # sum differs at some of these nodes: the comparison above has teeth
+        scalar = [sum(math.sin(a * t) ** 2 / t**3 for t in range(1, tau_max + 1))
+                  for a in nodes]
+        assert any(s != _dispersion_reference(tau_max, a) for s, a in zip(scalar, nodes))
+
+
+def _clear_caches():
+    for obj in vars(covariance).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def test_bulk_results_do_not_depend_on_cache_order(nn_ring, lr_ring):
+    """Interleaving rings that share quadrature nodes but differ in range
+    and charge gives each ring the outcome it gets alone. A quadrature
+    failure is an outcome too: the same nodes must take the same path."""
+    rings = [nn_ring(), nn_ring(charge=0.8), lr_ring(), lr_ring(spacing=1.2)]
+    nu_t = 1.3
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except QuadratureFailure as exc:
+            return str(exc)
+
+    def values(params, direction):
+        return (
+            outcome(td_pair_criteria, params, nu_t, 1, direction),
+            outcome(td_pair_criteria, params, nu_t, 2, direction),
+            outcome(td_single_site_eigenvalue, params, nu_t, direction),
+        )
+
+    alone = {}
+    for i, params in enumerate(rings):
+        for direction in DIRECTIONS:
+            _clear_caches()
+            alone[i, direction] = values(params, direction)
+    assert sum(not isinstance(v, str) for vs in alone.values() for v in vs) >= 12
+    _clear_caches()
+    for direction in DIRECTIONS:
+        for i, params in enumerate(rings):
+            assert values(params, direction) == alone[i, direction]
+    assert _dispersion_sum.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("weights", [_cos_weights, _sin_weights])
+@pytest.mark.parametrize("delta", [0, 3])
+def test_shared_phase_weights_are_read_only(weights, delta):
+    w = weights(8, delta)
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    with pytest.raises(ValueError):
+        w += 1.0
+    assert weights(8, delta) is w
+
+
+@pytest.mark.parametrize("ring", ["nn", "lr"])
+def test_buckled_moments_equal_with_cold_and_warm_phase_cache(nn_ring, lr_ring, ring):
+    """Pair moments and a block with x-y cross entries come out the same
+    whether the phase weights are computed afresh or taken from the cache."""
+    params = nn_ring(n=8) if ring == "nn" else lr_ring(n=12)
+    point = working_point(params, _factor(params, 0.8))
+
+    def evaluate():
+        moments = [pair_moments_at(point, 0.2, tau, d) for tau in (1, 2, 3) for d in DIRECTIONS]
+        block = block_covariance_at(point, 0.2, (1, 2, 4)).matrix
+        return moments, block
+
+    def hits():
+        return _cos_weights.cache_info().hits + _sin_weights.cache_info().hits
+
+    _clear_caches()
+    cold_moments, cold_block = evaluate()
+    cold_hits = hits()
+    warm_moments, warm_block = evaluate()
+    assert hits() > cold_hits
+    assert warm_moments == cold_moments
+    assert np.array_equal(warm_block, cold_block)
+    # <x_i y_j> entries: q rows of the x modes against q columns of the y modes
+    assert (cold_block[0::2, 0::2][np.ix_([0, 2, 4], [1, 3, 5])] != 0.0).any()

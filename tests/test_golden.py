@@ -3,9 +3,10 @@
 Each case runs one command on a small ring and compares the SHA-256 of the
 file it writes with a recorded value. The cases cover both phases, zero and
 finite temperature, every finite sweep measure including the witness, the
-bulk-limit row (closed forms above the transition, the large-ring stand-in
-for block entropies, the witness and the buckled side), the `spectrum`
-table and the two-direction `covariance` table. A refactor that moves any
+bulk-limit rows of the NN and the LR ring (closed forms above the
+transition, the large-ring stand-in for block entropies, the witness and
+the buckled side), the `spectrum` table and the two-direction `covariance`
+table. A refactor that moves any
 printed digit, or the sign of a printed zero, fails here.
 """
 
@@ -29,6 +30,13 @@ CASES = {
         ["sweep", *BASE, "--nu-t", "1.2,1.6", "--td-limit", "--measures",
          "negativity,entropy,blockEntropy2,witness"],
         "3523502d9e0e1da548656f8dab6cd34bf0e73ed3fec42ff7d37f7f98eafedbbe",
+    ),
+    # longer-range couplings (tau_max 4) through every bulk-limit quadrature
+    "sweep-td-limit-lr": (
+        ["sweep", "--n", "20", "--model", "LR", "--mass", "2", "--charge", "1",
+         "--spacing", "1", "--nu", "1.4142135623730951", "--nu-t", "1.6,1.9",
+         "--td-limit", "--measures", "negativity,entropy,blockEntropy2"],
+        "a72deb56267e09259a510ece71cda28648522df905062b1e18d25ab573a0edba",
     ),
     "block-entropy-critical-soft-dropped": (
         ["block-entropy", *BASE, "--nu-t", "1.4142135623730951", "--sites", "2",
