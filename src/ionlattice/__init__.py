@@ -9,11 +9,13 @@ throughout.
 
 from .covariance import (
     CovarianceMatrix,
+    MomentTable,
     PairMoments,
     WorkingPoint,
     block_covariance,
     block_covariance_at,
     direct_covariance_oracle,
+    moment_table,
     pair_moments,
     pair_moments_at,
     td_pair_criteria,
@@ -89,6 +91,7 @@ __all__ = [
     "LatticeParams",
     "Model",
     "ModeSpectrum",
+    "MomentTable",
     "NoConvergence",
     "NumericalFailure",
     "PairMoments",
@@ -111,6 +114,7 @@ __all__ = [
     "equilibrium_residual",
     "internal_energy",
     "linear_dispersion",
+    "moment_table",
     "negativity",
     "negativity_cross_check",
     "pair_entanglement",

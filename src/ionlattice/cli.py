@@ -28,6 +28,7 @@ from .covariance import (
     block_covariance,
     block_covariance_at,
     direct_covariance_oracle,
+    moment_table,
     pair_moments_at,
     td_pair_criteria,
     td_single_site_eigenvalue,
@@ -158,14 +159,11 @@ def _block_sizes(measures) -> tuple:
     return tuple(sizes)
 
 
-def _finite_entropy(point, temperature, size, direction):
+def _finite_entropy(matrix, size, direction):
     """(entropy or None, divergent flag) for one block column."""
-    cov = block_covariance_at(
-        point, temperature, sites=range(1, size + 1), directions=(direction,)
-    )
-    if not np.isfinite(cov.matrix).all():
+    if not np.isfinite(matrix).all():
         return None, True
-    rep = block_entropy(cov, n_sites=size, direction=direction)
+    rep = block_entropy(matrix, n_sites=size, direction=direction)
     if math.isinf(rep.entropy):
         return None, True
     return rep.entropy, False
@@ -217,12 +215,17 @@ def _pair_cells(row, direction, s1, s2):
     row[f"EN{direction}"] = negativity(s1, s2)
 
 
-def _block_cells(point, temperature, sizes, row):
+def _block_cells(table, sizes, row):
+    """Block entropy cells; each direction's covariance is built once for
+    the largest size, and a block of k sites is its leading 2k x 2k part."""
+    if not sizes:
+        return
+    largest = range(1, max(sizes) + 1)
+    blocks = {d: block_covariance_at(table, largest, (d,)).matrix for d in ("x", "y")}
     for size in sizes:
         for d in ("x", "y"):
-            row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = _finite_entropy(
-                point, temperature, size, d
-            )
+            sub = blocks[d][: 2 * size, : 2 * size]
+            row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = _finite_entropy(sub, size, d)
 
 
 def _witness_cells(spec, point, temperatures, rows):
@@ -248,11 +251,12 @@ def _finite_rows(spec, nu_t, temperatures, rows):
     sizes = _block_sizes(spec.measures)
     for temperature, row in zip(temperatures, rows):
         try:
+            table = moment_table(point, temperature)
             if "negativity" in spec.measures:
                 for d in ("x", "y"):
-                    pm = pair_moments_at(point, temperature, 1, d)
+                    pm = pair_moments_at(table, 1, d)
                     _pair_cells(row, d, *separability_criteria(pm))
-            _block_cells(point, temperature, sizes, row)
+            _block_cells(table, sizes, row)
         except _ROW_ERRORS as exc:
             _fail([row], exc)
     if "witness" in spec.measures:
@@ -285,7 +289,7 @@ def _td_row(spec: SweepSpec, nu_t: float, row: dict):
     sizes = [size for size in sizes if size > 1]
     if sizes or "witness" in spec.measures:
         point = working_point(proxy, nu_t)
-        _block_cells(point, 0.0, sizes, row)
+        _block_cells(moment_table(point, 0.0), sizes, row)
         if "witness" in spec.measures:
             _witness_cells(spec, point, (0.0,), [row])
 
@@ -300,13 +304,16 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     """All sweep rows in grid order (outer nuT, inner temperature).
 
     Each nuT is evaluated once for all its temperatures; ``jobs`` worker
-    processes share out the nuT points.
+    processes, but no more than there are nuT points, share them out.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     tasks = [(spec, nt) for nt in spec.nu_t_grid]
-    if jobs <= 1 or len(tasks) == 1:
+    workers = min(jobs, len(tasks))
+    if workers == 1:
         groups = [_row_worker(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_row_worker, tasks))
     return [row for group in groups for row in group]
 
@@ -356,10 +363,17 @@ def rows_to_json(rows, columns=COLUMNS) -> str:
     return json.dumps({"rows": payload}, indent=2) + "\n"
 
 
+def _write(path: str, text: str, what: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what}: {exc}") from None
+
+
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text, "output")
     else:
         sys.stdout.write(text)
 
@@ -600,9 +614,8 @@ def _cmd_covariance(args) -> int:
     directions = tuple(d.strip() for d in args.directions.split(",") if d.strip())
     cov = block_covariance(params, nu_t, temperature, sites=sites, directions=directions)
     if args.dump:
-        with open(args.dump, "w") as fh:
-            for r in cov.matrix:
-                fh.write(",".join(f"{v:.17g}" for v in r) + "\n")
+        text = "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in cov.matrix)
+        _write(args.dump, text, "dump file")
     payload = {
         "modes": [[s, d] for s, d in cov.modes],
         "matrix": [[_json_cell(float(v)) for v in r] for r in cov.matrix],

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,20 +59,17 @@ def _thermal_sigma(omega: np.ndarray, temperature: float) -> np.ndarray:
     return out
 
 
-def _position_factor(omega, temperature, mass):
-    """Per-mode <q^2> factor sigma/(m omega); inf for a zero mode."""
+def _mode_factors(omega, temperature, mass):
+    """Per-mode <q^2> factor sigma/(m omega), inf for a zero mode, and <p^2>
+    factor m omega sigma, which tends to m T for a zero mode; one
+    evaluation of sigma serves both."""
     omega = np.asarray(omega, dtype=float)
     sig = _thermal_sigma(omega, temperature)
-    return np.where(omega > 0.0, sig / (mass * np.where(omega > 0.0, omega, 1.0)), np.inf)
-
-
-def _momentum_factor(omega, temperature, mass):
-    """Per-mode <p^2> factor m omega sigma; a zero mode tends to m T."""
-    omega = np.asarray(omega, dtype=float)
-    sig = _thermal_sigma(omega, temperature)
+    live = omega > 0.0
+    position = np.where(live, sig / (mass * np.where(live, omega, 1.0)), np.inf)
     # omega * sigma -> T as omega -> 0 (equipartition); avoid 0 * inf.
-    safe = mass * omega * np.where(np.isinf(sig), 0.0, sig)
-    return np.where(omega > 0.0, safe, mass * temperature)
+    momentum = np.where(live, mass * omega * np.where(np.isinf(sig), 0.0, sig), mass * temperature)
+    return position, momentum
 
 
 @dataclass(frozen=True)
@@ -136,16 +133,6 @@ def working_point(
     return WorkingPoint(spec, _direction_kernels(spec))
 
 
-def _mode_factors(point: WorkingPoint, temperature: float):
-    """Per-mode <q^2> and <p^2> factors, each of shape (2, n), at one
-    temperature; every mode sum indexes these."""
-    omega, mass = point.spectrum.omega, point.params.mass
-    return (
-        _position_factor(omega, temperature, mass),
-        _momentum_factor(omega, temperature, mass),
-    )
-
-
 def _weighted_mode_sum(kern, facs, phase_weights, n):
     """(1/n) sum_l w_l fac_l, with exact-zero weights killing the term."""
     total = 0.0
@@ -181,6 +168,57 @@ def _sin_weights(n, delta):
 
 
 @dataclass(frozen=True)
+class MomentTable:
+    """The mode sums of one working point at one temperature.
+
+    The thermal factors are evaluated once, when the table is built, and
+    each distinct mode sum once, when it is first read: a raw entry of one
+    kernel depends on the site distance only, so the pair moments and the
+    blocks of a sweep row share a few sums. ``factors`` holds the per-mode
+    position and momentum factors, each of shape (2, n); ``sums`` maps
+    (factor index, kernel name, site distance) to a raw mode sum. Build it
+    with :func:`moment_table` and keep it for as long as its (nu_t, T).
+    """
+
+    point: WorkingPoint
+    temperature: float
+    kernels: _Kernels
+    factors: tuple
+    sums: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+def moment_table(
+    point: WorkingPoint, temperature: float, drop_soft_modes: bool = False
+) -> MomentTable:
+    """The moment table of ``point`` at ``temperature``.
+
+    ``drop_soft_modes`` excludes modes below ``SOFT_FREQ_FACTOR *
+    max(nu, nu_t)`` from every mode sum of the table (see
+    :func:`block_covariance`).
+    """
+    if temperature < 0:
+        raise ConfigError("temperature must be non-negative")
+    kernels = _direction_kernels(point.spectrum, True) if drop_soft_modes else point.kernels
+    factors = _mode_factors(point.spectrum.omega, temperature, point.params.mass)
+    return MomentTable(point, temperature, kernels, factors)
+
+
+def _mode_sum(table: MomentTable, f: int, kernel: str, delta: int) -> float:
+    """Raw mode sum of the position (f = 0) or momentum (f = 1) factors over
+    ``kernel`` ("x", "y" or "cross") with the phase weights of site distance
+    ``delta`` (cos for a direction, sin for the cross kernel), computed once
+    per table."""
+    key = (f, kernel, delta)
+    total = table.sums.get(key)
+    if total is None:
+        n = table.point.params.n
+        phase = _sin_weights(n, delta) if kernel == "cross" else _cos_weights(n, delta)
+        total = _weighted_mode_sum(getattr(table.kernels, kernel), table.factors[f], phase, n)
+        table.sums[key] = total
+    return total
+
+
+@dataclass(frozen=True)
 class PairMoments:
     """Same-direction second moments of two sites at separation tau.
 
@@ -213,34 +251,31 @@ def pair_moments(
     params: LatticeParams, nu_t: float, temperature: float, tau: int, direction: str
 ) -> PairMoments:
     """Normalized second moments of two sites at neighbour distance tau."""
-    return pair_moments_at(working_point(params, nu_t), temperature, tau, direction)
+    table = moment_table(working_point(params, nu_t), temperature)
+    return pair_moments_at(table, tau, direction)
 
 
-def pair_moments_at(
-    point: WorkingPoint, temperature: float, tau: int, direction: str
-) -> PairMoments:
-    """:func:`pair_moments` at a working point."""
+def pair_moments_at(table: MomentTable, tau: int, direction: str) -> PairMoments:
+    """:func:`pair_moments` from a moment table."""
+    point = table.point
     params = point.params
     _check_direction(direction)
     if not 1 <= tau <= params.n // 2:
         raise ConfigError(f"tau must be in 1..{params.n // 2}, got {tau}")
-    if temperature < 0:
-        raise ConfigError("temperature must be non-negative")
-    kern = point.kernels.x if direction == "x" else point.kernels.y
+    kern = getattr(table.kernels, direction)
     parity = -1.0 if (
         point.config.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
     ) else 1.0
     nu_ref = params.nu if direction == "x" else point.nu_t
     q_scale = params.mass * nu_ref
     n = params.n
-    qf, pf = _mode_factors(point, temperature)
+    qf, pf = table.factors
 
-    ones = np.ones(n)
     cosd = _cos_weights(n, tau)
-    var_q = q_scale * _weighted_mode_sum(kern, qf, ones, n)
-    cov_q = q_scale * parity * _weighted_mode_sum(kern, qf, cosd, n)
-    var_p = _weighted_mode_sum(kern, pf, ones, n) / q_scale
-    cov_p = parity * _weighted_mode_sum(kern, pf, cosd, n) / q_scale
+    var_q = q_scale * _mode_sum(table, 0, direction, 0)
+    cov_q = q_scale * parity * _mode_sum(table, 0, direction, tau)
+    var_p = _mode_sum(table, 1, direction, 0) / q_scale
+    cov_p = parity * _mode_sum(table, 1, direction, tau) / q_scale
     q_plus = q_scale * _weighted_mode_sum(kern, qf, 1.0 + parity * cosd, n)
     q_minus = q_scale * _weighted_mode_sum(kern, qf, 1.0 - parity * cosd, n)
     p_plus = _weighted_mode_sum(kern, pf, 1.0 + parity * cosd, n) / q_scale
@@ -248,7 +283,7 @@ def pair_moments_at(
     return PairMoments(
         direction=direction,
         tau=tau,
-        temperature=temperature,
+        temperature=table.temperature,
         var_q=var_q,
         var_p=var_p,
         cov_q=cov_q,
@@ -274,14 +309,13 @@ class CovarianceMatrix:
     dropped_soft_modes: int = 0
 
 
-def _pair_entry(point, kerns, facs, s1, d1, s2, d2):
-    """Raw same-kind moment <a_{s1,d1} a_{s2,d2}> for a = q or p via facs."""
-    n = point.params.n
-    zigzag = point.config.variant is Variant.ZIGZAG
+def _pair_entry(table, f, s1, d1, s2, d2):
+    """Raw moment <a_{s1,d1} a_{s2,d2}> of the position (f = 0) or
+    momentum (f = 1) quadratures."""
+    zigzag = table.point.config.variant is Variant.ZIGZAG
     delta = s2 - s1
     if d1 == d2:
-        kern = kerns.x if d1 == "x" else kerns.y
-        val = _weighted_mode_sum(kern, facs, _cos_weights(n, delta), n)
+        val = _mode_sum(table, f, d1, delta)
         if d1 == "y" and zigzag:
             val *= (-1.0) ** (s1 + s2)
         return val
@@ -289,7 +323,7 @@ def _pair_entry(point, kerns, facs, s1, d1, s2, d2):
         return 0.0
     # cross-entry signs fixed by the (-1)^j staggering of the first site in
     # each coupled pair; validated against the dense oracle
-    sin_sum = _weighted_mode_sum(kerns.cross, facs, _sin_weights(n, delta), n)
+    sin_sum = _mode_sum(table, f, "cross", delta)
     if d1 == "x":  # <x_{s1} y_{s2}>
         return ((-1.0) ** s2) * sin_sum
     return -((-1.0) ** s1) * sin_sum  # <y_{s1} x_{s2}>
@@ -319,19 +353,14 @@ def block_covariance(
         without it is not a physical state (its symplectic spectrum falls
         below 1).
     """
-    return block_covariance_at(
-        working_point(params, nu_t), temperature, sites, directions, drop_soft_modes
-    )
+    table = moment_table(working_point(params, nu_t), temperature, drop_soft_modes)
+    return block_covariance_at(table, sites, directions)
 
 
-def block_covariance_at(
-    point: WorkingPoint,
-    temperature: float,
-    sites,
-    directions=DIRECTIONS,
-    drop_soft_modes: bool = False,
-) -> CovarianceMatrix:
-    """:func:`block_covariance` at a working point."""
+def block_covariance_at(table: MomentTable, sites, directions=DIRECTIONS) -> CovarianceMatrix:
+    """:func:`block_covariance` from a moment table. The covariance of the
+    first k modes is the leading 2k x 2k submatrix, entry for entry."""
+    point = table.point
     params = point.params
     sites = tuple(int(s) for s in sites)
     if len(sites) == 0 or len(set(sites)) != len(sites):
@@ -342,28 +371,24 @@ def block_covariance_at(
     directions = tuple(directions)
     if not directions or any(d not in DIRECTIONS for d in directions):
         raise ConfigError(f"directions must be a non-empty subset of {DIRECTIONS}")
-    if temperature < 0:
-        raise ConfigError("temperature must be non-negative")
 
-    kerns = _direction_kernels(point.spectrum, True) if drop_soft_modes else point.kernels
     modes = tuple((s, d) for s in sites for d in directions)
     k = len(modes)
     cov = np.zeros((2 * k, 2 * k))
-    qf, pf = _mode_factors(point, temperature)
 
     scale = {d: params.mass * (params.nu if d == "x" else point.nu_t) for d in DIRECTIONS}
     for i, (s1, d1) in enumerate(modes):
         for j, (s2, d2) in enumerate(modes[i:], start=i):
             g = math.sqrt(scale[d1] * scale[d2])
-            qq = g * _pair_entry(point, kerns, qf, s1, d1, s2, d2)
-            pp = _pair_entry(point, kerns, pf, s1, d1, s2, d2) / g
+            qq = g * _pair_entry(table, 0, s1, d1, s2, d2)
+            pp = _pair_entry(table, 1, s1, d1, s2, d2) / g
             cov[2 * i, 2 * j] = cov[2 * j, 2 * i] = qq
             cov[2 * i + 1, 2 * j + 1] = cov[2 * j + 1, 2 * i + 1] = pp
     return CovarianceMatrix(
         matrix=cov,
         modes=modes,
-        temperature=temperature,
-        dropped_soft_modes=kerns.dropped,
+        temperature=table.temperature,
+        dropped_soft_modes=table.kernels.dropped,
     )
 
 
@@ -418,16 +443,9 @@ def direct_covariance_oracle(
     # never enters a matmul; their momentum factor is the equipartition limit
     zero = omega <= SOFT_FREQ_FACTOR * max(params.nu, nu_t)
     pos = ~zero
-    qmat = (
-        basis[:, pos]
-        @ np.diag(_position_factor(omega[pos], temperature, m))
-        @ basis[:, pos].T
-    )
-    pmat = (
-        basis[:, pos]
-        @ np.diag(_momentum_factor(omega[pos], temperature, m))
-        @ basis[:, pos].T
-    )
+    position, momentum = _mode_factors(omega[pos], temperature, m)
+    qmat = basis[:, pos] @ np.diag(position) @ basis[:, pos].T
+    pmat = basis[:, pos] @ np.diag(momentum) @ basis[:, pos].T
     if zero.any():
         proj = basis[:, zero] @ basis[:, zero].T
         pmat = pmat + m * temperature * proj

@@ -13,6 +13,7 @@ covariance matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -92,12 +93,16 @@ def pair_entanglement(
     )
 
 
+# every block size of a sweep asks for the same few forms; callers share
+# the cached arrays, so they are read-only
+@functools.lru_cache(maxsize=32)
 def _symplectic_form(k: int) -> np.ndarray:
     """Symplectic form of k modes with interleaved quadratures (q1, p1, q2, p2, ...)."""
     omega = np.zeros((2 * k, 2 * k))
     i = np.arange(k)
     omega[2 * i, 2 * i + 1] = 1.0
     omega[2 * i + 1, 2 * i] = -1.0
+    omega.flags.writeable = False
     return omega
 
 
@@ -153,7 +158,9 @@ class BlockEntropyReport:
     dropped_soft_modes: int = 0
 
 
-def block_entropy(cov: CovarianceMatrix, n_sites: int = 0, direction: str = "") -> BlockEntropyReport:
+def block_entropy(
+    cov: CovarianceMatrix | np.ndarray, n_sites: int = 0, direction: str = ""
+) -> BlockEntropyReport:
     """Von Neumann entropy of the state with covariance ``cov``."""
     spectrum = symplectic_spectrum(cov)
     entropy = float(sum(von_neumann_entropy(r) for r in spectrum))

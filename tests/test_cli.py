@@ -5,6 +5,7 @@ temperatures in half that), so these tests pin the conversion happening
 exactly once against API calls made directly in raw units.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -24,11 +25,11 @@ from ionlattice.cli import (
     rows_to_json,
     run_sweep,
 )
-from ionlattice import lattice, spectrum
+from ionlattice import cli, covariance, lattice, spectrum
 from ionlattice.covariance import block_covariance, pair_moments
 from ionlattice.entanglement import block_entropy, negativity, separability_criteria
 from ionlattice.errors import ConfigError
-from ionlattice.lattice import LatticeParams, solve_equilibrium
+from ionlattice.lattice import LatticeParams, Model, solve_equilibrium
 from ionlattice.witness import witness_report
 
 #: reduced-unit value of the canonical test ring's raw nu = 1 (m=2, Q=1, a=1)
@@ -156,8 +157,13 @@ def one_point_row(params, nu_t_paper, t_paper, xy_mode="signed"):
         row.update({f"S1{d}": s1, f"S2{d}": s2, f"EN{d}": negativity(s1, s2)})
         for k in (1, 2, 3):
             cov = block_covariance(params, nu_t, temperature, range(1, k + 1), (d,))
-            row[f"SV{k}{d}"] = block_entropy(cov, n_sites=k, direction=d).entropy
-            row[f"SV{k}{d}Divergent"] = False
+            # a block with an infinite entry (a zero mode under a nonvanishing
+            # weight) is reported divergent, without an entropy
+            entropy = math.inf
+            if np.isfinite(cov.matrix).all():
+                entropy = block_entropy(cov, n_sites=k, direction=d).entropy
+            row[f"SV{k}{d}"] = None if math.isinf(entropy) else entropy
+            row[f"SV{k}{d}Divergent"] = math.isinf(entropy)
     rep = witness_report(params, nu_t, temperature, xy_mode=xy_mode)
     tc = rep.critical_temperature
     row["U"] = rep.internal_energy / params.nu_t_unit
@@ -168,27 +174,41 @@ def one_point_row(params, nu_t_paper, t_paper, xy_mode="signed"):
     return row
 
 
+#: reduced nuT whose raw value is exactly the critical point of the n = 8 NN
+#: test ring (the float next below sqrt(2)); its zone-edge y mode is 0.0
+NU_T_CRITICAL = 1.414213562373095
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_cells_equal_the_one_point_calls(jobs):
-    # buckled at nuT 1.0, flat at 2.0 and 2.5 (critical at sqrt(2))
-    spec = small_spec(
-        nu_t_grid=(1.0, 2.0, 2.5), temperatures=(0.0, 0.2, 0.5), measures=ALL_MEASURES
-    )
-    rows = run_sweep(spec, jobs=jobs)
-    grid = [(nt, t) for nt in spec.nu_t_grid for t in spec.temperatures]
-    assert [(row["nuT"], row["T"]) for row in rows] == grid
-    assert {row["configVariant"] for row in rows} == {"zigzag", "linear"}
-    for row, (nt, t) in zip(rows, grid):
-        expect = one_point_row(spec.params, nt, t)
-        assert {c: row[c] for c in expect} == expect, (nt, t)
+    lr = LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, model=Model.LR)
+    specs = [
+        # NN: buckled at nuT 1.0, exactly critical, flat at 2.0 and 2.5
+        small_spec(nu_t_grid=(1.0, NU_T_CRITICAL, 2.0, 2.5)),
+        # LR, default range tau_max = 4: buckled at 1.0 and 1.3, critical near 1.44
+        small_spec(params=lr, nu_t_grid=(1.0, 1.3, 2.0)),
+    ]
+    for spec in specs:
+        spec = dataclasses.replace(spec, temperatures=(0.0, 0.2, 0.5), measures=ALL_MEASURES)
+        rows = run_sweep(spec, jobs=jobs)
+        grid = [(nt, t) for nt in spec.nu_t_grid for t in spec.temperatures]
+        assert [(row["nuT"], row["T"]) for row in rows] == grid
+        assert {row["configVariant"] for row in rows} == {"zigzag", "linear"}
+        for row, (nt, t) in zip(rows, grid):
+            expect = one_point_row(spec.params, nt, t)
+            assert {c: row[c] for c in expect} == expect, (spec.params.model, nt, t)
+        if spec.params.model is Model.NN:
+            # the critical rows do carry infinite block entries
+            critical = [row for row in rows if row["nuT"] == NU_T_CRITICAL]
+            assert len(critical) == 3
+            assert all(row["SV1yDivergent"] and row["SV1y"] is None for row in critical)
 
 
-@pytest.fixture
-def rebuilds(monkeypatch):
-    """Counts of equilibrium solves and spectrum builds, seen in every
-    ionlattice namespace that imported the functions."""
+def count_calls(monkeypatch, targets):
+    """Calls to each (module, function name) of ``targets``, seen in every
+    ionlattice namespace that imported the function."""
     counts = Counter()
-    for module, name in ((lattice, "solve_equilibrium"), (spectrum, "build_spectrum")):
+    for module, name in targets:
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -201,6 +221,14 @@ def rebuilds(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Counts of equilibrium solves and spectrum builds."""
+    return count_calls(
+        monkeypatch, ((lattice, "solve_equilibrium"), (spectrum, "build_spectrum"))
+    )
+
+
 def test_sweep_builds_each_working_point_once(rebuilds):
     spec = small_spec(
         nu_t_grid=(1.0, 2.0, 2.5), temperatures=(0.0, 0.1, 0.2, 0.5), measures=ALL_MEASURES
@@ -209,6 +237,31 @@ def test_sweep_builds_each_working_point_once(rebuilds):
     assert len(rows) == 12 and all(row["error"] == "" for row in rows)
     for name in ("solve_equilibrium", "build_spectrum"):
         assert 0 < rebuilds[name] <= len(spec.nu_t_grid), (name, rebuilds[name])
+
+
+@pytest.fixture
+def mode_sums(monkeypatch):
+    """Counts of weighted mode sums and thermal-factor evaluations."""
+    return count_calls(
+        monkeypatch, ((covariance, "_weighted_mode_sum"), (covariance, "_mode_factors"))
+    )
+
+
+def test_sweep_computes_each_mode_sum_once_per_row(mode_sums):
+    # the pair at tau = 1 and blocks of 1-3 sites in both directions need
+    # the raw entries of site distance 0, 1, 2 (q and p) and the pair's four
+    # combinations: 20 distinct mode sums, where filling each entry on its
+    # own takes 56
+    params = LatticeParams(n=20, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    spec = small_spec(
+        params=params, nu_t_grid=(1.0, 1.2), temperatures=(0.0, 0.3),
+        measures=ALL_MEASURES[:-1],
+    )
+    rows = run_sweep(spec)
+    assert len(rows) == 4
+    assert all(row["error"] == "" and row["configVariant"] == "zigzag" for row in rows)
+    assert 0 < mode_sums["_weighted_mode_sum"] <= 20 * len(rows), mode_sums
+    assert mode_sums["_mode_factors"] == len(rows), mode_sums
 
 
 # ------------------------------------------------------------------ commands
@@ -239,6 +292,62 @@ def test_sweep_exit_codes(capsys):
     assert main(["sweep", *base_args()]) == 2  # no grid at all
     capsys.readouterr()
     assert main(["sweep", *base_args(), "--nu-t", "1.5,2.0"]) == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_a_job_count_below_one(jobs, capsys):
+    assert main(["sweep", *base_args(), "--nu-t", "1.5,2.0", "--jobs", jobs]) == 2
+    assert "configuration error: jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_starts_no_more_workers_than_nu_t_points(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Stands in for the process pool: records the worker count and
+        runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    spec = small_spec(nu_t_grid=(1.2, 2.2, 2.5))
+    assert run_sweep(spec, jobs=500) == run_sweep(spec, jobs=1)
+    assert started == [3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", *base_args(), "--nu-t", "1.5,2.0"],
+        ["spectrum", *base_args(), "--nu-t", "2.0"],
+        ["block-entropy", *base_args(), "--nu-t", "2.0"],
+        ["witness", *base_args(), "--nu-t", "2.0"],
+        ["covariance", *base_args(), "--nu-t", "2.0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_is_a_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: cannot write output" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unwritable_dump_is_a_config_error(tmp_path, capsys):
+    dump = tmp_path / "missing" / "cov.csv"
+    assert main(["covariance", *base_args(), "--nu-t", "2.0", "--dump", str(dump)]) == 2
+    assert "configuration error: cannot write dump file" in capsys.readouterr().err
 
 
 def test_check_negative_control(capsys):

@@ -21,6 +21,7 @@ from ionlattice.covariance import (
     block_covariance,
     block_covariance_at,
     direct_covariance_oracle,
+    moment_table,
     pair_moments,
     pair_moments_at,
     td_pair_criteria,
@@ -28,7 +29,7 @@ from ionlattice.covariance import (
     working_point,
 )
 from ionlattice.errors import ConfigError, QuadratureFailure, SizeLimitExceeded
-from ionlattice.lattice import critical_potential
+from ionlattice.lattice import Variant, critical_potential
 
 
 def _factor(params, crit_mult):
@@ -263,8 +264,9 @@ def test_buckled_moments_equal_with_cold_and_warm_phase_cache(nn_ring, lr_ring, 
     point = working_point(params, _factor(params, 0.8))
 
     def evaluate():
-        moments = [pair_moments_at(point, 0.2, tau, d) for tau in (1, 2, 3) for d in DIRECTIONS]
-        block = block_covariance_at(point, 0.2, (1, 2, 4)).matrix
+        table = moment_table(point, 0.2)
+        moments = [pair_moments_at(table, tau, d) for tau in (1, 2, 3) for d in DIRECTIONS]
+        block = block_covariance_at(table, (1, 2, 4)).matrix
         return moments, block
 
     def hits():
@@ -279,3 +281,134 @@ def test_buckled_moments_equal_with_cold_and_warm_phase_cache(nn_ring, lr_ring, 
     assert np.array_equal(warm_block, cold_block)
     # <x_i y_j> entries: q rows of the x modes against q columns of the y modes
     assert (cold_block[0::2, 0::2][np.ix_([0, 2, 4], [1, 3, 5])] != 0.0).any()
+
+
+# ------------------------------------------------- entry-by-entry reference
+# The moment table computes each distinct mode sum once; these are the
+# factor functions and the per-entry loops it replaced, kept verbatim as
+# the reference its outputs must equal bit for bit.
+
+
+def _reference_position_factor(omega, temperature, mass):
+    omega = np.asarray(omega, dtype=float)
+    sig = covariance._thermal_sigma(omega, temperature)
+    return np.where(omega > 0.0, sig / (mass * np.where(omega > 0.0, omega, 1.0)), np.inf)
+
+
+def _reference_momentum_factor(omega, temperature, mass):
+    omega = np.asarray(omega, dtype=float)
+    sig = covariance._thermal_sigma(omega, temperature)
+    safe = mass * omega * np.where(np.isinf(sig), 0.0, sig)
+    return np.where(omega > 0.0, safe, mass * temperature)
+
+
+def _reference_factors(point, temperature):
+    omega, mass = point.spectrum.omega, point.params.mass
+    return (
+        _reference_position_factor(omega, temperature, mass),
+        _reference_momentum_factor(omega, temperature, mass),
+    )
+
+
+def _reference_pair_entry(point, kerns, facs, s1, d1, s2, d2):
+    n = point.params.n
+    zigzag = point.config.variant is Variant.ZIGZAG
+    delta = s2 - s1
+    if d1 == d2:
+        kern = kerns.x if d1 == "x" else kerns.y
+        val = covariance._weighted_mode_sum(kern, facs, _cos_weights(n, delta), n)
+        if d1 == "y" and zigzag:
+            val *= (-1.0) ** (s1 + s2)
+        return val
+    if not zigzag:
+        return 0.0
+    sin_sum = covariance._weighted_mode_sum(kerns.cross, facs, _sin_weights(n, delta), n)
+    if d1 == "x":
+        return ((-1.0) ** s2) * sin_sum
+    return -((-1.0) ** s1) * sin_sum
+
+
+def _reference_block(point, temperature, sites, directions, drop_soft_modes):
+    params = point.params
+    kerns = (
+        covariance._direction_kernels(point.spectrum, True) if drop_soft_modes else point.kernels
+    )
+    modes = tuple((s, d) for s in sites for d in directions)
+    k = len(modes)
+    cov = np.zeros((2 * k, 2 * k))
+    qf, pf = _reference_factors(point, temperature)
+    scale = {d: params.mass * (params.nu if d == "x" else point.nu_t) for d in DIRECTIONS}
+    for i, (s1, d1) in enumerate(modes):
+        for j, (s2, d2) in enumerate(modes[i:], start=i):
+            g = math.sqrt(scale[d1] * scale[d2])
+            qq = g * _reference_pair_entry(point, kerns, qf, s1, d1, s2, d2)
+            pp = _reference_pair_entry(point, kerns, pf, s1, d1, s2, d2) / g
+            cov[2 * i, 2 * j] = cov[2 * j, 2 * i] = qq
+            cov[2 * i + 1, 2 * j + 1] = cov[2 * j + 1, 2 * i + 1] = pp
+    return cov
+
+
+def _reference_pair(point, temperature, tau, direction):
+    params = point.params
+    kern = point.kernels.x if direction == "x" else point.kernels.y
+    parity = -1.0 if (
+        point.config.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
+    ) else 1.0
+    nu_ref = params.nu if direction == "x" else point.nu_t
+    q_scale = params.mass * nu_ref
+    n = params.n
+    qf, pf = _reference_factors(point, temperature)
+    mode_sum = covariance._weighted_mode_sum
+    ones = np.ones(n)
+    cosd = _cos_weights(n, tau)
+    return (
+        q_scale * mode_sum(kern, qf, ones, n),
+        mode_sum(kern, pf, ones, n) / q_scale,
+        q_scale * parity * mode_sum(kern, qf, cosd, n),
+        parity * mode_sum(kern, pf, cosd, n) / q_scale,
+        q_scale * mode_sum(kern, qf, 1.0 + parity * cosd, n),
+        q_scale * mode_sum(kern, qf, 1.0 - parity * cosd, n),
+        mode_sum(kern, pf, 1.0 + parity * cosd, n) / q_scale,
+        mode_sum(kern, pf, 1.0 - parity * cosd, n) / q_scale,
+    )
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.3])
+@pytest.mark.parametrize("ring", ["nn-buckled", "nn-flat", "nn-critical", "lr-buckled"])
+def test_moment_table_equals_the_entry_by_entry_loop(nn_ring, lr_ring, ring, temperature):
+    """Blocks and pair moments read from one shared table are the values the
+    per-entry mode sums give, bit for bit: mixed x,y blocks (with the flat
+    phase's +0.0 cross entries), out-of-order sites, dropped soft modes, and
+    the exactly critical ring with its infinite entries."""
+    params = lr_ring(n=12) if ring.startswith("lr") else nn_ring(n=8)
+    mult = {"buckled": 0.8, "flat": 1.5, "critical": 1.0}[ring.split("-")[1]]
+    point = working_point(params, _factor(params, mult))
+    table = moment_table(point, temperature)
+    for tau in (1, 2, 3):
+        for d in DIRECTIONS:
+            pm = pair_moments_at(table, tau, d)
+            got = (pm.var_q, pm.var_p, pm.cov_q, pm.cov_p,
+                   pm.q_plus, pm.q_minus, pm.p_plus, pm.p_minus)
+            assert _same_bits(got, _reference_pair(point, temperature, tau, d)), (tau, d)
+    cases = [((1, 2, 3), ("x", "y")), ((3, 1, 2), ("y", "x")), ((1, 2, 4), ("y",))]
+    for sites, directions in cases:
+        got = block_covariance_at(table, sites, directions).matrix
+        want = _reference_block(point, temperature, sites, directions, False)
+        assert _same_bits(got, want), (sites, directions)
+        dropped = block_covariance(
+            params, point.nu_t, temperature, sites, directions, drop_soft_modes=True
+        )
+        want = _reference_block(point, temperature, sites, directions, True)
+        assert _same_bits(dropped.matrix, want), (sites, directions, "dropped")
+    if ring == "nn-flat":
+        # the flat phase's x-y entries are +0.0, not -0.0
+        cross = block_covariance_at(table, (1, 2), ("x", "y")).matrix[0::2, 0::2][0, 1::2]
+        assert (cross == 0.0).all() and not np.signbit(cross).any()
+    if ring == "nn-critical":
+        assert np.isinf(block_covariance_at(table, (1, 2), ("y",)).matrix).any()
+        assert dropped.dropped_soft_modes == 1
