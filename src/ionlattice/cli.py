@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -369,6 +370,20 @@ def _write(path: str, text: str, what: str):
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {what}: {exc}") from None
+
+
+def _check_writable(path: str, what: str):
+    """Fail on a destination that cannot be written before any work is
+    done. The probe opens for appending, so an existing file keeps its
+    content, and a file it had to create is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what}: {exc}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _emit(text: str, out: str | None):
@@ -815,6 +830,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for what, path in (("output", getattr(args, "out", None)),
+                           ("dump file", getattr(args, "dump", None))):
+            if path:
+                _check_writable(path, what)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

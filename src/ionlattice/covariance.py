@@ -34,6 +34,7 @@ from .lattice import (
     taylor_coefficients,
 )
 from .quadrature import (
+    HALF_PI,
     Divergent,
     integrate_weighted_frequency,
     integrate_weighted_inverse,
@@ -463,33 +464,92 @@ def direct_covariance_oracle(
     return CovarianceMatrix(matrix=cov, modes=modes, temperature=temperature)
 
 
-# QUADPACK evaluates the same Gauss-Kronrod nodes for every nuT, direction
-# and weight, so a bulk sweep needs about a thousand distinct sums.
+# The QAGS rule evaluates the same Gauss-Kronrod nodes for every nuT,
+# direction and weight, so a bulk sweep needs about a thousand distinct sums
+# for some 70,000 integrand values.
 @functools.lru_cache(maxsize=4096)
 def _dispersion_sum(tau_max: int, a: float) -> float:
     """sum_{tau=1}^{tau_max} sin^2(a tau) / tau^3, the nuT-independent part
-    of the bulk dispersion. NumPy's pairwise sum and its ``x**2`` are kept
-    as they are: a scalar rewrite differs in the last bit at some nodes."""
+    of the bulk dispersion. NumPy's pairwise sum (``np.add.reduce``, the
+    reduction ``np.sum`` calls) and its ``x**2`` are kept as they are: a
+    scalar rewrite differs in the last bit at some nodes."""
+    taus, cubes = _dispersion_taus(tau_max)
+    return float(np.add.reduce(np.sin(a * taus) ** 2 / cubes))
+
+
+@functools.lru_cache(maxsize=16)
+def _dispersion_taus(tau_max: int):
+    """tau = 1 .. tau_max as floats and their cubes, shared read-only."""
     taus = np.arange(1, tau_max + 1, dtype=float)
-    return float(np.sum(np.sin(a * taus) ** 2 / taus**3))
+    return _read_only(taus), _read_only(taus**3)
 
 
-def _bulk_omega2(params: LatticeParams, nu_t: float, direction: str):
+def _bulk_dispersion(params: LatticeParams, nu_t: float, direction: str) -> tuple:
+    """(base, k) of the bulk dispersion omega^2 = base + k S(alpha) with
+    S = ``_dispersion_sum``: base = nu^2 and k = C along x, base = nu_t^2
+    and k = -C/2 along y. ``base + k * s`` equals ``base - 0.5 * c * s``
+    bit for bit, since negation is exact."""
     c = params.coulomb_constant
-    tau_max = params.tau_max
     if direction == "x":
-        base = params.nu**2
+        return params.nu**2, c
+    return nu_t**2, -(0.5 * c)
 
-        def w2(a):
-            return base + c * _dispersion_sum(tau_max, a)
 
-    else:
-        base = nu_t**2
+def _bulk_integrands(base: float, k: float, tau_max: int, tau: int = 0, sign: float = 0.0):
+    """The integrands of quadrature's two half-zone averages for the weight
+    w = 1 + sign cos(2 alpha tau) (sign 0 gives w = 1) on the dispersion
+    omega^2 = base + k S(alpha) of ``_bulk_dispersion``.
 
-        def w2(a):
-            return base - 0.5 * c * _dispersion_sum(tau_max, a)
+    Returns ``(f, (g, gap2, w_end, scale2))``: f(alpha) = w omega for
+    ``integrate_weighted_frequency`` and the arguments of
+    ``integrate_weighted_inverse``. Each integrand is a single closure over
+    the math functions and the cached sum. ``1.0 + sign * cos`` equals
+    ``1.0 - cos`` bit for bit, since negation and scaling by 1 are exact.
+    """
+    cos, sqrt, acos, dsum = math.cos, math.sqrt, math.acos, _dispersion_sum
 
-    return w2
+    def f(a):
+        w2 = base + k * dsum(tau_max, a)
+        return (1.0 + sign * cos(2.0 * a * tau)) * sqrt(w2 if w2 > 0.0 else 0.0)
+
+    def g(u):
+        a = acos(u)
+        w2 = base + k * dsum(tau_max, a)
+        if w2 <= 0.0:
+            return 0.0
+        return (1.0 + sign * cos(2.0 * a * tau)) / sqrt(w2 * (1.0 - u * u))
+
+    gap2 = base + k * dsum(tau_max, HALF_PI)
+    w_end = 1.0 + sign * cos(2.0 * HALF_PI * tau)
+    scale2 = abs(base + k * dsum(tau_max, 0.0))
+    return f, (g, gap2, w_end, scale2)
+
+
+# The axial dispersion nu^2 + C S does not involve nu_t, so a bulk sweep
+# asks for the same x averages at every row; the caches below compute them
+# once per ring. A transverse entry is not asked for twice in a sweep.
+@functools.lru_cache(maxsize=256)
+def _pair_averages(base: float, k: float, tau_max: int, tau: int, atol: float) -> tuple:
+    """(ip_plus, ip_minus, iq_plus, iq_minus): the frequency and inverse
+    averages under the weights 1 +- cos(2 alpha tau)."""
+    f_plus, inverse_plus = _bulk_integrands(base, k, tau_max, tau, 1.0)
+    f_minus, inverse_minus = _bulk_integrands(base, k, tau_max, tau, -1.0)
+    ip_plus = integrate_weighted_frequency(f_plus, atol)
+    ip_minus = integrate_weighted_frequency(f_minus, atol)
+    iq_plus = integrate_weighted_inverse(*inverse_plus, atol)
+    iq_minus = integrate_weighted_inverse(*inverse_minus, atol)
+    return ip_plus, ip_minus, iq_plus, iq_minus
+
+
+@functools.lru_cache(maxsize=256)
+def _site_averages(base: float, k: float, tau_max: int, atol: float) -> tuple:
+    """(iq, ip): the inverse and frequency averages under the weight 1; ip
+    is None when iq is Divergent."""
+    f, inverse = _bulk_integrands(base, k, tau_max)
+    iq = integrate_weighted_inverse(*inverse, atol)
+    if isinstance(iq, Divergent):
+        return iq, None
+    return iq, integrate_weighted_frequency(f, atol)
 
 
 def _require_flat_bulk(params: LatticeParams, nu_t: float):
@@ -514,18 +574,8 @@ def td_pair_criteria(
     if tau < 1:
         raise ConfigError(f"tau must be positive, got {tau}")
     _require_flat_bulk(params, nu_t)
-    w2 = _bulk_omega2(params, nu_t, direction)
-
-    def w_plus(a):
-        return 1.0 + math.cos(2.0 * a * tau)
-
-    def w_minus(a):
-        return 1.0 - math.cos(2.0 * a * tau)
-
-    ip_plus = integrate_weighted_frequency(w_plus, w2, atol)
-    ip_minus = integrate_weighted_frequency(w_minus, w2, atol)
-    iq_plus = integrate_weighted_inverse(w_plus, w2, atol)
-    iq_minus = integrate_weighted_inverse(w_minus, w2, atol)
+    base, k = _bulk_dispersion(params, nu_t, direction)
+    ip_plus, ip_minus, iq_plus, iq_minus = _pair_averages(base, k, params.tau_max, tau, atol)
     pref = 4.0 / math.pi**2
 
     def combine(iq, ip):
@@ -546,12 +596,10 @@ def td_single_site_eigenvalue(
     """
     _check_direction(direction)
     _require_flat_bulk(params, nu_t)
-    w2 = _bulk_omega2(params, nu_t, direction)
-    one = lambda a: 1.0
-    iq = integrate_weighted_inverse(one, w2, atol)
+    base, k = _bulk_dispersion(params, nu_t, direction)
+    iq, ip = _site_averages(base, k, params.tau_max, atol)
     if isinstance(iq, Divergent):
         return iq
-    ip = integrate_weighted_frequency(one, w2, atol)
     r = (2.0 / math.pi) * math.sqrt(iq * ip)
     if r > 1e6:
         return Divergent("single-site eigenvalue exceeded 1e6")

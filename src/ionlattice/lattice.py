@@ -13,13 +13,14 @@ hbar and k_B are 1 throughout; mass, charge and length are raw model units.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._solvers import brentq
 from .errors import ConfigError, NoConvergence
 
 #: Relative residual demanded of the transverse force balance after solving.
@@ -135,6 +136,14 @@ def _odd_taus(params: LatticeParams) -> np.ndarray:
     return np.arange(1, params.tau_max + 1, 2)
 
 
+# A bulk sweep row asks for the bulk critical point about six times (row
+# dispatch, each bulk average, the stand-in ring's equilibrium).
+@functools.lru_cache(maxsize=64)
+def _odd_inverse_cubes(tau_max: int) -> float:
+    """sum over odd tau <= tau_max of 1 / tau^3."""
+    return float(np.sum(1.0 / np.arange(1, tau_max + 1, 2).astype(float) ** 3))
+
+
 def critical_potential(params: LatticeParams, td_limit: bool = False) -> float:
     """Transverse trap frequency at which the flat ring goes soft.
 
@@ -145,8 +154,7 @@ def critical_potential(params: LatticeParams, td_limit: bool = False) -> float:
     """
     c_half = 0.5 * params.coulomb_constant
     if td_limit:
-        s = float(np.sum(1.0 / _odd_taus(params).astype(float) ** 3))
-        return math.sqrt(c_half * s)
+        return math.sqrt(c_half * _odd_inverse_cubes(params.tau_max))
     taus = np.arange(1, params.tau_max + 1, dtype=float)
     l = np.arange(1, params.n + 1, dtype=float)
     softening = (np.sin(np.pi * np.outer(l, taus) / params.n) ** 2 / taus**3).sum(axis=1)

@@ -7,6 +7,12 @@ they are evaluated after the substitution u = cos(alpha), which turns the
 soft zero into an endpoint power law, and guarded by two detectors: an
 analytic check of the zone-edge gap against the endpoint weight, and a
 growth watch on interval refinements toward the endpoint.
+
+Callers pass the integrands themselves, with the weight and the dispersion
+inlined, because the quadrature evaluates them tens of thousands of times
+per bulk sweep. The adaptive rule is QUADPACK's QAGS (21-point
+Gauss-Kronrod with Wynn's epsilon extrapolation; Piessens et al., QUADPACK,
+Springer 1983), in the package's own port of SciPy's ``quad``.
 """
 
 from __future__ import annotations
@@ -14,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
+from ._solvers import quad
 from .errors import QuadratureFailure
 
 HALF_PI = math.pi / 2.0
@@ -52,44 +57,33 @@ def _checked_quad(f, lo, hi, atol):
     return val
 
 
-def integrate_weighted_frequency(weight, omega2, atol: float = 1e-10) -> float:
-    """integral_0^{pi/2} weight(alpha) * omega(alpha) d alpha.
+def integrate_weighted_frequency(f, atol: float = 1e-10) -> float:
+    """integral_0^{pi/2} f(alpha) d alpha for f = weight * omega.
 
     The integrand is bounded, so plain adaptive quadrature suffices.
     """
-
-    def f(a):
-        w2 = omega2(a)
-        return weight(a) * math.sqrt(w2 if w2 > 0.0 else 0.0)
-
     return _checked_quad(f, 0.0, HALF_PI, atol)
 
 
-def integrate_weighted_inverse(weight, omega2, atol: float = 1e-10):
+def integrate_weighted_inverse(g, gap2: float, w_end: float, scale2: float, atol: float = 1e-10):
     """integral_0^{pi/2} weight(alpha) / omega(alpha) d alpha, or Divergent.
 
-    Precondition: omega2 attains its minimum at the zone edge alpha = pi/2
+    The average is taken after substituting u = cos(alpha), which maps the
+    zone edge to u = 0: ``g(u) = weight / sqrt(omega^2 (1 - u^2))`` at
+    alpha = acos(u), and 0 where omega^2 <= 0 (only inside the soft window,
+    where the weight vanishes). ``gap2`` is omega^2 at the zone edge,
+    ``w_end`` the weight there and ``scale2`` = |omega^2(0)|.
+
+    Precondition: omega^2 attains its minimum at the zone edge alpha = pi/2
     (true for the transverse branch of this model; the axial branch never
-    gets soft). Substituting u = cos(alpha) maps the zone edge to u = 0.
-    A vanishing zone-edge frequency under a weight that does not vanish
-    there is reported as Divergent immediately; otherwise, near-soft cases
-    are refined toward the endpoint and flagged Divergent if the estimate
-    keeps growing instead of settling.
+    gets soft). A vanishing zone-edge frequency under a weight that does not
+    vanish there is reported as Divergent immediately; otherwise, near-soft
+    cases are refined toward the endpoint and flagged Divergent if the
+    estimate keeps growing instead of settling.
     """
-    gap2 = omega2(HALF_PI)
-    w_end = weight(HALF_PI)
     if gap2 <= GAP2_TOL and abs(w_end) > WEIGHT_TOL:
         return Divergent("zone-edge frequency vanishes under a nonvanishing weight")
 
-    def g(u):
-        a = math.acos(u)
-        w2 = omega2(a)
-        if w2 <= 0.0:
-            # only reachable inside the soft window where the weight vanishes
-            return 0.0
-        return weight(a) / math.sqrt(w2 * (1.0 - u * u))
-
-    scale2 = abs(omega2(0.0))
     if gap2 > 2.5e-3 * scale2:
         return _checked_quad(g, 0.0, 1.0, atol)
 

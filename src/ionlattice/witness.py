@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._solvers import brentq
 from .covariance import WorkingPoint, working_point
 from .errors import ConfigError, DomainError
 from .lattice import Configuration, LatticeParams, Variant, solve_equilibrium, taylor_coefficients

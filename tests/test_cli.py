@@ -350,6 +350,43 @@ def test_unwritable_dump_is_a_config_error(tmp_path, capsys):
     assert "configuration error: cannot write dump file" in capsys.readouterr().err
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("computation started before the destinations were checked")
+
+
+def test_unwritable_output_fails_before_the_sweep(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["sweep", *base_args(), "--nu-t", "1.5,2.0", "--out", str(out)]) == 2
+    assert "configuration error: cannot write output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["out", "dump"])
+def test_covariance_checks_both_destinations_first(monkeypatch, tmp_path, capsys, bad):
+    monkeypatch.setattr(cli, "block_covariance", _must_not_run)
+    paths = {"out": tmp_path / "cov.json", "dump": tmp_path / "cov.csv"}
+    paths[bad] = tmp_path / "missing" / f"{bad}.csv"
+    argv = ["covariance", *base_args(), "--nu-t", "2.0",
+            "--out", str(paths["out"]), "--dump", str(paths["dump"])]
+    assert main(argv) == 2
+    what = "output" if bad == "out" else "dump file"
+    assert f"configuration error: cannot write {what}" in capsys.readouterr().err
+    assert not any(path.exists() for path in paths.values())
+
+
+def test_failed_command_leaves_an_existing_output_untouched(tmp_path, capsys):
+    out = tmp_path / "spectrum.csv"
+    out.write_text("earlier result\n")
+    # far below the buckling point the expansion is unstable: exit 3
+    rc = main([
+        "spectrum", "--n", "64", "--mass", "2", "--charge", "1", "--spacing", "1",
+        "--nu", NU_PAPER, "--model", "LR", "--nu-t", "0.29", "--out", str(out),
+    ])
+    assert rc == 3
+    assert out.read_text() == "earlier result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv"]
+
+
 def test_check_negative_control(capsys):
     assert main(["check", "--corrupt-normal-form"]) == 1
     out = capsys.readouterr().out

@@ -245,6 +245,25 @@ def test_bulk_results_do_not_depend_on_cache_order(nn_ring, lr_ring):
     assert _dispersion_sum.cache_info().hits > 0
 
 
+def test_axial_bulk_averages_are_computed_once_per_ring(nn_ring, lr_ring):
+    """The x dispersion nu^2 + C S does not involve nu_t: a sweep over nu_t
+    integrates the x averages once and reuses them, bit for bit; the y
+    averages change with nu_t and are integrated at every point."""
+    for params in (nn_ring(), lr_ring()):
+        _clear_caches()
+        nu_ts = (1.5, 1.7, 1.9)
+        pairs = [td_pair_criteria(params, nt, 1, "x") for nt in nu_ts]
+        sites = [td_single_site_eigenvalue(params, nt, "x") for nt in nu_ts]
+        assert pairs[0] == pairs[1] == pairs[2] and sites[0] == sites[1] == sites[2]
+        for cached in (covariance._pair_averages, covariance._site_averages):
+            assert (cached.cache_info().misses, cached.cache_info().hits) == (1, 2)
+        _clear_caches()
+        assert td_pair_criteria(params, 1.9, 1, "x") == pairs[0]
+        ys = [td_pair_criteria(params, nt, 1, "y") for nt in nu_ts]
+        assert covariance._pair_averages.cache_info().misses == 4
+        assert ys[0] != ys[1] != ys[2]
+
+
 @pytest.mark.parametrize("weights", [_cos_weights, _sin_weights])
 @pytest.mark.parametrize("delta", [0, 3])
 def test_shared_phase_weights_are_read_only(weights, delta):
