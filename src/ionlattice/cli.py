@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (
+    DIRECTIONS,
     block_covariance,
     block_covariance_at,
     direct_covariance_oracle,
@@ -39,6 +40,8 @@ from .entanglement import (
     block_entropy,
     negativity,
     separability_criteria,
+    spectrum_entropy,
+    symplectic_spectra,
     symplectic_spectrum,
     von_neumann_entropy,
 )
@@ -160,14 +163,17 @@ def _block_sizes(measures) -> tuple:
     return tuple(sizes)
 
 
-def _finite_entropy(matrix, size, direction):
-    """(entropy or None, divergent flag) for one block column."""
-    if not np.isfinite(matrix).all():
+def _entropy_cell(spectrum):
+    """(entropy or None, divergent flag) of one block column from its item
+    of :func:`symplectic_spectra`; a failed check raises its error."""
+    if isinstance(spectrum, Exception):
+        raise spectrum
+    if isinstance(spectrum, Divergent):
         return None, True
-    rep = block_entropy(matrix, n_sites=size, direction=direction)
-    if math.isinf(rep.entropy):
+    entropy = spectrum_entropy(spectrum)
+    if math.isinf(entropy):
         return None, True
-    return rep.entropy, False
+    return entropy, False
 
 
 def _blank_row(nu_t_paper: float, t_paper: float) -> dict:
@@ -216,17 +222,32 @@ def _pair_cells(row, direction, s1, s2):
     row[f"EN{direction}"] = negativity(s1, s2)
 
 
-def _block_cells(table, sizes, row):
-    """Block entropy cells; each direction's covariance is built once for
-    the largest size, and a block of k sites is its leading 2k x 2k part."""
+def _block_cells(table, sizes, rows):
+    """Block entropy cells of the rows of a moment table, one row per
+    temperature. Each direction's covariance is built once for the largest
+    size at every temperature, and a block of k sites is its leading
+    2k x 2k part; one :func:`symplectic_spectra` call per size serves every
+    temperature and both directions. A row that has failed gets no cells,
+    and a failed block ends its own row only."""
     if not sizes:
         return
     largest = range(1, max(sizes) + 1)
-    blocks = {d: block_covariance_at(table, largest, (d,)).matrix for d in ("x", "y")}
+    # (n_T, direction, 2K, 2K)
+    blocks = np.stack([block_covariance_at(table, largest, (d,)) for d in DIRECTIONS], axis=1)
+    spectra = {}
     for size in sizes:
-        for d in ("x", "y"):
-            sub = blocks[d][: 2 * size, : 2 * size]
-            row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = _finite_entropy(sub, size, d)
+        sub = blocks[:, :, : 2 * size, : 2 * size].reshape(-1, 2 * size, 2 * size)
+        spectra[size] = symplectic_spectra(sub)
+    for t, row in enumerate(rows):
+        if row["error"]:
+            continue
+        try:
+            for size in sizes:
+                for i, d in enumerate(DIRECTIONS):
+                    cell = _entropy_cell(spectra[size][len(DIRECTIONS) * t + i])
+                    row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = cell
+        except _ROW_ERRORS as exc:
+            _fail([row], exc)
 
 
 def _witness_cells(spec, point, temperatures, rows):
@@ -249,17 +270,16 @@ def _finite_rows(spec, nu_t, temperatures, rows):
         row["configVariant"] = config.variant.value
         row["b"] = config.b / params.spacing
     point = working_point(params, nu_t, config)
-    sizes = _block_sizes(spec.measures)
-    for temperature, row in zip(temperatures, rows):
-        try:
-            table = moment_table(point, temperature)
-            if "negativity" in spec.measures:
-                for d in ("x", "y"):
-                    pm = pair_moments_at(table, 1, d)
+    table = moment_table(point, temperatures)
+    if "negativity" in spec.measures:
+        pairs = [pair_moments_at(table, 1, d) for d in DIRECTIONS]
+        for row, moments in zip(rows, zip(*pairs)):
+            try:
+                for d, pm in zip(DIRECTIONS, moments):
                     _pair_cells(row, d, *separability_criteria(pm))
-            _block_cells(table, sizes, row)
-        except _ROW_ERRORS as exc:
-            _fail([row], exc)
+            except _ROW_ERRORS as exc:
+                _fail([row], exc)
+    _block_cells(table, _block_sizes(spec.measures), rows)
     if "witness" in spec.measures:
         _witness_cells(spec, point, temperatures, rows)
 
@@ -290,8 +310,8 @@ def _td_row(spec: SweepSpec, nu_t: float, row: dict):
     sizes = [size for size in sizes if size > 1]
     if sizes or "witness" in spec.measures:
         point = working_point(proxy, nu_t)
-        _block_cells(moment_table(point, 0.0), sizes, row)
-        if "witness" in spec.measures:
+        _block_cells(moment_table(point, (0.0,)), sizes, [row])
+        if "witness" in spec.measures and not row["error"]:
             _witness_cells(spec, point, (0.0,), [row])
 
 
@@ -473,6 +493,10 @@ def _spec_from_args(args) -> SweepSpec:
         extra = set(cfg) - CONFIG_KEYS
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
+        for key in ("nuTGrid", "temperatures", "measures"):
+            # a string would be read character by character
+            if key in cfg and not isinstance(cfg[key], list):
+                raise ConfigError(f"config key {key} must hold a JSON list")
     raw_params = cfg.get("params", {})
     if not isinstance(raw_params, dict):
         raise ConfigError("config key params must hold a JSON object")
@@ -496,7 +520,7 @@ def _spec_from_args(args) -> SweepSpec:
         raise ConfigError("a nuT grid is required (--nu-t or config nuTGrid)")
     temperatures = _grid_flag(getattr(args, "temp", None), cfg.get("temperatures", [0.0]))
     measures = cfg.get("measures", list(DEFAULT_MEASURES))
-    if getattr(args, "measures", None):
+    if getattr(args, "measures", None) is not None:
         measures = [m.strip() for m in args.measures.split(",") if m.strip()]
     td_limit = cfg.get("tdLimit", False)
     if not isinstance(td_limit, bool):
@@ -625,7 +649,10 @@ def _cmd_witness(args) -> int:
 
 def _cmd_covariance(args) -> int:
     params, nu_t, temperature, _ = _point_from_args(args)
-    sites = tuple(int(s) for s in args.sites.split(","))
+    try:
+        sites = tuple(int(s) for s in args.sites.split(","))
+    except ValueError:
+        raise ConfigError(f"sites must be a comma list of integers, got {args.sites!r}") from None
     directions = tuple(d.strip() for d in args.directions.split(",") if d.strip())
     cov = block_covariance(params, nu_t, temperature, sites=sites, directions=directions)
     if args.dump:

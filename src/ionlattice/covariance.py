@@ -50,26 +50,26 @@ SOFT_FREQ_FACTOR = 1e-6
 DIRECTIONS = ("x", "y")
 
 
-def _thermal_sigma(omega: np.ndarray, temperature: float) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
-    if temperature <= 0.0:
-        return np.where(omega > 0.0, 0.5, np.inf)
-    out = np.full_like(omega, np.inf)
-    pos = omega > 0.0
-    out[pos] = 0.5 / np.tanh(omega[pos] / (2.0 * temperature))
-    return out
-
-
-def _mode_factors(omega, temperature, mass):
-    """Per-mode <q^2> factor sigma/(m omega), inf for a zero mode, and <p^2>
-    factor m omega sigma, which tends to m T for a zero mode; one
-    evaluation of sigma serves both."""
-    omega = np.asarray(omega, dtype=float)
-    sig = _thermal_sigma(omega, temperature)
+def _mode_factors(omega, temperatures, mass):
+    """Per-mode <q^2> factor sigma/(m omega) and <p^2> factor m omega sigma
+    at each of ``temperatures``, with sigma = (1/2) coth(omega / 2T), 1/2
+    at T = 0; one evaluation of sigma serves both. A zero mode has the
+    position factor inf and the momentum factor m T, the limit of
+    m omega sigma (equipartition). The temperature axis goes in before the
+    mode axis, so omega of shape (2, n) gives factors of shape (2, n_T, n);
+    each value equals the evaluation at its temperature alone bit for bit.
+    """
+    omega = np.asarray(omega, dtype=float)[..., None, :]
+    temps = np.asarray(temperatures, dtype=float)[:, None]
+    warm = temps[:, 0] > 0.0
+    sig = np.full(np.broadcast_shapes(omega.shape, temps.shape), 0.5)
+    if warm.any():
+        with np.errstate(divide="ignore"):  # zero modes, replaced below
+            sig[..., warm, :] = 0.5 / np.tanh(omega / (2.0 * temps[warm]))
     live = omega > 0.0
     position = np.where(live, sig / (mass * np.where(live, omega, 1.0)), np.inf)
-    # omega * sigma -> T as omega -> 0 (equipartition); avoid 0 * inf.
-    momentum = np.where(live, mass * omega * np.where(np.isinf(sig), 0.0, sig), mass * temperature)
+    # sigma is inf where omega / 2T is 0 (a zero mode, or an underflow): avoid 0 * inf
+    momentum = np.where(live, mass * omega * np.where(np.isinf(sig), 0.0, sig), mass * temps)
     return position, momentum
 
 
@@ -134,14 +134,28 @@ def working_point(
     return WorkingPoint(spec, _direction_kernels(spec))
 
 
-def _weighted_mode_sum(kern, facs, phase_weights, n):
-    """(1/n) sum_l w_l fac_l, with exact-zero weights killing the term."""
-    total = 0.0
+def _weighted_mode_sums(kern, factors, phase_weights, n):
+    """(1/n) sum_l w_l fac_l of both factors at every temperature of
+    ``factors`` (shape (2, 2, n_T, n), see :class:`MomentTable`), as an
+    array of shape (2, n_T); an exact-zero weight kills its term.
+
+    The nonzero weights of a branch are compacted once for all rows. Each
+    row of the product is C-contiguous, so NumPy reduces it with the same
+    pairwise sum it takes over the one-dimensional product of one factor at
+    one temperature, and each value equals that sum bit for bit. The
+    accumulation 0.0 + s_0/n + s_1/n keeps the sign of zero of that loop.
+    """
+    total = np.zeros(factors.shape[1:3])
     for branch, wt in kern:
         w = wt * phase_weights
         nz = w != 0.0
-        if nz.any():
-            total += float((w[nz] * facs[branch][nz]).sum()) / n
+        if nz.all():
+            terms = factors[branch] * w
+        elif nz.any():
+            terms = np.compress(nz, factors[branch], axis=2) * w[nz]
+        else:
+            continue
+        total = total + terms.sum(axis=2) / n
     return total
 
 
@@ -170,51 +184,55 @@ def _sin_weights(n, delta):
 
 @dataclass(frozen=True)
 class MomentTable:
-    """The mode sums of one working point at one temperature.
+    """The mode sums of one working point at a stack of temperatures.
 
-    The thermal factors are evaluated once, when the table is built, and
-    each distinct mode sum once, when it is first read: a raw entry of one
-    kernel depends on the site distance only, so the pair moments and the
-    blocks of a sweep row share a few sums. ``factors`` holds the per-mode
-    position and momentum factors, each of shape (2, n); ``sums`` maps
-    (factor index, kernel name, site distance) to a raw mode sum. Build it
-    with :func:`moment_table` and keep it for as long as its (nu_t, T).
+    The thermal factors of every temperature are evaluated once, when the
+    table is built, and each distinct mode sum once, for all temperatures
+    and both quadratures, when it is first read: a raw entry of one kernel
+    depends on the site distance only, so the pair moments and the blocks
+    of a sweep's working point share a few sums. ``factors`` has shape
+    (2, 2, n_T, n): branch, position or momentum factor, temperature, mode;
+    each branch's block is contiguous. ``sums`` maps (kernel name, site
+    distance) to the raw mode sums, an array of shape (2, n_T). Build it
+    with :func:`moment_table` and keep it for as long as its working point.
     """
 
     point: WorkingPoint
-    temperature: float
+    temperatures: tuple
     kernels: _Kernels
-    factors: tuple
+    factors: np.ndarray
     sums: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def moment_table(
-    point: WorkingPoint, temperature: float, drop_soft_modes: bool = False
+    point: WorkingPoint, temperatures, drop_soft_modes: bool = False
 ) -> MomentTable:
-    """The moment table of ``point`` at ``temperature``.
+    """The moment table of ``point`` at each of ``temperatures`` (a
+    sequence; one temperature is a sequence of one).
 
     ``drop_soft_modes`` excludes modes below ``SOFT_FREQ_FACTOR *
     max(nu, nu_t)`` from every mode sum of the table (see
     :func:`block_covariance`).
     """
-    if temperature < 0:
-        raise ConfigError("temperature must be non-negative")
+    temperatures = tuple(temperatures)
+    if any(t < 0 for t in temperatures):
+        raise ConfigError("temperatures must be non-negative")
     kernels = _direction_kernels(point.spectrum, True) if drop_soft_modes else point.kernels
-    factors = _mode_factors(point.spectrum.omega, temperature, point.params.mass)
-    return MomentTable(point, temperature, kernels, factors)
+    factors = _mode_factors(point.spectrum.omega, temperatures, point.params.mass)
+    return MomentTable(point, temperatures, kernels, np.stack(factors, axis=1))
 
 
-def _mode_sum(table: MomentTable, f: int, kernel: str, delta: int) -> float:
-    """Raw mode sum of the position (f = 0) or momentum (f = 1) factors over
-    ``kernel`` ("x", "y" or "cross") with the phase weights of site distance
-    ``delta`` (cos for a direction, sin for the cross kernel), computed once
-    per table."""
-    key = (f, kernel, delta)
+def _mode_sum(table: MomentTable, kernel: str, delta: int) -> np.ndarray:
+    """Raw mode sums, shape (2, n_T), of the position and momentum factors
+    over ``kernel`` ("x", "y" or "cross") with the phase weights of site
+    distance ``delta`` (cos for a direction, sin for the cross kernel),
+    computed once per table."""
+    key = (kernel, delta)
     total = table.sums.get(key)
     if total is None:
         n = table.point.params.n
         phase = _sin_weights(n, delta) if kernel == "cross" else _cos_weights(n, delta)
-        total = _weighted_mode_sum(getattr(table.kernels, kernel), table.factors[f], phase, n)
+        total = _weighted_mode_sums(getattr(table.kernels, kernel), table.factors, phase, n)
         table.sums[key] = total
     return total
 
@@ -252,12 +270,13 @@ def pair_moments(
     params: LatticeParams, nu_t: float, temperature: float, tau: int, direction: str
 ) -> PairMoments:
     """Normalized second moments of two sites at neighbour distance tau."""
-    table = moment_table(working_point(params, nu_t), temperature)
-    return pair_moments_at(table, tau, direction)
+    table = moment_table(working_point(params, nu_t), (temperature,))
+    return pair_moments_at(table, tau, direction)[0]
 
 
-def pair_moments_at(table: MomentTable, tau: int, direction: str) -> PairMoments:
-    """:func:`pair_moments` from a moment table."""
+def pair_moments_at(table: MomentTable, tau: int, direction: str) -> tuple:
+    """:func:`pair_moments` at every temperature of a moment table: one
+    :class:`PairMoments` per temperature, in the table's order."""
     point = table.point
     params = point.params
     _check_direction(direction)
@@ -270,29 +289,26 @@ def pair_moments_at(table: MomentTable, tau: int, direction: str) -> PairMoments
     nu_ref = params.nu if direction == "x" else point.nu_t
     q_scale = params.mass * nu_ref
     n = params.n
-    qf, pf = table.factors
 
     cosd = _cos_weights(n, tau)
-    var_q = q_scale * _mode_sum(table, 0, direction, 0)
-    cov_q = q_scale * parity * _mode_sum(table, 0, direction, tau)
-    var_p = _mode_sum(table, 1, direction, 0) / q_scale
-    cov_p = parity * _mode_sum(table, 1, direction, tau) / q_scale
-    q_plus = q_scale * _weighted_mode_sum(kern, qf, 1.0 + parity * cosd, n)
-    q_minus = q_scale * _weighted_mode_sum(kern, qf, 1.0 - parity * cosd, n)
-    p_plus = _weighted_mode_sum(kern, pf, 1.0 + parity * cosd, n) / q_scale
-    p_minus = _weighted_mode_sum(kern, pf, 1.0 - parity * cosd, n) / q_scale
-    return PairMoments(
-        direction=direction,
-        tau=tau,
-        temperature=table.temperature,
-        var_q=var_q,
-        var_p=var_p,
-        cov_q=cov_q,
-        cov_p=cov_p,
-        q_plus=q_plus,
-        q_minus=q_minus,
-        p_plus=p_plus,
-        p_minus=p_minus,
+    var_q, var_p = _mode_sum(table, direction, 0)
+    cov_q, cov_p = _mode_sum(table, direction, tau)
+    q_plus, p_plus = _weighted_mode_sums(kern, table.factors, 1.0 + parity * cosd, n)
+    q_minus, p_minus = _weighted_mode_sums(kern, table.factors, 1.0 - parity * cosd, n)
+    columns = (
+        q_scale * var_q,
+        var_p / q_scale,
+        q_scale * parity * cov_q,
+        parity * cov_p / q_scale,
+        q_scale * q_plus,
+        q_scale * q_minus,
+        p_plus / q_scale,
+        p_minus / q_scale,
+    )
+    values = zip(*(c.tolist() for c in columns))
+    return tuple(
+        PairMoments(direction, tau, temperature, *v)
+        for temperature, v in zip(table.temperatures, values)
     )
 
 
@@ -310,24 +326,37 @@ class CovarianceMatrix:
     dropped_soft_modes: int = 0
 
 
-def _pair_entry(table, f, s1, d1, s2, d2):
-    """Raw moment <a_{s1,d1} a_{s2,d2}> of the position (f = 0) or
-    momentum (f = 1) quadratures."""
+def _block_modes(params: LatticeParams, sites, directions) -> tuple:
+    """The checked (site, direction) modes of a block, sites outer."""
+    sites = tuple(int(s) for s in sites)
+    if len(sites) == 0 or len(set(sites)) != len(sites):
+        raise ConfigError("sites must be a non-empty collection of distinct indices")
+    for s in sites:
+        if not 1 <= s <= params.n:
+            raise ConfigError(f"site index {s} outside 1..{params.n}")
+    directions = tuple(directions)
+    if not directions or any(d not in DIRECTIONS for d in directions):
+        raise ConfigError(f"directions must be a non-empty subset of {DIRECTIONS}")
+    return tuple((s, d) for s in sites for d in directions)
+
+
+def _pair_entry(table, s1, d1, s2, d2):
+    """(raw sums, sign) of the moment <a_{s1,d1} a_{s2,d2}>: the raw mode
+    sums (shape (2, n_T), position and momentum) times the sign give the
+    entry. A sign of 1.0 leaves every bit of the sums as it is."""
     zigzag = table.point.config.variant is Variant.ZIGZAG
     delta = s2 - s1
     if d1 == d2:
-        val = _mode_sum(table, f, d1, delta)
-        if d1 == "y" and zigzag:
-            val *= (-1.0) ** (s1 + s2)
-        return val
+        sign = (-1.0) ** (s1 + s2) if d1 == "y" and zigzag else 1.0
+        return _mode_sum(table, d1, delta), sign
     if not zigzag:
-        return 0.0
+        return np.zeros((2, len(table.temperatures))), 1.0
     # cross-entry signs fixed by the (-1)^j staggering of the first site in
     # each coupled pair; validated against the dense oracle
-    sin_sum = _mode_sum(table, f, "cross", delta)
+    sin_sum = _mode_sum(table, "cross", delta)
     if d1 == "x":  # <x_{s1} y_{s2}>
-        return ((-1.0) ** s2) * sin_sum
-    return -((-1.0) ** s1) * sin_sum  # <y_{s1} x_{s2}>
+        return sin_sum, (-1.0) ** s2
+    return sin_sum, -((-1.0) ** s1)  # <y_{s1} x_{s2}>
 
 
 def block_covariance(
@@ -354,43 +383,43 @@ def block_covariance(
         without it is not a physical state (its symplectic spectrum falls
         below 1).
     """
-    table = moment_table(working_point(params, nu_t), temperature, drop_soft_modes)
-    return block_covariance_at(table, sites, directions)
-
-
-def block_covariance_at(table: MomentTable, sites, directions=DIRECTIONS) -> CovarianceMatrix:
-    """:func:`block_covariance` from a moment table. The covariance of the
-    first k modes is the leading 2k x 2k submatrix, entry for entry."""
-    point = table.point
-    params = point.params
-    sites = tuple(int(s) for s in sites)
-    if len(sites) == 0 or len(set(sites)) != len(sites):
-        raise ConfigError("sites must be a non-empty collection of distinct indices")
-    for s in sites:
-        if not 1 <= s <= params.n:
-            raise ConfigError(f"site index {s} outside 1..{params.n}")
-    directions = tuple(directions)
-    if not directions or any(d not in DIRECTIONS for d in directions):
-        raise ConfigError(f"directions must be a non-empty subset of {DIRECTIONS}")
-
-    modes = tuple((s, d) for s in sites for d in directions)
-    k = len(modes)
-    cov = np.zeros((2 * k, 2 * k))
-
-    scale = {d: params.mass * (params.nu if d == "x" else point.nu_t) for d in DIRECTIONS}
-    for i, (s1, d1) in enumerate(modes):
-        for j, (s2, d2) in enumerate(modes[i:], start=i):
-            g = math.sqrt(scale[d1] * scale[d2])
-            qq = g * _pair_entry(table, 0, s1, d1, s2, d2)
-            pp = _pair_entry(table, 1, s1, d1, s2, d2) / g
-            cov[2 * i, 2 * j] = cov[2 * j, 2 * i] = qq
-            cov[2 * i + 1, 2 * j + 1] = cov[2 * j + 1, 2 * i + 1] = pp
+    sites, directions = tuple(sites), tuple(directions)
+    table = moment_table(working_point(params, nu_t), (temperature,), drop_soft_modes)
     return CovarianceMatrix(
-        matrix=cov,
-        modes=modes,
-        temperature=table.temperature,
+        matrix=block_covariance_at(table, sites, directions)[0],
+        modes=_block_modes(params, sites, directions),
+        temperature=temperature,
         dropped_soft_modes=table.kernels.dropped,
     )
+
+
+def block_covariance_at(table: MomentTable, sites, directions=DIRECTIONS) -> np.ndarray:
+    """:func:`block_covariance` at every temperature of a moment table, as
+    one array of shape (n_T, 2k, 2k); the modes are ``sites`` outer and
+    ``directions`` inner. The covariance of the first k modes is the
+    leading 2k x 2k submatrix, entry for entry."""
+    point = table.point
+    params = point.params
+    modes = _block_modes(params, sites, directions)
+    scale = {d: params.mass * (params.nu if d == "x" else point.nu_t) for d in DIRECTIONS}
+    upper = [(i, j) for i in range(len(modes)) for j in range(i, len(modes))]
+    raw, signs, g = [], [], []
+    for i, j in upper:
+        (s1, d1), (s2, d2) = modes[i], modes[j]
+        sums, sign = _pair_entry(table, s1, d1, s2, d2)
+        raw.append(sums)
+        signs.append(sign)
+        g.append(math.sqrt(scale[d1] * scale[d2]))
+    # per upper entry: position and momentum moment at every temperature
+    entries = np.stack(raw) * np.array(signs)[:, None, None]
+    g = np.array(g)[:, None]
+    qq, pp = (g * entries[:, 0]).T, (entries[:, 1] / g).T
+    i, j = (2 * np.array(ix) for ix in zip(*upper))
+    k = len(modes)
+    cov = np.zeros((len(table.temperatures), 2 * k, 2 * k))
+    cov[:, i, j] = cov[:, j, i] = qq
+    cov[:, i + 1, j + 1] = cov[:, j + 1, i + 1] = pp
+    return cov
 
 
 def direct_covariance_oracle(
@@ -444,7 +473,7 @@ def direct_covariance_oracle(
     # never enters a matmul; their momentum factor is the equipartition limit
     zero = omega <= SOFT_FREQ_FACTOR * max(params.nu, nu_t)
     pos = ~zero
-    position, momentum = _mode_factors(omega[pos], temperature, m)
+    position, momentum = (f[0] for f in _mode_factors(omega[pos], (temperature,), m))
     qmat = basis[:, pos] @ np.diag(position) @ basis[:, pos].T
     pmat = basis[:, pos] @ np.diag(momentum) @ basis[:, pos].T
     if zero.any():

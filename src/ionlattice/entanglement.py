@@ -106,30 +106,65 @@ def _symplectic_form(k: int) -> np.ndarray:
     return omega
 
 
+def symplectic_spectra(sigmas) -> list:
+    """Symplectic spectra of a stack of covariance matrices, shape (m, 2k, 2k).
+
+    One ``np.linalg.eigvals`` call serves the whole stack; it gives each
+    matrix what a call on that matrix alone gives, bit for bit. Item i of
+    the result is one of:
+
+    - the spectrum of matrix i, as :func:`symplectic_spectrum` returns it;
+    - :class:`Divergent` if the matrix has a non-finite entry (such a
+      matrix never reaches the eigensolver);
+    - the exception :func:`symplectic_spectrum` raises for it:
+      :class:`NumericalFailure` if its eigenvalues do not pair up, else
+      :class:`DomainError` if one falls below the physical floor.
+
+    A failed check fails its own matrix only.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 3 or sigmas.shape[1] != sigmas.shape[2] or sigmas.shape[1] % 2:
+        raise ConfigError("covariance matrices must be square with even dimension")
+    finite = np.isfinite(sigmas).all(axis=(1, 2))
+    out = [Divergent("covariance matrix has a non-finite entry")] * len(sigmas)
+    live = np.flatnonzero(finite)
+    form = _symplectic_form(sigmas.shape[1] // 2)
+    ev = np.abs(np.linalg.eigvals(1j * form @ sigmas[live]))
+    ev = 2.0 * np.sort(ev, axis=-1)
+    pairs, partners = ev[:, ::2], ev[:, 1::2]
+    scale = np.maximum(np.abs(pairs), 1.0)
+    unpaired = (np.abs(pairs - partners) > 1e-8 * scale).any(axis=1)
+    below = (pairs < 1.0 - 1e-10).any(axis=1)
+    spectra = np.where(pairs < 1.0, 1.0, pairs)
+    checks = zip(live.tolist(), unpaired.tolist(), below.tolist(), pairs, spectra)
+    for i, bad_pair, bad_floor, ev_row, spectrum in checks:
+        if bad_pair:
+            out[i] = NumericalFailure("symplectic eigenvalues failed to pair up")
+        elif bad_floor:
+            out[i] = DomainError(f"symplectic eigenvalue {ev_row.min()} below 1 beyond tolerance")
+        else:
+            out[i] = spectrum
+    return out
+
+
 def symplectic_spectrum(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, one per mode pair.
 
     Normalized so a pure vacuum mode gives exactly 1. Raises
     :class:`NumericalFailure` if the eigenvalues do not pair up, and
-    :class:`DomainError` if one falls below the physical floor.
+    :class:`DomainError` if one falls below the physical floor or the
+    matrix has a non-finite entry. This is :func:`symplectic_spectra` for
+    a stack of one.
     """
     sigma = cov.matrix if isinstance(cov, CovarianceMatrix) else np.asarray(cov, float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise ConfigError("covariance matrix must be square with even dimension")
-    ev = np.abs(np.linalg.eigvals(1j * _symplectic_form(sigma.shape[0] // 2) @ sigma))
-    ev = 2.0 * np.sort(ev)
-    pairs, partners = ev[::2], ev[1::2]
-    scale = np.maximum(np.abs(pairs), 1.0)
-    if np.any(np.abs(pairs - partners) > 1e-8 * scale):
-        raise NumericalFailure("symplectic eigenvalues failed to pair up")
-    out = pairs.copy()
-    low = out < 1.0
-    if np.any(out[low] < 1.0 - 1e-10):
-        raise DomainError(
-            f"symplectic eigenvalue {out.min()} below 1 beyond tolerance"
-        )
-    out[low] = 1.0
-    return out
+    spectrum = symplectic_spectra(sigma[None])[0]
+    if isinstance(spectrum, Divergent):
+        raise DomainError(f"{spectrum.reason}: its symplectic spectrum diverges")
+    if isinstance(spectrum, Exception):
+        raise spectrum
+    return spectrum
 
 
 def von_neumann_entropy(r) -> float:
@@ -145,6 +180,11 @@ def von_neumann_entropy(r) -> float:
         return 0.0
     up, dn = (r + 1.0) / 2.0, (r - 1.0) / 2.0
     return up * math.log(up) - dn * math.log(dn)
+
+
+def spectrum_entropy(spectrum) -> float:
+    """Von Neumann entropy of a state with the symplectic ``spectrum``."""
+    return float(sum(von_neumann_entropy(r) for r in spectrum))
 
 
 @dataclass(frozen=True)
@@ -163,7 +203,7 @@ def block_entropy(
 ) -> BlockEntropyReport:
     """Von Neumann entropy of the state with covariance ``cov``."""
     spectrum = symplectic_spectrum(cov)
-    entropy = float(sum(von_neumann_entropy(r) for r in spectrum))
+    entropy = spectrum_entropy(spectrum)
     dropped = cov.dropped_soft_modes if isinstance(cov, CovarianceMatrix) else 0
     return BlockEntropyReport(
         n_sites=n_sites,

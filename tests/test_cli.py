@@ -28,7 +28,7 @@ from ionlattice.cli import (
 from ionlattice import cli, covariance, lattice, spectrum
 from ionlattice.covariance import block_covariance, pair_moments
 from ionlattice.entanglement import block_entropy, negativity, separability_criteria
-from ionlattice.errors import ConfigError
+from ionlattice.errors import ConfigError, DomainError
 from ionlattice.lattice import LatticeParams, Model, solve_equilibrium
 from ionlattice.witness import witness_report
 
@@ -177,6 +177,7 @@ def one_point_row(params, nu_t_paper, t_paper, xy_mode="signed"):
 #: reduced nuT whose raw value is exactly the critical point of the n = 8 NN
 #: test ring (the float next below sqrt(2)); its zone-edge y mode is 0.0
 NU_T_CRITICAL = 1.414213562373095
+NU_T_CRITICAL_ARG = repr(NU_T_CRITICAL)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -241,27 +242,54 @@ def test_sweep_builds_each_working_point_once(rebuilds):
 
 @pytest.fixture
 def mode_sums(monkeypatch):
-    """Counts of weighted mode sums and thermal-factor evaluations."""
+    """Counts of stacked mode sums and thermal-factor evaluations."""
     return count_calls(
-        monkeypatch, ((covariance, "_weighted_mode_sum"), (covariance, "_mode_factors"))
+        monkeypatch, ((covariance, "_weighted_mode_sums"), (covariance, "_mode_factors"))
     )
 
 
-def test_sweep_computes_each_mode_sum_once_per_row(mode_sums):
+def test_sweep_computes_each_mode_sum_once_per_working_point(mode_sums):
     # the pair at tau = 1 and blocks of 1-3 sites in both directions need
-    # the raw entries of site distance 0, 1, 2 (q and p) and the pair's four
-    # combinations: 20 distinct mode sums, where filling each entry on its
-    # own takes 56
+    # the raw entries of site distance 0, 1, 2 and the pair's combinations;
+    # each stacked sum covers every temperature and both quadratures of
+    # one working point, so at most 20 of them serve all its rows, where
+    # one per row and entry took 20 per row
     params = LatticeParams(n=20, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
     spec = small_spec(
-        params=params, nu_t_grid=(1.0, 1.2), temperatures=(0.0, 0.3),
+        params=params, nu_t_grid=(1.0, 1.2), temperatures=(0.0, 0.3, 0.6),
         measures=ALL_MEASURES[:-1],
     )
     rows = run_sweep(spec)
-    assert len(rows) == 4
+    assert len(rows) == 6
     assert all(row["error"] == "" and row["configVariant"] == "zigzag" for row in rows)
-    assert 0 < mode_sums["_weighted_mode_sum"] <= 20 * len(rows), mode_sums
-    assert mode_sums["_mode_factors"] == len(rows), mode_sums
+    points = len(spec.nu_t_grid)
+    assert 0 < mode_sums["_weighted_mode_sums"] <= 20 * points, mode_sums
+    assert mode_sums["_mode_factors"] == points, mode_sums
+
+
+def test_a_failed_block_ends_only_its_own_row(monkeypatch):
+    spec = small_spec(nu_t_grid=(1.2,), temperatures=(0.0, 0.2, 0.5), measures=ALL_MEASURES)
+    clean = run_sweep(spec)
+    original = cli.symplectic_spectra
+
+    def failing(sigmas):
+        # the 2-site y block of the second temperature; items run
+        # (T0 x, T0 y, T1 x, T1 y, ...)
+        spectra = original(sigmas)
+        if sigmas.shape[1] == 4:
+            spectra[3] = DomainError("injected")
+        return spectra
+
+    monkeypatch.setattr(cli, "symplectic_spectra", failing)
+    rows = run_sweep(spec)
+    assert rows[0] == clean[0] and rows[2] == clean[2]
+    failed = rows[1]
+    assert failed["error"] == "DomainError: injected"
+    # the cells before the failed block are kept, and none after it is set
+    for c in ("ENx", "ENy", "SV1x", "SV1y", "SV2x"):
+        assert failed[c] == clean[1][c] is not None, c
+    for c in ("SV2y", "SV3x", "SV3y", "U", "bound", "Tc", "witnessTriggered"):
+        assert failed[c] is None, c
 
 
 # ------------------------------------------------------------------ commands
@@ -432,6 +460,50 @@ def test_covariance_dump_round_trips(tmp_path, capsys):
     )
     cov = block_covariance(params, 2.0 * unit, 0.3 * (0.5 * unit), (1, 3))
     assert np.array_equal(loaded, cov.matrix)
+
+
+def test_block_entropy_of_a_divergent_block_is_a_numerical_failure(capsys):
+    # the zone-edge y mode of the exactly critical ring is a zero mode, so
+    # the y block has infinite entries and no symplectic spectrum
+    rc = main([
+        "block-entropy", *base_args(), "--nu-t", NU_T_CRITICAL_ARG, "--sites", "2",
+        "--direction", "y",
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure:" in err and "non-finite" in err and "Traceback" not in err
+
+
+def test_covariance_rejects_non_integer_sites(capsys):
+    assert main(["covariance", *base_args(), "--nu-t", "2.0", "--sites", "1,x"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: sites must be a comma list of integers" in err
+
+
+def test_empty_measures_flag_is_a_config_error(capsys):
+    assert main(["sweep", *base_args(), "--nu-t", "2.0", "--measures", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error: at least one measure is required" in captured.err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"nuTGrid": "2.0"},
+        {"nuTGrid": [2.0], "temperatures": "0.1"},
+        {"nuTGrid": [2.0], "measures": "entropy"},
+    ],
+    ids=["nuTGrid", "temperatures", "measures"],
+)
+def test_config_list_given_as_a_string_is_a_config_error(config, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", *base_args(), "--config", str(path)]) == 2
+    key = next(k for k, v in config.items() if isinstance(v, str))
+    assert f"configuration error: config key {key} must hold a JSON list" in (
+        capsys.readouterr().err
+    )
 
 
 def test_block_entropy_command(capsys):

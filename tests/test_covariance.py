@@ -28,7 +28,16 @@ from ionlattice.covariance import (
     td_single_site_eigenvalue,
     working_point,
 )
-from ionlattice.errors import ConfigError, QuadratureFailure, SizeLimitExceeded
+from ionlattice import cli
+from ionlattice.cli import COLUMNS, SweepSpec, _blank_row, run_sweep
+from ionlattice.entanglement import _symplectic_form, negativity, von_neumann_entropy
+from ionlattice.errors import (
+    ConfigError,
+    DomainError,
+    NumericalFailure,
+    QuadratureFailure,
+    SizeLimitExceeded,
+)
 from ionlattice.lattice import Variant, critical_potential
 
 
@@ -283,9 +292,9 @@ def test_buckled_moments_equal_with_cold_and_warm_phase_cache(nn_ring, lr_ring, 
     point = working_point(params, _factor(params, 0.8))
 
     def evaluate():
-        table = moment_table(point, 0.2)
+        table = moment_table(point, (0.2,))
         moments = [pair_moments_at(table, tau, d) for tau in (1, 2, 3) for d in DIRECTIONS]
-        block = block_covariance_at(table, (1, 2, 4)).matrix
+        block = block_covariance_at(table, (1, 2, 4))[0]
         return moments, block
 
     def hits():
@@ -303,20 +312,42 @@ def test_buckled_moments_equal_with_cold_and_warm_phase_cache(nn_ring, lr_ring, 
 
 
 # ------------------------------------------------- entry-by-entry reference
-# The moment table computes each distinct mode sum once; these are the
-# factor functions and the per-entry loops it replaced, kept verbatim as
-# the reference its outputs must equal bit for bit.
+# The moment table computes each distinct mode sum once, for all its
+# temperatures at once; these are the one-temperature thermal factors, the
+# scalar mode sum and the per-entry loops it replaced, kept verbatim as the
+# reference its outputs must equal bit for bit.
+
+
+def _reference_thermal_sigma(omega, temperature):
+    omega = np.asarray(omega, dtype=float)
+    if temperature <= 0.0:
+        return np.where(omega > 0.0, 0.5, np.inf)
+    out = np.full_like(omega, np.inf)
+    pos = omega > 0.0
+    out[pos] = 0.5 / np.tanh(omega[pos] / (2.0 * temperature))
+    return out
+
+
+def _weighted_mode_sum(kern, facs, phase_weights, n):
+    """(1/n) sum_l w_l fac_l, with exact-zero weights killing the term."""
+    total = 0.0
+    for branch, wt in kern:
+        w = wt * phase_weights
+        nz = w != 0.0
+        if nz.any():
+            total += float((w[nz] * facs[branch][nz]).sum()) / n
+    return total
 
 
 def _reference_position_factor(omega, temperature, mass):
     omega = np.asarray(omega, dtype=float)
-    sig = covariance._thermal_sigma(omega, temperature)
+    sig = _reference_thermal_sigma(omega, temperature)
     return np.where(omega > 0.0, sig / (mass * np.where(omega > 0.0, omega, 1.0)), np.inf)
 
 
 def _reference_momentum_factor(omega, temperature, mass):
     omega = np.asarray(omega, dtype=float)
-    sig = covariance._thermal_sigma(omega, temperature)
+    sig = _reference_thermal_sigma(omega, temperature)
     safe = mass * omega * np.where(np.isinf(sig), 0.0, sig)
     return np.where(omega > 0.0, safe, mass * temperature)
 
@@ -335,13 +366,13 @@ def _reference_pair_entry(point, kerns, facs, s1, d1, s2, d2):
     delta = s2 - s1
     if d1 == d2:
         kern = kerns.x if d1 == "x" else kerns.y
-        val = covariance._weighted_mode_sum(kern, facs, _cos_weights(n, delta), n)
+        val = _weighted_mode_sum(kern, facs, _cos_weights(n, delta), n)
         if d1 == "y" and zigzag:
             val *= (-1.0) ** (s1 + s2)
         return val
     if not zigzag:
         return 0.0
-    sin_sum = covariance._weighted_mode_sum(kerns.cross, facs, _sin_weights(n, delta), n)
+    sin_sum = _weighted_mode_sum(kerns.cross, facs, _sin_weights(n, delta), n)
     if d1 == "x":
         return ((-1.0) ** s2) * sin_sum
     return -((-1.0) ** s1) * sin_sum
@@ -377,7 +408,7 @@ def _reference_pair(point, temperature, tau, direction):
     q_scale = params.mass * nu_ref
     n = params.n
     qf, pf = _reference_factors(point, temperature)
-    mode_sum = covariance._weighted_mode_sum
+    mode_sum = _weighted_mode_sum
     ones = np.ones(n)
     cosd = _cos_weights(n, tau)
     return (
@@ -407,16 +438,16 @@ def test_moment_table_equals_the_entry_by_entry_loop(nn_ring, lr_ring, ring, tem
     params = lr_ring(n=12) if ring.startswith("lr") else nn_ring(n=8)
     mult = {"buckled": 0.8, "flat": 1.5, "critical": 1.0}[ring.split("-")[1]]
     point = working_point(params, _factor(params, mult))
-    table = moment_table(point, temperature)
+    table = moment_table(point, (temperature,))
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
-            pm = pair_moments_at(table, tau, d)
+            (pm,) = pair_moments_at(table, tau, d)
             got = (pm.var_q, pm.var_p, pm.cov_q, pm.cov_p,
                    pm.q_plus, pm.q_minus, pm.p_plus, pm.p_minus)
             assert _same_bits(got, _reference_pair(point, temperature, tau, d)), (tau, d)
     cases = [((1, 2, 3), ("x", "y")), ((3, 1, 2), ("y", "x")), ((1, 2, 4), ("y",))]
     for sites, directions in cases:
-        got = block_covariance_at(table, sites, directions).matrix
+        (got,) = block_covariance_at(table, sites, directions)
         want = _reference_block(point, temperature, sites, directions, False)
         assert _same_bits(got, want), (sites, directions)
         dropped = block_covariance(
@@ -426,8 +457,143 @@ def test_moment_table_equals_the_entry_by_entry_loop(nn_ring, lr_ring, ring, tem
         assert _same_bits(dropped.matrix, want), (sites, directions, "dropped")
     if ring == "nn-flat":
         # the flat phase's x-y entries are +0.0, not -0.0
-        cross = block_covariance_at(table, (1, 2), ("x", "y")).matrix[0::2, 0::2][0, 1::2]
+        cross = block_covariance_at(table, (1, 2), ("x", "y"))[0, 0::2, 0::2][0, 1::2]
         assert (cross == 0.0).all() and not np.signbit(cross).any()
     if ring == "nn-critical":
-        assert np.isinf(block_covariance_at(table, (1, 2), ("y",)).matrix).any()
+        assert np.isinf(block_covariance_at(table, (1, 2), ("y",))).any()
         assert dropped.dropped_soft_modes == 1
+
+
+@pytest.mark.parametrize("ring", ["nn-buckled", "nn-flat", "nn-critical", "lr-buckled", "lr-flat"])
+def test_stacked_table_equals_the_per_temperature_reference(nn_ring, lr_ring, ring):
+    """One table over several temperatures gives at each temperature the
+    values of the one-temperature reference, bit for bit, sign of zero
+    included."""
+    params = lr_ring(n=12) if ring.startswith("lr") else nn_ring(n=8)
+    mult = {"buckled": 0.8, "flat": 1.5, "critical": 1.0}[ring.split("-")[1]]
+    point = working_point(params, _factor(params, mult))
+    temperatures = (0.0, 0.1, 0.3, 1.6)
+    table = moment_table(point, temperatures)
+    for tau in (1, 2, 3):
+        for d in DIRECTIONS:
+            moments = pair_moments_at(table, tau, d)
+            assert [pm.temperature for pm in moments] == list(temperatures)
+            for pm, t in zip(moments, temperatures):
+                got = (pm.var_q, pm.var_p, pm.cov_q, pm.cov_p,
+                       pm.q_plus, pm.q_minus, pm.p_plus, pm.p_minus)
+                assert _same_bits(got, _reference_pair(point, t, tau, d)), (tau, d, t)
+    cases = [((1, 2, 3), ("x", "y")), ((3, 1, 2), ("y", "x")), ((1, 2, 4), ("y",))]
+    for sites, directions in cases:
+        stack = block_covariance_at(table, sites, directions)
+        assert stack.shape[0] == len(temperatures)
+        for got, t in zip(stack, temperatures):
+            want = _reference_block(point, t, sites, directions, False)
+            assert _same_bits(got, want), (sites, directions, t)
+
+
+# ------------------------------------------------ per-temperature sweep rows
+# The sweep evaluates the rows of one nuT in one stacked pass; this is the
+# loop it replaced, one temperature at a time, with one eigenvalue call per
+# block, kept as the reference its rows must equal bit for bit.
+
+
+def _reference_spectrum(sigma):
+    ev = np.abs(np.linalg.eigvals(1j * _symplectic_form(sigma.shape[0] // 2) @ sigma))
+    ev = 2.0 * np.sort(ev)
+    pairs, partners = ev[::2], ev[1::2]
+    scale = np.maximum(np.abs(pairs), 1.0)
+    if np.any(np.abs(pairs - partners) > 1e-8 * scale):
+        raise NumericalFailure("symplectic eigenvalues failed to pair up")
+    out = pairs.copy()
+    low = out < 1.0
+    if np.any(out[low] < 1.0 - 1e-10):
+        raise DomainError(f"symplectic eigenvalue {out.min()} below 1 beyond tolerance")
+    out[low] = 1.0
+    return out
+
+
+def _reference_rows(params, nu_t_paper, temperatures, negativity):
+    point = working_point(params, nu_t_paper * params.nu_t_unit)
+    rows = []
+    for t_paper in temperatures:
+        temperature = t_paper * params.temperature_unit
+        row = _blank_row(nu_t_paper, t_paper)
+        row["configVariant"] = point.config.variant.value
+        row["b"] = point.config.b / params.spacing
+        try:
+            for d in DIRECTIONS:
+                _, _, _, _, q_plus, q_minus, p_plus, p_minus = _reference_pair(
+                    point, temperature, 1, d
+                )
+                s1, s2 = 4.0 * q_plus * p_minus - 1.0, 4.0 * q_minus * p_plus - 1.0
+                row[f"S1{d}"], row[f"S2{d}"] = s1, s2
+                row[f"EN{d}"] = negativity(s1, s2)
+            blocks = {
+                d: _reference_block(point, temperature, (1, 2, 3), (d,), False)
+                for d in DIRECTIONS
+            }
+            for size in (1, 2, 3):
+                for d in DIRECTIONS:
+                    sub = blocks[d][: 2 * size, : 2 * size]
+                    entropy = math.inf
+                    if np.isfinite(sub).all():
+                        spectrum = _reference_spectrum(sub)
+                        entropy = float(sum(von_neumann_entropy(r) for r in spectrum))
+                    row[f"SV{size}{d}"] = None if math.isinf(entropy) else entropy
+                    row[f"SV{size}{d}Divergent"] = math.isinf(entropy)
+        except (DomainError, NumericalFailure) as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
+
+
+def _same_cells(got, want):
+    for c in COLUMNS:
+        if isinstance(want[c], float):
+            assert isinstance(got[c], float) and _same_bits(got[c], want[c]), c
+        else:
+            assert got[c] == want[c], c
+
+
+#: reduced nuT whose raw value is exactly the critical point of the n = 8 NN
+#: ring (its zone-edge y mode is 0.0)
+NU_T_CRITICAL_NN8 = 1.414213562373095
+
+
+@pytest.mark.parametrize("ring", ["nn", "lr"])
+def test_stacked_sweep_rows_equal_the_per_temperature_reference(
+    nn_ring, lr_ring, ring, monkeypatch
+):
+    """Every cell of the stacked sweep equals the per-temperature loop, bit
+    for bit: both phases, the exactly critical NN ring with its infinite
+    entries and Divergent y blocks at every temperature, and a row whose
+    negativity fails while the other temperatures of its nuT compute."""
+    params = nn_ring(n=8) if ring == "nn" else lr_ring(n=12)
+    grid = (1.0, NU_T_CRITICAL_NN8, 2.0) if ring == "nn" else (1.0, 1.3, 2.0)
+    temperatures = (0.0, 0.2, 0.5, 1.6)
+    # the y criteria of the buckled point's second temperature
+    point = working_point(params, grid[0] * params.nu_t_unit)
+    pair = _reference_pair(point, temperatures[1] * params.temperature_unit, 1, "y")
+    target = (4.0 * pair[4] * pair[7] - 1.0, 4.0 * pair[5] * pair[6] - 1.0)
+
+    def failing_negativity(s1, s2):
+        if (s1, s2) == target:
+            raise DomainError("injected")
+        return negativity(s1, s2)
+
+    monkeypatch.setattr(cli, "negativity", failing_negativity)
+    spec = SweepSpec(params=params, nu_t_grid=grid, temperatures=temperatures,
+                     measures=("negativity", "entropy", "blockEntropy2", "blockEntropy3"))
+    rows = run_sweep(spec)
+    want = [row for nt in grid for row in _reference_rows(params, nt, temperatures,
+                                                          failing_negativity)]
+    assert len(rows) == len(want) == len(grid) * len(temperatures)
+    for got, ref in zip(rows, want):
+        _same_cells(got, ref)
+    assert [row["error"] for row in rows[:4]] == ["", "DomainError: injected", "", ""]
+    assert rows[1]["S1y"] is not None and rows[1]["ENy"] is None and rows[1]["SV1x"] is None
+    assert {row["configVariant"] for row in rows} == {"zigzag", "linear"}
+    if ring == "nn":
+        critical = rows[4:8]
+        assert all(row["SV1yDivergent"] and row["SV1y"] is None for row in critical)
+        assert all(not row["SV1xDivergent"] and row["error"] == "" for row in critical)

@@ -15,10 +15,11 @@ from ionlattice.entanglement import (
     negativity,
     negativity_cross_check,
     pair_entanglement,
+    symplectic_spectra,
     symplectic_spectrum,
     von_neumann_entropy,
 )
-from ionlattice.errors import ConfigError, DomainError
+from ionlattice.errors import ConfigError, DomainError, NumericalFailure
 from ionlattice.quadrature import Divergent
 
 
@@ -58,6 +59,28 @@ def test_vacuum_spectrum_is_all_ones(nn_ring):
     params = nn_ring(n=6, charge=0.0)
     cov = block_covariance(params, 1.3, 0.0, range(1, 7))
     assert_allclose(symplectic_spectrum(cov), np.ones(12), atol=1e-12)
+
+
+def test_stacked_spectra_fail_only_their_own_matrix(nn_ring):
+    params = nn_ring(n=8)
+    good = block_covariance(params, 0.8, 0.3, (1, 2), ("y",)).matrix
+    infinite = good.copy()
+    infinite[0, 0] = np.inf
+    # a non-symmetric matrix whose eigenvalues do not pair up
+    unpaired = np.array([[1.0, 0.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]])
+    below = 0.25 * np.eye(4)  # r = 0.5, under the uncertainty floor
+    spectra = symplectic_spectra(np.stack([good, infinite, unpaired, below, good]))
+    assert np.array_equal(spectra[0], symplectic_spectrum(good))
+    assert np.array_equal(spectra[4], spectra[0])
+    assert isinstance(spectra[1], Divergent)
+    assert isinstance(spectra[2], NumericalFailure)
+    assert isinstance(spectra[3], DomainError) and "below 1 beyond tolerance" in str(spectra[3])
+    # the one-matrix form raises what the stacked form reports
+    for sigma, error in ((infinite, DomainError), (unpaired, NumericalFailure),
+                         (below, DomainError)):
+        with pytest.raises(error):
+            symplectic_spectrum(sigma)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 5)])

@@ -7,10 +7,14 @@ bulk-limit rows of the NN and the LR ring (closed forms above the
 transition, the large-ring stand-in for block entropies, the witness and
 the buckled side), the `spectrum` table and the two-direction `covariance`
 table. A refactor that moves any
-printed digit, or the sign of a printed zero, fails here.
+printed digit, or the sign of a printed zero, fails here. So does one that
+moves a byte of the seed-0 CSV of a benchmark workload (perfbench/), whose
+SHA-256 the benchmark pins.
 """
 
 import hashlib
+import types
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +74,24 @@ def test_output_bytes_unchanged(name, tmp_path):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, executed from its source text: nothing there
+    is imported as a package or written."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.REFERENCE_SHA256))
+def test_benchmark_reference_bytes_unchanged(name, tmp_path):
+    """The seed-0 CSV of each benchmark workload still has the SHA-256 the
+    benchmark pins, so a moved byte shows here without a benchmark run."""
+    out = tmp_path / "out.csv"
+    assert main([*WORKLOADS.sweep_argv(name, 0), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WORKLOADS.REFERENCE_SHA256[name]
