@@ -11,7 +11,6 @@ from .covariance import (
     CovarianceMatrix,
     MomentTable,
     PairMoments,
-    WorkingPoint,
     block_covariance,
     block_covariance_at,
     direct_covariance_oracle,
@@ -20,7 +19,6 @@ from .covariance import (
     pair_moments_at,
     td_pair_criteria,
     td_single_site_eigenvalue,
-    working_point,
 )
 from .entanglement import (
     BlockEntropyReport,
@@ -102,7 +100,6 @@ __all__ = [
     "Variant",
     "Violation",
     "WitnessReport",
-    "WorkingPoint",
     "block_covariance",
     "block_covariance_at",
     "block_entropy",
@@ -136,5 +133,4 @@ __all__ = [
     "von_neumann_entropy",
     "witness_report",
     "witness_reports",
-    "working_point",
 ]

@@ -34,7 +34,6 @@ from .covariance import (
     pair_moments_at,
     td_pair_criteria,
     td_single_site_eigenvalue,
-    working_point,
 )
 from .entanglement import (
     block_entropy,
@@ -49,7 +48,6 @@ from .errors import (
     ConfigError,
     DegenerateCoupling,
     DomainError,
-    ImaginaryFrequency,
     NoConvergence,
     NumericalFailure,
     QuadratureFailure,
@@ -79,7 +77,7 @@ MEASURES = (
 DEFAULT_MEASURES = ("negativity", "entropy")
 
 #: top-level keys of a config file
-CONFIG_KEYS = {"params", "nuTGrid", "temperatures", "measures", "tdLimit", "xyMode"}
+CONFIG_KEYS = {"params", "nuTGrid", "temperatures", "measures", "tdLimit"}
 
 COLUMNS = (
     "nuT",
@@ -112,7 +110,6 @@ COLUMNS = (
 )
 
 _ROW_ERRORS = (
-    ImaginaryFrequency,
     DomainError,
     NoConvergence,
     QuadratureFailure,
@@ -130,7 +127,6 @@ class SweepSpec:
     temperatures: tuple
     measures: tuple = DEFAULT_MEASURES
     td_limit: bool = False
-    xy_mode: str = "signed"
 
     def __post_init__(self):
         for name, grid in (("nuT", self.nu_t_grid), ("temperature", self.temperatures)):
@@ -250,9 +246,9 @@ def _block_cells(table, sizes, rows):
             _fail([row], exc)
 
 
-def _witness_cells(spec, point, temperatures, rows):
-    params = point.params
-    reports = witness_reports(point, temperatures, xy_mode=spec.xy_mode)
+def _witness_cells(modes, temperatures, rows):
+    params = modes.params
+    reports = witness_reports(modes, temperatures)
     for rep, row in zip(reports, rows):
         if row["error"]:
             continue
@@ -269,8 +265,8 @@ def _finite_rows(spec, nu_t, temperatures, rows):
     for row in rows:
         row["configVariant"] = config.variant.value
         row["b"] = config.b / params.spacing
-    point = working_point(params, nu_t, config)
-    table = moment_table(point, temperatures)
+    modes = build_spectrum(params, nu_t, config)
+    table = moment_table(modes, temperatures)
     if "negativity" in spec.measures:
         pairs = [pair_moments_at(table, 1, d) for d in DIRECTIONS]
         for row, moments in zip(rows, zip(*pairs)):
@@ -281,7 +277,7 @@ def _finite_rows(spec, nu_t, temperatures, rows):
                 _fail([row], exc)
     _block_cells(table, _block_sizes(spec.measures), rows)
     if "witness" in spec.measures:
-        _witness_cells(spec, point, temperatures, rows)
+        _witness_cells(modes, temperatures, rows)
 
 
 def _td_row(spec: SweepSpec, nu_t: float, row: dict):
@@ -309,10 +305,11 @@ def _td_row(spec: SweepSpec, nu_t: float, row: dict):
                 row[f"SV1{d}"] = von_neumann_entropy(r)
     sizes = [size for size in sizes if size > 1]
     if sizes or "witness" in spec.measures:
-        point = working_point(proxy, nu_t)
-        _block_cells(moment_table(point, (0.0,)), sizes, [row])
+        modes = build_spectrum(proxy, nu_t)
+        if sizes:
+            _block_cells(moment_table(modes, (0.0,)), sizes, [row])
         if "witness" in spec.measures and not row["error"]:
-            _witness_cells(spec, point, (0.0,), [row])
+            _witness_cells(modes, (0.0,), [row])
 
 
 def _row_worker(task):
@@ -435,6 +432,14 @@ def _parse_grid(text: str) -> tuple:
         raise ConfigError(f"cannot parse grid {text!r}: {exc}") from None
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an int, refusing a bool or a float with a fraction,
+    which int() would truncate (20.7 to 20, true to 1)."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _params_from_mapping(raw: dict) -> LatticeParams:
     known = {"n", "mass", "charge", "spacing", "nu", "model", "tauMax"}
     extra = set(raw) - known
@@ -448,9 +453,9 @@ def _params_from_mapping(raw: dict) -> LatticeParams:
         mass, charge, spacing, nu_paper = (
             float(raw.get(key, 1.0)) for key in ("mass", "charge", "spacing", "nu")
         )
-        n = int(raw.get("n", 20))
+        n = _integer("n", raw.get("n", 20))
         tau_max = raw.get("tauMax")
-        tau_max = None if tau_max is None else int(tau_max)
+        tau_max = None if tau_max is None else _integer("tauMax", tau_max)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameter value: {exc}") from None
     if not all(math.isfinite(v) for v in (mass, charge, spacing, nu_paper)):
@@ -527,9 +532,6 @@ def _spec_from_args(args) -> SweepSpec:
         raise ConfigError("config key tdLimit must be true or false")
     if getattr(args, "td_limit", False):
         td_limit = True
-    xy_mode = cfg.get("xyMode", "signed")
-    if getattr(args, "xy_mode", None):
-        xy_mode = args.xy_mode
     try:
         nu_t_grid = tuple(float(v) for v in nu_t_grid)
         temperatures = tuple(float(v) for v in temperatures)
@@ -541,16 +543,15 @@ def _spec_from_args(args) -> SweepSpec:
         temperatures=temperatures,
         measures=tuple(measures),
         td_limit=td_limit,
-        xy_mode=xy_mode,
     )
 
 
 def _point_from_args(args):
-    """(params, raw nu_t, raw temperature, xy mode) of a one-point command."""
+    """(params, raw nu_t, raw temperature) of a one-point command."""
     spec = _spec_from_args(args)
     params = spec.params
     nu_t = spec.nu_t_grid[0] * params.nu_t_unit
-    return params, nu_t, spec.temperatures[0] * params.temperature_unit, spec.xy_mode
+    return params, nu_t, spec.temperatures[0] * params.temperature_unit
 
 
 def _add_param_flags(sub, with_nu_t_grid: bool):
@@ -583,7 +584,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    params, nu_t, _, _ = _point_from_args(args)
+    params, nu_t, _ = _point_from_args(args)
     spec = build_spectrum(params, nu_t)
     cols = ("l", "variant", "omegaX", "omegaY", "omegaV", "omegaW")
     names = cols[2:4] if spec.variant is Variant.LINEAR else cols[4:6]
@@ -598,7 +599,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_block_entropy(args) -> int:
-    params, nu_t, temperature, _ = _point_from_args(args)
+    params, nu_t, temperature = _point_from_args(args)
     cov = block_covariance(
         params,
         nu_t,
@@ -627,18 +628,16 @@ def _cmd_block_entropy(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    params, nu_t, temperature, xy_mode = _point_from_args(args)
+    params, nu_t, temperature = _point_from_args(args)
     unit = params.nu_t_unit
-    rep = witness_report(params, nu_t, temperature, xy_mode=xy_mode)
+    rep = witness_report(params, nu_t, temperature)
     tc = rep.critical_temperature
     row = {
         "omegaX": rep.omega_x / unit,
         "omegaY": rep.omega_y / unit,
-        "omegaXY": rep.omega_xy / unit,
         "bound": rep.bound / unit,
         "U": rep.internal_energy / unit,
         "Tc": None if tc is None else tc / params.temperature_unit,
-        "xyMode": rep.xy_mode,
         "triggered": rep.triggered,
     }
     cols = tuple(row)
@@ -648,7 +647,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_covariance(args) -> int:
-    params, nu_t, temperature, _ = _point_from_args(args)
+    params, nu_t, temperature = _point_from_args(args)
     try:
         sites = tuple(int(s) for s in args.sites.split(","))
     except ValueError:
@@ -816,7 +815,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--measures", help=f"comma list from {','.join(MEASURES)}")
     sweep.add_argument("--td-limit", action="store_true", dest="td_limit",
                        help="bulk-limit evaluation (temperature grid must be [0])")
-    sweep.add_argument("--xy-mode", choices=["signed", "absolute"])
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -835,7 +833,6 @@ def _build_parser() -> argparse.ArgumentParser:
     witness = subs.add_parser("witness", help="energy witness at one point")
     _add_param_flags(witness, with_nu_t_grid=False)
     witness.add_argument("--temp", type=float, default=0.0)
-    witness.add_argument("--xy-mode", choices=["signed", "absolute"])
     witness.set_defaults(func=_cmd_witness)
 
     covariance = subs.add_parser("covariance", help="covariance matrix of chosen sites")
@@ -865,8 +862,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, NumericalFailure, NoConvergence, QuadratureFailure,
-            ImaginaryFrequency, DegenerateCoupling) as exc:
+    except _ROW_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

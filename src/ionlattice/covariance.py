@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ConfigError, ImaginaryFrequency, SizeLimitExceeded
 from .lattice import (
-    Configuration,
     LatticeParams,
     Variant,
     critical_potential,
@@ -102,38 +101,6 @@ def _direction_kernels(spec: ModeSpectrum, drop_soft_modes: bool = False) -> _Ke
     )
 
 
-@dataclass(frozen=True)
-class WorkingPoint:
-    """Everything about one transverse trap frequency that does not depend
-    on temperature: the equilibrium (``spectrum.config``), the mode spectrum
-    and its mode kernels. Build it once with :func:`working_point` and
-    evaluate any number of temperatures and measures from it."""
-
-    spectrum: ModeSpectrum
-    kernels: _Kernels
-
-    @property
-    def params(self) -> LatticeParams:
-        return self.spectrum.params
-
-    @property
-    def nu_t(self) -> float:
-        return self.spectrum.nu_t
-
-    @property
-    def config(self) -> Configuration:
-        return self.spectrum.config
-
-
-def working_point(
-    params: LatticeParams, nu_t: float, config: Configuration | None = None
-) -> WorkingPoint:
-    """The working point at ``nu_t``; ``config`` skips a second equilibrium
-    solve when the caller already holds it."""
-    spec = build_spectrum(params, nu_t, config)
-    return WorkingPoint(spec, _direction_kernels(spec))
-
-
 def _weighted_mode_sums(kern, factors, phase_weights, n):
     """(1/n) sum_l w_l fac_l of both factors at every temperature of
     ``factors`` (shape (2, 2, n_T, n), see :class:`MomentTable`), as an
@@ -184,7 +151,7 @@ def _sin_weights(n, delta):
 
 @dataclass(frozen=True)
 class MomentTable:
-    """The mode sums of one working point at a stack of temperatures.
+    """The mode sums of one mode spectrum at a stack of temperatures.
 
     The thermal factors of every temperature are evaluated once, when the
     table is built, and each distinct mode sum once, for all temperatures
@@ -194,10 +161,10 @@ class MomentTable:
     (2, 2, n_T, n): branch, position or momentum factor, temperature, mode;
     each branch's block is contiguous. ``sums`` maps (kernel name, site
     distance) to the raw mode sums, an array of shape (2, n_T). Build it
-    with :func:`moment_table` and keep it for as long as its working point.
+    with :func:`moment_table` and keep it for as long as its spectrum.
     """
 
-    point: WorkingPoint
+    spectrum: ModeSpectrum
     temperatures: tuple
     kernels: _Kernels
     factors: np.ndarray
@@ -205,9 +172,9 @@ class MomentTable:
 
 
 def moment_table(
-    point: WorkingPoint, temperatures, drop_soft_modes: bool = False
+    spec: ModeSpectrum, temperatures, drop_soft_modes: bool = False
 ) -> MomentTable:
-    """The moment table of ``point`` at each of ``temperatures`` (a
+    """The moment table of ``spec`` at each of ``temperatures`` (a
     sequence; one temperature is a sequence of one).
 
     ``drop_soft_modes`` excludes modes below ``SOFT_FREQ_FACTOR *
@@ -217,9 +184,10 @@ def moment_table(
     temperatures = tuple(temperatures)
     if any(t < 0 for t in temperatures):
         raise ConfigError("temperatures must be non-negative")
-    kernels = _direction_kernels(point.spectrum, True) if drop_soft_modes else point.kernels
-    factors = _mode_factors(point.spectrum.omega, temperatures, point.params.mass)
-    return MomentTable(point, temperatures, kernels, np.stack(factors, axis=1))
+    factors = _mode_factors(spec.omega, temperatures, spec.params.mass)
+    return MomentTable(
+        spec, temperatures, _direction_kernels(spec, drop_soft_modes), np.stack(factors, axis=1)
+    )
 
 
 def _mode_sum(table: MomentTable, kernel: str, delta: int) -> np.ndarray:
@@ -230,7 +198,7 @@ def _mode_sum(table: MomentTable, kernel: str, delta: int) -> np.ndarray:
     key = (kernel, delta)
     total = table.sums.get(key)
     if total is None:
-        n = table.point.params.n
+        n = table.spectrum.params.n
         phase = _sin_weights(n, delta) if kernel == "cross" else _cos_weights(n, delta)
         total = _weighted_mode_sums(getattr(table.kernels, kernel), table.factors, phase, n)
         table.sums[key] = total
@@ -270,23 +238,23 @@ def pair_moments(
     params: LatticeParams, nu_t: float, temperature: float, tau: int, direction: str
 ) -> PairMoments:
     """Normalized second moments of two sites at neighbour distance tau."""
-    table = moment_table(working_point(params, nu_t), (temperature,))
+    table = moment_table(build_spectrum(params, nu_t), (temperature,))
     return pair_moments_at(table, tau, direction)[0]
 
 
 def pair_moments_at(table: MomentTable, tau: int, direction: str) -> tuple:
     """:func:`pair_moments` at every temperature of a moment table: one
     :class:`PairMoments` per temperature, in the table's order."""
-    point = table.point
-    params = point.params
+    spec = table.spectrum
+    params = spec.params
     _check_direction(direction)
     if not 1 <= tau <= params.n // 2:
         raise ConfigError(f"tau must be in 1..{params.n // 2}, got {tau}")
     kern = getattr(table.kernels, direction)
     parity = -1.0 if (
-        point.config.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
+        spec.config.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
     ) else 1.0
-    nu_ref = params.nu if direction == "x" else point.nu_t
+    nu_ref = params.nu if direction == "x" else spec.nu_t
     q_scale = params.mass * nu_ref
     n = params.n
 
@@ -344,7 +312,7 @@ def _pair_entry(table, s1, d1, s2, d2):
     """(raw sums, sign) of the moment <a_{s1,d1} a_{s2,d2}>: the raw mode
     sums (shape (2, n_T), position and momentum) times the sign give the
     entry. A sign of 1.0 leaves every bit of the sums as it is."""
-    zigzag = table.point.config.variant is Variant.ZIGZAG
+    zigzag = table.spectrum.config.variant is Variant.ZIGZAG
     delta = s2 - s1
     if d1 == d2:
         sign = (-1.0) ** (s1 + s2) if d1 == "y" and zigzag else 1.0
@@ -384,7 +352,7 @@ def block_covariance(
         below 1).
     """
     sites, directions = tuple(sites), tuple(directions)
-    table = moment_table(working_point(params, nu_t), (temperature,), drop_soft_modes)
+    table = moment_table(build_spectrum(params, nu_t), (temperature,), drop_soft_modes)
     return CovarianceMatrix(
         matrix=block_covariance_at(table, sites, directions)[0],
         modes=_block_modes(params, sites, directions),
@@ -398,10 +366,10 @@ def block_covariance_at(table: MomentTable, sites, directions=DIRECTIONS) -> np.
     one array of shape (n_T, 2k, 2k); the modes are ``sites`` outer and
     ``directions`` inner. The covariance of the first k modes is the
     leading 2k x 2k submatrix, entry for entry."""
-    point = table.point
-    params = point.params
+    spec = table.spectrum
+    params = spec.params
     modes = _block_modes(params, sites, directions)
-    scale = {d: params.mass * (params.nu if d == "x" else point.nu_t) for d in DIRECTIONS}
+    scale = {d: params.mass * (params.nu if d == "x" else spec.nu_t) for d in DIRECTIONS}
     upper = [(i, j) for i in range(len(modes)) for j in range(i, len(modes))]
     raw, signs, g = [], [], []
     for i, j in upper:

@@ -144,6 +144,14 @@ def _odd_inverse_cubes(tau_max: int) -> float:
     return float(np.sum(1.0 / np.arange(1, tau_max + 1, 2).astype(float) ** 3))
 
 
+def _softening(params: LatticeParams, ls: np.ndarray) -> np.ndarray:
+    """sum_{tau=1}^{tau_max} sin^2(pi l tau / n) / tau^3 at each wave number
+    l of ``ls``; the flat ring's squared axial dispersion is nu^2 + C times
+    this sum."""
+    taus = np.arange(1, params.tau_max + 1, dtype=float)
+    return (np.sin(np.pi * np.outer(ls, taus) / params.n) ** 2 / taus**3).sum(axis=1)
+
+
 def critical_potential(params: LatticeParams, td_limit: bool = False) -> float:
     """Transverse trap frequency at which the flat ring goes soft.
 
@@ -155,9 +163,7 @@ def critical_potential(params: LatticeParams, td_limit: bool = False) -> float:
     c_half = 0.5 * params.coulomb_constant
     if td_limit:
         return math.sqrt(c_half * _odd_inverse_cubes(params.tau_max))
-    taus = np.arange(1, params.tau_max + 1, dtype=float)
-    l = np.arange(1, params.n + 1, dtype=float)
-    softening = (np.sin(np.pi * np.outer(l, taus) / params.n) ** 2 / taus**3).sum(axis=1)
+    softening = _softening(params, np.arange(1, params.n + 1, dtype=float))
     return math.sqrt(c_half * float(softening.max()))
 
 

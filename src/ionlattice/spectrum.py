@@ -26,6 +26,7 @@ from .lattice import (
     CouplingCoefficients,
     LatticeParams,
     Variant,
+    _softening,
     solve_equilibrium,
     taylor_coefficients,
 )
@@ -68,12 +69,10 @@ def linear_dispersion(params: LatticeParams, nu_t: float, l: int | None = None):
     on ``nu_t``.
     """
     c = params.coulomb_constant
-    taus = np.arange(1, params.tau_max + 1, dtype=float)
     if l is not None and not 1 <= l <= params.n:
         raise ConfigError(f"mode index {l} outside 1 .. {params.n}")
     ls = np.arange(1, params.n + 1, dtype=float) if l is None else np.array([float(l)])
-    s2 = np.sin(np.pi * np.outer(ls, taus) / params.n) ** 2
-    softening = (s2 / taus**3).sum(axis=1)
+    softening = _softening(params, ls)
     wx = _sqrt_radicand(params.nu**2 + c * softening, "axial")
     wy = _sqrt_radicand(nu_t**2 - 0.5 * c * softening, "transverse")
     if l is not None:

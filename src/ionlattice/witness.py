@@ -4,13 +4,12 @@ A separable state of the ring cannot have internal energy below a bound
 built from effective single-site frequencies; measuring U below it
 certifies entanglement somewhere in the chain. The bound used here is
 
-    E_bound = (N / 2) (Omega_x + Omega_y + Omega_xy),
+    E_bound = (N / 2) (Omega_x + Omega_y),
 
 with Omega_u^2 = nu_u^2 + (4 Q^2 / m) sum_{tau>0} d^u_tau the trap
-frequency dressed by the full coupling row. The cross coupling enters
-either with its alternating signs (where it cancels exactly by the
-antisymmetry of the odd-tau row) or by absolute value; both readings are
-provided since they bracket the possible single-site reductions.
+frequency dressed by the full coupling row. The x-y cross coupling of the
+buckled phase alternates with the site parity over odd tau, so on every
+site its two neighbour terms cancel and it adds nothing to the bound.
 """
 
 from __future__ import annotations
@@ -21,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import brentq
-from .covariance import WorkingPoint, working_point
 from .errors import ConfigError, DomainError
-from .lattice import Configuration, LatticeParams, Variant, solve_equilibrium, taylor_coefficients
-from .spectrum import build_spectrum
-
-_XY_MODES = ("signed", "absolute")
+from .lattice import Configuration, LatticeParams, solve_equilibrium, taylor_coefficients
+from .spectrum import ModeSpectrum, build_spectrum
 
 #: beyond this omega / T the Bose occupation 1 / expm1(omega / T) is far below
 #: one ulp of 1/2, so a mode carries exactly omega / 2; expm1 itself overflows
@@ -35,19 +31,9 @@ _BOSE_NEGLIGIBLE = 700.0
 
 
 def effective_frequencies(
-    params: LatticeParams,
-    nu_t: float,
-    config: Configuration | None = None,
-    xy_mode: str = "signed",
-) -> tuple[float, float, float]:
-    """Coupling-dressed single-site frequencies (Omega_x, Omega_y, Omega_xy).
-
-    ``xy_mode`` picks how the alternating cross row is collapsed: "signed"
-    sums it as-is (zero, the signs cancel pairwise around the ring) while
-    "absolute" sums magnitudes.
-    """
-    if xy_mode not in _XY_MODES:
-        raise ConfigError(f"xy_mode must be one of {_XY_MODES}, got {xy_mode!r}")
+    params: LatticeParams, nu_t: float, config: Configuration | None = None
+) -> tuple[float, float]:
+    """Coupling-dressed single-site frequencies (Omega_x, Omega_y)."""
     if config is None:
         config = solve_equilibrium(params, nu_t)
     coeff = taylor_coefficients(params, config)
@@ -59,11 +45,12 @@ def effective_frequencies(
             raise DomainError(
                 f"effective {name} frequency squared negative ({val:.6g})"
             )
-    if xy_mode == "signed" or config.variant is Variant.LINEAR:
-        wxy = 0.0
-    else:
-        wxy = pref * float(np.sum(np.abs(coeff.dxy)))
-    return math.sqrt(wx2), math.sqrt(wy2), wxy
+    return math.sqrt(wx2), math.sqrt(wy2)
+
+
+def _bound(n: int, omega_x: float, omega_y: float) -> float:
+    """E_bound = (N / 2) (Omega_x + Omega_y) of the module docstring."""
+    return 0.5 * n * (omega_x + omega_y)
 
 
 def _energy(omega: np.ndarray, temperature: float) -> float:
@@ -88,23 +75,18 @@ def internal_energy(params: LatticeParams, nu_t: float, temperature: float) -> f
     return _energy(build_spectrum(params, nu_t).omega.ravel(), temperature)
 
 
-def separability_bound(
-    params: LatticeParams, nu_t: float, xy_mode: str = "signed"
-) -> float:
+def separability_bound(params: LatticeParams, nu_t: float) -> float:
     """Energy threshold below which no separable state exists."""
-    wx, wy, wxy = effective_frequencies(params, nu_t, xy_mode=xy_mode)
-    return 0.5 * params.n * (wx + wy + wxy)
+    return _bound(params.n, *effective_frequencies(params, nu_t))
 
 
-def critical_temperature(
-    params: LatticeParams, nu_t: float, xy_mode: str = "signed"
-) -> float | None:
+def critical_temperature(params: LatticeParams, nu_t: float) -> float | None:
     """Temperature where U(T) crosses the separability bound.
 
     Returns None when even the ground state sits above the bound, so the
     witness never triggers.
     """
-    [report] = witness_reports(working_point(params, nu_t), (0.0,), xy_mode)
+    [report] = witness_reports(build_spectrum(params, nu_t), (0.0,))
     return report.critical_temperature
 
 
@@ -132,33 +114,27 @@ class WitnessReport:
 
     omega_x: float
     omega_y: float
-    omega_xy: float
     bound: float
     internal_energy: float
     critical_temperature: float | None
-    xy_mode: str
     triggered: bool
 
 
-def witness_report(
-    params: LatticeParams, nu_t: float, temperature: float, xy_mode: str = "signed"
-) -> WitnessReport:
+def witness_report(params: LatticeParams, nu_t: float, temperature: float) -> WitnessReport:
     """Evaluate the witness at one (nu_t, T) point."""
-    return witness_reports(working_point(params, nu_t), (temperature,), xy_mode)[0]
+    return witness_reports(build_spectrum(params, nu_t), (temperature,))[0]
 
 
-def witness_reports(
-    point: WorkingPoint, temperatures, xy_mode: str = "signed"
-) -> list[WitnessReport]:
-    """The witness at every temperature of one working point; the bound and
+def witness_reports(spec: ModeSpectrum, temperatures) -> list[WitnessReport]:
+    """The witness at every temperature of one mode spectrum; the bound and
     the crossing temperature do not depend on T and are evaluated once."""
     if any(t < 0 for t in temperatures):
         raise ConfigError("temperature must be non-negative")
-    params = point.params
-    wx, wy, wxy = effective_frequencies(params, point.nu_t, point.config, xy_mode)
-    bound = 0.5 * params.n * (wx + wy + wxy)
-    omega = point.spectrum.omega.ravel()
-    tc = _crossing(params, point.nu_t, omega, bound)
+    params = spec.params
+    wx, wy = effective_frequencies(params, spec.nu_t, spec.config)
+    bound = _bound(params.n, wx, wy)
+    omega = spec.omega.ravel()
+    tc = _crossing(params, spec.nu_t, omega, bound)
     reports = []
     for t in temperatures:
         u = _energy(omega, t)
@@ -166,11 +142,9 @@ def witness_reports(
             WitnessReport(
                 omega_x=wx,
                 omega_y=wy,
-                omega_xy=wxy,
                 bound=bound,
                 internal_energy=u,
                 critical_temperature=tc,
-                xy_mode=xy_mode,
                 triggered=bool(u < bound),
             )
         )

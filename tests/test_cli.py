@@ -146,7 +146,7 @@ ALL_MEASURES = (
 )
 
 
-def one_point_row(params, nu_t_paper, t_paper, xy_mode="signed"):
+def one_point_row(params, nu_t_paper, t_paper):
     """The cells of one sweep row from the public one-point calls."""
     nu_t = nu_t_paper * params.nu_t_unit
     temperature = t_paper * params.temperature_unit
@@ -164,7 +164,7 @@ def one_point_row(params, nu_t_paper, t_paper, xy_mode="signed"):
                 entropy = block_entropy(cov, n_sites=k, direction=d).entropy
             row[f"SV{k}{d}"] = None if math.isinf(entropy) else entropy
             row[f"SV{k}{d}Divergent"] = math.isinf(entropy)
-    rep = witness_report(params, nu_t, temperature, xy_mode=xy_mode)
+    rep = witness_report(params, nu_t, temperature)
     tc = rep.critical_temperature
     row["U"] = rep.internal_energy / params.nu_t_unit
     row["bound"] = rep.bound / params.nu_t_unit
@@ -521,7 +521,9 @@ def test_block_entropy_command(capsys):
 def test_witness_command(capsys):
     rc = main(["witness", *base_args(), "--nu-t", "2.0", "--temp", "0.1"])
     assert rc == 0
-    row = parse_csv(capsys.readouterr().out)[0]
+    out = capsys.readouterr().out
+    assert out.split("\n")[0] == "omegaX,omegaY,bound,U,Tc,triggered"
+    row = parse_csv(out)[0]
     assert row["triggered"] in ("true", "false")
     assert float(row["bound"]) > 0.0
     # dressed frequencies are reported in reduced units
@@ -661,8 +663,14 @@ def test_spectrum_is_not_a_sweep_measure(capsys):
         {"nuTGrid": 2.0},
         {"params": [8, 2.0], "nuTGrid": [2.0]},
         {"nuTGrid": [2.0], "tdLimit": "no"},
+        # int() would run an n = 20 ring, a tauMax 2 ring and a ring of one site
+        {"params": {"n": 20.7}, "nuTGrid": [2.0]},
+        {"params": {"n": 20, "model": "LR", "tauMax": 2.9}, "nuTGrid": [2.0]},
+        {"params": {"n": True}, "nuTGrid": [2.0]},
+        {"params": {"n": float("inf")}, "nuTGrid": [2.0]},
     ],
-    ids=["mass", "nuTGrid", "params", "tdLimit"],
+    ids=["mass", "nuTGrid", "params", "tdLimit", "n-fraction", "tauMax-fraction", "n-bool",
+         "n-inf"],
 )
 def test_malformed_config_value_is_a_config_error(config, tmp_path, capsys):
     path = tmp_path / "sweep.json"
@@ -671,9 +679,16 @@ def test_malformed_config_value_is_a_config_error(config, tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
-def test_witness_reads_xy_mode_from_config(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["sweep", "witness"])
+def test_xy_mode_flag_is_an_argument_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *base_args(), "--nu-t", "1.0", "--xy-mode", "signed"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --xy-mode" in capsys.readouterr().err
+
+
+def test_xy_mode_config_key_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "witness.json"
-    path.write_text(json.dumps({"xyMode": "absolute"}))
-    rc = main(["witness", *base_args(), "--config", str(path), "--nu-t", "1.0"])
-    assert rc == 0
-    assert parse_csv(capsys.readouterr().out)[0]["xyMode"] == "absolute"
+    path.write_text(json.dumps({"xyMode": "signed"}))
+    assert main(["witness", *base_args(), "--config", str(path), "--nu-t", "1.0"]) == 2
+    assert "configuration error: unknown config keys ['xyMode']" in capsys.readouterr().err

@@ -26,7 +26,6 @@ from ionlattice.covariance import (
     pair_moments_at,
     td_pair_criteria,
     td_single_site_eigenvalue,
-    working_point,
 )
 from ionlattice import cli
 from ionlattice.cli import COLUMNS, SweepSpec, _blank_row, run_sweep
@@ -39,6 +38,7 @@ from ionlattice.errors import (
     SizeLimitExceeded,
 )
 from ionlattice.lattice import Variant, critical_potential
+from ionlattice.spectrum import build_spectrum
 
 
 def _factor(params, crit_mult):
@@ -289,10 +289,10 @@ def test_buckled_moments_equal_with_cold_and_warm_phase_cache(nn_ring, lr_ring, 
     """Pair moments and a block with x-y cross entries come out the same
     whether the phase weights are computed afresh or taken from the cache."""
     params = nn_ring(n=8) if ring == "nn" else lr_ring(n=12)
-    point = working_point(params, _factor(params, 0.8))
+    spec = build_spectrum(params, _factor(params, 0.8))
 
     def evaluate():
-        table = moment_table(point, (0.2,))
+        table = moment_table(spec, (0.2,))
         moments = [pair_moments_at(table, tau, d) for tau in (1, 2, 3) for d in DIRECTIONS]
         block = block_covariance_at(table, (1, 2, 4))[0]
         return moments, block
@@ -352,17 +352,17 @@ def _reference_momentum_factor(omega, temperature, mass):
     return np.where(omega > 0.0, safe, mass * temperature)
 
 
-def _reference_factors(point, temperature):
-    omega, mass = point.spectrum.omega, point.params.mass
+def _reference_factors(spec, temperature):
+    omega, mass = spec.omega, spec.params.mass
     return (
         _reference_position_factor(omega, temperature, mass),
         _reference_momentum_factor(omega, temperature, mass),
     )
 
 
-def _reference_pair_entry(point, kerns, facs, s1, d1, s2, d2):
-    n = point.params.n
-    zigzag = point.config.variant is Variant.ZIGZAG
+def _reference_pair_entry(spec, kerns, facs, s1, d1, s2, d2):
+    n = spec.params.n
+    zigzag = spec.config.variant is Variant.ZIGZAG
     delta = s2 - s1
     if d1 == d2:
         kern = kerns.x if d1 == "x" else kerns.y
@@ -378,36 +378,34 @@ def _reference_pair_entry(point, kerns, facs, s1, d1, s2, d2):
     return -((-1.0) ** s1) * sin_sum
 
 
-def _reference_block(point, temperature, sites, directions, drop_soft_modes):
-    params = point.params
-    kerns = (
-        covariance._direction_kernels(point.spectrum, True) if drop_soft_modes else point.kernels
-    )
+def _reference_block(spec, temperature, sites, directions, drop_soft_modes):
+    params = spec.params
+    kerns = covariance._direction_kernels(spec, drop_soft_modes)
     modes = tuple((s, d) for s in sites for d in directions)
     k = len(modes)
     cov = np.zeros((2 * k, 2 * k))
-    qf, pf = _reference_factors(point, temperature)
-    scale = {d: params.mass * (params.nu if d == "x" else point.nu_t) for d in DIRECTIONS}
+    qf, pf = _reference_factors(spec, temperature)
+    scale = {d: params.mass * (params.nu if d == "x" else spec.nu_t) for d in DIRECTIONS}
     for i, (s1, d1) in enumerate(modes):
         for j, (s2, d2) in enumerate(modes[i:], start=i):
             g = math.sqrt(scale[d1] * scale[d2])
-            qq = g * _reference_pair_entry(point, kerns, qf, s1, d1, s2, d2)
-            pp = _reference_pair_entry(point, kerns, pf, s1, d1, s2, d2) / g
+            qq = g * _reference_pair_entry(spec, kerns, qf, s1, d1, s2, d2)
+            pp = _reference_pair_entry(spec, kerns, pf, s1, d1, s2, d2) / g
             cov[2 * i, 2 * j] = cov[2 * j, 2 * i] = qq
             cov[2 * i + 1, 2 * j + 1] = cov[2 * j + 1, 2 * i + 1] = pp
     return cov
 
 
-def _reference_pair(point, temperature, tau, direction):
-    params = point.params
-    kern = point.kernels.x if direction == "x" else point.kernels.y
+def _reference_pair(spec, temperature, tau, direction):
+    params = spec.params
+    kern = getattr(covariance._direction_kernels(spec), direction)
     parity = -1.0 if (
-        point.config.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
+        spec.config.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
     ) else 1.0
-    nu_ref = params.nu if direction == "x" else point.nu_t
+    nu_ref = params.nu if direction == "x" else spec.nu_t
     q_scale = params.mass * nu_ref
     n = params.n
-    qf, pf = _reference_factors(point, temperature)
+    qf, pf = _reference_factors(spec, temperature)
     mode_sum = _weighted_mode_sum
     ones = np.ones(n)
     cosd = _cos_weights(n, tau)
@@ -437,23 +435,23 @@ def test_moment_table_equals_the_entry_by_entry_loop(nn_ring, lr_ring, ring, tem
     the exactly critical ring with its infinite entries."""
     params = lr_ring(n=12) if ring.startswith("lr") else nn_ring(n=8)
     mult = {"buckled": 0.8, "flat": 1.5, "critical": 1.0}[ring.split("-")[1]]
-    point = working_point(params, _factor(params, mult))
-    table = moment_table(point, (temperature,))
+    spec = build_spectrum(params, _factor(params, mult))
+    table = moment_table(spec, (temperature,))
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
             (pm,) = pair_moments_at(table, tau, d)
             got = (pm.var_q, pm.var_p, pm.cov_q, pm.cov_p,
                    pm.q_plus, pm.q_minus, pm.p_plus, pm.p_minus)
-            assert _same_bits(got, _reference_pair(point, temperature, tau, d)), (tau, d)
+            assert _same_bits(got, _reference_pair(spec, temperature, tau, d)), (tau, d)
     cases = [((1, 2, 3), ("x", "y")), ((3, 1, 2), ("y", "x")), ((1, 2, 4), ("y",))]
     for sites, directions in cases:
         (got,) = block_covariance_at(table, sites, directions)
-        want = _reference_block(point, temperature, sites, directions, False)
+        want = _reference_block(spec, temperature, sites, directions, False)
         assert _same_bits(got, want), (sites, directions)
         dropped = block_covariance(
-            params, point.nu_t, temperature, sites, directions, drop_soft_modes=True
+            params, spec.nu_t, temperature, sites, directions, drop_soft_modes=True
         )
-        want = _reference_block(point, temperature, sites, directions, True)
+        want = _reference_block(spec, temperature, sites, directions, True)
         assert _same_bits(dropped.matrix, want), (sites, directions, "dropped")
     if ring == "nn-flat":
         # the flat phase's x-y entries are +0.0, not -0.0
@@ -471,9 +469,9 @@ def test_stacked_table_equals_the_per_temperature_reference(nn_ring, lr_ring, ri
     included."""
     params = lr_ring(n=12) if ring.startswith("lr") else nn_ring(n=8)
     mult = {"buckled": 0.8, "flat": 1.5, "critical": 1.0}[ring.split("-")[1]]
-    point = working_point(params, _factor(params, mult))
+    spec = build_spectrum(params, _factor(params, mult))
     temperatures = (0.0, 0.1, 0.3, 1.6)
-    table = moment_table(point, temperatures)
+    table = moment_table(spec, temperatures)
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
             moments = pair_moments_at(table, tau, d)
@@ -481,13 +479,13 @@ def test_stacked_table_equals_the_per_temperature_reference(nn_ring, lr_ring, ri
             for pm, t in zip(moments, temperatures):
                 got = (pm.var_q, pm.var_p, pm.cov_q, pm.cov_p,
                        pm.q_plus, pm.q_minus, pm.p_plus, pm.p_minus)
-                assert _same_bits(got, _reference_pair(point, t, tau, d)), (tau, d, t)
+                assert _same_bits(got, _reference_pair(spec, t, tau, d)), (tau, d, t)
     cases = [((1, 2, 3), ("x", "y")), ((3, 1, 2), ("y", "x")), ((1, 2, 4), ("y",))]
     for sites, directions in cases:
         stack = block_covariance_at(table, sites, directions)
         assert stack.shape[0] == len(temperatures)
         for got, t in zip(stack, temperatures):
-            want = _reference_block(point, t, sites, directions, False)
+            want = _reference_block(spec, t, sites, directions, False)
             assert _same_bits(got, want), (sites, directions, t)
 
 
@@ -513,23 +511,23 @@ def _reference_spectrum(sigma):
 
 
 def _reference_rows(params, nu_t_paper, temperatures, negativity):
-    point = working_point(params, nu_t_paper * params.nu_t_unit)
+    spec = build_spectrum(params, nu_t_paper * params.nu_t_unit)
     rows = []
     for t_paper in temperatures:
         temperature = t_paper * params.temperature_unit
         row = _blank_row(nu_t_paper, t_paper)
-        row["configVariant"] = point.config.variant.value
-        row["b"] = point.config.b / params.spacing
+        row["configVariant"] = spec.config.variant.value
+        row["b"] = spec.config.b / params.spacing
         try:
             for d in DIRECTIONS:
                 _, _, _, _, q_plus, q_minus, p_plus, p_minus = _reference_pair(
-                    point, temperature, 1, d
+                    spec, temperature, 1, d
                 )
                 s1, s2 = 4.0 * q_plus * p_minus - 1.0, 4.0 * q_minus * p_plus - 1.0
                 row[f"S1{d}"], row[f"S2{d}"] = s1, s2
                 row[f"EN{d}"] = negativity(s1, s2)
             blocks = {
-                d: _reference_block(point, temperature, (1, 2, 3), (d,), False)
+                d: _reference_block(spec, temperature, (1, 2, 3), (d,), False)
                 for d in DIRECTIONS
             }
             for size in (1, 2, 3):
@@ -572,8 +570,8 @@ def test_stacked_sweep_rows_equal_the_per_temperature_reference(
     grid = (1.0, NU_T_CRITICAL_NN8, 2.0) if ring == "nn" else (1.0, 1.3, 2.0)
     temperatures = (0.0, 0.2, 0.5, 1.6)
     # the y criteria of the buckled point's second temperature
-    point = working_point(params, grid[0] * params.nu_t_unit)
-    pair = _reference_pair(point, temperatures[1] * params.temperature_unit, 1, "y")
+    buckled = build_spectrum(params, grid[0] * params.nu_t_unit)
+    pair = _reference_pair(buckled, temperatures[1] * params.temperature_unit, 1, "y")
     target = (4.0 * pair[4] * pair[7] - 1.0, 4.0 * pair[5] * pair[6] - 1.0)
 
     def failing_negativity(s1, s2):

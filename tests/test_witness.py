@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ionlattice.cli import SweepSpec, _params_from_mapping, run_sweep
 from ionlattice.errors import ConfigError
 from ionlattice.lattice import critical_potential
 from ionlattice.spectrum import build_spectrum
@@ -24,16 +27,14 @@ from ionlattice.witness import (
 
 
 def test_flat_dressed_frequencies_closed_form(nn_ring):
-    wx, wy, wxy = effective_frequencies(nn_ring(), 1.5)
+    wx, wy = effective_frequencies(nn_ring(), 1.5)
     assert_allclose(wx, math.sqrt(3.0), atol=1e-12)
     assert_allclose(wy, math.sqrt(1.25), atol=1e-12)
-    assert wxy == 0.0
 
 
 def test_uncharged_ring_never_triggers(nn_ring):
     params = nn_ring(n=8, charge=0.0)
-    wx, wy, wxy = effective_frequencies(params, 1.3)
-    assert (wx, wy, wxy) == (1.0, 1.3, 0.0)
+    assert effective_frequencies(params, 1.3) == (1.0, 1.3)
     # U(0) equals the bound exactly: no temperature window remains
     assert critical_temperature(params, 1.3) is None
 
@@ -54,30 +55,14 @@ def test_internal_energy_equipartition_limit(nn_ring):
 def test_bound_is_half_ring_times_frequency_sum(nn_ring):
     params = nn_ring(n=8)
     nu_t = 0.8
-    for mode in ("signed", "absolute"):
-        wx, wy, wxy = effective_frequencies(params, nu_t, xy_mode=mode)
-        expect = 0.5 * 8 * (wx + wy + wxy)
-        assert_allclose(separability_bound(params, nu_t, xy_mode=mode), expect, rtol=1e-14)
-
-
-def test_cross_term_conventions_differ_only_when_buckled(nn_ring):
-    params = nn_ring(n=8)
-    # flat: both conventions agree on zero
-    assert effective_frequencies(params, 1.5, xy_mode="absolute")[2] == 0.0
-    # buckled: alternating couplings cancel pairwise unless magnitudes are kept
-    assert effective_frequencies(params, 0.8, xy_mode="signed")[2] == 0.0
-    wxy_abs = effective_frequencies(params, 0.8, xy_mode="absolute")[2]
-    assert_allclose(wxy_abs, 0.839369307048714, atol=1e-10)
+    wx, wy = effective_frequencies(params, nu_t)
+    expect = 0.5 * 8 * (wx + wy)
+    assert_allclose(separability_bound(params, nu_t), expect, rtol=1e-14)
 
 
 def test_buckled_crossing_frozen_values(nn_ring):
     params = nn_ring(n=8)
-    tc_signed = critical_temperature(params, 0.8, xy_mode="signed")
-    tc_abs = critical_temperature(params, 0.8, xy_mode="absolute")
-    assert_allclose(tc_signed, 0.25980041956201994, rtol=1e-8)
-    assert_allclose(tc_abs, 0.5882736784442276, rtol=1e-8)
-    # a larger bound leaves a wider sub-bound window
-    assert tc_abs > tc_signed
+    assert_allclose(critical_temperature(params, 0.8), 0.25980041956201994, rtol=1e-8)
 
 
 def test_crossing_temperature_sits_on_the_bound(nn_ring):
@@ -91,7 +76,6 @@ def test_crossing_temperature_sits_on_the_bound(nn_ring):
 def test_witness_report_consistency(nn_ring):
     params = nn_ring(n=8)
     report = witness_report(params, 0.8, 0.1)
-    assert report.xy_mode == "signed"
     assert report.triggered == (report.internal_energy < report.bound)
     assert report.triggered  # T = 0.1 is below the crossing
     hot = witness_report(params, 0.8, 1.0)
@@ -101,9 +85,7 @@ def test_witness_report_consistency(nn_ring):
     )
 
 
-def test_xy_mode_validation(nn_ring):
-    with pytest.raises(ConfigError):
-        effective_frequencies(nn_ring(), 1.5, xy_mode="rms")
+def test_negative_temperature_is_a_config_error(nn_ring):
     with pytest.raises(ConfigError):
         internal_energy(nn_ring(), 1.5, -0.5)
 
@@ -172,3 +154,33 @@ def test_energy_of_a_small_ring_equals_scalar_loop_bit_for_bit(nn_ring):
     omega = build_spectrum(params, 1.5).omega
     for t in np.geomspace(0.05, 20.0, 60):
         assert internal_energy(params, 1.5, t) == scalar_energy(omega, t), t
+
+
+def witness_cells(model, n, mass, charge, spacing):
+    """(variant, U, bound) of each row of ``sweep --measures witness`` on
+    both sides of the transition at two temperatures, in reduced units."""
+    params = _params_from_mapping({
+        "n": n, "model": model, "mass": mass, "charge": charge, "spacing": spacing,
+        "nu": 1.4142135623730951,
+    })
+    spec = SweepSpec(params=params, nu_t_grid=(1.0, 2.0), temperatures=(0.0, 0.3),
+                     measures=("witness",))
+    rows = run_sweep(spec)
+    assert all(row["error"] == "" for row in rows)
+    return [(row["configVariant"], row["U"], row["bound"]) for row in rows]
+
+
+#: a raw mass, charge or spacing between 1e-3 and 1e3
+RAW_SCALE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(mass=RAW_SCALE, charge=RAW_SCALE, spacing=RAW_SCALE)
+def test_reduced_witness_does_not_depend_on_the_raw_scale(mass, charge, spacing):
+    # Tc is left out: the crossing's root-find tolerance is absolute in raw units
+    for model, n in (("NN", 8), ("LR", 12)):
+        want = witness_cells(model, n, 2.0, 1.0, 1.0)
+        got = witness_cells(model, n, mass, charge, spacing)
+        variants = [v for v, _, _ in got]
+        assert variants == [v for v, _, _ in want] == ["zigzag"] * 2 + ["linear"] * 2
+        assert_allclose([c[1:] for c in got], [c[1:] for c in want], rtol=1e-11, atol=0)
