@@ -37,7 +37,6 @@ from .entanglement import (
 )
 from .errors import (
     ConfigError,
-    DegenerateCoupling,
     DomainError,
     ImaginaryFrequency,
     NoConvergence,
@@ -83,7 +82,6 @@ __all__ = [
     "ConfigError",
     "CouplingCoefficients",
     "CovarianceMatrix",
-    "DegenerateCoupling",
     "Divergent",
     "DomainError",
     "EntanglementReport",

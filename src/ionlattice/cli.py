@@ -29,6 +29,7 @@ from .covariance import (
     DIRECTIONS,
     block_covariance,
     block_covariance_at,
+    bulk_closed_forms_hold,
     direct_covariance_oracle,
     moment_table,
     pair_moments_at,
@@ -42,11 +43,9 @@ from .entanglement import (
     spectrum_entropy,
     symplectic_spectra,
     symplectic_spectrum,
-    von_neumann_entropy,
 )
 from .errors import (
     ConfigError,
-    DegenerateCoupling,
     DomainError,
     NoConvergence,
     NumericalFailure,
@@ -69,7 +68,6 @@ TD_PROXY_N = 4096
 MEASURES = (
     "negativity",
     "entropy",
-    "blockEntropy1",
     "blockEntropy2",
     "blockEntropy3",
     "witness",
@@ -109,12 +107,15 @@ COLUMNS = (
     "error",
 )
 
+#: errors that end a sweep row (exit 3 in a one-point command);
+#: ArithmeticError covers a float overflow or a division by zero at an
+#: extreme finite nuT
 _ROW_ERRORS = (
     DomainError,
     NoConvergence,
     QuadratureFailure,
     NumericalFailure,
-    DegenerateCoupling,
+    ArithmeticError,
 )
 
 
@@ -150,13 +151,9 @@ class SweepSpec:
 
 
 def _block_sizes(measures) -> tuple:
-    sizes = []
-    if "entropy" in measures or "blockEntropy1" in measures:
-        sizes.append(1)
-    for k in (2, 3):
-        if f"blockEntropy{k}" in measures:
-            sizes.append(k)
-    return tuple(sizes)
+    """Block sizes of the requested entropy columns: 1 for ``entropy``."""
+    names = {1: "entropy", 2: "blockEntropy2", 3: "blockEntropy3"}
+    return tuple(k for k, name in names.items() if name in measures)
 
 
 def _entropy_cell(spectrum):
@@ -285,7 +282,7 @@ def _td_row(spec: SweepSpec, nu_t: float, row: dict):
     a large-ring stand-in (n = TD_PROXY_N) everywhere else."""
     params = spec.params
     proxy = dataclasses.replace(params, n=TD_PROXY_N)
-    if nu_t < critical_potential(params, td_limit=True) * (1.0 - 1e-12):
+    if not bulk_closed_forms_hold(params, nu_t):
         # below the buckling point only the large-ring stand-in is available
         _finite_rows(dataclasses.replace(spec, params=proxy, td_limit=False), nu_t, (0.0,), [row])
         return
@@ -298,11 +295,8 @@ def _td_row(spec: SweepSpec, nu_t: float, row: dict):
     if 1 in sizes:
         for d in ("x", "y"):
             r = td_single_site_eigenvalue(params, nu_t, d)
-            if isinstance(r, Divergent):
-                row[f"SV1{d}"] = None
-                row[f"SV1{d}Divergent"] = True
-            else:
-                row[f"SV1{d}"] = von_neumann_entropy(r)
+            cell = _entropy_cell(r if isinstance(r, Divergent) else (r,))
+            row[f"SV1{d}"], row[f"SV1{d}Divergent"] = cell
     sizes = [size for size in sizes if size > 1]
     if sizes or "witness" in spec.measures:
         modes = build_spectrum(proxy, nu_t)
@@ -355,17 +349,13 @@ def _format_cell(value) -> str:
 
 
 def _json_cell(value):
-    if value is None:
-        return None
+    """The JSON value of a cell: a float as the number its CSV text reads,
+    or that text for an infinity or NaN."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return float(f"{value:.12g}")
+        text = _format_cell(value)
+        return float(text) if math.isfinite(value) else text
     return value
 
 
@@ -410,6 +400,12 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _emit_rows(args, rows, columns=COLUMNS):
+    """Emit ``rows`` in the ``--format`` of ``args`` to its ``--out``."""
+    text = rows_to_csv(rows, columns) if args.format == "csv" else rows_to_json(rows, columns)
+    _emit(text, args.out)
+
+
 # ------------------------------------------------------------------- parsing
 
 
@@ -440,6 +436,14 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _real(key: str, value) -> float:
+    """``value`` as a float, refusing a bool, which float() would read as
+    0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _params_from_mapping(raw: dict) -> LatticeParams:
     known = {"n", "mass", "charge", "spacing", "nu", "model", "tauMax"}
     extra = set(raw) - known
@@ -451,7 +455,7 @@ def _params_from_mapping(raw: dict) -> LatticeParams:
         raise ConfigError(f"model must be NN or LR, got {raw.get('model')!r}") from None
     try:
         mass, charge, spacing, nu_paper = (
-            float(raw.get(key, 1.0)) for key in ("mass", "charge", "spacing", "nu")
+            _real(key, raw.get(key, 1.0)) for key in ("mass", "charge", "spacing", "nu")
         )
         n = _integer("n", raw.get("n", 20))
         tau_max = raw.get("tauMax")
@@ -533,8 +537,8 @@ def _spec_from_args(args) -> SweepSpec:
     if getattr(args, "td_limit", False):
         td_limit = True
     try:
-        nu_t_grid = tuple(float(v) for v in nu_t_grid)
-        temperatures = tuple(float(v) for v in temperatures)
+        nu_t_grid = tuple(_real("nuT grid entry", v) for v in nu_t_grid)
+        temperatures = tuple(_real("temperature grid entry", v) for v in temperatures)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grids must be lists of numbers: {exc}") from None
     return SweepSpec(
@@ -577,9 +581,7 @@ def _add_param_flags(sub, with_nu_t_grid: bool):
 
 def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
-    rows = run_sweep(spec, jobs=args.jobs)
-    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    _emit(text, args.out)
+    _emit_rows(args, run_sweep(spec, jobs=args.jobs))
     return 0
 
 
@@ -593,8 +595,7 @@ def _cmd_spectrum(args) -> int:
         row = dict.fromkeys(cols)
         row.update({"l": l, "variant": spec.variant.value, **dict(zip(names, freqs))})
         rows.append(row)
-    text = rows_to_csv(rows, cols) if args.format == "csv" else rows_to_json(rows, cols)
-    _emit(text, args.out)
+    _emit_rows(args, rows, cols)
     return 0
 
 
@@ -614,7 +615,7 @@ def _cmd_block_entropy(args) -> int:
         "nSites": rep.n_sites,
         "direction": rep.direction,
         "entropy": rep.entropy,
-        "spectrum": " ".join(f"{r:.12g}" for r in rep.spectrum),
+        "spectrum": " ".join(_format_cell(r) for r in rep.spectrum),
         "droppedSoftModes": rep.dropped_soft_modes,
     }
     if args.format == "json":
@@ -640,9 +641,7 @@ def _cmd_witness(args) -> int:
         "Tc": None if tc is None else tc / params.temperature_unit,
         "triggered": rep.triggered,
     }
-    cols = tuple(row)
-    text = rows_to_csv([row], cols) if args.format == "csv" else rows_to_json([row], cols)
-    _emit(text, args.out)
+    _emit_rows(args, [row], tuple(row))
     return 0
 
 

@@ -251,16 +251,15 @@ def pair_moments_at(table: MomentTable, tau: int, direction: str) -> tuple:
     if not 1 <= tau <= params.n // 2:
         raise ConfigError(f"tau must be in 1..{params.n // 2}, got {tau}")
     kern = getattr(table.kernels, direction)
-    parity = -1.0 if (
-        spec.config.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
-    ) else 1.0
+    # the pair's parity is the sign of its covariance entry: (-1)^(2 + tau),
+    # exactly +-1.0, for y on the zigzag, 1.0 otherwise
+    (cov_q, cov_p), parity = _pair_entry(table, 1, direction, 1 + tau, direction)
     nu_ref = params.nu if direction == "x" else spec.nu_t
     q_scale = params.mass * nu_ref
     n = params.n
 
     cosd = _cos_weights(n, tau)
     var_q, var_p = _mode_sum(table, direction, 0)
-    cov_q, cov_p = _mode_sum(table, direction, tau)
     q_plus, p_plus = _weighted_mode_sums(kern, table.factors, 1.0 + parity * cosd, n)
     q_minus, p_minus = _weighted_mode_sums(kern, table.factors, 1.0 - parity * cosd, n)
     columns = (
@@ -526,32 +525,38 @@ def _bulk_integrands(base: float, k: float, tau_max: int, tau: int = 0, sign: fl
 # asks for the same x averages at every row; the caches below compute them
 # once per ring. A transverse entry is not asked for twice in a sweep.
 @functools.lru_cache(maxsize=256)
-def _pair_averages(base: float, k: float, tau_max: int, tau: int, atol: float) -> tuple:
+def _pair_averages(base: float, k: float, tau_max: int, tau: int) -> tuple:
     """(ip_plus, ip_minus, iq_plus, iq_minus): the frequency and inverse
     averages under the weights 1 +- cos(2 alpha tau)."""
     f_plus, inverse_plus = _bulk_integrands(base, k, tau_max, tau, 1.0)
     f_minus, inverse_minus = _bulk_integrands(base, k, tau_max, tau, -1.0)
-    ip_plus = integrate_weighted_frequency(f_plus, atol)
-    ip_minus = integrate_weighted_frequency(f_minus, atol)
-    iq_plus = integrate_weighted_inverse(*inverse_plus, atol)
-    iq_minus = integrate_weighted_inverse(*inverse_minus, atol)
+    ip_plus = integrate_weighted_frequency(f_plus)
+    ip_minus = integrate_weighted_frequency(f_minus)
+    iq_plus = integrate_weighted_inverse(*inverse_plus)
+    iq_minus = integrate_weighted_inverse(*inverse_minus)
     return ip_plus, ip_minus, iq_plus, iq_minus
 
 
 @functools.lru_cache(maxsize=256)
-def _site_averages(base: float, k: float, tau_max: int, atol: float) -> tuple:
+def _site_averages(base: float, k: float, tau_max: int) -> tuple:
     """(iq, ip): the inverse and frequency averages under the weight 1; ip
     is None when iq is Divergent."""
     f, inverse = _bulk_integrands(base, k, tau_max)
-    iq = integrate_weighted_inverse(*inverse, atol)
+    iq = integrate_weighted_inverse(*inverse)
     if isinstance(iq, Divergent):
         return iq, None
-    return iq, integrate_weighted_frequency(f, atol)
+    return iq, integrate_weighted_frequency(f)
+
+
+def bulk_closed_forms_hold(params: LatticeParams, nu_t: float) -> bool:
+    """Whether the flat-phase bulk-limit expressions hold at ``nu_t``: at or
+    above the bulk critical point, less a relative margin of 1e-12."""
+    return nu_t >= critical_potential(params, td_limit=True) * (1.0 - 1e-12)
 
 
 def _require_flat_bulk(params: LatticeParams, nu_t: float):
-    crit = critical_potential(params, td_limit=True)
-    if nu_t < crit * (1.0 - 1e-12):
+    if not bulk_closed_forms_hold(params, nu_t):
+        crit = critical_potential(params, td_limit=True)
         raise ConfigError(
             "bulk-limit expressions hold in the flat configuration only "
             f"(nu_t={nu_t:.6g} below critical {crit:.6g})"
@@ -559,7 +564,7 @@ def _require_flat_bulk(params: LatticeParams, nu_t: float):
 
 
 def td_pair_criteria(
-    params: LatticeParams, nu_t: float, tau: int, direction: str, atol: float = 1e-10
+    params: LatticeParams, nu_t: float, tau: int, direction: str
 ) -> tuple[float, float]:
     """Bulk-limit separability criteria pair (S1, S2) for neighbours at tau.
 
@@ -572,7 +577,7 @@ def td_pair_criteria(
         raise ConfigError(f"tau must be positive, got {tau}")
     _require_flat_bulk(params, nu_t)
     base, k = _bulk_dispersion(params, nu_t, direction)
-    ip_plus, ip_minus, iq_plus, iq_minus = _pair_averages(base, k, params.tau_max, tau, atol)
+    ip_plus, ip_minus, iq_plus, iq_minus = _pair_averages(base, k, params.tau_max, tau)
     pref = 4.0 / math.pi**2
 
     def combine(iq, ip):
@@ -583,9 +588,7 @@ def td_pair_criteria(
     return combine(iq_plus, ip_minus), combine(iq_minus, ip_plus)
 
 
-def td_single_site_eigenvalue(
-    params: LatticeParams, nu_t: float, direction: str, atol: float = 1e-10
-):
+def td_single_site_eigenvalue(params: LatticeParams, nu_t: float, direction: str):
     """Bulk-limit symplectic eigenvalue of one site's reduced state.
 
     Returns a float, or :class:`Divergent` when the underlying inverse
@@ -594,7 +597,7 @@ def td_single_site_eigenvalue(
     _check_direction(direction)
     _require_flat_bulk(params, nu_t)
     base, k = _bulk_dispersion(params, nu_t, direction)
-    iq, ip = _site_averages(base, k, params.tau_max, atol)
+    iq, ip = _site_averages(base, k, params.tau_max)
     if isinstance(iq, Divergent):
         return iq
     r = (2.0 / math.pi) * math.sqrt(iq * ip)

@@ -13,7 +13,6 @@ covariance matrix.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .covariance import CovarianceMatrix, PairMoments, block_covariance, pair_mo
 from .errors import ConfigError, DomainError, NumericalFailure
 from .lattice import LatticeParams
 from .quadrature import Divergent
+from .spectrum import symplectic_form
 
 
 class Violation(Enum):
@@ -93,19 +93,6 @@ def pair_entanglement(
     )
 
 
-# every block size of a sweep asks for the same few forms; callers share
-# the cached arrays, so they are read-only
-@functools.lru_cache(maxsize=32)
-def _symplectic_form(k: int) -> np.ndarray:
-    """Symplectic form of k modes with interleaved quadratures (q1, p1, q2, p2, ...)."""
-    omega = np.zeros((2 * k, 2 * k))
-    i = np.arange(k)
-    omega[2 * i, 2 * i + 1] = 1.0
-    omega[2 * i + 1, 2 * i] = -1.0
-    omega.flags.writeable = False
-    return omega
-
-
 def symplectic_spectra(sigmas) -> list:
     """Symplectic spectra of a stack of covariance matrices, shape (m, 2k, 2k).
 
@@ -128,7 +115,7 @@ def symplectic_spectra(sigmas) -> list:
     finite = np.isfinite(sigmas).all(axis=(1, 2))
     out = [Divergent("covariance matrix has a non-finite entry")] * len(sigmas)
     live = np.flatnonzero(finite)
-    form = _symplectic_form(sigmas.shape[1] // 2)
+    form = symplectic_form(sigmas.shape[1] // 2)
     ev = np.abs(np.linalg.eigvals(1j * form @ sigmas[live]))
     ev = 2.0 * np.sort(ev, axis=-1)
     pairs, partners = ev[:, ::2], ev[:, 1::2]
@@ -252,6 +239,6 @@ def negativity_cross_check(
     )
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     sigma_pt = flip @ cov.matrix @ flip
-    ev = 2.0 * np.sort(np.abs(np.linalg.eigvals(1j * _symplectic_form(2) @ sigma_pt)))[::2]
+    ev = 2.0 * np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(2) @ sigma_pt)))[::2]
     en_pt = float(sum(max(0.0, -math.log(r)) for r in ev))
     return report.log_negativity, en_pt

@@ -21,10 +21,6 @@ class ImaginaryFrequency(DomainError):
         self.modes = list(modes) if modes is not None else []
 
 
-class DegenerateCoupling(RuntimeError):
-    """Normal-form construction hit a degenerate coupling it cannot resolve."""
-
-
 class NoConvergence(RuntimeError):
     """An iterative solver finished without meeting its residual target."""
 

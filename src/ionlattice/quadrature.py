@@ -37,6 +37,11 @@ GROWTH_RATIO = 0.75
 #: Consecutive non-decaying refinements required to declare divergence.
 GROWTH_COUNT = 5
 
+#: Absolute error target of every average: a QAGS result is accepted when
+#: its error estimate is within max(ATOL, 1e-8 |value|), and the endpoint
+#: refinement stops at the first piece below ATOL.
+ATOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Divergent:
@@ -48,24 +53,24 @@ class Divergent:
         return f"Divergent({self.reason!r})"
 
 
-def _checked_quad(f, lo, hi, atol):
+def _checked_quad(f, lo, hi):
     val, err = quad(f, lo, hi, limit=200)
-    if err > max(atol, 1e-8 * abs(val)):
+    if err > max(ATOL, 1e-8 * abs(val)):
         raise QuadratureFailure(
             f"integral on [{lo:.3g}, {hi:.3g}] reached error {err:.3e} only"
         )
     return val
 
 
-def integrate_weighted_frequency(f, atol: float = 1e-10) -> float:
+def integrate_weighted_frequency(f) -> float:
     """integral_0^{pi/2} f(alpha) d alpha for f = weight * omega.
 
     The integrand is bounded, so plain adaptive quadrature suffices.
     """
-    return _checked_quad(f, 0.0, HALF_PI, atol)
+    return _checked_quad(f, 0.0, HALF_PI)
 
 
-def integrate_weighted_inverse(g, gap2: float, w_end: float, scale2: float, atol: float = 1e-10):
+def integrate_weighted_inverse(g, gap2: float, w_end: float, scale2: float):
     """integral_0^{pi/2} weight(alpha) / omega(alpha) d alpha, or Divergent.
 
     The average is taken after substituting u = cos(alpha), which maps the
@@ -85,18 +90,18 @@ def integrate_weighted_inverse(g, gap2: float, w_end: float, scale2: float, atol
         return Divergent("zone-edge frequency vanishes under a nonvanishing weight")
 
     if gap2 > 2.5e-3 * scale2:
-        return _checked_quad(g, 0.0, 1.0, atol)
+        return _checked_quad(g, 0.0, 1.0)
 
     # soft or nearly soft edge: peel the endpoint off dyadically
     lo = 0.25
-    total = _checked_quad(g, lo, 1.0, atol)
+    total = _checked_quad(g, lo, 1.0)
     prev_inc = None
     non_decaying = 0
     for _ in range(80):
-        piece = _checked_quad(g, lo / 2.0, lo, atol)
+        piece = _checked_quad(g, lo / 2.0, lo)
         lo /= 2.0
         total += piece
-        if piece < atol:
+        if piece < ATOL:
             return total
         if prev_inc is not None:
             non_decaying = non_decaying + 1 if piece > GROWTH_RATIO * prev_inc else 0

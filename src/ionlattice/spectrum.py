@@ -16,11 +16,12 @@ labels as l -> l + n/2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateCoupling, ImaginaryFrequency
+from .errors import ConfigError, DomainError, ImaginaryFrequency
 from .lattice import (
     Configuration,
     CouplingCoefficients,
@@ -37,15 +38,22 @@ RADICAND_TOL = 1e-12
 #: Couplings below this magnitude use the trivially decoupled normal form.
 COUPLING_TOL = 1e-14
 
+
+# every block size of a sweep asks for the same few forms; callers share
+# the cached arrays, so they are read-only
+@functools.lru_cache(maxsize=32)
+def symplectic_form(k: int) -> np.ndarray:
+    """Symplectic form of k modes with interleaved quadratures (q1, p1, q2, p2, ...)."""
+    omega = np.zeros((2 * k, 2 * k))
+    i = np.arange(k)
+    omega[2 * i, 2 * i + 1] = 1.0
+    omega[2 * i + 1, 2 * i] = -1.0
+    omega.flags.writeable = False
+    return omega
+
+
 # block ordering (X, Px, Y, Py); one symplectic unit per direction
-OMEGA4 = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
+OMEGA4 = symplectic_form(2)
 
 
 def _sqrt_radicand(w2: np.ndarray, branch: str) -> np.ndarray:
@@ -162,7 +170,7 @@ def symplectic_diagonalize(block: np.ndarray) -> tuple[float, float, np.ndarray]
     wv = float(_sqrt_radicand(0.5 * (wx2 + wy2 + big_r), "upper normal")[0])
     ww = float(_sqrt_radicand(0.5 * (wx2 + wy2 - big_r), "lower normal")[0])
     if wv <= 0.0 or ww <= 0.0:
-        raise DegenerateCoupling("zero-frequency mode admits no normal-form scaling")
+        raise DomainError("zero-frequency mode admits no normal-form scaling")
 
     c, s = _rotation(wx2, wy2, wxy)
     rv, rw = np.sqrt(m * wv), np.sqrt(m * ww)

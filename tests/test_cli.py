@@ -142,7 +142,7 @@ def test_parallel_rows_identical_to_serial():
 
 
 ALL_MEASURES = (
-    "negativity", "entropy", "blockEntropy1", "blockEntropy2", "blockEntropy3", "witness",
+    "negativity", "entropy", "blockEntropy2", "blockEntropy3", "witness",
 )
 
 
@@ -555,6 +555,63 @@ def test_bulk_limit_below_transition_uses_large_ring(capsys):
     assert row["S1y"] != ""
 
 
+def bulk_boundary_point(gap):
+    """(raw params, reduced nuT) of base_args() at crit (1 - gap), crit the
+    bulk critical point of that ring."""
+    params = cli._params_from_mapping(
+        {"n": 8, "mass": 2.0, "charge": 1.0, "spacing": 1.0, "nu": float(NU_PAPER)}
+    )
+    crit = lattice.critical_potential(params, td_limit=True)
+    return params, crit * (1.0 - gap) / params.nu_t_unit
+
+
+def test_bulk_closed_forms_hold_within_the_margin(capsys):
+    params, nu_t_paper = bulk_boundary_point(5e-13)
+    s1, _ = covariance.td_pair_criteria(params, nu_t_paper * params.nu_t_unit, 1, "y")
+    rc = main(["sweep", *base_args(), "--nu-t", repr(nu_t_paper), "--td-limit",
+               "--measures", "negativity"])
+    assert rc == 0
+    row = parse_csv(capsys.readouterr().out)[0]
+    assert row["configVariant"] == "linear"
+    assert row["S1y"] == _format_cell(s1)
+
+
+def test_bulk_closed_forms_end_beyond_the_margin(capsys):
+    params, nu_t_paper = bulk_boundary_point(2e-12)
+    with pytest.raises(ConfigError, match="flat configuration only"):
+        covariance.td_pair_criteria(params, nu_t_paper * params.nu_t_unit, 1, "y")
+    rc = main(["sweep", *base_args(), "--nu-t", repr(nu_t_paper), "--td-limit",
+               "--measures", "negativity"])
+    assert rc == 0
+    row = parse_csv(capsys.readouterr().out)[0]
+    # the n = 4096 stand-in ring, just buckled
+    assert row["configVariant"] == "zigzag"
+    assert row["S1y"] != "" and row["error"] == ""
+
+
+def test_division_by_zero_at_a_tiny_nu_t_ends_its_row_only(capsys):
+    rc = main(["sweep", *base_args(), "--nu-t", "1e-300,2", "--measures", "negativity"])
+    assert rc == 0
+    tiny, normal = parse_csv(capsys.readouterr().out)
+    assert tiny["error"] == "ZeroDivisionError: float division by zero"
+    assert normal["error"] == "" and normal["S1y"] != ""
+
+
+def test_division_by_zero_in_a_one_point_command_is_a_numerical_failure(capsys):
+    assert main(["spectrum", *base_args(), "--nu-t", "1e-300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: float division by zero" in captured.err
+
+
+def test_overflow_at_a_huge_nu_t_is_an_error_cell(capsys):
+    rc = main(["sweep", *base_args(), "--nu-t", "1e300", "--measures", "negativity"])
+    assert rc == 0
+    row = parse_csv(capsys.readouterr().out)[0]
+    assert row["error"].startswith("OverflowError:")
+    assert row["S1x"] == ""
+
+
 def test_measure_subsetting_leaves_other_cells_empty(capsys):
     rc = main(["sweep", *base_args(), "--nu-t", "2.0", "--measures", "negativity"])
     assert rc == 0
@@ -656,6 +713,12 @@ def test_spectrum_is_not_a_sweep_measure(capsys):
     assert "unknown measures" in capsys.readouterr().err
 
 
+def test_block_entropy_1_is_not_a_sweep_measure(capsys):
+    # the single-site entropy columns are the measure "entropy"
+    assert main(["sweep", *base_args(), "--nu-t", "2.0", "--measures", "blockEntropy1"]) == 2
+    assert "configuration error: unknown measures ['blockEntropy1']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -668,9 +731,13 @@ def test_spectrum_is_not_a_sweep_measure(capsys):
         {"params": {"n": 20, "model": "LR", "tauMax": 2.9}, "nuTGrid": [2.0]},
         {"params": {"n": True}, "nuTGrid": [2.0]},
         {"params": {"n": float("inf")}, "nuTGrid": [2.0]},
+        # float() would run a ring of mass 1, nuT 1 and T 0
+        {"params": {"mass": True}, "nuTGrid": [2.0]},
+        {"nuTGrid": [True, 2.0]},
+        {"nuTGrid": [2.0], "temperatures": [False]},
     ],
     ids=["mass", "nuTGrid", "params", "tdLimit", "n-fraction", "tauMax-fraction", "n-bool",
-         "n-inf"],
+         "n-inf", "mass-bool", "nuTGrid-bool", "temperatures-bool"],
 )
 def test_malformed_config_value_is_a_config_error(config, tmp_path, capsys):
     path = tmp_path / "sweep.json"

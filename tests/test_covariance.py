@@ -29,7 +29,7 @@ from ionlattice.covariance import (
 )
 from ionlattice import cli
 from ionlattice.cli import COLUMNS, SweepSpec, _blank_row, run_sweep
-from ionlattice.entanglement import _symplectic_form, negativity, von_neumann_entropy
+from ionlattice.entanglement import negativity, von_neumann_entropy
 from ionlattice.errors import (
     ConfigError,
     DomainError,
@@ -38,7 +38,7 @@ from ionlattice.errors import (
     SizeLimitExceeded,
 )
 from ionlattice.lattice import Variant, critical_potential
-from ionlattice.spectrum import build_spectrum
+from ionlattice.spectrum import build_spectrum, symplectic_form
 
 
 def _factor(params, crit_mult):
@@ -496,7 +496,7 @@ def test_stacked_table_equals_the_per_temperature_reference(nn_ring, lr_ring, ri
 
 
 def _reference_spectrum(sigma):
-    ev = np.abs(np.linalg.eigvals(1j * _symplectic_form(sigma.shape[0] // 2) @ sigma))
+    ev = np.abs(np.linalg.eigvals(1j * symplectic_form(sigma.shape[0] // 2) @ sigma))
     ev = 2.0 * np.sort(ev)
     pairs, partners = ev[::2], ev[1::2]
     scale = np.maximum(np.abs(pairs), 1.0)

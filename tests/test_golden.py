@@ -27,7 +27,7 @@ BASE = ["--n", "8", "--mass", "2", "--charge", "1", "--spacing", "1",
 CASES = {
     "sweep-finite": (
         ["sweep", *BASE, "--nu-t", "0.9:2.1:5", "--temp", "0,0.3", "--measures",
-         "negativity,entropy,blockEntropy1,blockEntropy2,blockEntropy3,witness"],
+         "negativity,entropy,blockEntropy2,blockEntropy3,witness"],
         "2d70b1e012c523af55a8f823433207ae41676ec0e6d50627d0b616a66572388b",
     ),
     "sweep-td-limit": (

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ionlattice.covariance import block_covariance
-from ionlattice.errors import ConfigError, ImaginaryFrequency
+from ionlattice.errors import ConfigError, DomainError, ImaginaryFrequency
 from ionlattice.lattice import (
     Configuration,
     Variant,
@@ -82,6 +82,16 @@ def test_decoupled_block_keeps_branch_identity():
     wv, ww, smat = symplectic_diagonalize(block)
     assert_allclose([wv, ww], [2.0, 1.0], rtol=1e-12)
     assert_allclose(smat @ OMEGA4 @ smat.T, OMEGA4, atol=1e-12)
+
+
+@pytest.mark.parametrize("wx2, wy2, wxy", [(4.0, 0.0, 0.0), (4.0, 1.0, 2.0)],
+                         ids=["decoupled", "coupled"])
+def test_zero_frequency_mode_is_a_domain_error(wx2, wy2, wxy):
+    # wx2 wy2 = wxy^2: the lower normal frequency is exactly zero, and a
+    # zero mode has no normal-form scaling
+    with pytest.raises(DomainError, match="zero-frequency mode") as err:
+        symplectic_diagonalize(_block(wx2, wy2, wxy, mass=2.0))
+    assert type(err.value) is DomainError
 
 
 def test_coupling_matrix_layout(nn_ring):
