@@ -30,7 +30,6 @@ from .covariance import (
     block_covariance,
     block_covariance_at,
     bulk_closed_forms_hold,
-    direct_covariance_oracle,
     moment_table,
     pair_moments_at,
     td_pair_criteria,
@@ -42,7 +41,6 @@ from .entanglement import (
     separability_criteria,
     spectrum_entropy,
     symplectic_spectra,
-    symplectic_spectrum,
 )
 from .errors import (
     ConfigError,
@@ -55,11 +53,10 @@ from .lattice import (
     LatticeParams,
     Model,
     Variant,
-    critical_potential,
     solve_equilibrium,
 )
 from .quadrature import Divergent
-from .spectrum import OMEGA4, build_spectrum, coupling_matrix, symplectic_diagonalize
+from .spectrum import build_spectrum
 from .witness import witness_report, witness_reports
 
 #: Ring size standing in for the bulk limit where no closed form exists.
@@ -180,11 +177,16 @@ def _blank_row(nu_t_paper: float, t_paper: float) -> dict:
     return row
 
 
+def _error_text(exc) -> str:
+    """``exc`` as a row's error cell and an exit-3 message name it."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _fail(rows, exc):
     """Record ``exc`` on every row that has not failed yet."""
     for row in rows:
         if not row["error"]:
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            row["error"] = _error_text(exc)
 
 
 def _compute_rows(spec: SweepSpec, nu_t_paper: float) -> list:
@@ -670,124 +672,9 @@ def _cmd_covariance(args) -> int:
     return 0
 
 
-# -------------------------------------------------------------- check suite
-
-
-def _check_oracle_equivalence():
-    worst = 0.0
-    for n in (4, 6, 8):
-        params = LatticeParams(n=n, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
-        crit = critical_potential(params)
-        for fac in (1.5, 0.8):
-            for t_paper in (0.0, 0.5):
-                t = t_paper * params.temperature_unit
-                a = block_covariance(params, fac * crit, t, sites=range(1, n + 1))
-                b = direct_covariance_oracle(params, fac * crit, t)
-                worst = max(worst, float(np.max(np.abs(a.matrix - b.matrix))))
-    return worst < 1e-9, f"max deviation {worst:.3e}"
-
-
-def _check_symplectic(corrupt: bool):
-    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
-    crit = critical_potential(params)
-    nu_t = 0.8 * crit
-    config = solve_equilibrium(params, nu_t)
-    worst = 0.0
-    for l in (1, params.n // 2, params.n):
-        block = coupling_matrix(params, config, nu_t, l)
-        wv, ww, smat = symplectic_diagonalize(block)
-        if corrupt:
-            smat = smat.copy()
-            smat[0, 0] *= 1.001
-        target = np.diag([wv / 2, wv / 2, ww / 2, ww / 2])
-        worst = max(worst, float(np.max(np.abs(smat @ block @ smat.T - target))))
-        worst = max(worst, float(np.max(np.abs(smat @ OMEGA4 @ smat.T - OMEGA4))))
-    return worst < 1e-10, f"max residual {worst:.3e}"
-
-
-def _check_purity():
-    worst = 0.0
-    for fac in (1.4, 0.8):
-        params = LatticeParams(n=6, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
-        nu_t = fac * critical_potential(params)
-        cov = block_covariance(params, nu_t, 0.0, sites=range(1, 7))
-        spec = symplectic_spectrum(cov)
-        worst = max(worst, float(np.max(np.abs(spec - 1.0))))
-    return worst < 1e-8, f"max |r - 1| = {worst:.3e}"
-
-
-def _check_decoupling():
-    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
-    crit = critical_potential(params)
-    details = []
-    ok = True
-    cov = block_covariance(params, 1.5 * crit, 0.0, sites=range(1, 9)).matrix
-    n = 8
-    cross = max(
-        abs(cov[2 * (2 * (s1 - 1)), 2 * (2 * (s2 - 1) + 1)])
-        for s1 in range(1, n + 1)
-        for s2 in range(1, n + 1)
-    )
-    ok &= cross < 1e-10
-    details.append(f"flat x-y max {cross:.2e}")
-    covz = block_covariance(params, 0.8 * crit, 0.0, sites=range(1, 9)).matrix
-    diag_cross = max(
-        abs(covz[2 * (2 * (s - 1)), 2 * (2 * (s - 1) + 1)]) for s in range(1, n + 1)
-    )
-    ok &= diag_cross < 1e-12
-    details.append(f"buckled same-site x-y max {diag_cross:.2e}")
-    k = covz.shape[0] // 2
-    qp = max(abs(covz[2 * i, 2 * j + 1]) for i in range(k) for j in range(k))
-    ok &= qp == 0.0
-    details.append(f"q-p max {qp:.2e}")
-    return bool(ok), "; ".join(details)
-
-
-def _check_uncertainty():
-    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
-    crit = critical_potential(params)
-    worst = math.inf
-    try:
-        for fac in (1.5, 0.8):
-            for t_paper in (0.0, 0.4):
-                t = t_paper * params.temperature_unit
-                for sites in ((1,), (1, 2), (1, 3, 5)):
-                    cov = block_covariance(params, fac * crit, t, sites=sites)
-                    spec = symplectic_spectrum(cov)
-                    worst = min(worst, float(spec.min()))
-    except DomainError as exc:
-        return False, str(exc)
-    return True, f"min eigenvalue {worst:.12f}"
-
-
-def _check_odd_ring_rejection():
-    params = LatticeParams(n=7, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
-    crit = critical_potential(params, td_limit=True)
-    try:
-        solve_equilibrium(params, 0.8 * crit)
-    except ConfigError as exc:
-        msg = str(exc)
-        return "even" in msg, f"rejected with: {msg}"
-    return False, "odd ring accepted a buckled configuration"
-
-
-def run_check_suite(corrupt_hook: bool = False) -> list:
-    """(name, passed, detail) for every internal consistency check.
-
-    ``corrupt_hook`` deliberately perturbs the normal-form matrix before the
-    symplectic check so callers can confirm the suite has teeth.
-    """
-    return [
-        ("oracle-equivalence", *_check_oracle_equivalence()),
-        ("symplectic-normal-form", *_check_symplectic(corrupt_hook)),
-        ("ground-state-purity", *_check_purity()),
-        ("direction-decoupling", *_check_decoupling()),
-        ("uncertainty-floor", *_check_uncertainty()),
-        ("odd-ring-rejection", *_check_odd_ring_rejection()),
-    ]
-
-
 def _cmd_check(args) -> int:
+    from .checks import run_check_suite
+
     results = run_check_suite(corrupt_hook=args.corrupt_normal_form)
     failed = 0
     for name, ok, detail in results:
@@ -862,7 +749,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except _ROW_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_error_text(exc)}", file=sys.stderr)
         return 3
 
 

@@ -53,26 +53,49 @@ def _bound(n: int, omega_x: float, omega_y: float) -> float:
     return 0.5 * n * (omega_x + omega_y)
 
 
-def _energy(omega: np.ndarray, temperature: float) -> float:
+class _Energy:
     """U(T) of the modes ``omega`` (a flat array), summed left to right as
     a scalar loop over the modes would, so U and the Tc found from it do
-    not move in the last bit."""
-    # zero mode: equipartition kinetic share T only
-    terms = np.where(omega > 0.0, 0.5 * omega, temperature)
-    if temperature > 0.0:
-        x = omega / temperature
-        warm = (omega > 0.0) & (x <= _BOSE_NEGLIGIBLE)
-        # math.expm1, not np.expm1: the vector kernel may differ in the last bit
-        bose = 1.0 / np.fromiter(map(math.expm1, x[warm].tolist()), float)
-        terms[warm] = omega[warm] * (bose + 0.5)
-    return float(np.add.accumulate(terms)[-1])
+    not move in the last bit.
+
+    The Bose term of each distinct positive frequency is computed once per
+    temperature and copied to every mode that has it, and no temperature is
+    evaluated twice: equal inputs give equal terms, so the sum is the one a
+    mode-by-mode loop gives.
+    """
+
+    def __init__(self, omega: np.ndarray):
+        positive = omega > 0.0
+        self._omega, inverse = np.unique(omega[positive], return_inverse=True)
+        self._half = 0.5 * self._omega
+        # each mode's place in [terms of the distinct frequencies..., T]; a
+        # zero mode takes the equipartition kinetic share T only
+        self._index = np.full(omega.shape, self._omega.size)
+        self._index[positive] = inverse
+        self._memo = {}
+
+    def __call__(self, temperature: float) -> float:
+        key = float(temperature).hex()  # the exact bits: -0.0 is not 0.0
+        if key not in self._memo:
+            self._memo[key] = self._evaluate(temperature)
+        return self._memo[key]
+
+    def _evaluate(self, temperature: float) -> float:
+        terms = self._half.copy()
+        if temperature > 0.0:
+            x = self._omega / temperature
+            warm = x <= _BOSE_NEGLIGIBLE
+            # math.expm1, not np.expm1: the vector kernel may differ in the last bit
+            bose = 1.0 / np.fromiter(map(math.expm1, x[warm].tolist()), float)
+            terms[warm] = self._omega[warm] * (bose + 0.5)
+        return float(np.add.accumulate(np.append(terms, temperature)[self._index])[-1])
 
 
 def internal_energy(params: LatticeParams, nu_t: float, temperature: float) -> float:
     """Thermal internal energy U(T) summed over all normal modes."""
     if temperature < 0:
         raise ConfigError("temperature must be non-negative")
-    return _energy(build_spectrum(params, nu_t).omega.ravel(), temperature)
+    return _Energy(build_spectrum(params, nu_t).omega.ravel())(temperature)
 
 
 def separability_bound(params: LatticeParams, nu_t: float) -> float:
@@ -90,13 +113,13 @@ def critical_temperature(params: LatticeParams, nu_t: float) -> float | None:
     return report.critical_temperature
 
 
-def _crossing(params: LatticeParams, nu_t: float, omega: np.ndarray, bound: float):
-    """Tc of the modes ``omega`` against ``bound``, or None."""
-    if _energy(omega, 0.0) >= bound:
+def _crossing(params: LatticeParams, nu_t: float, energy: _Energy, bound: float):
+    """The temperature where ``energy`` crosses ``bound``, or None."""
+    if energy(0.0) >= bound:
         return None
 
     def gap(t):
-        return _energy(omega, t) - bound
+        return energy(t) - bound
 
     hi = max(params.nu, nu_t)
     for _ in range(200):
@@ -133,11 +156,11 @@ def witness_reports(spec: ModeSpectrum, temperatures) -> list[WitnessReport]:
     params = spec.params
     wx, wy = effective_frequencies(params, spec.nu_t, spec.config)
     bound = _bound(params.n, wx, wy)
-    omega = spec.omega.ravel()
-    tc = _crossing(params, spec.nu_t, omega, bound)
+    energy = _Energy(spec.omega.ravel())
+    tc = _crossing(params, spec.nu_t, energy, bound)
     reports = []
     for t in temperatures:
-        u = _energy(omega, t)
+        u = energy(t)
         reports.append(
             WitnessReport(
                 omega_x=wx,

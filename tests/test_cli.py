@@ -601,7 +601,15 @@ def test_division_by_zero_in_a_one_point_command_is_a_numerical_failure(capsys):
     assert main(["spectrum", *base_args(), "--nu-t", "1e-300"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "numerical failure: float division by zero" in captured.err
+    assert "numerical failure: ZeroDivisionError: float division by zero" in captured.err
+
+
+def test_overflow_in_a_one_point_command_names_the_exception_type(capsys):
+    # the exit-3 message carries the type name, as a sweep's error cell does
+    assert main(["spectrum", *base_args(), "--nu-t", "1e300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: OverflowError: ")
 
 
 def test_overflow_at_a_huge_nu_t_is_an_error_cell(capsys):

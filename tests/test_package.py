@@ -93,3 +93,30 @@ def test_no_scipy_module_is_loaded(tmp_path):
     # long-range ring and the witness crossing, quad for the bulk limit
     assert report["LR zigzag sweep"][1] > 0
     assert report["td-limit sweep"][2] > 0
+
+
+def test_only_the_check_command_imports_the_check_suite(tmp_path):
+    """Every process pays to compile what it imports (no bytecode cache is
+    assumed), so the check suite stays out of the other commands. Runs in a
+    fresh interpreter, since this one may have run ``check`` already."""
+    script = (
+        "import sys\n"
+        "import ionlattice.cli as cli\n"
+        "base = ['--n', '8', '--mass', '2', '--charge', '1', '--spacing', '1',\n"
+        "        '--nu', '1.4142135623730951', '--out', sys.argv[1]]\n"
+        "loaded = ['ionlattice.checks' in sys.modules]\n"
+        "assert cli.main(['sweep', *base, '--nu-t', '1.0,2.0', '--measures', 'witness']) == 0\n"
+        "loaded.append('ionlattice.checks' in sys.modules)\n"
+        "assert cli.main(['check']) == 0\n"
+        "loaded.append('ionlattice.checks' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = str(Path(ionlattice.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, True]"

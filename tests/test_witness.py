@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ionlattice import witness
+from ionlattice._solvers import brentq
 from ionlattice.cli import SweepSpec, _params_from_mapping, run_sweep
 from ionlattice.errors import ConfigError
 from ionlattice.lattice import critical_potential
@@ -23,6 +25,7 @@ from ionlattice.witness import (
     internal_energy,
     separability_bound,
     witness_report,
+    witness_reports,
 )
 
 
@@ -154,6 +157,104 @@ def test_energy_of_a_small_ring_equals_scalar_loop_bit_for_bit(nn_ring):
     omega = build_spectrum(params, 1.5).omega
     for t in np.geomspace(0.05, 20.0, 60):
         assert internal_energy(params, 1.5, t) == scalar_energy(omega, t), t
+
+
+def bits(value):
+    """The exact bits of a float, so that -0.0 and 0.0 differ."""
+    return float(value).hex()
+
+
+@st.composite
+def modes_and_temperature(draw):
+    """(omega, T): distinct frequencies each repeated 1-4 times, some exact
+    zeros, all in shuffled order, with omega / T on both sides of the cut-off
+    700 beyond which a mode counts as omega / 2."""
+    t = draw(st.sampled_from((0.0, 1e-300, 0.37, 1e300)))
+    scale = t if t > 0.0 else 1.0
+    ratio = st.one_of(st.floats(1e-3, 2e3), st.floats(699.0, 701.0), st.just(700.0))
+    ratios = draw(st.lists(ratio, min_size=1, max_size=30))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(ratios), max_size=len(ratios)))
+    values = [r * scale for r, k in zip(ratios, repeats) for _ in range(k)]
+    values += [0.0] * draw(st.integers(0, 3))
+    return np.array(draw(st.permutations(values))), t
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(modes_and_temperature())
+def test_deduplicated_energy_equals_scalar_loop_bit_for_bit(case):
+    omega, t = case
+    energy = witness._Energy(omega)
+    # T, then T = 0, then T again from the memo: each equals its own scalar loop
+    for temperature in (t, 0.0, t):
+        assert bits(energy(temperature)) == bits(scalar_energy(omega, temperature))
+
+
+def test_energy_keeps_the_sign_of_a_negative_zero_temperature():
+    # zero modes only: U is the sum of the temperature's own zeros
+    energy = witness._Energy(np.zeros(3))
+    assert bits(energy(0.0)) == bits(0.0)
+    assert bits(energy(-0.0)) == bits(-0.0)
+
+
+def scalar_crossing(params, nu_t):
+    """Tc by the crossing search of the witness, with U from the scalar loop."""
+    omega = build_spectrum(params, nu_t).omega
+    bound = separability_bound(params, nu_t)
+    assert scalar_energy(omega, 0.0) < bound
+
+    def gap(t):
+        return scalar_energy(omega, t) - bound
+
+    hi = max(params.nu, nu_t)
+    while gap(hi) <= 0.0:
+        hi *= 2.0
+    return brentq(gap, 0.0, hi, rtol=1e-10)
+
+
+@pytest.mark.parametrize("ring,nu_t_reduced", [("LR", 1.31), ("LR", 1.72), ("NN", 0.8)])
+def test_crossing_equals_brentq_on_the_scalar_loop_bit_for_bit(lr_ring, nn_ring, ring,
+                                                                nu_t_reduced):
+    if ring == "LR":
+        params = lr_ring(n=1000)
+        nu_t = nu_t_reduced * params.nu_t_unit
+    else:
+        # the NN ring of nn_ring buckles below nu_t = 1
+        params = nn_ring(n=20)
+        nu_t = nu_t_reduced
+        assert build_spectrum(params, nu_t).variant.value == "zigzag"
+    assert bits(critical_temperature(params, nu_t)) == bits(scalar_crossing(params, nu_t))
+
+
+def test_witness_pays_once_per_distinct_frequency_and_temperature(lr_ring, monkeypatch):
+    params = lr_ring(n=1000)
+    spec = build_spectrum(params, 1.31 * params.nu_t_unit)
+    omega = spec.omega.ravel()
+    distinct = np.unique(omega[omega > 0.0]).size
+    assert distinct < 0.75 * omega.size  # the ring's frequencies repeat
+    expm1_calls = []
+    expm1 = math.expm1
+
+    def counted(x):
+        expm1_calls.append(x)
+        return expm1(x)
+
+    evaluated = []
+    evaluate = witness._Energy._evaluate
+
+    def recorded(self, temperature):
+        evaluated.append(temperature)
+        return evaluate(self, temperature)
+
+    monkeypatch.setattr(math, "expm1", counted)
+    monkeypatch.setattr(witness._Energy, "_evaluate", recorded)
+    warm = 0.2 * params.temperature_unit
+    reports = witness_reports(spec, (0.0, warm, 0.0, warm))
+    assert reports[0] == reports[2] and reports[1] == reports[3]
+    # T = 0 and the crossing search's temperatures are each evaluated once
+    assert len({bits(t) for t in evaluated}) == len(evaluated)
+    positive = [t for t in evaluated if t > 0.0]
+    assert len(positive) > 10
+    assert 0 < len(expm1_calls) <= distinct * len(positive)
 
 
 def witness_cells(model, n, mass, charge, spacing):
