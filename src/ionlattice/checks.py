@@ -42,7 +42,7 @@ def _check_symplectic(corrupt: bool):
     worst = 0.0
     for l in (1, params.n // 2, params.n):
         block = coupling_matrix(params, config, nu_t, l)
-        wv, ww, smat = symplectic_diagonalize(block)
+        wv, ww, smat = symplectic_diagonalize(block, params.omega0_sq)
         if corrupt:
             smat = smat.copy()
             smat[0, 0] *= 1.001

@@ -189,26 +189,54 @@ def _fail(rows, exc):
             row["error"] = _error_text(exc)
 
 
-def _compute_rows(spec: SweepSpec, nu_t_paper: float) -> list:
-    """The rows of one nuT, one per temperature, from one working point.
+class _Point:
+    """One nuT point of a chunk while it waits for the chunk's block
+    spectra: its rows, one per temperature, filled up to the block cells;
+    the block sizes it asks for with the covariance stack of the largest
+    block in each direction, shape (n_T, 2K, 2K), x first; and its witness
+    reports, or the error that ends its rows once their block cells are
+    in. Its spectrum and moment table are not kept. (A plain class: a
+    dataclass costs every command about half a millisecond to create.)"""
+
+    __slots__ = ("rows", "sizes", "blocks", "witness")
+
+    def __init__(self, rows: list):
+        self.rows, self.sizes, self.blocks, self.witness = rows, (), (), None
+
+
+def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
+    """The rows of a chunk of nuT points: one list per point, in the order
+    of ``nu_t_papers``, with one row per temperature.
 
     A row's cells are filled measure by measure until the first error,
     which goes into its ``error`` cell; an error of a step shared by all
-    temperatures (equilibrium, spectrum, witness bound and crossing) ends
-    every row that has not failed yet.
+    temperatures of a point (equilibrium, spectrum, witness bound and
+    crossing) ends every row of the point that has not failed yet. Each
+    point is evaluated up to its block stack and witness; then one
+    :func:`symplectic_spectra` call per block size serves every block of
+    the chunk, and the block and witness cells follow, in that order.
     """
-    rows = [_blank_row(nu_t_paper, t) for t in spec.temperatures]
+    axial = {}
+    points = [_point(spec, nu_t_paper, axial) for nu_t_paper in nu_t_papers]
+    _block_cells(points)
+    for point in points:
+        _witness_cells(spec.params, point)
+    return [point.rows for point in points]
+
+
+def _point(spec: SweepSpec, nu_t_paper: float, axial: dict) -> _Point:
+    point = _Point([_blank_row(nu_t_paper, t) for t in spec.temperatures])
     params = spec.params
     nu_t = nu_t_paper * params.nu_t_unit
     try:
         if spec.td_limit:
-            _td_row(spec, nu_t, rows[0])
+            _td_point(spec, nu_t, point, axial)
         else:
-            temperatures = [t * params.temperature_unit for t in spec.temperatures]
-            _finite_rows(spec, nu_t, temperatures, rows)
+            temperatures = tuple(t * params.temperature_unit for t in spec.temperatures)
+            _finite_point(spec, nu_t, temperatures, point, axial)
     except _ROW_ERRORS as exc:
-        _fail(rows, exc)
-    return rows
+        _fail(point.rows, exc)
+    return point
 
 
 def _pair_cells(row, direction, s1, s2):
@@ -217,38 +245,88 @@ def _pair_cells(row, direction, s1, s2):
     row[f"EN{direction}"] = negativity(s1, s2)
 
 
-def _block_cells(table, sizes, rows):
-    """Block entropy cells of the rows of a moment table, one row per
-    temperature. Each direction's covariance is built once for the largest
-    size at every temperature, and a block of k sites is its leading
-    2k x 2k part; one :func:`symplectic_spectra` call per size serves every
-    temperature and both directions. A row that has failed gets no cells,
-    and a failed block ends its own row only."""
-    if not sizes:
-        return
-    largest = range(1, max(sizes) + 1)
-    # (n_T, direction, 2K, 2K)
-    blocks = np.stack([block_covariance_at(table, largest, (d,)) for d in DIRECTIONS], axis=1)
-    spectra = {}
-    for size in sizes:
-        sub = blocks[:, :, : 2 * size, : 2 * size].reshape(-1, 2 * size, 2 * size)
-        spectra[size] = symplectic_spectra(sub)
-    for t, row in enumerate(rows):
-        if row["error"]:
-            continue
-        try:
-            for size in sizes:
-                for i, d in enumerate(DIRECTIONS):
-                    cell = _entropy_cell(spectra[size][len(DIRECTIONS) * t + i])
+def _moments(table, direction: str, size, axial: dict):
+    """The pair moments at tau = 1 (``size`` None) or the covariance of
+    sites 1..size, of one direction at every temperature of ``table``.
+
+    The x half of a flat point does not involve nuT (the axial branch,
+    weights 1, 0, 0), so ``axial`` keeps it for every later flat point of
+    the chunk with the same ring and temperatures."""
+    modes = table.spectrum
+    key = (modes.params, table.temperatures, size)
+    shared = direction == "x" and modes.variant is Variant.LINEAR
+    if shared and key in axial:
+        return axial[key]
+    if size is None:
+        value = pair_moments_at(table, 1, direction)
+    else:
+        value = block_covariance_at(table, range(1, size + 1), (direction,))
+    if shared:
+        axial[key] = value
+    return value
+
+
+def _stack_blocks(table, sizes, point: _Point, axial: dict):
+    """Give ``point`` its block sizes and the covariance stacks of the
+    largest; a block of k sites is its leading 2k x 2k part."""
+    if sizes:
+        point.blocks = tuple(_moments(table, d, max(sizes), axial) for d in DIRECTIONS)
+        point.sizes = sizes
+
+
+def _block_cells(points):
+    """Block entropy cells of a chunk's rows, size by size. A row that has
+    failed gets no cells, and a failed block ends its own row only, so
+    filling size by size fills each row as filling it alone would."""
+    for size in sorted({size for point in points for size in point.sizes}):
+        _size_cells([point for point in points if size in point.sizes], size)
+
+
+def _size_cells(points, size: int):
+    """The block entropy cells of one size. One :func:`symplectic_spectra`
+    call serves every temperature, direction and point of the chunk; a
+    stack that several points share (the flat-phase x half, see
+    :func:`_moments`) enters it once. A point's stacks are released with
+    its largest size."""
+    offsets, parts, starts, end = {}, [], [], 0
+    for point in points:
+        for stack in point.blocks:
+            if id(stack) not in offsets:
+                offsets[id(stack)] = end
+                parts.append(stack[:, : 2 * size, : 2 * size])
+                end += len(stack)
+        starts.append([offsets[id(stack)] for stack in point.blocks])
+        if size == point.sizes[-1]:
+            point.blocks = ()
+    stack = np.concatenate(parts)
+    del parts
+    spectra = symplectic_spectra(stack)
+    for point, point_starts in zip(points, starts):
+        for t, row in enumerate(point.rows):
+            if row["error"]:
+                continue
+            try:
+                for d, start in zip(DIRECTIONS, point_starts):
+                    cell = _entropy_cell(spectra[start + t])
                     row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = cell
-        except _ROW_ERRORS as exc:
-            _fail([row], exc)
+            except _ROW_ERRORS as exc:
+                _fail([row], exc)
 
 
-def _witness_cells(modes, temperatures, rows):
-    params = modes.params
-    reports = witness_reports(modes, temperatures)
-    for rep, row in zip(reports, rows):
+def _witness_outcome(modes, temperatures):
+    """The witness reports of a point, or the error that ends its rows."""
+    try:
+        return witness_reports(modes, temperatures)
+    except _ROW_ERRORS as exc:
+        # its traceback would keep the point's spectrum alive
+        return exc.with_traceback(None)
+
+
+def _witness_cells(params, point: _Point):
+    if isinstance(point.witness, Exception):
+        _fail(point.rows, point.witness)
+        return
+    for rep, row in zip(point.witness or (), point.rows):
         if row["error"]:
             continue
         tc = rep.critical_temperature
@@ -258,36 +336,38 @@ def _witness_cells(modes, temperatures, rows):
         row["witnessTriggered"] = rep.triggered
 
 
-def _finite_rows(spec, nu_t, temperatures, rows):
+def _finite_point(spec: SweepSpec, nu_t: float, temperatures, point: _Point, axial: dict):
     params = spec.params
     config = solve_equilibrium(params, nu_t)
-    for row in rows:
+    for row in point.rows:
         row["configVariant"] = config.variant.value
         row["b"] = config.b / params.spacing
     modes = build_spectrum(params, nu_t, config)
     table = moment_table(modes, temperatures)
     if "negativity" in spec.measures:
-        pairs = [pair_moments_at(table, 1, d) for d in DIRECTIONS]
-        for row, moments in zip(rows, zip(*pairs)):
+        pairs = [_moments(table, d, None, axial) for d in DIRECTIONS]
+        for row, moments in zip(point.rows, zip(*pairs)):
             try:
                 for d, pm in zip(DIRECTIONS, moments):
                     _pair_cells(row, d, *separability_criteria(pm))
             except _ROW_ERRORS as exc:
                 _fail([row], exc)
-    _block_cells(table, _block_sizes(spec.measures), rows)
+    _stack_blocks(table, _block_sizes(spec.measures), point, axial)
     if "witness" in spec.measures:
-        _witness_cells(modes, temperatures, rows)
+        point.witness = _witness_outcome(modes, temperatures)
 
 
-def _td_row(spec: SweepSpec, nu_t: float, row: dict):
+def _td_point(spec: SweepSpec, nu_t: float, point: _Point, axial: dict):
     """Bulk-limit row: dispersion averages where the flat closed forms hold,
     a large-ring stand-in (n = TD_PROXY_N) everywhere else."""
     params = spec.params
     proxy = dataclasses.replace(params, n=TD_PROXY_N)
     if not bulk_closed_forms_hold(params, nu_t):
         # below the buckling point only the large-ring stand-in is available
-        _finite_rows(dataclasses.replace(spec, params=proxy, td_limit=False), nu_t, (0.0,), [row])
+        proxy_spec = dataclasses.replace(spec, params=proxy, td_limit=False)
+        _finite_point(proxy_spec, nu_t, (0.0,), point, axial)
         return
+    [row] = point.rows
     row["configVariant"] = Variant.LINEAR.value
     row["b"] = 0.0
     if "negativity" in spec.measures:
@@ -299,36 +379,41 @@ def _td_row(spec: SweepSpec, nu_t: float, row: dict):
             r = td_single_site_eigenvalue(params, nu_t, d)
             cell = _entropy_cell(r if isinstance(r, Divergent) else (r,))
             row[f"SV1{d}"], row[f"SV1{d}Divergent"] = cell
-    sizes = [size for size in sizes if size > 1]
+    sizes = tuple(size for size in sizes if size > 1)
     if sizes or "witness" in spec.measures:
         modes = build_spectrum(proxy, nu_t)
         if sizes:
-            _block_cells(moment_table(modes, (0.0,)), sizes, [row])
+            _stack_blocks(moment_table(modes, (0.0,)), sizes, point, axial)
         if "witness" in spec.measures and not row["error"]:
-            _witness_cells(modes, (0.0,), [row])
+            point.witness = _witness_outcome(modes, (0.0,))
 
 
 def _row_worker(task):
-    """One pool task: every row of one nuT."""
-    spec, nu_t_paper = task
-    return _compute_rows(spec, nu_t_paper)
+    """One pool task: the rows of a chunk of nuT points, one list per point."""
+    spec, nu_t_papers = task
+    return _chunk_rows(spec, nu_t_papers)
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     """All sweep rows in grid order (outer nuT, inner temperature).
 
-    Each nuT is evaluated once for all its temperatures; ``jobs`` worker
-    processes, but no more than there are nuT points, share them out.
+    Each nuT is evaluated once for all its temperatures. A serial sweep is
+    one chunk of the whole grid; ``jobs`` worker processes, but no more
+    than there are nuT points, take one interleaved chunk each
+    (``grid[i::jobs]``), so a pool task carries many points.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(spec, nt) for nt in spec.nu_t_grid]
-    workers = min(jobs, len(tasks))
+    grid = spec.nu_t_grid
+    workers = min(jobs, len(grid))
     if workers == 1:
-        groups = [_row_worker(t) for t in tasks]
+        groups = _chunk_rows(spec, grid)
     else:
+        tasks = [(spec, grid[i::workers]) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_row_worker, tasks))
+            chunks = list(pool.map(_row_worker, tasks))
+        # point j is item j // workers of chunk j % workers
+        groups = [chunks[j % workers][j // workers] for j in range(len(grid))]
     return [row for group in groups for row in group]
 
 
@@ -341,12 +426,8 @@ def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
+        # the format writes inf, -inf and nan as such
+        return f"{float(value):.12g}"
     return str(value)
 
 

@@ -93,12 +93,18 @@ def pair_entanglement(
     )
 
 
+#: Most matrices per eigensolver call. A longer stack is evaluated in
+#: slices of this many, which bounds the eigensolver's working memory; the
+#: spectrum of each matrix does not depend on the slicing.
+EIGVALS_BATCH = 64
+
+
 def symplectic_spectra(sigmas) -> list:
     """Symplectic spectra of a stack of covariance matrices, shape (m, 2k, 2k).
 
-    One ``np.linalg.eigvals`` call serves the whole stack; it gives each
-    matrix what a call on that matrix alone gives, bit for bit. Item i of
-    the result is one of:
+    One ``np.linalg.eigvals`` call serves every ``EIGVALS_BATCH`` matrices
+    of the stack; it gives each matrix what a call on that matrix alone
+    gives, bit for bit. Item i of the result is one of:
 
     - the spectrum of matrix i, as :func:`symplectic_spectrum` returns it;
     - :class:`Divergent` if the matrix has a non-finite entry (such a
@@ -116,21 +122,23 @@ def symplectic_spectra(sigmas) -> list:
     out = [Divergent("covariance matrix has a non-finite entry")] * len(sigmas)
     live = np.flatnonzero(finite)
     form = symplectic_form(sigmas.shape[1] // 2)
-    ev = np.abs(np.linalg.eigvals(1j * form @ sigmas[live]))
-    ev = 2.0 * np.sort(ev, axis=-1)
-    pairs, partners = ev[:, ::2], ev[:, 1::2]
-    scale = np.maximum(np.abs(pairs), 1.0)
-    unpaired = (np.abs(pairs - partners) > 1e-8 * scale).any(axis=1)
-    below = (pairs < 1.0 - 1e-10).any(axis=1)
-    spectra = np.where(pairs < 1.0, 1.0, pairs)
-    checks = zip(live.tolist(), unpaired.tolist(), below.tolist(), pairs, spectra)
-    for i, bad_pair, bad_floor, ev_row, spectrum in checks:
-        if bad_pair:
-            out[i] = NumericalFailure("symplectic eigenvalues failed to pair up")
-        elif bad_floor:
-            out[i] = DomainError(f"symplectic eigenvalue {ev_row.min()} below 1 beyond tolerance")
-        else:
-            out[i] = spectrum
+    for start in range(0, len(live), EIGVALS_BATCH):
+        part = live[start : start + EIGVALS_BATCH]
+        ev = np.abs(np.linalg.eigvals(1j * form @ sigmas[part]))
+        ev = 2.0 * np.sort(ev, axis=-1)
+        pairs, partners = ev[:, ::2], ev[:, 1::2]
+        scale = np.maximum(np.abs(pairs), 1.0)
+        unpaired = (np.abs(pairs - partners) > 1e-8 * scale).any(axis=1)
+        below = (pairs < 1.0 - 1e-10).any(axis=1)
+        spectra = np.where(pairs < 1.0, 1.0, pairs)
+        checks = zip(part.tolist(), unpaired.tolist(), below.tolist(), pairs, spectra)
+        for i, bad_pair, bad_floor, ev_row, spectrum in checks:
+            if bad_pair:
+                out[i] = NumericalFailure("symplectic eigenvalues failed to pair up")
+            elif bad_floor:
+                out[i] = DomainError(f"symplectic eigenvalue {ev_row.min()} below 1 beyond tolerance")
+            else:
+                out[i] = spectrum
     return out
 
 
@@ -171,6 +179,9 @@ def von_neumann_entropy(r) -> float:
 
 def spectrum_entropy(spectrum) -> float:
     """Von Neumann entropy of a state with the symplectic ``spectrum``."""
+    if isinstance(spectrum, np.ndarray):
+        # Python floats take the same IEEE steps as NumPy scalars, faster
+        spectrum = spectrum.tolist()
     return float(sum(von_neumann_entropy(r) for r in spectrum))
 
 

@@ -94,9 +94,14 @@ class LatticeParams:
         return 4.0 * self.charge**2 / (self.mass * self.spacing**3)
 
     @property
+    def omega0_sq(self) -> float:
+        """Squared frequency unit Q^2 / (m a^3)."""
+        return self.charge**2 / (self.mass * self.spacing**3)
+
+    @property
     def nu_t_unit(self) -> float:
         """Frequency unit sqrt(Q^2 / (m a^3)) used for dimensionless reporting."""
-        return math.sqrt(self.charge**2 / (self.mass * self.spacing**3))
+        return math.sqrt(self.omega0_sq)
 
     @property
     def temperature_unit(self) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ImaginaryFrequency
+from .errors import ConfigError, DomainError, ImaginaryFrequency, NumericalFailure
 from .lattice import (
     Configuration,
     CouplingCoefficients,
@@ -35,8 +35,9 @@ from .lattice import (
 #: Squared frequencies more negative than this raise; values in [-tol, 0) clamp to 0.
 RADICAND_TOL = 1e-12
 
-#: Couplings below this magnitude use the trivially decoupled normal form.
-COUPLING_TOL = 1e-14
+#: Couplings below this fraction of the squared frequency unit Q^2/(m a^3)
+#: use the trivially decoupled normal form (1e-14 at m = 2, Q = a = 1).
+COUPLING_TOL = 2e-14
 
 
 # every block size of a sweep asks for the same few forms; callers share
@@ -57,8 +58,12 @@ OMEGA4 = symplectic_form(2)
 
 
 def _sqrt_radicand(w2: np.ndarray, branch: str) -> np.ndarray:
-    """Square root with the clamp window; raises listing offending modes."""
+    """Square root with the clamp window; raises listing offending modes,
+    and on a non-finite radicand (an overflow in the raw units)."""
     w2 = np.atleast_1d(np.asarray(w2, dtype=float))
+    if not np.isfinite(w2).all():
+        ls = (np.flatnonzero(~np.isfinite(w2)) + 1).tolist()
+        raise NumericalFailure(f"{branch} branch: squared frequency not finite at l={ls}")
     bad = w2 < -RADICAND_TOL
     if bad.any():
         ls = (np.nonzero(bad)[0] + 1).tolist()
@@ -138,9 +143,16 @@ def coupling_matrix(
     )
 
 
-def _rotation(wx2: float, wy2: float, wxy: float) -> tuple[float, float]:
+def _decoupled(wxy, omega0_sq: float):
+    """Whether a cross coupling counts as zero: below ``COUPLING_TOL`` in
+    units of the squared frequency unit ``omega0_sq``, so the verdict does
+    not depend on the raw units."""
+    return np.abs(wxy) < COUPLING_TOL * omega0_sq
+
+
+def _rotation(wx2: float, wy2: float, wxy: float, omega0_sq: float) -> tuple[float, float]:
     """Cosine/sine of the mixing angle; branch-free in the coupled case."""
-    if abs(wxy) < COUPLING_TOL:
+    if _decoupled(wxy, omega0_sq):
         return (1.0, 0.0) if wx2 >= wy2 else (0.0, 1.0)
     delta = wx2 - wy2
     big_r = np.hypot(delta, 2.0 * wxy)
@@ -149,8 +161,12 @@ def _rotation(wx2: float, wy2: float, wxy: float) -> tuple[float, float]:
     return float(c), float(s)
 
 
-def symplectic_diagonalize(block: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Normal-form frequencies and symplectic congruence of one 4x4 block.
+def symplectic_diagonalize(
+    block: np.ndarray, omega0_sq: float
+) -> tuple[float, float, np.ndarray]:
+    """Normal-form frequencies and symplectic congruence of one 4x4 block
+    of a ring whose squared frequency unit Q^2/(m a^3) is ``omega0_sq``
+    (:attr:`LatticeParams.omega0_sq`).
 
     Returns ``(wv, ww, S)`` with ``wv >= ww`` such that
     ``S @ block @ S.T = diag(wv/2, wv/2, ww/2, ww/2)``
@@ -172,7 +188,7 @@ def symplectic_diagonalize(block: np.ndarray) -> tuple[float, float, np.ndarray]
     if wv <= 0.0 or ww <= 0.0:
         raise DomainError("zero-frequency mode admits no normal-form scaling")
 
-    c, s = _rotation(wx2, wy2, wxy)
+    c, s = _rotation(wx2, wy2, wxy, omega0_sq)
     rv, rw = np.sqrt(m * wv), np.sqrt(m * ww)
     S = np.array(
         [
@@ -230,7 +246,7 @@ def build_spectrum(
     wv = _sqrt_radicand(0.5 * (wx2 + wy2 + big_r), "upper normal")
     ww = _sqrt_radicand(0.5 * (wx2 + wy2 - big_r), "lower normal")
 
-    tiny = np.abs(wxy) < COUPLING_TOL
+    tiny = _decoupled(wxy, params.omega0_sq)
     safe_r = np.where(big_r > 0.0, big_r, 1.0)
     c2 = np.where(tiny, np.where(delta >= 0.0, 1.0, 0.0), (big_r + delta) / (2 * safe_r))
     s2 = np.where(tiny, np.where(delta >= 0.0, 0.0, 1.0), (big_r - delta) / (2 * safe_r))

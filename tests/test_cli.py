@@ -25,7 +25,7 @@ from ionlattice.cli import (
     rows_to_json,
     run_sweep,
 )
-from ionlattice import cli, covariance, lattice, spectrum
+from ionlattice import cli, covariance, entanglement, lattice, spectrum
 from ionlattice.covariance import block_covariance, pair_moments
 from ionlattice.entanglement import block_entropy, negativity, separability_criteria
 from ionlattice.errors import ConfigError, DomainError
@@ -164,7 +164,13 @@ def one_point_row(params, nu_t_paper, t_paper):
                 entropy = block_entropy(cov, n_sites=k, direction=d).entropy
             row[f"SV{k}{d}"] = None if math.isinf(entropy) else entropy
             row[f"SV{k}{d}Divergent"] = math.isinf(entropy)
-    rep = witness_report(params, nu_t, temperature)
+    try:
+        rep = witness_report(params, nu_t, temperature)
+    except DomainError as exc:
+        # the witness ends the row; the cells before it are kept
+        row.update(U=None, bound=None, Tc=None, witnessTriggered=None)
+        row["error"] = f"DomainError: {exc}"
+        return row
     tc = rep.critical_temperature
     row["U"] = rep.internal_energy / params.nu_t_unit
     row["bound"] = rep.bound / params.nu_t_unit
@@ -180,14 +186,15 @@ NU_T_CRITICAL = 1.414213562373095
 NU_T_CRITICAL_ARG = repr(NU_T_CRITICAL)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_sweep_cells_equal_the_one_point_calls(jobs):
     lr = LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, model=Model.LR)
     specs = [
         # NN: buckled at nuT 1.0, exactly critical, flat at 2.0 and 2.5
         small_spec(nu_t_grid=(1.0, NU_T_CRITICAL, 2.0, 2.5)),
-        # LR, default range tau_max = 4: buckled at 1.0 and 1.3, critical near 1.44
-        small_spec(params=lr, nu_t_grid=(1.0, 1.3, 2.0)),
+        # LR, default range tau_max = 4: buckled at 1.0, 1.3 and 1.4, critical
+        # near 1.44, flat at 1.5 and 2.0; the witness fails at 1.4 and 1.5
+        small_spec(params=lr, nu_t_grid=(1.0, 1.3, 1.4, 1.5, 2.0)),
     ]
     for spec in specs:
         spec = dataclasses.replace(spec, temperatures=(0.0, 0.2, 0.5), measures=ALL_MEASURES)
@@ -198,6 +205,9 @@ def test_sweep_cells_equal_the_one_point_calls(jobs):
         for row, (nt, t) in zip(rows, grid):
             expect = one_point_row(spec.params, nt, t)
             assert {c: row[c] for c in expect} == expect, (spec.params.model, nt, t)
+        if spec.params.model is Model.LR:
+            failed = [row["nuT"] for row in rows if row["error"]]
+            assert failed == [1.4] * 3 + [1.5] * 3
         if spec.params.model is Model.NN:
             # the critical rows do carry infinite block entries
             critical = [row for row in rows if row["nuT"] == NU_T_CRITICAL]
@@ -274,10 +284,10 @@ def test_a_failed_block_ends_only_its_own_row(monkeypatch):
 
     def failing(sigmas):
         # the 2-site y block of the second temperature; items run
-        # (T0 x, T0 y, T1 x, T1 y, ...)
+        # (T0 x, T1 x, T2 x, T0 y, T1 y, T2 y)
         spectra = original(sigmas)
         if sigmas.shape[1] == 4:
-            spectra[3] = DomainError("injected")
+            spectra[4] = DomainError("injected")
         return spectra
 
     monkeypatch.setattr(cli, "symplectic_spectra", failing)
@@ -290,6 +300,73 @@ def test_a_failed_block_ends_only_its_own_row(monkeypatch):
         assert failed[c] == clean[1][c] is not None, c
     for c in ("SV2y", "SV3x", "SV3y", "U", "bound", "Tc", "witnessTriggered"):
         assert failed[c] is None, c
+
+
+class InProcessPool:
+    """Stands in for the process pool: runs its tasks in this process, so
+    that calls made inside a task can be counted."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+BLOCK_MEASURES = ("negativity", "entropy", "blockEntropy2")
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize(
+    "over, sizes",
+    [
+        # NN ring: buckled, exactly critical and flat points, sizes 1-3
+        (dict(nu_t_grid=(1.0, 1.2, NU_T_CRITICAL, 2.0, 2.5, 3.0), measures=ALL_MEASURES), 3),
+        # bulk limit: the buckled stand-in rows take sizes 1 and 2, the flat
+        # rows size 2 only (size 1 has a closed form)
+        (dict(nu_t_grid=(1.0, 1.2, 1.3, 2.0, 2.5, 3.0), temperatures=(0.0,),
+              td_limit=True, measures=BLOCK_MEASURES), 2),
+    ],
+    ids=["finite", "td-limit"],
+)
+def test_a_chunk_makes_one_eigensolver_call_per_block_size(monkeypatch, jobs, over, sizes):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    counts = count_calls(monkeypatch, ((entanglement, "symplectic_spectra"),))
+    spec = small_spec(**over)
+    rows = run_sweep(spec, jobs=jobs)
+    assert len(rows) == len(spec.nu_t_grid) * len(spec.temperatures)
+    # a serial sweep is one chunk; jobs k sends k chunks, each with a
+    # buckled and a flat point
+    assert counts["symplectic_spectra"] == sizes * jobs
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_flat_axial_half_is_computed_once_per_chunk(monkeypatch, jobs):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    calls = Counter()
+    for name in ("pair_moments_at", "block_covariance_at"):
+
+        def recorded(table, arg, direction, _name=name, _original=getattr(cli, name)):
+            # pair_moments_at(table, tau, direction) and
+            # block_covariance_at(table, sites, directions)
+            calls[_name, table.spectrum.variant.value, "".join(direction)] += 1
+            return _original(table, arg, direction)
+
+        monkeypatch.setattr(cli, name, recorded)
+    # chunks of jobs 2: (1.0, 2.0, 3.0) and (1.2, 2.5, 3.5)
+    spec = small_spec(nu_t_grid=(1.0, 1.2, 2.0, 2.5, 3.0, 3.5), measures=BLOCK_MEASURES)
+    rows = run_sweep(spec, jobs=jobs)
+    assert all(row["error"] == "" for row in rows)
+    for name in ("pair_moments_at", "block_covariance_at"):
+        assert calls[name, "linear", "x"] == jobs, calls
+        assert calls[name, "linear", "y"] == 4, calls
+        assert calls[name, "zigzag", "x"] == calls[name, "zigzag", "y"] == 2, calls
 
 
 # ------------------------------------------------------------------ commands
@@ -610,6 +687,33 @@ def test_overflow_in_a_one_point_command_names_the_exception_type(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: OverflowError: ")
+
+
+def test_a_non_finite_squared_frequency_is_a_numerical_failure(capsys):
+    # the raw frequency unit overflows at a subnormal mass: the spectrum
+    # ends in exit 3, not in nan frequencies with exit 0
+    argv = ["spectrum", "--n", "8", "--mass", "1e-320", "--charge", "1", "--spacing", "1",
+            "--nu", "1", "--nu-t", "1.5"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: NumericalFailure: ")
+    assert "not finite" in captured.err
+
+
+def test_the_coupling_tolerance_does_not_depend_on_the_raw_units(capsys):
+    # at (m, Q, a) = (1e6, 1e-3, 1e3) the squared frequency unit is 1e-21,
+    # so an absolute tolerance took every zigzag x-y coupling for zero
+    common = ["--n", "20", "--model", "LR", "--nu", NU_PAPER, "--nu-t", "0.9", "--temp", "0"]
+    outputs = []
+    for mass, charge, spacing in (("1e6", "1e-3", "1e3"), ("2", "1", "1")):
+        argv = ["sweep", "--mass", mass, "--charge", charge, "--spacing", spacing, *common]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    [row] = parse_csv(outputs[0])
+    assert row["configVariant"] == "zigzag"
+    assert row["SV1x"] == "0.0125341810751"
+    assert outputs[0] == outputs[1]
 
 
 def test_overflow_at_a_huge_nu_t_is_an_error_cell(capsys):

@@ -83,6 +83,32 @@ def test_stacked_spectra_fail_only_their_own_matrix(nn_ring):
             symplectic_spectrum(sigma)
 
 
+def test_a_stack_longer_than_one_eigensolver_batch_keeps_every_spectrum(monkeypatch):
+    # random physical states (Gram matrices plus half the identity), with
+    # a non-finite matrix on each side of a batch boundary
+    rng = np.random.default_rng(5)
+    batch = ent.EIGVALS_BATCH
+    root = rng.standard_normal((2 * batch + 3, 6, 6))
+    sigmas = root @ root.transpose(0, 2, 1) + 0.5 * np.eye(6)
+    sigmas[batch - 1, 2, 3] = sigmas[batch + 1, 0, 0] = np.inf
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    spectra = symplectic_spectra(sigmas)
+    assert calls == [batch, batch, 1]
+    for sigma, spectrum in zip(sigmas, spectra):
+        alone = symplectic_spectra(sigma[None])[0]
+        if isinstance(alone, Divergent):
+            assert isinstance(spectrum, Divergent)
+        else:
+            assert np.array_equal(spectrum, alone)
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (4, 5)])
 def test_spectrum_shape_validation(shape):
     with pytest.raises(ConfigError):

@@ -37,6 +37,11 @@ def williamson_oracle(block):
     return freqs[3], freqs[1]
 
 
+#: squared frequency unit Q^2/(m a^3) of the synthetic blocks below: the
+#: canonical ring m = 2, Q = a = 1
+OMEGA0_SQ = 0.5
+
+
 def _block(wx2, wy2, wxy, mass):
     m = mass
     return np.array(
@@ -56,7 +61,7 @@ def test_symmetric_block_frozen():
     hi, lo = williamson_oracle(block)
     assert_allclose(hi, 1.224744871391589, rtol=1e-12)
     assert_allclose(lo, 0.7071067811865476, rtol=1e-12)
-    wv, ww, _ = symplectic_diagonalize(block)
+    wv, ww, _ = symplectic_diagonalize(block, OMEGA0_SQ)
     assert_allclose([wv, ww], [hi, lo], rtol=1e-12)
 
 
@@ -69,7 +74,7 @@ def test_normal_form_invariants(seed):
         wxy = 0.9 * math.sqrt(wx2 * wy2) * rng.uniform(0.0, 1.0)
         mass = rng.uniform(0.5, 4.0)
         block = _block(wx2, wy2, wxy, mass)
-        wv, ww, smat = symplectic_diagonalize(block)
+        wv, ww, smat = symplectic_diagonalize(block, OMEGA0_SQ)
         assert_allclose([wv, ww], williamson_oracle(block), rtol=1e-10)
         assert wv >= ww > 0
         target = np.diag([wv / 2, wv / 2, ww / 2, ww / 2])
@@ -79,7 +84,7 @@ def test_normal_form_invariants(seed):
 
 def test_decoupled_block_keeps_branch_identity():
     block = _block(4.0, 1.0, 0.0, mass=2.0)
-    wv, ww, smat = symplectic_diagonalize(block)
+    wv, ww, smat = symplectic_diagonalize(block, OMEGA0_SQ)
     assert_allclose([wv, ww], [2.0, 1.0], rtol=1e-12)
     assert_allclose(smat @ OMEGA4 @ smat.T, OMEGA4, atol=1e-12)
 
@@ -90,7 +95,7 @@ def test_zero_frequency_mode_is_a_domain_error(wx2, wy2, wxy):
     # wx2 wy2 = wxy^2: the lower normal frequency is exactly zero, and a
     # zero mode has no normal-form scaling
     with pytest.raises(DomainError, match="zero-frequency mode") as err:
-        symplectic_diagonalize(_block(wx2, wy2, wxy, mass=2.0))
+        symplectic_diagonalize(_block(wx2, wy2, wxy, mass=2.0), OMEGA0_SQ)
     assert type(err.value) is DomainError
 
 
@@ -155,7 +160,7 @@ def test_zigzag_branches_continuous_at_onset(nn_ring):
     wx, wy = linear_dispersion(params, nu_t)
     for l in range(1, 9):
         block = coupling_matrix(params, config, nu_t, l)
-        wv, ww, _ = symplectic_diagonalize(block)
+        wv, ww, _ = symplectic_diagonalize(block, params.omega0_sq)
         shifted = (l + 4 - 1) % 8 + 1
         expect = sorted([wx[l - 1], wy[shifted - 1]])
         assert_allclose(sorted([ww, wv]), expect, atol=1e-6)
@@ -178,7 +183,7 @@ def test_build_spectrum_zigzag_matches_blockwise(nn_ring):
     config = solve_equilibrium(params, nu_t)
     for l in (1, 2, 4, 8):
         block = coupling_matrix(params, config, nu_t, l)
-        wv, ww, _ = symplectic_diagonalize(block)
+        wv, ww, _ = symplectic_diagonalize(block, params.omega0_sq)
         assert_allclose(spec.omega[0, l - 1], wv, rtol=1e-10)
         assert_allclose(spec.omega[1, l - 1], ww, rtol=1e-10)
 
