@@ -63,7 +63,9 @@ def _mode_factors(omega, temperatures, mass):
     warm = temps[:, 0] > 0.0
     sig = np.full(np.broadcast_shapes(omega.shape, temps.shape), 0.5)
     if warm.any():
-        with np.errstate(divide="ignore"):  # zero modes, replaced below
+        # zero modes divide by zero (replaced below); omega / 2T overflows to
+        # inf at a subnormal T, the cold limit
+        with np.errstate(divide="ignore", over="ignore"):
             sig[..., warm, :] = 0.5 / np.tanh(omega / (2.0 * temps[warm]))
     live = omega > 0.0
     position = np.where(live, sig / (mass * np.where(live, omega, 1.0)), np.inf)

@@ -29,6 +29,10 @@ from .spectrum import ModeSpectrum, build_spectrum
 #: past about 709.8
 _BOSE_NEGLIGIBLE = 700.0
 
+#: absolute tolerance of the crossing temperature Tc, in temperature units;
+#: 2e-12 in raw temperature at (m, Q, a) = (2, 1, 1)
+TC_XTOL = 5.65685424949238e-12
+
 
 def effective_frequencies(
     params: LatticeParams, nu_t: float, config: Configuration | None = None
@@ -54,24 +58,14 @@ def _bound(n: int, omega_x: float, omega_y: float) -> float:
 
 
 class _Energy:
-    """U(T) of the modes ``omega`` (a flat array), summed left to right as
-    a scalar loop over the modes would, so U and the Tc found from it do
-    not move in the last bit.
-
-    The Bose term of each distinct positive frequency is computed once per
-    temperature and copied to every mode that has it, and no temperature is
-    evaluated twice: equal inputs give equal terms, so the sum is the one a
-    mode-by-mode loop gives.
+    """U(T) of the modes ``omega`` (a flat array): one ``np.expm1`` call per
+    temperature, and the terms summed left to right in mode order as a scalar
+    loop over the modes would. No temperature is evaluated twice.
     """
 
     def __init__(self, omega: np.ndarray):
-        positive = omega > 0.0
-        self._omega, inverse = np.unique(omega[positive], return_inverse=True)
-        self._half = 0.5 * self._omega
-        # each mode's place in [terms of the distinct frequencies..., T]; a
-        # zero mode takes the equipartition kinetic share T only
-        self._index = np.full(omega.shape, self._omega.size)
-        self._index[positive] = inverse
+        self._omega = omega
+        self._positive = omega > 0.0
         self._memo = {}
 
     def __call__(self, temperature: float) -> float:
@@ -81,14 +75,15 @@ class _Energy:
         return self._memo[key]
 
     def _evaluate(self, temperature: float) -> float:
-        terms = self._half.copy()
+        omega = self._omega
+        # a zero mode takes the equipartition kinetic share T only
+        terms = np.where(self._positive, 0.5 * omega, temperature)
         if temperature > 0.0:
-            x = self._omega / temperature
-            warm = x <= _BOSE_NEGLIGIBLE
-            # math.expm1, not np.expm1: the vector kernel may differ in the last bit
-            bose = 1.0 / np.fromiter(map(math.expm1, x[warm].tolist()), float)
-            terms[warm] = self._omega[warm] * (bose + 0.5)
-        return float(np.add.accumulate(np.append(terms, temperature)[self._index])[-1])
+            with np.errstate(over="ignore"):  # inf at a subnormal T: the cold limit
+                x = omega / temperature
+            warm = self._positive & (x <= _BOSE_NEGLIGIBLE)
+            terms[warm] = omega[warm] * (1.0 / np.expm1(x[warm]) + 0.5)
+        return float(np.add.accumulate(terms)[-1])
 
 
 def internal_energy(params: LatticeParams, nu_t: float, temperature: float) -> float:
@@ -128,7 +123,8 @@ def _crossing(params: LatticeParams, nu_t: float, energy: _Energy, bound: float)
         hi *= 2.0
     else:
         raise DomainError("no bound crossing found below an extreme temperature")
-    return float(brentq(gap, 0.0, hi, rtol=1e-10))
+    xtol = TC_XTOL * params.temperature_unit
+    return float(brentq(gap, 0.0, hi, xtol=xtol, rtol=1e-10))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -617,6 +618,39 @@ def test_witness_sweep_on_large_lr_ring_finishes(capsys):
     row = parse_csv(capsys.readouterr().out)[0]
     assert row["error"] == ""
     assert math.isfinite(float(row["Tc"]))
+
+
+@pytest.mark.parametrize(
+    "mass,charge,spacing", [("2", "1", "1"), ("754", "0.00166", "325"), ("1e6", "1e-3", "1e3")]
+)
+def test_crossing_temperature_does_not_depend_on_the_raw_scale(mass, charge, spacing, capsys):
+    # the root-find tolerance of Tc is a reduced temperature
+    rc = main([
+        "sweep", "--n", "12", "--model", "LR", "--mass", mass, "--charge", charge,
+        "--spacing", spacing, "--nu", NU_PAPER, "--nu-t", "2.0", "--temp", "0",
+        "--measures", "witness",
+    ])
+    assert rc == 0
+    assert parse_csv(capsys.readouterr().out)[0]["Tc"] == "0.915458710689"
+
+
+def test_subnormal_temperature_is_the_cold_limit_without_warnings(capsys):
+    # omega / T overflows to inf at a subnormal T: the cold limit, not a fault.
+    # The flat ring at nuT 2 has no zero mode, so every mode is in its ground state.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["witness", *base_args(), "--nu-t", "2.0", "--temp", "1e-310"]) == 0
+        cold = parse_csv(capsys.readouterr().out)[0]
+        argv = ["sweep", *base_args(), "--nu-t", "2.0", "--temp", "0,1e-310",
+                "--measures", "negativity,entropy,witness"]
+        assert main(argv) == 0
+        zero, tiny = parse_csv(capsys.readouterr().out)
+        params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+        u_tiny = witness_report(params, 2.0, 1e-310).internal_energy
+        assert u_tiny == witness_report(params, 2.0, 0.0).internal_energy
+    assert cold["U"] == zero["U"]
+    del zero["T"], tiny["T"]
+    assert tiny == zero
 
 
 def test_bulk_limit_below_transition_uses_large_ring(capsys):
