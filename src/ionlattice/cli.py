@@ -36,7 +36,7 @@ from .covariance import (
     td_single_site_eigenvalue,
 )
 from .entanglement import (
-    block_entropy,
+    block_entropy_profile,
     negativity,
     separability_criteria,
     spectrum_entropy,
@@ -71,8 +71,26 @@ MEASURES = (
 )
 DEFAULT_MEASURES = ("negativity", "entropy")
 
-#: top-level keys of a config file
-CONFIG_KEYS = {"params", "nuTGrid", "temperatures", "measures", "tdLimit"}
+#: top-level keys of a config file, each with the JSON type it must hold
+#: (a string where a list belongs would be read character by character)
+CONFIG_KEYS = {
+    "params": (dict, "hold a JSON object"),
+    "nuTGrid": (list, "hold a JSON list"),
+    "temperatures": (list, "hold a JSON list"),
+    "measures": (list, "hold a JSON list"),
+    "tdLimit": (bool, "be true or false"),
+}
+
+#: keys of the config's ``params``, each the destination of its flag too,
+#: with their defaults
+PARAMS = {"n": 20, "mass": 1.0, "charge": 1.0, "spacing": 1.0, "nu": 1.0, "model": "NN",
+          "tauMax": None}
+
+#: grid name -> (flag, its destination, config key, default)
+GRIDS = {
+    "nuT": ("--nu-t", "nu_t", "nuTGrid", None),
+    "temperature": ("--temp", "temp", "temperatures", (0.0,)),
+}
 
 COLUMNS = (
     "nuT",
@@ -127,13 +145,8 @@ class SweepSpec:
     td_limit: bool = False
 
     def __post_init__(self):
-        for name, grid in (("nuT", self.nu_t_grid), ("temperature", self.temperatures)):
-            if not grid:
-                raise ConfigError(f"{name} grid must not be empty")
-            if not all(math.isfinite(v) for v in grid):
-                raise ConfigError(f"{name} grid must hold finite values")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"{name} grid must be strictly increasing")
+        _check_grid("nuT", self.nu_t_grid)
+        _check_grid("temperature", self.temperatures)
         bad = [m for m in self.measures if m not in MEASURES]
         if bad:
             raise ConfigError(f"unknown measures {bad}; choose from {MEASURES}")
@@ -141,10 +154,20 @@ class SweepSpec:
             raise ConfigError("at least one measure is required")
         if self.td_limit and tuple(self.temperatures) != (0.0,):
             raise ConfigError("the bulk limit is implemented for temperature 0 only")
-        if any(t < 0 for t in self.temperatures):
-            raise ConfigError("temperatures must be non-negative")
         if self.params.charge <= 0:
             raise ConfigError("reduced units require a positive charge")
+
+
+def _check_grid(name: str, grid):
+    """Refuse a nuT or temperature grid that no row can be made of."""
+    if not grid:
+        raise ConfigError(f"{name} grid must not be empty")
+    if not all(math.isfinite(v) for v in grid):
+        raise ConfigError(f"{name} grid must hold finite values")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{name} grid must be strictly increasing")
+    if name == "temperature" and any(t < 0 for t in grid):
+        raise ConfigError("temperatures must be non-negative")
 
 
 def _block_sizes(measures) -> tuple:
@@ -286,8 +309,7 @@ def _size_cells(points, size: int):
     """The block entropy cells of one size. One :func:`symplectic_spectra`
     call serves every temperature, direction and point of the chunk; a
     stack that several points share (the flat-phase x half, see
-    :func:`_moments`) enters it once. A point's stacks are released with
-    its largest size."""
+    :func:`_moments`) enters it once."""
     offsets, parts, starts, end = {}, [], [], 0
     for point in points:
         for stack in point.blocks:
@@ -296,10 +318,7 @@ def _size_cells(points, size: int):
                 parts.append(stack[:, : 2 * size, : 2 * size])
                 end += len(stack)
         starts.append([offsets[id(stack)] for stack in point.blocks])
-        if size == point.sizes[-1]:
-            point.blocks = ()
     stack = np.concatenate(parts)
-    del parts
     spectra = symplectic_spectra(stack)
     for point, point_starts in zip(points, starts):
         for t, row in enumerate(point.rows):
@@ -505,7 +524,10 @@ def _parse_grid(text: str) -> tuple:
                 raise ConfigError("grid count must be positive")
             if count == 1:
                 return (start,)
-            return tuple(np.linspace(start, stop, count).tolist())
+            try:
+                return tuple(np.linspace(start, stop, count).tolist())
+            except MemoryError:
+                raise ConfigError(f"grid count {count} is too large") from None
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse grid {text!r}: {exc}") from None
@@ -528,21 +550,20 @@ def _real(key: str, value) -> float:
 
 
 def _params_from_mapping(raw: dict) -> LatticeParams:
-    known = {"n", "mass", "charge", "spacing", "nu", "model", "tauMax"}
-    extra = set(raw) - known
+    extra = set(raw) - PARAMS.keys()
     if extra:
         raise ConfigError(f"unknown parameter keys {sorted(extra)}")
+    raw = {**PARAMS, **raw}
     try:
-        model = Model[str(raw.get("model", "NN")).upper()]
+        model = Model[str(raw["model"]).upper()]
     except KeyError:
-        raise ConfigError(f"model must be NN or LR, got {raw.get('model')!r}") from None
+        raise ConfigError(f"model must be NN or LR, got {raw['model']!r}") from None
     try:
         mass, charge, spacing, nu_paper = (
-            _real(key, raw.get(key, 1.0)) for key in ("mass", "charge", "spacing", "nu")
+            _real(key, raw[key]) for key in ("mass", "charge", "spacing", "nu")
         )
-        n = _integer("n", raw.get("n", 20))
-        tau_max = raw.get("tauMax")
-        tau_max = None if tau_max is None else _integer("tauMax", tau_max)
+        n = _integer("n", raw["n"])
+        tau_max = None if raw["tauMax"] is None else _integer("tauMax", raw["tauMax"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameter value: {exc}") from None
     if not all(math.isfinite(v) for v in (mass, charge, spacing, nu_paper)):
@@ -561,18 +582,11 @@ def _params_from_mapping(raw: dict) -> LatticeParams:
     )
 
 
-def _grid_flag(value, fallback):
-    """A grid from its flag: a grid string (sweep), one number (one-point
-    commands), or ``fallback`` when the flag is unset."""
-    if value is None:
-        return fallback
-    return _parse_grid(value) if isinstance(value, str) else (value,)
-
-
-def _spec_from_args(args) -> SweepSpec:
-    """Resolve the parameters of any subcommand: config file, then flags."""
+def _load(args):
+    """(config mapping, raw-unit parameters) of any subcommand: the config
+    file, then the parameter flags that are set."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
@@ -582,66 +596,64 @@ def _spec_from_args(args) -> SweepSpec:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        extra = set(cfg) - CONFIG_KEYS
+        extra = set(cfg) - CONFIG_KEYS.keys()
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
-        for key in ("nuTGrid", "temperatures", "measures"):
-            # a string would be read character by character
-            if key in cfg and not isinstance(cfg[key], list):
-                raise ConfigError(f"config key {key} must hold a JSON list")
-    raw_params = cfg.get("params", {})
-    if not isinstance(raw_params, dict):
-        raise ConfigError("config key params must hold a JSON object")
-    raw_params = dict(raw_params)
-    for key, attr in (
-        ("n", "n"),
-        ("mass", "mass"),
-        ("charge", "charge"),
-        ("spacing", "spacing"),
-        ("nu", "nu"),
-        ("model", "model"),
-        ("tauMax", "tau_max"),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            raw_params[key] = val
-    params = _params_from_mapping(raw_params)
+        for key, value in cfg.items():
+            kind, rule = CONFIG_KEYS[key]
+            if not isinstance(value, kind):
+                raise ConfigError(f"config key {key} must {rule}")
+    flags = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
+    return cfg, _params_from_mapping({**cfg.get("params", {}), **flags})
 
-    nu_t_grid = _grid_flag(getattr(args, "nu_t", None), cfg.get("nuTGrid"))
-    if nu_t_grid is None:
+
+def _grid(args, cfg: dict, name: str) -> tuple:
+    """The checked ``name`` grid of a command, in reduced units: its flag,
+    else its config key, else its default."""
+    _, dest, key, default = GRIDS[name]
+    text = getattr(args, dest)
+    grid = cfg.get(key, default) if text is None else _parse_grid(text)
+    if grid is None:
         raise ConfigError("a nuT grid is required (--nu-t or config nuTGrid)")
-    temperatures = _grid_flag(getattr(args, "temp", None), cfg.get("temperatures", [0.0]))
-    measures = cfg.get("measures", list(DEFAULT_MEASURES))
-    if getattr(args, "measures", None) is not None:
-        measures = [m.strip() for m in args.measures.split(",") if m.strip()]
-    td_limit = cfg.get("tdLimit", False)
-    if not isinstance(td_limit, bool):
-        raise ConfigError("config key tdLimit must be true or false")
-    if getattr(args, "td_limit", False):
-        td_limit = True
     try:
-        nu_t_grid = tuple(_real("nuT grid entry", v) for v in nu_t_grid)
-        temperatures = tuple(_real("temperature grid entry", v) for v in temperatures)
+        grid = tuple(_real(f"{name} grid entry", v) for v in grid)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grids must be lists of numbers: {exc}") from None
+    _check_grid(name, grid)
+    return grid
+
+
+def _spec_from_args(args) -> SweepSpec:
+    """Resolve a sweep: config file, then flags."""
+    cfg, params = _load(args)
+    measures = cfg.get("measures", DEFAULT_MEASURES)
+    if args.measures is not None:
+        measures = [m.strip() for m in args.measures.split(",") if m.strip()]
     return SweepSpec(
         params=params,
-        nu_t_grid=nu_t_grid,
-        temperatures=temperatures,
+        nu_t_grid=_grid(args, cfg, "nuT"),
+        temperatures=_grid(args, cfg, "temperature"),
         measures=tuple(measures),
-        td_limit=td_limit,
+        td_limit=cfg.get("tdLimit", False) or args.td_limit,
     )
 
 
+def _single(args, cfg: dict, name: str) -> float:
+    """The one value of a one-point command's ``name`` grid."""
+    grid = _grid(args, cfg, name)
+    if len(grid) != 1:
+        raise ConfigError(f"{args.command} takes one {name} value, got {len(grid)}")
+    return grid[0]
+
+
 def _point_from_args(args):
-    """(params, raw nu_t, raw temperature) of a one-point command."""
-    spec = _spec_from_args(args)
-    params = spec.params
-    nu_t = spec.nu_t_grid[0] * params.nu_t_unit
-    return params, nu_t, spec.temperatures[0] * params.temperature_unit
+    """(params, raw nu_t, raw temperature) of a one-point command with ``--temp``."""
+    cfg, params = _load(args)
+    nu_t, temperature = (_single(args, cfg, name) for name in GRIDS)
+    return params, nu_t * params.nu_t_unit, temperature * params.temperature_unit
 
 
-def _add_param_flags(sub, with_nu_t_grid: bool):
+def _add_param_flags(sub, grids=tuple(GRIDS)):
     sub.add_argument("--config", help="JSON file with params and grids")
     sub.add_argument("--n", type=int, help="number of sites")
     sub.add_argument("--mass", type=float)
@@ -649,12 +661,11 @@ def _add_param_flags(sub, with_nu_t_grid: bool):
     sub.add_argument("--spacing", type=float)
     sub.add_argument("--nu", type=float, help="axial trap frequency, reduced units")
     sub.add_argument("--model", choices=["NN", "LR", "nn", "lr"])
-    sub.add_argument("--tau-max", dest="tau_max", type=int)
-    if with_nu_t_grid:
-        sub.add_argument("--nu-t", dest="nu_t", help="grid: comma list or start:stop:count")
-    else:
-        sub.add_argument("--nu-t", dest="nu_t", type=float, required=True,
-                         help="transverse trap frequency, reduced units")
+    sub.add_argument("--tau-max", dest="tauMax", type=int)
+    for name in grids:
+        flag, dest = GRIDS[name][:2]
+        sub.add_argument(flag, dest=dest,
+                         help=f"{name} grid, reduced units: comma list or start:stop:count")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -669,8 +680,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    params, nu_t, _ = _point_from_args(args)
-    spec = build_spectrum(params, nu_t)
+    cfg, params = _load(args)
+    spec = build_spectrum(params, _single(args, cfg, "nuT") * params.nu_t_unit)
     cols = ("l", "variant", "omegaX", "omegaY", "omegaV", "omegaW")
     names = cols[2:4] if spec.variant is Variant.LINEAR else cols[4:6]
     rows = []
@@ -684,15 +695,9 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_block_entropy(args) -> int:
     params, nu_t, temperature = _point_from_args(args)
-    cov = block_covariance(
-        params,
-        nu_t,
-        temperature,
-        sites=range(1, args.sites + 1),
-        directions=(args.direction,),
-        drop_soft_modes=args.drop_soft_modes,
+    rep = block_entropy_profile(
+        params, nu_t, temperature, args.sites, args.direction, args.drop_soft_modes
     )
-    rep = block_entropy(cov, n_sites=args.sites, direction=args.direction)
     cols = ("nSites", "direction", "entropy", "spectrum", "droppedSoftModes")
     row = {
         "nSites": rep.n_sites,
@@ -777,8 +782,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sweep = subs.add_parser("sweep", help="tabulate measures over a nuT/T grid")
-    _add_param_flags(sweep, with_nu_t_grid=True)
-    sweep.add_argument("--temp", help="temperature grid, reduced units")
+    _add_param_flags(sweep)
     sweep.add_argument("--measures", help=f"comma list from {','.join(MEASURES)}")
     sweep.add_argument("--td-limit", action="store_true", dest="td_limit",
                        help="bulk-limit evaluation (temperature grid must be [0])")
@@ -786,25 +790,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     spectrum = subs.add_parser("spectrum", help="normal-mode frequencies at one point")
-    _add_param_flags(spectrum, with_nu_t_grid=False)
+    _add_param_flags(spectrum, grids=("nuT",))
     spectrum.set_defaults(func=_cmd_spectrum)
 
     blocke = subs.add_parser("block-entropy", help="entropy of a block of sites")
-    _add_param_flags(blocke, with_nu_t_grid=False)
-    blocke.add_argument("--temp", type=float, default=0.0)
+    _add_param_flags(blocke)
     blocke.add_argument("--sites", type=int, default=1, help="block size")
     blocke.add_argument("--direction", choices=["x", "y"], default="y")
     blocke.add_argument("--drop-soft-modes", action="store_true")
     blocke.set_defaults(func=_cmd_block_entropy)
 
     witness = subs.add_parser("witness", help="energy witness at one point")
-    _add_param_flags(witness, with_nu_t_grid=False)
-    witness.add_argument("--temp", type=float, default=0.0)
+    _add_param_flags(witness)
     witness.set_defaults(func=_cmd_witness)
 
     covariance = subs.add_parser("covariance", help="covariance matrix of chosen sites")
-    _add_param_flags(covariance, with_nu_t_grid=False)
-    covariance.add_argument("--temp", type=float, default=0.0)
+    _add_param_flags(covariance)
     covariance.add_argument("--sites", default="1,2", help="comma list of site indices")
     covariance.add_argument("--directions", default="x,y")
     covariance.add_argument("--dump", help="write full-precision matrix to this path")

@@ -145,8 +145,6 @@ def _cos_weights(n, delta):
 
 @functools.lru_cache(maxsize=128)
 def _sin_weights(n, delta):
-    if delta == 0:
-        return _read_only(np.zeros(n))
     ls = np.arange(1, n + 1, dtype=float)
     return _read_only(np.sin(2.0 * np.pi * ls * delta / n))
 

@@ -16,7 +16,6 @@ labels as l -> l + n/2.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,21 +39,19 @@ RADICAND_TOL = 1e-12
 COUPLING_TOL = 2e-14
 
 
-# every block size of a sweep asks for the same few forms; callers share
-# the cached arrays, so they are read-only
-@functools.lru_cache(maxsize=32)
 def symplectic_form(k: int) -> np.ndarray:
     """Symplectic form of k modes with interleaved quadratures (q1, p1, q2, p2, ...)."""
     omega = np.zeros((2 * k, 2 * k))
     i = np.arange(k)
     omega[2 * i, 2 * i + 1] = 1.0
     omega[2 * i + 1, 2 * i] = -1.0
-    omega.flags.writeable = False
     return omega
 
 
-# block ordering (X, Px, Y, Py); one symplectic unit per direction
+# block ordering (X, Px, Y, Py); one symplectic unit per direction; shared
+# by every caller, so read-only
 OMEGA4 = symplectic_form(2)
+OMEGA4.flags.writeable = False
 
 
 def _sqrt_radicand(w2: np.ndarray, branch: str) -> np.ndarray:

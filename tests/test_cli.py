@@ -28,7 +28,12 @@ from ionlattice.cli import (
 )
 from ionlattice import cli, covariance, entanglement, lattice, spectrum
 from ionlattice.covariance import block_covariance, pair_moments
-from ionlattice.entanglement import block_entropy, negativity, separability_criteria
+from ionlattice.entanglement import (
+    block_entropy,
+    block_entropy_profile,
+    negativity,
+    separability_criteria,
+)
 from ionlattice.errors import ConfigError, DomainError
 from ionlattice.lattice import LatticeParams, Model, solve_equilibrium
 from ionlattice.witness import witness_report
@@ -905,3 +910,127 @@ def test_xy_mode_config_key_is_a_config_error(tmp_path, capsys):
     path.write_text(json.dumps({"xyMode": "signed"}))
     assert main(["witness", *base_args(), "--config", str(path), "--nu-t", "1.0"]) == 2
     assert "configuration error: unknown config keys ['xyMode']" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ one input path
+
+
+def write_config(tmp_path, **keys):
+    """A config file of the base_args() ring with the given top-level keys."""
+    cfg = {"params": {"n": 8, "mass": 2, "charge": 1, "spacing": 1, "nu": float(NU_PAPER)},
+           **keys}
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def run(argv, capsys):
+    """(exit code, stdout, stderr) of one command."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+ONE_POINT_EXTRA = {
+    "witness": [],
+    "block-entropy": ["--sites", "2"],
+    "covariance": ["--sites", "1,2"],
+}
+
+
+@pytest.mark.parametrize("command", list(ONE_POINT_EXTRA))
+def test_one_point_commands_read_the_config_temperatures(command, tmp_path, capsys):
+    # the flag had an argparse default of 0 that shadowed the config
+    extra = ONE_POINT_EXTRA[command]
+    path = write_config(tmp_path, nuTGrid=[2.0], temperatures=[0.5])
+    from_config = run([command, "--config", path, "--nu-t", "2.0", *extra], capsys)
+    from_flags = run([command, *base_args(), "--nu-t", "2.0", "--temp", "0.5", *extra], capsys)
+    cold = run([command, *base_args(), "--nu-t", "2.0", *extra], capsys)
+    assert from_config == from_flags and from_config[0] == 0
+    assert from_config != cold
+    if command == "witness":
+        assert parse_csv(from_config[1])[0]["U"] == "14.7754265095"
+
+
+@pytest.mark.parametrize("command", ["spectrum", *ONE_POINT_EXTRA])
+def test_one_point_command_runs_from_the_config_nu_t_grid(command, tmp_path, capsys):
+    extra = ONE_POINT_EXTRA.get(command, [])
+    path = write_config(tmp_path, nuTGrid=[1.2])
+    from_config = run([command, "--config", path, *extra], capsys)
+    assert from_config == run([command, *base_args(), "--nu-t", "1.2", *extra], capsys)
+    assert from_config[0] == 0 and from_config[1]
+
+
+@pytest.mark.parametrize("command", ["witness", "covariance"])
+@pytest.mark.parametrize(
+    "sweep_keys", [{"tdLimit": True}, {"measures": ["witness"]}], ids=["tdLimit", "measures"]
+)
+def test_sweep_keys_neither_change_nor_reject_a_one_point_command(
+    command, sweep_keys, tmp_path, capsys
+):
+    extra = ONE_POINT_EXTRA[command]
+    plain = write_config(tmp_path, nuTGrid=[2.0])
+    expected = run([command, "--config", plain, "--temp", "0.3", *extra], capsys)
+    assert expected[0] == 0
+    shared = write_config(tmp_path, nuTGrid=[2.0], **sweep_keys)
+    assert run([command, "--config", shared, "--temp", "0.3", *extra], capsys) == expected
+
+
+def test_spectrum_ignores_the_config_temperatures(tmp_path, capsys):
+    expected = run(["spectrum", *base_args(), "--nu-t", "2.0"], capsys)
+    for temperatures in ([-0.5], [0.1, 0.2]):
+        path = write_config(tmp_path, nuTGrid=[2.0], temperatures=temperatures)
+        assert run(["spectrum", "--config", path], capsys) == expected
+    # a command that reads the temperature refuses the negative one
+    path = write_config(tmp_path, nuTGrid=[2.0], temperatures=[-0.5])
+    rc, out, err = run(["witness", "--config", path], capsys)
+    assert (rc, out) == (2, "")
+    assert "configuration error: temperatures must be non-negative" in err
+
+
+def test_spectrum_has_no_temperature_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", *base_args(), "--nu-t", "2.0", "--temp", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --temp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flags,config,message",
+    [
+        ("witness", ["--nu-t", "1.5,2.0"], {}, "witness takes one nuT value, got 2"),
+        ("spectrum", ["--nu-t", "1:2:3"], {}, "spectrum takes one nuT value, got 3"),
+        ("covariance", [], {"nuTGrid": [1.5, 2.0]}, "covariance takes one nuT value, got 2"),
+        ("witness", ["--nu-t", "2.0", "--temp", "0,0.1"], {},
+         "witness takes one temperature value, got 2"),
+        ("block-entropy", ["--nu-t", "2.0"], {"temperatures": [0.1, 0.2]},
+         "block-entropy takes one temperature value, got 2"),
+    ],
+    ids=["witness-nuT", "spectrum-nuT", "covariance-nuTGrid", "witness-temp",
+         "block-entropy-temperatures"],
+)
+def test_one_point_command_takes_one_value_per_grid(command, flags, config, message,
+                                                    tmp_path, capsys):
+    path = write_config(tmp_path, **config)
+    rc, out, err = run([command, "--config", path, *flags], capsys)
+    assert (rc, out) == (2, "")
+    assert f"configuration error: {message}" in err
+
+
+def test_block_entropy_takes_the_library_block_size_rule(capsys):
+    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    with pytest.raises(ConfigError) as exc:
+        block_entropy_profile(params, 2.0, 0.0, 5, "y")
+    rc, out, err = run(["block-entropy", *base_args(), "--nu-t", "2.0", "--sites", "5"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"configuration error: {exc.value}\n"
+    assert str(exc.value) == "block size must be in 1..4, got 5"
+    assert run(["block-entropy", *base_args(), "--nu-t", "2.0", "--sites", "4"], capsys)[0] == 0
+
+
+def test_a_grid_count_too_large_to_allocate_is_a_config_error(capsys):
+    # a 7 PiB grid: the allocation fails at once
+    argv = ["sweep", "--n", "8", "--nu", NU_PAPER, "--nu-t", "1:2:1000000000000000"]
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert "grid count 1000000000000000 is too large" in err
