@@ -86,6 +86,10 @@ CONFIG_KEYS = {
 PARAMS = {"n": 20, "mass": 1.0, "charge": 1.0, "spacing": 1.0, "nu": 1.0, "model": "NN",
           "tauMax": None}
 
+#: most points of a start:stop:count grid; a larger count is refused before
+#: the grid is built
+GRID_COUNT_MAX = 10**6
+
 #: grid name -> (flag, its destination, config key, default)
 GRIDS = {
     "nuT": ("--nu-t", "nu_t", "nuTGrid", None),
@@ -403,7 +407,7 @@ def _td_point(spec: SweepSpec, nu_t: float, point: _Point, axial: dict):
         modes = build_spectrum(proxy, nu_t)
         if sizes:
             _stack_blocks(moment_table(modes, (0.0,)), sizes, point, axial)
-        if "witness" in spec.measures and not row["error"]:
+        if "witness" in spec.measures:
             point.witness = _witness_outcome(modes, (0.0,))
 
 
@@ -522,12 +526,11 @@ def _parse_grid(text: str) -> tuple:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise ConfigError("grid count must be positive")
+            if count > GRID_COUNT_MAX:
+                raise ConfigError(f"grid count {count} is too large (at most {GRID_COUNT_MAX})")
             if count == 1:
                 return (start,)
-            try:
-                return tuple(np.linspace(start, stop, count).tolist())
-            except MemoryError:
-                raise ConfigError(f"grid count {count} is too large") from None
+            return tuple(np.linspace(start, stop, count).tolist())
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse grid {text!r}: {exc}") from None
@@ -744,24 +747,23 @@ def _cmd_covariance(args) -> int:
     if args.dump:
         text = "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in cov.matrix)
         _write(args.dump, text, "dump file")
-    payload = {
-        "modes": [[s, d] for s, d in cov.modes],
-        "matrix": [[_json_cell(float(v)) for v in r] for r in cov.matrix],
-    }
     if args.format == "json":
+        payload = {
+            "modes": [[s, d] for s, d in cov.modes],
+            "matrix": [[_json_cell(v) for v in r] for r in cov.matrix.tolist()],
+        }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        lines = [",".join(f"{s}{d}" for s, d in cov.modes)]
-        for r in cov.matrix:
-            lines.append(",".join(_format_cell(float(v)) for v in r))
-        _emit("\n".join(lines) + "\n", args.out)
+        # one column per quadrature, interleaved as in the matrix
+        cols = tuple(f"{q}{s}{d}" for s, d in cov.modes for q in "qp")
+        _emit(rows_to_csv([dict(zip(cols, r)) for r in cov.matrix.tolist()], cols), args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
     from .checks import run_check_suite
 
-    results = run_check_suite(corrupt_hook=args.corrupt_normal_form)
+    results = run_check_suite()
     failed = 0
     for name, ok, detail in results:
         status = "pass" if ok else "FAIL"
@@ -812,8 +814,6 @@ def _build_parser() -> argparse.ArgumentParser:
     covariance.set_defaults(func=_cmd_covariance)
 
     check = subs.add_parser("check", help="run the internal consistency suite")
-    check.add_argument("--corrupt-normal-form", action="store_true",
-                       help="negative control: break the normal form on purpose")
     check.set_defaults(func=_cmd_check)
     return parser
 

@@ -152,8 +152,6 @@ def symplectic_spectrum(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
     a stack of one.
     """
     sigma = cov.matrix if isinstance(cov, CovarianceMatrix) else np.asarray(cov, float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
-        raise ConfigError("covariance matrix must be square with even dimension")
     spectrum = symplectic_spectra(sigma[None])[0]
     if isinstance(spectrum, Divergent):
         raise DomainError(f"{spectrum.reason}: its symplectic spectrum diverges")

@@ -3,9 +3,10 @@
 Translation invariance reduces the quadratic Hamiltonian to independent
 wave-number blocks l = 1 .. n. In the flat configuration the axial and
 transverse branches decouple and the dispersion is analytic. In the buckled
-configuration the two directions mix within each block; the block is brought
-to normal form by a symplectic congruence built from the rotation that
-diagonalizes the 2x2 squared-frequency matrix.
+configuration the two directions mix within each block: ``build_spectrum``
+gives every block's normal frequencies and mixing weights in closed form,
+and ``symplectic_diagonalize`` brings one block to normal form with
+``np.linalg.eigh`` as the independent oracle for them.
 
 The transverse Fourier transform carries a half-zone shift that absorbs the
 alternating sign of the buckled pattern; its trace is that odd-distance
@@ -35,7 +36,7 @@ from .lattice import (
 RADICAND_TOL = 1e-12
 
 #: Couplings below this fraction of the squared frequency unit Q^2/(m a^3)
-#: use the trivially decoupled normal form (1e-14 at m = 2, Q = a = 1).
+#: leave a block of ``build_spectrum`` unmixed (1e-14 at m = 2, Q = a = 1).
 COUPLING_TOL = 2e-14
 
 
@@ -46,12 +47,6 @@ def symplectic_form(k: int) -> np.ndarray:
     omega[2 * i, 2 * i + 1] = 1.0
     omega[2 * i + 1, 2 * i] = -1.0
     return omega
-
-
-# block ordering (X, Px, Y, Py); one symplectic unit per direction; shared
-# by every caller, so read-only
-OMEGA4 = symplectic_form(2)
-OMEGA4.flags.writeable = False
 
 
 def _sqrt_radicand(w2: np.ndarray, branch: str) -> np.ndarray:
@@ -71,22 +66,13 @@ def _sqrt_radicand(w2: np.ndarray, branch: str) -> np.ndarray:
     return np.sqrt(np.where(w2 < 0.0, 0.0, w2))
 
 
-def linear_dispersion(params: LatticeParams, nu_t: float, l: int | None = None):
-    """Axial and transverse mode frequencies of the flat ring.
-
-    Returns the pair (axial, transverse) for wave number ``l`` or, when
-    ``l`` is None, arrays over l = 1 .. n. The axial branch does not depend
-    on ``nu_t``.
-    """
+def linear_dispersion(params: LatticeParams, nu_t: float):
+    """Axial and transverse mode frequencies of the flat ring, as arrays
+    over l = 1 .. n. The axial branch does not depend on ``nu_t``."""
     c = params.coulomb_constant
-    if l is not None and not 1 <= l <= params.n:
-        raise ConfigError(f"mode index {l} outside 1 .. {params.n}")
-    ls = np.arange(1, params.n + 1, dtype=float) if l is None else np.array([float(l)])
-    softening = _softening(params, ls)
+    softening = _softening(params, np.arange(1, params.n + 1, dtype=float))
     wx = _sqrt_radicand(params.nu**2 + c * softening, "axial")
     wy = _sqrt_radicand(nu_t**2 - 0.5 * c * softening, "transverse")
-    if l is not None:
-        return float(wx[0]), float(wy[0])
     return wx, wy
 
 
@@ -140,61 +126,32 @@ def coupling_matrix(
     )
 
 
-def _decoupled(wxy, omega0_sq: float):
-    """Whether a cross coupling counts as zero: below ``COUPLING_TOL`` in
-    units of the squared frequency unit ``omega0_sq``, so the verdict does
-    not depend on the raw units."""
-    return np.abs(wxy) < COUPLING_TOL * omega0_sq
-
-
-def _rotation(wx2: float, wy2: float, wxy: float, omega0_sq: float) -> tuple[float, float]:
-    """Cosine/sine of the mixing angle; branch-free in the coupled case."""
-    if _decoupled(wxy, omega0_sq):
-        return (1.0, 0.0) if wx2 >= wy2 else (0.0, 1.0)
-    delta = wx2 - wy2
-    big_r = np.hypot(delta, 2.0 * wxy)
-    c = np.sqrt((big_r + delta) / (2.0 * big_r))
-    s = (wxy / big_r) / c
-    return float(c), float(s)
-
-
-def symplectic_diagonalize(
-    block: np.ndarray, omega0_sq: float
-) -> tuple[float, float, np.ndarray]:
-    """Normal-form frequencies and symplectic congruence of one 4x4 block
-    of a ring whose squared frequency unit Q^2/(m a^3) is ``omega0_sq``
-    (:attr:`LatticeParams.omega0_sq`).
+def symplectic_diagonalize(block: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Normal-form frequencies and symplectic congruence of one 4x4 block.
 
     Returns ``(wv, ww, S)`` with ``wv >= ww`` such that
-    ``S @ block @ S.T = diag(wv/2, wv/2, ww/2, ww/2)``
-    and ``S @ OMEGA4 @ S.T = OMEGA4``. The normal-mode quadratures are
-    obtained from the block quadratures via ``S^-T``.
+    ``S @ block @ S.T = diag(wv/2, wv/2, ww/2, ww/2)`` and
+    ``S @ J @ S.T = J`` for ``J = symplectic_form(2)``. The rotation is the
+    eigenvector matrix of the 2x2 squared-frequency matrix from
+    ``np.linalg.eigh``; any orthogonal one makes ``S`` symplectic. The
+    normal-mode quadratures are obtained from the block quadratures via
+    ``S^-T``.
     """
     block = np.asarray(block, dtype=float)
     if block.shape != (4, 4) or not np.allclose(block, block.T, atol=1e-12):
         raise ConfigError("expected a symmetric 4x4 block")
     m = 0.5 / block[1, 1]
-    wx2 = 2.0 * block[0, 0] / m
-    wy2 = 2.0 * block[2, 2] / m
-    wxy = 2.0 * block[0, 2] / m
-
-    delta = wx2 - wy2
-    big_r = float(np.hypot(delta, 2.0 * wxy))
-    wv = float(_sqrt_radicand(0.5 * (wx2 + wy2 + big_r), "upper normal")[0])
-    ww = float(_sqrt_radicand(0.5 * (wx2 + wy2 - big_r), "lower normal")[0])
-    if wv <= 0.0 or ww <= 0.0:
+    w2, vectors = np.linalg.eigh(2.0 * block[::2, ::2] / m)
+    wv = float(_sqrt_radicand(w2[1], "upper normal")[0])
+    ww = float(_sqrt_radicand(w2[0], "lower normal")[0])
+    if ww <= 0.0:
         raise DomainError("zero-frequency mode admits no normal-form scaling")
 
-    c, s = _rotation(wx2, wy2, wxy, omega0_sq)
-    rv, rw = np.sqrt(m * wv), np.sqrt(m * ww)
-    S = np.array(
-        [
-            [c / rv, 0.0, s / rv, 0.0],
-            [0.0, c * rv, 0.0, s * rv],
-            [-s / rw, 0.0, c / rw, 0.0],
-            [0.0, -s * rw, 0.0, c * rw],
-        ]
-    )
+    S = np.zeros((4, 4))
+    for row, w, vector in ((0, wv, vectors[:, 1]), (2, ww, vectors[:, 0])):
+        r = np.sqrt(m * w)
+        S[row, ::2] = vector / r
+        S[row + 1, 1::2] = vector * r
     return wv, ww, S
 
 
@@ -243,7 +200,7 @@ def build_spectrum(
     wv = _sqrt_radicand(0.5 * (wx2 + wy2 + big_r), "upper normal")
     ww = _sqrt_radicand(0.5 * (wx2 + wy2 - big_r), "lower normal")
 
-    tiny = _decoupled(wxy, params.omega0_sq)
+    tiny = np.abs(wxy) < COUPLING_TOL * params.omega0_sq
     safe_r = np.where(big_r > 0.0, big_r, 1.0)
     c2 = np.where(tiny, np.where(delta >= 0.0, 1.0, 0.0), (big_r + delta) / (2 * safe_r))
     s2 = np.where(tiny, np.where(delta >= 0.0, 0.0, 1.0), (big_r - delta) / (2 * safe_r))

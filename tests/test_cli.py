@@ -5,7 +5,9 @@ temperatures in half that), so these tests pin the conversion happening
 exactly once against API calls made directly in raw units.
 """
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -26,7 +28,7 @@ from ionlattice.cli import (
     rows_to_json,
     run_sweep,
 )
-from ionlattice import cli, covariance, entanglement, lattice, spectrum
+from ionlattice import checks, cli, covariance, entanglement, lattice, spectrum
 from ionlattice.covariance import block_covariance, pair_moments
 from ionlattice.entanglement import (
     block_entropy,
@@ -498,10 +500,27 @@ def test_failed_command_leaves_an_existing_output_untouched(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv"]
 
 
-def test_check_negative_control(capsys):
-    assert main(["check", "--corrupt-normal-form"]) == 1
+def test_check_negative_control(monkeypatch, capsys):
+    # mixing weights off by 0.1% in the spectrum every sweep uses: the
+    # normal-form check must see it
+    build = checks.build_spectrum
+
+    def skewed(*args, **kwargs):
+        spec = build(*args, **kwargs)
+        return dataclasses.replace(spec, cs=spec.cs * 1.001)
+
+    monkeypatch.setattr(checks, "build_spectrum", skewed)
+    assert main(["check"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "symplectic" in out
+    assert "FAIL  symplectic-normal-form" in out
+    assert "5/6 checks passed" in out
+
+
+def test_check_takes_no_corruption_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--corrupt-normal-form"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --corrupt-normal-form" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(capsys):
@@ -555,6 +574,26 @@ def test_block_entropy_of_a_divergent_block_is_a_numerical_failure(capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "numerical failure:" in err and "non-finite" in err and "Traceback" not in err
+
+
+def test_covariance_csv_names_every_quadrature_and_json_agrees(capsys):
+    argv = ["covariance", *base_args(), "--nu-t", "1.2", "--temp", "0.3",
+            "--sites", "1,2,3", "--directions", "x,y"]
+    rc, text, _ = run(argv, capsys)
+    assert rc == 0
+    reader = csv.DictReader(io.StringIO(text))
+    header = reader.fieldnames
+    assert header == [f"{q}{s}{d}" for s in (1, 2, 3) for d in "xy" for q in "qp"]
+    rows = list(reader)
+    assert len(rows) == 12 and all(None not in row and len(row) == 12 for row in rows)
+    rc, text, _ = run([*argv, "--format", "json"], capsys)
+    assert rc == 0
+    payload = json.loads(text)
+    # modes in header order: mode i owns columns 2i (q) and 2i + 1 (p)
+    assert [f"q{s}{d}" for s, d in payload["modes"]] == header[::2]
+    assert [f"p{s}{d}" for s, d in payload["modes"]] == header[1::2]
+    # both print 12 significant digits, so the values agree exactly
+    assert payload["matrix"] == [[float(row[c]) for c in header] for row in rows]
 
 
 def test_covariance_rejects_non_integer_sites(capsys):
@@ -1029,8 +1068,17 @@ def test_block_entropy_takes_the_library_block_size_rule(capsys):
 
 
 def test_a_grid_count_too_large_to_allocate_is_a_config_error(capsys):
-    # a 7 PiB grid: the allocation fails at once
+    # a 7 PiB grid: refused by the count cap before any allocation
     argv = ["sweep", "--n", "8", "--nu", NU_PAPER, "--nu-t", "1:2:1000000000000000"]
     rc, out, err = run(argv, capsys)
     assert (rc, out) == (2, "")
     assert "grid count 1000000000000000 is too large" in err
+
+
+def test_a_grid_count_above_the_cap_is_refused_before_the_grid_is_built(monkeypatch, capsys):
+    # 10^9 points would allocate 8 GB and then 10^9 Python floats
+    monkeypatch.setattr(cli.np, "linspace", _must_not_run)
+    argv = ["sweep", "--n", "8", "--nu", NU_PAPER, "--nu-t", "1:2:1000000000"]
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert f"grid count 1000000000 is too large (at most {cli.GRID_COUNT_MAX})" in err

@@ -58,12 +58,12 @@ CASES = {
     "covariance-buckled": (
         ["covariance", *BASE, "--nu-t", "1.2", "--temp", "0.3", "--sites", "1,2,3",
          "--directions", "x,y"],
-        "41e69395034b8b9621ee395f7fd556eb92ea3981f72c648332eb10513e10d32d",
+        "5244bd4b2183d2f3125e5bf2401b62b5fc0678a11c934280849d5373501d321f",
     ),
     "covariance-flat": (
         ["covariance", *BASE, "--nu-t", "2.0", "--temp", "0.3", "--sites", "1,2,3",
          "--directions", "x,y"],
-        "420be133ac59adcbb48985b16cb63a8f9338177dfb2caa627ff5e70bbdcf4c9f",
+        "6387794d1ee552ab2b7a4e32bad49e1d54aca5fabadf5479925757efc51294b7",
     ),
 }
 

@@ -117,6 +117,17 @@ def test_lr_equilibrium_residual(lr_ring, fraction):
     assert abs(equilibrium_residual(params, nu_t, config.b)) < 1e-12
 
 
+def test_lr_equilibrium_far_below_crit_widens_the_bracket(lr_ring):
+    # at raw nu_t 0.01 the root lies beyond the starting bracket of 10 a,
+    # so the bracket has to double before brentq runs
+    params = lr_ring()
+    config = solve_equilibrium(params, 0.01)
+    assert config.variant is Variant.ZIGZAG
+    assert config.b > 10.0 * params.spacing
+    assert_allclose(config.b / params.spacing, 27.0, rtol=0.01)
+    assert equilibrium_residual(params, 0.01, config.b) < 1e-12
+
+
 def test_buckling_grows_monotonically_below_crit(lr_ring):
     params = lr_ring()
     crit = critical_potential(params, td_limit=True)

@@ -21,13 +21,16 @@ from ionlattice.lattice import (
     solve_equilibrium,
 )
 from ionlattice.spectrum import (
-    OMEGA4,
     build_spectrum,
     coupling_matrix,
     linear_dispersion,
     symplectic_diagonalize,
+    symplectic_form,
     tilde_frequencies,
 )
+
+#: symplectic form of one 4x4 block, ordered (X, Px, Y, Py)
+OMEGA4 = symplectic_form(2)
 
 
 def williamson_oracle(block):
@@ -35,11 +38,6 @@ def williamson_oracle(block):
     freqs = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA4 @ (2.0 * block))))
     assert_allclose(freqs[::2], freqs[1::2], rtol=1e-12)
     return freqs[3], freqs[1]
-
-
-#: squared frequency unit Q^2/(m a^3) of the synthetic blocks below: the
-#: canonical ring m = 2, Q = a = 1
-OMEGA0_SQ = 0.5
 
 
 def _block(wx2, wy2, wxy, mass):
@@ -61,7 +59,7 @@ def test_symmetric_block_frozen():
     hi, lo = williamson_oracle(block)
     assert_allclose(hi, 1.224744871391589, rtol=1e-12)
     assert_allclose(lo, 0.7071067811865476, rtol=1e-12)
-    wv, ww, _ = symplectic_diagonalize(block, OMEGA0_SQ)
+    wv, ww, _ = symplectic_diagonalize(block)
     assert_allclose([wv, ww], [hi, lo], rtol=1e-12)
 
 
@@ -74,7 +72,7 @@ def test_normal_form_invariants(seed):
         wxy = 0.9 * math.sqrt(wx2 * wy2) * rng.uniform(0.0, 1.0)
         mass = rng.uniform(0.5, 4.0)
         block = _block(wx2, wy2, wxy, mass)
-        wv, ww, smat = symplectic_diagonalize(block, OMEGA0_SQ)
+        wv, ww, smat = symplectic_diagonalize(block)
         assert_allclose([wv, ww], williamson_oracle(block), rtol=1e-10)
         assert wv >= ww > 0
         target = np.diag([wv / 2, wv / 2, ww / 2, ww / 2])
@@ -84,7 +82,7 @@ def test_normal_form_invariants(seed):
 
 def test_decoupled_block_keeps_branch_identity():
     block = _block(4.0, 1.0, 0.0, mass=2.0)
-    wv, ww, smat = symplectic_diagonalize(block, OMEGA0_SQ)
+    wv, ww, smat = symplectic_diagonalize(block)
     assert_allclose([wv, ww], [2.0, 1.0], rtol=1e-12)
     assert_allclose(smat @ OMEGA4 @ smat.T, OMEGA4, atol=1e-12)
 
@@ -95,7 +93,7 @@ def test_zero_frequency_mode_is_a_domain_error(wx2, wy2, wxy):
     # wx2 wy2 = wxy^2: the lower normal frequency is exactly zero, and a
     # zero mode has no normal-form scaling
     with pytest.raises(DomainError, match="zero-frequency mode") as err:
-        symplectic_diagonalize(_block(wx2, wy2, wxy, mass=2.0), OMEGA0_SQ)
+        symplectic_diagonalize(_block(wx2, wy2, wxy, mass=2.0))
     assert type(err.value) is DomainError
 
 
@@ -117,16 +115,16 @@ def test_coupling_matrix_layout(nn_ring):
 def test_linear_dispersion_frozen_quarter_ring(nn_ring):
     # N = 4, l = 1: axial 1 + 2 sin^2(pi/4) = 2; transverse 1.5^2 - sin^2(pi/4)
     params = nn_ring(n=4)
-    wx, wy = linear_dispersion(params, 1.5, l=1)
-    assert_allclose(wx, math.sqrt(2.0), rtol=1e-12)
-    assert_allclose(wy, math.sqrt(1.75), rtol=1e-12)
+    wx, wy = linear_dispersion(params, 1.5)
+    assert_allclose(wx[0], math.sqrt(2.0), rtol=1e-12)
+    assert_allclose(wy[0], math.sqrt(1.75), rtol=1e-12)
 
 
 def test_zone_centre_recovers_trap_frequencies(nn_ring):
     params = nn_ring(n=10)
-    wx, wy = linear_dispersion(params, 1.7, l=10)
-    assert_allclose(wx, params.nu, rtol=1e-12)
-    assert_allclose(wy, 1.7, rtol=1e-12)
+    wx, wy = linear_dispersion(params, 1.7)
+    assert_allclose(wx[-1], params.nu, rtol=1e-12)
+    assert_allclose(wy[-1], 1.7, rtol=1e-12)
 
 
 def test_reflection_symmetry(lr_ring):
@@ -147,8 +145,8 @@ def test_axial_branch_ignores_transverse_trap(nn_ring):
 def test_zone_edge_softens_at_critical_point(nn_ring):
     params = nn_ring(n=16)
     crit = critical_potential(params)
-    _, wy = linear_dispersion(params, crit, l=8)
-    assert abs(wy) < 1e-7
+    _, wy = linear_dispersion(params, crit)
+    assert abs(wy[8 - 1]) < 1e-7
 
 
 def test_zigzag_branches_continuous_at_onset(nn_ring):
@@ -160,7 +158,7 @@ def test_zigzag_branches_continuous_at_onset(nn_ring):
     wx, wy = linear_dispersion(params, nu_t)
     for l in range(1, 9):
         block = coupling_matrix(params, config, nu_t, l)
-        wv, ww, _ = symplectic_diagonalize(block, params.omega0_sq)
+        wv, ww, _ = symplectic_diagonalize(block)
         shifted = (l + 4 - 1) % 8 + 1
         expect = sorted([wx[l - 1], wy[shifted - 1]])
         assert_allclose(sorted([ww, wv]), expect, atol=1e-6)
@@ -183,7 +181,7 @@ def test_build_spectrum_zigzag_matches_blockwise(nn_ring):
     config = solve_equilibrium(params, nu_t)
     for l in (1, 2, 4, 8):
         block = coupling_matrix(params, config, nu_t, l)
-        wv, ww, _ = symplectic_diagonalize(block, params.omega0_sq)
+        wv, ww, _ = symplectic_diagonalize(block)
         assert_allclose(spec.omega[0, l - 1], wv, rtol=1e-10)
         assert_allclose(spec.omega[1, l - 1], ww, rtol=1e-10)
 
@@ -213,5 +211,7 @@ def test_unstable_configuration_raises_with_modes(lr_ring):
 
 
 def test_out_of_range_mode_index(nn_ring):
+    params = nn_ring(n=8)
+    nu_t = 0.8 * critical_potential(params)
     with pytest.raises(ConfigError):
-        linear_dispersion(nn_ring(n=8), 1.4, l=9)
+        coupling_matrix(params, solve_equilibrium(params, nu_t), nu_t, 9)
