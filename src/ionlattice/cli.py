@@ -193,15 +193,13 @@ def _entropy_cell(spectrum):
     return entropy, False
 
 
+#: a row before any cell is filled: no values, no divergent flags, no error
+_ROW_TEMPLATE = {c: False if c.endswith("Divergent") else None for c in COLUMNS}
+_ROW_TEMPLATE["error"] = ""
+
+
 def _blank_row(nu_t_paper: float, t_paper: float) -> dict:
-    row = {c: None for c in COLUMNS}
-    row["nuT"] = nu_t_paper
-    row["T"] = t_paper
-    for c in COLUMNS:
-        if c.endswith("Divergent"):
-            row[c] = False
-    row["error"] = ""
-    return row
+    return {**_ROW_TEMPLATE, "nuT": nu_t_paper, "T": t_paper}
 
 
 def _error_text(exc) -> str:
@@ -444,12 +442,20 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
 
 
 def _format_cell(value) -> str:
+    """The CSV text of a cell: a float to 12 significant digits (inf, -inf
+    and nan as such), None as an empty cell, a flag as true or false."""
+    kind = value.__class__
+    # the exact types of nearly every cell first; the general rules below
+    # give each of them the same text
+    if kind is float:
+        return f"{value:.12g}"
     if value is None:
         return ""
+    if kind is bool:
+        return "true" if value else "false"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        # the format writes inf, -inf and nan as such
         return f"{float(value):.12g}"
     return str(value)
 
@@ -466,9 +472,9 @@ def _json_cell(value):
 
 
 def rows_to_csv(rows, columns=COLUMNS) -> str:
+    cell = _format_cell
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
+    lines += [",".join([cell(row[c]) for c in columns]) for row in rows]
     return "\n".join(lines) + "\n"
 
 

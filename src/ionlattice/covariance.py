@@ -149,6 +149,14 @@ def _sin_weights(n, delta):
     return _read_only(np.sin(2.0 * np.pi * ls * delta / n))
 
 
+@functools.lru_cache(maxsize=128)
+def _pair_weights(n, tau, parity):
+    """The weights 1 + parity cos and 1 - parity cos of the pair sums at
+    site distance ``tau`` (``parity`` exactly +-1.0)."""
+    cosd = _cos_weights(n, tau)
+    return _read_only(1.0 + parity * cosd), _read_only(1.0 - parity * cosd)
+
+
 @dataclass(frozen=True)
 class MomentTable:
     """The mode sums of one mode spectrum at a stack of temperatures.
@@ -253,15 +261,17 @@ def pair_moments_at(table: MomentTable, tau: int, direction: str) -> tuple:
     kern = getattr(table.kernels, direction)
     # the pair's parity is the sign of its covariance entry: (-1)^(2 + tau),
     # exactly +-1.0, for y on the zigzag, 1.0 otherwise
-    (cov_q, cov_p), parity = _pair_entry(table, 1, direction, 1 + tau, direction)
+    zigzag = spec.config.variant is Variant.ZIGZAG
+    parity = (-1.0) ** (2 + tau) if direction == "y" and zigzag else 1.0
     nu_ref = params.nu if direction == "x" else spec.nu_t
     q_scale = params.mass * nu_ref
     n = params.n
 
-    cosd = _cos_weights(n, tau)
+    plus, minus = _pair_weights(n, tau, parity)
     var_q, var_p = _mode_sum(table, direction, 0)
-    q_plus, p_plus = _weighted_mode_sums(kern, table.factors, 1.0 + parity * cosd, n)
-    q_minus, p_minus = _weighted_mode_sums(kern, table.factors, 1.0 - parity * cosd, n)
+    cov_q, cov_p = _mode_sum(table, direction, tau)
+    q_plus, p_plus = _weighted_mode_sums(kern, table.factors, plus, n)
+    q_minus, p_minus = _weighted_mode_sums(kern, table.factors, minus, n)
     columns = (
         q_scale * var_q,
         var_p / q_scale,
@@ -307,23 +317,50 @@ def _block_modes(params: LatticeParams, sites, directions) -> tuple:
     return tuple((s, d) for s in sites for d in directions)
 
 
-def _pair_entry(table, s1, d1, s2, d2):
-    """(raw sums, sign) of the moment <a_{s1,d1} a_{s2,d2}>: the raw mode
-    sums (shape (2, n_T), position and momentum) times the sign give the
-    entry. A sign of 1.0 leaves every bit of the sums as it is."""
-    zigzag = table.spectrum.config.variant is Variant.ZIGZAG
-    delta = s2 - s1
-    if d1 == d2:
-        sign = (-1.0) ** (s1 + s2) if d1 == "y" and zigzag else 1.0
-        return _mode_sum(table, d1, delta), sign
-    if not zigzag:
-        return np.zeros((2, len(table.temperatures))), 1.0
-    # cross-entry signs fixed by the (-1)^j staggering of the first site in
-    # each coupled pair; validated against the dense oracle
-    sin_sum = _mode_sum(table, "cross", delta)
-    if d1 == "x":  # <x_{s1} y_{s2}>
-        return sin_sum, (-1.0) ** s2
-    return sin_sum, -((-1.0) ** s1)  # <y_{s1} x_{s2}>
+# A block's entries depend on its modes and on whether the ring is buckled
+# only; a sweep asks for a few block shapes at every working point.
+@functools.lru_cache(maxsize=128)
+def _block_layout(modes: tuple, zigzag: bool) -> tuple:
+    """How the upper entries (i <= j, row-major) of a block over ``modes``
+    come from a table's raw mode sums.
+
+    Returns ``(keys, entry_key, signs, pairs, entry_pair, rows, cols)``:
+    the distinct (kernel, site distance) sums, None for the zero sums of a
+    cross entry of the flat ring; per upper entry the position of its sum
+    in ``keys`` and its sign, exactly +-1.0, of shape (m, 1, 1); the
+    distinct direction pairs and per entry the position of its pair; and
+    the q row and column 2i, 2j of each entry. Cross-entry signs are fixed
+    by the (-1)^j staggering of the first site in each coupled pair;
+    validated against the dense oracle.
+    """
+    keys, pairs, entry_key, signs, entry_pair, upper = {}, {}, [], [], [], []
+    for i, (s1, d1) in enumerate(modes):
+        for j in range(i, len(modes)):
+            s2, d2 = modes[j]
+            delta = s2 - s1
+            if d1 == d2:
+                key = (d1, delta)
+                sign = (-1.0) ** (s1 + s2) if d1 == "y" and zigzag else 1.0
+            elif not zigzag:
+                key, sign = None, 1.0
+            else:
+                key = ("cross", delta)
+                # <x_{s1} y_{s2}>, else <y_{s1} x_{s2}>
+                sign = (-1.0) ** s2 if d1 == "x" else -((-1.0) ** s1)
+            entry_key.append(keys.setdefault(key, len(keys)))
+            entry_pair.append(pairs.setdefault((d1, d2), len(pairs)))
+            signs.append(sign)
+            upper.append((2 * i, 2 * j))
+    rows, cols = np.array(upper).T
+    return (
+        tuple(keys),
+        _read_only(np.array(entry_key)),
+        _read_only(np.array(signs)[:, None, None]),
+        tuple(pairs),
+        _read_only(np.array(entry_pair)),
+        _read_only(rows),
+        _read_only(cols),
+    )
 
 
 def block_covariance(
@@ -368,22 +405,19 @@ def block_covariance_at(table: MomentTable, sites, directions=DIRECTIONS) -> np.
     spec = table.spectrum
     params = spec.params
     modes = _block_modes(params, sites, directions)
-    scale = {d: params.mass * (params.nu if d == "x" else spec.nu_t) for d in DIRECTIONS}
-    upper = [(i, j) for i in range(len(modes)) for j in range(i, len(modes))]
-    raw, signs, g = [], [], []
-    for i, j in upper:
-        (s1, d1), (s2, d2) = modes[i], modes[j]
-        sums, sign = _pair_entry(table, s1, d1, s2, d2)
-        raw.append(sums)
-        signs.append(sign)
-        g.append(math.sqrt(scale[d1] * scale[d2]))
+    keys, entry_key, signs, pairs, entry_pair, i, j = _block_layout(
+        modes, spec.config.variant is Variant.ZIGZAG
+    )
+    n_t = len(table.temperatures)
+    zero = np.zeros((2, n_t))
     # per upper entry: position and momentum moment at every temperature
-    entries = np.stack(raw) * np.array(signs)[:, None, None]
-    g = np.array(g)[:, None]
+    sums = np.stack([zero if key is None else _mode_sum(table, *key) for key in keys])
+    entries = sums[entry_key] * signs
+    scale = {d: params.mass * (params.nu if d == "x" else spec.nu_t) for d in DIRECTIONS}
+    g = np.array([math.sqrt(scale[d1] * scale[d2]) for d1, d2 in pairs])[entry_pair, None]
     qq, pp = (g * entries[:, 0]).T, (entries[:, 1] / g).T
-    i, j = (2 * np.array(ix) for ix in zip(*upper))
     k = len(modes)
-    cov = np.zeros((len(table.temperatures), 2 * k, 2 * k))
+    cov = np.zeros((n_t, 2 * k, 2 * k))
     cov[:, i, j] = cov[:, j, i] = qq
     cov[:, i + 1, j + 1] = cov[:, j + 1, i + 1] = pp
     return cov

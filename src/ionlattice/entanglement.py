@@ -165,22 +165,32 @@ def von_neumann_entropy(r) -> float:
 
     Accepts :class:`Divergent` (infinite eigenvalue) and returns inf.
     """
-    if isinstance(r, Divergent):
-        return math.inf
-    if r < 1.0 - 1e-10:
-        raise DomainError(f"symplectic eigenvalue {r} below 1")
-    if r <= 1.0:
-        return 0.0
-    up, dn = (r + 1.0) / 2.0, (r - 1.0) / 2.0
-    return up * math.log(up) - dn * math.log(dn)
+    return spectrum_entropy((r,))
 
 
 def spectrum_entropy(spectrum) -> float:
-    """Von Neumann entropy of a state with the symplectic ``spectrum``."""
+    """Von Neumann entropy of a state with the symplectic ``spectrum``: the
+    sum of g(r) = up ln(up) - dn ln(dn), up = (r + 1)/2 and dn = (r - 1)/2,
+    over its eigenvalues, 0 at r <= 1 and inf for a :class:`Divergent`
+    item. An eigenvalue below 1 - 1e-10 raises :class:`DomainError`."""
     if isinstance(spectrum, np.ndarray):
         # Python floats take the same IEEE steps as NumPy scalars, faster
         spectrum = spectrum.tolist()
-    return float(sum(von_neumann_entropy(r) for r in spectrum))
+    log, terms = math.log, []
+    add = terms.append
+    for r in spectrum:
+        if r.__class__ is Divergent:
+            add(math.inf)
+        elif r < 1.0 - 1e-10:
+            raise DomainError(f"symplectic eigenvalue {r} below 1")
+        elif r <= 1.0:
+            add(0.0)
+        else:
+            up, dn = (r + 1.0) / 2.0, (r - 1.0) / 2.0
+            add(up * log(up) - dn * log(dn))
+    # sum() rather than a running +=: Python 3.12 and later sum floats with
+    # compensation, and the entropy is what sum() of the terms gives
+    return float(sum(terms))
 
 
 @dataclass(frozen=True)

@@ -49,19 +49,27 @@ def symplectic_form(k: int) -> np.ndarray:
     return omega
 
 
-def _sqrt_radicand(w2: np.ndarray, branch: str) -> np.ndarray:
-    """Square root with the clamp window; raises listing offending modes,
-    and on a non-finite radicand (an overflow in the raw units)."""
-    w2 = np.atleast_1d(np.asarray(w2, dtype=float))
-    if not np.isfinite(w2).all():
-        ls = (np.flatnonzero(~np.isfinite(w2)) + 1).tolist()
-        raise NumericalFailure(f"{branch} branch: squared frequency not finite at l={ls}")
+def _sqrt_radicand(w2, branch: str):
+    """Square root with the clamp window; raises on a radicand below it and
+    on a non-finite one (an overflow in the raw units). An array is indexed
+    by l = 1 .. n, and the error lists the offending wave numbers; a scalar
+    (one block of the oracle) has none to give."""
+    w2 = np.asarray(w2, dtype=float)
+
+    def at(mask) -> tuple:
+        if w2.ndim == 0:
+            return "", None
+        ls = (np.flatnonzero(mask) + 1).tolist()
+        return f" at l={ls}", ls
+
+    finite = np.isfinite(w2)
+    if not finite.all():
+        raise NumericalFailure(f"{branch} branch: squared frequency not finite{at(~finite)[0]}")
     bad = w2 < -RADICAND_TOL
     if bad.any():
-        ls = (np.nonzero(bad)[0] + 1).tolist()
+        where, ls = at(bad)
         raise ImaginaryFrequency(
-            f"{branch} branch unstable: squared frequency negative at l={ls}",
-            modes=ls,
+            f"{branch} branch unstable: squared frequency negative{where}", modes=ls
         )
     return np.sqrt(np.where(w2 < 0.0, 0.0, w2))
 
@@ -142,8 +150,8 @@ def symplectic_diagonalize(block: np.ndarray) -> tuple[float, float, np.ndarray]
         raise ConfigError("expected a symmetric 4x4 block")
     m = 0.5 / block[1, 1]
     w2, vectors = np.linalg.eigh(2.0 * block[::2, ::2] / m)
-    wv = float(_sqrt_radicand(w2[1], "upper normal")[0])
-    ww = float(_sqrt_radicand(w2[0], "lower normal")[0])
+    wv = float(_sqrt_radicand(w2[1], "upper normal"))
+    ww = float(_sqrt_radicand(w2[0], "lower normal"))
     if ww <= 0.0:
         raise DomainError("zero-frequency mode admits no normal-form scaling")
 

@@ -116,6 +116,49 @@ def test_format_cell():
     assert _format_cell("zigzag") == "zigzag"
 
 
+def _reference_format_cell(value) -> str:
+    """The cell rule before the exact-type fast path, kept verbatim."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    return str(value)
+
+
+def _reference_json_cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (float, np.floating)):
+        text = _reference_format_cell(value)
+        return float(text) if math.isfinite(value) else text
+    return value
+
+
+def test_csv_and_json_equal_the_per_cell_rule_byte_for_byte():
+    """Every cell type a row can hold: extreme and signed Python floats,
+    NumPy scalars, flags, integers, text and absent values."""
+    cells = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan,
+             1.0 / 3.0, np.float64(-0.0), np.float64(2.5e-310), np.float64(math.inf),
+             np.float64(math.nan), np.float32(0.1), np.bool_(True), np.bool_(False),
+             True, False, 0, -7, 2**70, "zigzag", "", "DomainError: x, y", None]
+    rng = np.random.default_rng(7)
+    columns = tuple(f"c{i}" for i in range(9))
+    rows = [{c: cells[int(rng.integers(len(cells)))] for c in columns} for _ in range(300)]
+    rows.append(dict(zip(columns, cells)))
+    rows.append(dict(zip(columns, cells[9:])))
+    want = "\n".join(
+        [",".join(columns)]
+        + [",".join(_reference_format_cell(row[c]) for c in columns) for row in rows]
+    ) + "\n"
+    assert rows_to_csv(rows, columns) == want
+    payload = [{c: _reference_json_cell(row[c]) for c in columns} for row in rows]
+    assert rows_to_json(rows, columns) == json.dumps({"rows": payload}, indent=2) + "\n"
+    for value in cells:
+        assert _format_cell(value) == _reference_format_cell(value), repr(value)
+
+
 def test_csv_header_matches_schema():
     text = rows_to_csv([])
     assert text == ",".join(COLUMNS) + "\n"

@@ -15,8 +15,10 @@ from numpy.testing import assert_allclose
 from ionlattice import covariance
 from ionlattice.covariance import (
     DIRECTIONS,
+    _block_layout,
     _cos_weights,
     _dispersion_sum,
+    _pair_weights,
     _sin_weights,
     block_covariance,
     block_covariance_at,
@@ -487,6 +489,134 @@ def test_stacked_table_equals_the_per_temperature_reference(nn_ring, lr_ring, ri
         for got, t in zip(stack, temperatures):
             want = _reference_block(spec, t, sites, directions, False)
             assert _same_bits(got, want), (sites, directions, t)
+
+
+# ---------------------------------------------- per-upper-entry stacked loop
+# The block gather reads each distinct mode sum of a block once, from a
+# cached layout of signs and sums; these are the per-entry loop over the
+# upper entries and the pair moments with freshly built weights that it
+# replaced, kept verbatim as the reference its stacks must equal bit for bit.
+
+
+def _reference_stacked_entry(table, s1, d1, s2, d2):
+    zigzag = table.spectrum.config.variant is Variant.ZIGZAG
+    delta = s2 - s1
+    if d1 == d2:
+        sign = (-1.0) ** (s1 + s2) if d1 == "y" and zigzag else 1.0
+        return covariance._mode_sum(table, d1, delta), sign
+    if not zigzag:
+        return np.zeros((2, len(table.temperatures))), 1.0
+    sin_sum = covariance._mode_sum(table, "cross", delta)
+    if d1 == "x":  # <x_{s1} y_{s2}>
+        return sin_sum, (-1.0) ** s2
+    return sin_sum, -((-1.0) ** s1)  # <y_{s1} x_{s2}>
+
+
+def _reference_stacked_block(table, sites, directions):
+    spec = table.spectrum
+    params = spec.params
+    modes = tuple((s, d) for s in sites for d in directions)
+    scale = {d: params.mass * (params.nu if d == "x" else spec.nu_t) for d in DIRECTIONS}
+    upper = [(i, j) for i in range(len(modes)) for j in range(i, len(modes))]
+    raw, signs, g = [], [], []
+    for i, j in upper:
+        (s1, d1), (s2, d2) = modes[i], modes[j]
+        sums, sign = _reference_stacked_entry(table, s1, d1, s2, d2)
+        raw.append(sums)
+        signs.append(sign)
+        g.append(math.sqrt(scale[d1] * scale[d2]))
+    entries = np.stack(raw) * np.array(signs)[:, None, None]
+    g = np.array(g)[:, None]
+    qq, pp = (g * entries[:, 0]).T, (entries[:, 1] / g).T
+    i, j = (2 * np.array(ix) for ix in zip(*upper))
+    k = len(modes)
+    cov = np.zeros((len(table.temperatures), 2 * k, 2 * k))
+    cov[:, i, j] = cov[:, j, i] = qq
+    cov[:, i + 1, j + 1] = cov[:, j + 1, i + 1] = pp
+    return cov
+
+
+def _reference_stacked_pairs(table, tau, direction):
+    spec = table.spectrum
+    params = spec.params
+    kern = getattr(table.kernels, direction)
+    (cov_q, cov_p), parity = _reference_stacked_entry(table, 1, direction, 1 + tau, direction)
+    nu_ref = params.nu if direction == "x" else spec.nu_t
+    q_scale = params.mass * nu_ref
+    n = params.n
+    cosd = _cos_weights(n, tau)
+    var_q, var_p = covariance._mode_sum(table, direction, 0)
+    mode_sums = covariance._weighted_mode_sums
+    q_plus, p_plus = mode_sums(kern, table.factors, 1.0 + parity * cosd, n)
+    q_minus, p_minus = mode_sums(kern, table.factors, 1.0 - parity * cosd, n)
+    columns = (
+        q_scale * var_q,
+        var_p / q_scale,
+        q_scale * parity * cov_q,
+        parity * cov_p / q_scale,
+        q_scale * q_plus,
+        q_scale * q_minus,
+        p_plus / q_scale,
+        p_minus / q_scale,
+    )
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["all-modes", "drop-soft"])
+@pytest.mark.parametrize(
+    "ring", ["nn-flat", "nn-buckled", "nn-critical", "lr-flat", "lr-buckled", "lr-critical"]
+)
+def test_block_gather_equals_the_per_entry_loop(nn_ring, lr_ring, ring, drop):
+    """x, y and two-direction blocks of 1-4 leading sites and of the
+    non-leading sites (1, 2, 4), and the pair moments at tau 1-3, over one
+    table at T = 0, 0.3 and 2, equal the per-entry loop bit for bit, sign
+    of zero and inf included. The NN critical ring is exactly critical (a
+    zero mode); the LR one is at its computed critical point."""
+    params = lr_ring(n=12) if ring.startswith("lr") else nn_ring(n=8)
+    phase = ring.split("-")[1]
+    if phase == "critical" and ring.startswith("nn"):
+        nu_t = NU_T_CRITICAL_NN8 * params.nu_t_unit
+    else:
+        nu_t = _factor(params, {"buckled": 0.8, "flat": 1.5, "critical": 1.0}[phase])
+    spec = build_spectrum(params, nu_t)
+    temperatures = (0.0, 0.3, 2.0)
+    table = moment_table(spec, temperatures, drop)
+    reference = moment_table(spec, temperatures, drop)
+    for tau in (1, 2, 3):
+        for d in DIRECTIONS:
+            got = [(pm.var_q, pm.var_p, pm.cov_q, pm.cov_p,
+                    pm.q_plus, pm.q_minus, pm.p_plus, pm.p_minus)
+                   for pm in pair_moments_at(table, tau, d)]
+            assert _same_bits(got, _reference_stacked_pairs(reference, tau, d)), (tau, d)
+    site_sets = [tuple(range(1, k + 1)) for k in (1, 2, 3, 4)] + [(1, 2, 4)]
+    for sites in site_sets:
+        for directions in (("x",), ("y",), ("x", "y"), ("y", "x")):
+            got = block_covariance_at(table, sites, directions)
+            want = _reference_stacked_block(reference, sites, directions)
+            assert got.shape == want.shape
+            assert _same_bits(got, want), (sites, directions)
+    if ring == "nn-critical" and not drop:
+        assert np.isinf(block_covariance_at(table, (1, 2), ("y",))).any()
+    if phase == "flat":
+        # the flat phase's x-y entries are +0.0
+        cross = block_covariance_at(table, (1, 2), ("x", "y"))[:, 0::2, 0::2][:, 0, 1::2]
+        assert (cross == 0.0).all() and not np.signbit(cross).any()
+
+
+def test_block_layout_and_pair_weights_are_shared_read_only():
+    modes = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
+    layout = _block_layout(modes, True)
+    assert _block_layout(modes, True) is layout
+    plus, minus = _pair_weights(8, 1, -1.0)
+    assert _pair_weights(8, 1, -1.0)[0] is plus
+    arrays = [a for a in layout if isinstance(a, np.ndarray)] + [plus, minus]
+    for values in arrays:
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        with pytest.raises(ValueError):
+            values += 1.0
+    # the flat ring has no cross sums: its cross entries read the zero sums
+    assert None in _block_layout(modes, False)[0] and None not in layout[0]
 
 
 # ------------------------------------------------ per-temperature sweep rows

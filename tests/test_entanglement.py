@@ -15,6 +15,7 @@ from ionlattice.entanglement import (
     negativity,
     negativity_cross_check,
     pair_entanglement,
+    spectrum_entropy,
     symplectic_spectra,
     symplectic_spectrum,
     von_neumann_entropy,
@@ -40,6 +41,63 @@ def test_entropy_rejects_unphysical_eigenvalue():
 
 def test_entropy_of_divergent_eigenvalue_is_infinite():
     assert von_neumann_entropy(Divergent("soft zone edge")) == math.inf
+
+
+def _reference_entropy(r) -> float:
+    """The per-eigenvalue entropy before the one-loop spectrum entropy,
+    kept verbatim."""
+    if isinstance(r, Divergent):
+        return math.inf
+    if r < 1.0 - 1e-10:
+        raise DomainError(f"symplectic eigenvalue {r} below 1")
+    if r <= 1.0:
+        return 0.0
+    up, dn = (r + 1.0) / 2.0, (r - 1.0) / 2.0
+    return up * math.log(up) - dn * math.log(dn)
+
+
+def _random_spectra(seed, count=400):
+    """Spectra of 1-4 eigenvalues: exactly 1, just below 1 within the
+    floor, just above 1, large, huge, and ordinary values."""
+    rng = np.random.default_rng(seed)
+    draws = [
+        lambda: 1.0,
+        lambda: 1.0 - 1e-10 * float(rng.uniform(0.0, 1.0)),
+        lambda: 1.0 + 1e-15,
+        lambda: 1e6,
+        lambda: 1e300,
+        lambda: float(1.0 + rng.exponential(2.0)),
+        lambda: float(np.exp(rng.uniform(0.0, 30.0))),
+    ]
+    return [
+        [draws[int(rng.integers(len(draws)))]() for _ in range(int(rng.integers(1, 5)))]
+        for _ in range(count)
+    ]
+
+
+def test_spectrum_entropy_equals_the_per_eigenvalue_sum_bit_for_bit():
+    for spectrum in _random_spectra(11):
+        want = float(sum(_reference_entropy(r) for r in spectrum)).hex()
+        assert spectrum_entropy(spectrum).hex() == want, spectrum
+        assert spectrum_entropy(np.array(spectrum)).hex() == want, spectrum
+        assert spectrum_entropy(tuple(spectrum)).hex() == want, spectrum
+    for r in (1.0, 1.0 - 5e-11, 1.0 + 1e-15, 3.0, 1e6, 1e300):
+        assert von_neumann_entropy(r).hex() == _reference_entropy(r).hex()
+
+
+def test_spectrum_entropy_keeps_divergent_and_floor_rules():
+    marker = Divergent("covariance matrix has a non-finite entry")
+    for spectrum in _random_spectra(12, count=50):
+        with_marker = [*spectrum[:1], marker, *spectrum[1:]]
+        assert spectrum_entropy(with_marker) == math.inf
+        below = [*spectrum, 0.9, marker]
+        with pytest.raises(DomainError) as got:
+            spectrum_entropy(below)
+        with pytest.raises(DomainError) as want:
+            sum(_reference_entropy(r) for r in below)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError, match="below 1"):
+            spectrum_entropy(np.array(below[:-1]))
 
 
 def test_negativity_single_violation_anchor():

@@ -16,6 +16,8 @@ from ionlattice.covariance import block_covariance
 from ionlattice.errors import ConfigError, DomainError, ImaginaryFrequency
 from ionlattice.lattice import (
     Configuration,
+    LatticeParams,
+    Model,
     Variant,
     critical_potential,
     solve_equilibrium,
@@ -95,6 +97,25 @@ def test_zero_frequency_mode_is_a_domain_error(wx2, wy2, wxy):
     with pytest.raises(DomainError, match="zero-frequency mode") as err:
         symplectic_diagonalize(_block(wx2, wy2, wxy, mass=2.0))
     assert type(err.value) is DomainError
+
+
+def test_an_unstable_block_names_its_branch_and_no_wave_number():
+    """The oracle sees one block, so it has no wave number to give; the
+    spectrum over all blocks names the unstable ones."""
+    params = LatticeParams(n=64, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, model=Model.LR)
+    nu_t = 0.2 * critical_potential(params, td_limit=True)
+    with pytest.raises(ImaginaryFrequency) as whole:
+        build_spectrum(params, nu_t)
+    unstable = [*range(9, 27), *range(38, 56)]
+    assert whole.value.modes == unstable
+    assert f"lower normal branch unstable: squared frequency negative at l={unstable}" in str(
+        whole.value
+    )
+    config = solve_equilibrium(params, nu_t)
+    with pytest.raises(ImaginaryFrequency) as one:
+        symplectic_diagonalize(coupling_matrix(params, config, nu_t, l=9))
+    assert str(one.value) == "lower normal branch unstable: squared frequency negative"
+    assert one.value.modes == []
 
 
 def test_coupling_matrix_layout(nn_ring):
