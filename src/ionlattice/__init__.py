@@ -42,7 +42,6 @@ from .errors import (
     NoConvergence,
     NumericalFailure,
     QuadratureFailure,
-    SizeLimitExceeded,
 )
 from .lattice import (
     Configuration,
@@ -94,7 +93,6 @@ __all__ = [
     "NumericalFailure",
     "PairMoments",
     "QuadratureFailure",
-    "SizeLimitExceeded",
     "Variant",
     "Violation",
     "WitnessReport",

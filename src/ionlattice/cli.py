@@ -187,10 +187,7 @@ def _entropy_cell(spectrum):
         raise spectrum
     if isinstance(spectrum, Divergent):
         return None, True
-    entropy = spectrum_entropy(spectrum)
-    if math.isinf(entropy):
-        return None, True
-    return entropy, False
+    return spectrum_entropy(spectrum), False
 
 
 #: a row before any cell is filled: no values, no divergent flags, no error
@@ -258,7 +255,7 @@ def _point(spec: SweepSpec, nu_t_paper: float, axial: dict) -> _Point:
             _td_point(spec, nu_t, point, axial)
         else:
             temperatures = tuple(t * params.temperature_unit for t in spec.temperatures)
-            _finite_point(spec, nu_t, temperatures, point, axial)
+            _finite_point(params, spec.measures, nu_t, temperatures, point, axial)
     except _ROW_ERRORS as exc:
         _fail(point.rows, exc)
     return point
@@ -343,29 +340,36 @@ def _witness_outcome(modes, temperatures):
         return exc.with_traceback(None)
 
 
+def _reduced_witness(params, rep) -> tuple:
+    """(U, bound, Tc, triggered) of a witness report in reduced units."""
+    tc = rep.critical_temperature
+    return (
+        rep.internal_energy / params.nu_t_unit,
+        rep.bound / params.nu_t_unit,
+        None if tc is None else tc / params.temperature_unit,
+        rep.triggered,
+    )
+
+
 def _witness_cells(params, point: _Point):
     if isinstance(point.witness, Exception):
         _fail(point.rows, point.witness)
         return
     for rep, row in zip(point.witness or (), point.rows):
-        if row["error"]:
-            continue
-        tc = rep.critical_temperature
-        row["U"] = rep.internal_energy / params.nu_t_unit
-        row["bound"] = rep.bound / params.nu_t_unit
-        row["Tc"] = None if tc is None else tc / params.temperature_unit
-        row["witnessTriggered"] = rep.triggered
+        if not row["error"]:
+            row["U"], row["bound"], row["Tc"], row["witnessTriggered"] = _reduced_witness(
+                params, rep
+            )
 
 
-def _finite_point(spec: SweepSpec, nu_t: float, temperatures, point: _Point, axial: dict):
-    params = spec.params
+def _finite_point(params, measures, nu_t: float, temperatures, point: _Point, axial: dict):
     config = solve_equilibrium(params, nu_t)
     for row in point.rows:
         row["configVariant"] = config.variant.value
         row["b"] = config.b / params.spacing
     modes = build_spectrum(params, nu_t, config)
     table = moment_table(modes, temperatures)
-    if "negativity" in spec.measures:
+    if "negativity" in measures:
         pairs = [_moments(table, d, None, axial) for d in DIRECTIONS]
         for row, moments in zip(point.rows, zip(*pairs)):
             try:
@@ -373,8 +377,8 @@ def _finite_point(spec: SweepSpec, nu_t: float, temperatures, point: _Point, axi
                     _pair_cells(row, d, *separability_criteria(pm))
             except _ROW_ERRORS as exc:
                 _fail([row], exc)
-    _stack_blocks(table, _block_sizes(spec.measures), point, axial)
-    if "witness" in spec.measures:
+    _stack_blocks(table, _block_sizes(measures), point, axial)
+    if "witness" in measures:
         point.witness = _witness_outcome(modes, temperatures)
 
 
@@ -385,8 +389,7 @@ def _td_point(spec: SweepSpec, nu_t: float, point: _Point, axial: dict):
     proxy = dataclasses.replace(params, n=TD_PROXY_N)
     if not bulk_closed_forms_hold(params, nu_t):
         # below the buckling point only the large-ring stand-in is available
-        proxy_spec = dataclasses.replace(spec, params=proxy, td_limit=False)
-        _finite_point(proxy_spec, nu_t, (0.0,), point, axial)
+        _finite_point(proxy, spec.measures, nu_t, (0.0,), point, axial)
         return
     [row] = point.rows
     row["configVariant"] = Variant.LINEAR.value
@@ -709,8 +712,8 @@ def _cmd_block_entropy(args) -> int:
     )
     cols = ("nSites", "direction", "entropy", "spectrum", "droppedSoftModes")
     row = {
-        "nSites": rep.n_sites,
-        "direction": rep.direction,
+        "nSites": args.sites,
+        "direction": args.direction,
         "entropy": rep.entropy,
         "spectrum": " ".join(_format_cell(r) for r in rep.spectrum),
         "droppedSoftModes": rep.dropped_soft_modes,
@@ -729,14 +732,14 @@ def _cmd_witness(args) -> int:
     params, nu_t, temperature = _point_from_args(args)
     unit = params.nu_t_unit
     rep = witness_report(params, nu_t, temperature)
-    tc = rep.critical_temperature
+    u, bound, tc, triggered = _reduced_witness(params, rep)
     row = {
         "omegaX": rep.omega_x / unit,
         "omegaY": rep.omega_y / unit,
-        "bound": rep.bound / unit,
-        "U": rep.internal_energy / unit,
-        "Tc": None if tc is None else tc / params.temperature_unit,
-        "triggered": rep.triggered,
+        "bound": bound,
+        "U": u,
+        "Tc": tc,
+        "triggered": triggered,
     }
     _emit_rows(args, [row], tuple(row))
     return 0

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ImaginaryFrequency, SizeLimitExceeded
+from .errors import ConfigError, ImaginaryFrequency
 from .lattice import (
     LatticeParams,
     Variant,
@@ -215,22 +215,16 @@ def _mode_sum(table: MomentTable, kernel: str, delta: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairMoments:
-    """Same-direction second moments of two sites at separation tau.
+    """Sum and difference moments of two same-direction sites at separation tau.
 
-    ``var_*``/``cov_*`` are the plain moments; ``q_plus = var_q + cov_q`` and
-    friends are evaluated as single mode sums so that criticality's zero mode
-    drops out exactly where its phase weight vanishes. The raw fields can be
-    inf (or indeterminate) exactly at a critical point; the combination
-    fields stay finite whenever the combination is finite.
+    ``q_plus = var_q + cov_q``, ``p_minus = var_p - cov_p`` and friends are
+    each evaluated as a single mode sum, so that criticality's zero mode
+    drops out exactly where its phase weight vanishes: they stay finite
+    whenever the combination is finite. The raw variances and covariances,
+    which can be inf at a critical point, are the entries of
+    :func:`block_covariance` of sites (1, 1 + tau).
     """
 
-    direction: str
-    tau: int
-    temperature: float
-    var_q: float
-    var_p: float
-    cov_q: float
-    cov_p: float
     q_plus: float
     q_minus: float
     p_plus: float
@@ -245,7 +239,8 @@ def _check_direction(direction: str):
 def pair_moments(
     params: LatticeParams, nu_t: float, temperature: float, tau: int, direction: str
 ) -> PairMoments:
-    """Normalized second moments of two sites at neighbour distance tau."""
+    """Normalized sum and difference moments of two sites at neighbour
+    distance tau."""
     table = moment_table(build_spectrum(params, nu_t), (temperature,))
     return pair_moments_at(table, tau, direction)[0]
 
@@ -268,25 +263,10 @@ def pair_moments_at(table: MomentTable, tau: int, direction: str) -> tuple:
     n = params.n
 
     plus, minus = _pair_weights(n, tau, parity)
-    var_q, var_p = _mode_sum(table, direction, 0)
-    cov_q, cov_p = _mode_sum(table, direction, tau)
     q_plus, p_plus = _weighted_mode_sums(kern, table.factors, plus, n)
     q_minus, p_minus = _weighted_mode_sums(kern, table.factors, minus, n)
-    columns = (
-        q_scale * var_q,
-        var_p / q_scale,
-        q_scale * parity * cov_q,
-        parity * cov_p / q_scale,
-        q_scale * q_plus,
-        q_scale * q_minus,
-        p_plus / q_scale,
-        p_minus / q_scale,
-    )
-    values = zip(*(c.tolist() for c in columns))
-    return tuple(
-        PairMoments(direction, tau, temperature, *v)
-        for temperature, v in zip(table.temperatures, values)
-    )
+    columns = (q_scale * q_plus, q_scale * q_minus, p_plus / q_scale, p_minus / q_scale)
+    return tuple(PairMoments(*v) for v in zip(*(c.tolist() for c in columns)))
 
 
 @dataclass(frozen=True)
@@ -299,7 +279,6 @@ class CovarianceMatrix:
 
     matrix: np.ndarray
     modes: tuple
-    temperature: float
     dropped_soft_modes: int = 0
 
 
@@ -392,7 +371,6 @@ def block_covariance(
     return CovarianceMatrix(
         matrix=block_covariance_at(table, sites, directions)[0],
         modes=_block_modes(params, sites, directions),
-        temperature=temperature,
         dropped_soft_modes=table.kernels.dropped,
     )
 
@@ -435,9 +413,7 @@ def direct_covariance_oracle(
     """
     n = params.n
     if n > DENSE_SITE_LIMIT:
-        raise SizeLimitExceeded(
-            f"dense oracle supports n <= {DENSE_SITE_LIMIT}, got {n}"
-        )
+        raise ConfigError(f"dense oracle supports n <= {DENSE_SITE_LIMIT}, got {n}")
     if temperature < 0:
         raise ConfigError("temperature must be non-negative")
     config = solve_equilibrium(params, nu_t)
@@ -491,7 +467,7 @@ def direct_covariance_oracle(
     cov = np.zeros((4 * n, 4 * n))
     cov[0::2, 0::2] = g * qmat[np.ix_(u, u)]
     cov[1::2, 1::2] = pmat[np.ix_(u, u)] / g
-    return CovarianceMatrix(matrix=cov, modes=modes, temperature=temperature)
+    return CovarianceMatrix(matrix=cov, modes=modes)
 
 
 # The QAGS rule evaluates the same Gauss-Kronrod nodes for every nuT,

@@ -197,24 +197,17 @@ def spectrum_entropy(spectrum) -> float:
 class BlockEntropyReport:
     """Entropy of a reduced block with its symplectic spectrum."""
 
-    n_sites: int
-    direction: str
     entropy: float
     spectrum: tuple
     dropped_soft_modes: int = 0
 
 
-def block_entropy(
-    cov: CovarianceMatrix | np.ndarray, n_sites: int = 0, direction: str = ""
-) -> BlockEntropyReport:
+def block_entropy(cov: CovarianceMatrix | np.ndarray) -> BlockEntropyReport:
     """Von Neumann entropy of the state with covariance ``cov``."""
     spectrum = symplectic_spectrum(cov)
-    entropy = spectrum_entropy(spectrum)
     dropped = cov.dropped_soft_modes if isinstance(cov, CovarianceMatrix) else 0
     return BlockEntropyReport(
-        n_sites=n_sites,
-        direction=direction,
-        entropy=entropy,
+        entropy=spectrum_entropy(spectrum),
         spectrum=tuple(float(r) for r in spectrum),
         dropped_soft_modes=dropped,
     )
@@ -239,8 +232,7 @@ def block_entropy_profile(
         directions=(direction,),
         drop_soft_modes=drop_soft_modes,
     )
-    report = block_entropy(cov, n_sites=n_sites, direction=direction)
-    return report
+    return block_entropy(cov)
 
 
 def negativity_cross_check(

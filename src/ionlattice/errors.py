@@ -25,10 +25,6 @@ class NoConvergence(RuntimeError):
     """An iterative solver finished without meeting its residual target."""
 
 
-class SizeLimitExceeded(ConfigError):
-    """A dense computation was requested above its supported system size."""
-
-
 class QuadratureFailure(RuntimeError):
     """Adaptive integration did not reach the requested accuracy."""
 

@@ -74,9 +74,10 @@ class LatticeParams:
             object.__setattr__(self, "tau_max", _DEFAULT_TAU_MAX[self.model])
         if not isinstance(self.n, int) or self.n < 3:
             raise ConfigError(f"n must be an integer >= 3, got {self.n!r}")
-        if self.mass <= 0 or self.spacing <= 0 or self.nu <= 0:
+        # written so that a NaN fails them
+        if not (self.mass > 0 and self.spacing > 0 and self.nu > 0):
             raise ConfigError("mass, spacing and nu must be positive")
-        if self.charge < 0:
+        if not self.charge >= 0:
             raise ConfigError("charge must be non-negative")
         if not isinstance(self.tau_max, int) or self.tau_max < 1:
             raise ConfigError(f"tau_max must be a positive integer, got {self.tau_max!r}")
@@ -119,7 +120,7 @@ class Configuration:
     def __post_init__(self):
         if self.variant is Variant.LINEAR and self.b != 0.0:
             raise ConfigError("linear configuration must have b == 0")
-        if self.variant is Variant.ZIGZAG and self.b <= 0.0:
+        if self.variant is Variant.ZIGZAG and not self.b > 0.0:
             raise ConfigError("zigzag configuration must have b > 0")
 
 
@@ -135,10 +136,6 @@ class CouplingCoefficients:
     dx: np.ndarray
     dy: np.ndarray
     dxy: np.ndarray
-
-
-def _odd_taus(params: LatticeParams) -> np.ndarray:
-    return np.arange(1, params.tau_max + 1, 2)
 
 
 # A bulk sweep row asks for the bulk critical point about six times (row
@@ -172,12 +169,17 @@ def critical_potential(params: LatticeParams, td_limit: bool = False) -> float:
     return math.sqrt(c_half * float(softening.max()))
 
 
+def _force_balance(params: LatticeParams, nu_t: float, b: float) -> float:
+    """m nu_t^2 / 2 - Q^2 sum_{tau odd} ((tau a)^2 + b^2)^(-3/2), the
+    transverse force balance at displacement b; zero at equilibrium."""
+    taus = np.arange(1, params.tau_max + 1, 2, dtype=float)
+    pull = float(np.sum(((taus * params.spacing) ** 2 + b**2) ** -1.5))
+    return 0.5 * params.mass * nu_t**2 - params.charge**2 * pull
+
+
 def equilibrium_residual(params: LatticeParams, nu_t: float, b: float) -> float:
     """Relative residual of the transverse force balance at displacement b."""
-    lhs = 0.5 * params.mass * nu_t**2
-    taus = _odd_taus(params).astype(float)
-    rhs = params.charge**2 * float(np.sum(((taus * params.spacing) ** 2 + b**2) ** -1.5))
-    return abs(lhs - rhs) / lhs
+    return abs(_force_balance(params, nu_t, b)) / (0.5 * params.mass * nu_t**2)
 
 
 def solve_equilibrium(params: LatticeParams, nu_t: float) -> Configuration:
@@ -196,9 +198,10 @@ def solve_equilibrium(params: LatticeParams, nu_t: float) -> Configuration:
     ConfigError
         If ``nu_t`` is not positive, or ``n`` is odd in the buckled regime.
     NoConvergence
-        If the root does not meet the residual target.
+        If the root-find does not converge or its root misses the
+        residual target.
     """
-    if nu_t <= 0:
+    if not nu_t > 0:
         raise ConfigError("nu_t must be positive")
     if nu_t >= critical_potential(params, td_limit=True) or params.charge == 0:
         return Configuration(Variant.LINEAR, 0.0)
@@ -211,20 +214,19 @@ def solve_equilibrium(params: LatticeParams, nu_t: float) -> Configuration:
     if params.model is Model.NN:
         b = math.sqrt((2 * q**2 / (m * nu_t**2)) ** (2 / 3) - a**2)
     else:
-        taus = _odd_taus(params).astype(float)
-
-        def balance(b):
-            return 0.5 * m * nu_t**2 - q**2 * np.sum(((taus * a) ** 2 + b**2) ** -1.5)
-
+        balance = functools.partial(_force_balance, params, nu_t)
         hi = 10.0 * a
         while balance(hi) < 0:
             hi *= 2.0
             if hi > 1e9 * a:
                 raise NoConvergence("could not bracket the buckling displacement")
-        b = brentq(balance, 0.0, hi, xtol=1e-300, rtol=8.9e-16)
+        try:
+            b = brentq(balance, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        except RuntimeError as exc:
+            raise NoConvergence(f"buckling displacement: {exc}") from None
 
     res = equilibrium_residual(params, nu_t, b)
-    if res > EQUILIBRIUM_RTOL:
+    if not res <= EQUILIBRIUM_RTOL:
         raise NoConvergence(
             f"force balance residual {res:.3e} above {EQUILIBRIUM_RTOL:.0e}"
         )

@@ -95,8 +95,8 @@ def tilde_frequencies(
         wy2_l = nu_t^2 + (4 Q^2/m) [even-tau dy sin^2 + odd-tau dy cos^2]
         wxy_l = (Q^2/m) sum_{tau odd} dxy_tau sin(2 pi l tau / n)
 
-    In the flat configuration all couplings are zero and wy2 reduces to the
-    transverse dispersion at the shifted label l + n/2.
+    In the flat configuration only the cross coupling wxy vanishes; wx2 and
+    wy2 are the squares of ``linear_dispersion``'s branches at the same l.
     """
     coeff: CouplingCoefficients = taylor_coefficients(params, config)
     pref = 4.0 * params.charge**2 / params.mass

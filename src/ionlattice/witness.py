@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import brentq
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NoConvergence
 from .lattice import Configuration, LatticeParams, solve_equilibrium, taylor_coefficients
 from .spectrum import ModeSpectrum, build_spectrum
 
@@ -124,7 +124,10 @@ def _crossing(params: LatticeParams, nu_t: float, energy: _Energy, bound: float)
     else:
         raise DomainError("no bound crossing found below an extreme temperature")
     xtol = TC_XTOL * params.temperature_unit
-    return float(brentq(gap, 0.0, hi, xtol=xtol, rtol=1e-10))
+    try:
+        return float(brentq(gap, 0.0, hi, xtol=xtol, rtol=1e-10))
+    except RuntimeError as exc:
+        raise NoConvergence(f"crossing temperature: {exc}") from None
 
 
 @dataclass(frozen=True)

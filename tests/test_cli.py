@@ -28,7 +28,7 @@ from ionlattice.cli import (
     rows_to_json,
     run_sweep,
 )
-from ionlattice import checks, cli, covariance, entanglement, lattice, spectrum
+from ionlattice import _solvers, checks, cli, covariance, entanglement, lattice, spectrum, witness
 from ionlattice.covariance import block_covariance, pair_moments
 from ionlattice.entanglement import (
     block_entropy,
@@ -192,6 +192,27 @@ def test_parallel_rows_identical_to_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize(
+    "over, errors",
+    [
+        # bulk limit: the buckled n = 4096 stand-in at 1.2, closed forms above
+        (dict(nu_t_grid=(1.2, 1.6, 1.9), temperatures=(0.0,), td_limit=True,
+              measures=("negativity", "entropy", "blockEntropy2", "witness")), 0),
+        # LR: the witness fails in two rows, which must keep their places
+        (dict(params=LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0,
+                                   model=Model.LR),
+              nu_t_grid=_parse_grid("0.9:2.1:7"), temperatures=(0.0, 0.3),
+              measures=("negativity", "blockEntropy3", "witness")), 2),
+    ],
+    ids=["td-limit", "lr"],
+)
+def test_pooled_rows_identical_to_serial_beyond_the_nn_finite_case(over, errors):
+    spec = small_spec(**over)
+    serial = run_sweep(spec, jobs=1)
+    assert sum(row["error"].startswith("DomainError") for row in serial) == errors
+    assert rows_to_csv(run_sweep(spec, jobs=2)) == rows_to_csv(serial)
+
+
 ALL_MEASURES = (
     "negativity", "entropy", "blockEntropy2", "blockEntropy3", "witness",
 )
@@ -212,7 +233,7 @@ def one_point_row(params, nu_t_paper, t_paper):
             # weight) is reported divergent, without an entropy
             entropy = math.inf
             if np.isfinite(cov.matrix).all():
-                entropy = block_entropy(cov, n_sites=k, direction=d).entropy
+                entropy = block_entropy(cov).entropy
             row[f"SV{k}{d}"] = None if math.isinf(entropy) else entropy
             row[f"SV{k}{d}Divergent"] = math.isinf(entropy)
     try:
@@ -843,6 +864,39 @@ def test_overflow_at_a_huge_nu_t_is_an_error_cell(capsys):
     row = parse_csv(capsys.readouterr().out)[0]
     assert row["error"].startswith("OverflowError:")
     assert row["S1x"] == ""
+
+
+def test_an_lr_ring_just_below_its_critical_point_converges(capsys):
+    # Brent's method takes 105 iterations for this root, past SciPy's
+    # default of 100
+    argv = ["sweep", "--n", "12", "--model", "LR", "--tau-max", "4", "--mass", "2",
+            "--charge", "1", "--spacing", "1", "--nu", "1.414213562373095",
+            "--nu-t", "1.4401645996461903,1.5", "--measures", "negativity,entropy"]
+    assert main(argv) == 0
+    below, flat = parse_csv(capsys.readouterr().out)
+    assert (below["configVariant"], below["b"], below["error"]) == (
+        "zigzag", "2.78775199262e-08", ""
+    )
+    assert flat["configVariant"] == "linear" and flat["error"] == ""
+
+
+@pytest.mark.parametrize(
+    "module, what",
+    [(lattice, "buckling displacement"), (witness, "crossing temperature")],
+)
+def test_a_root_find_that_does_not_converge_ends_its_row(monkeypatch, capsys, module, what):
+    def short_brentq(f, a, b, **kwargs):
+        return _solvers.brentq(f, a, b, **{**kwargs, "maxiter": 3})
+
+    monkeypatch.setattr(module, "brentq", short_brentq)
+    lr = ["--n", "12", "--model", "LR", "--mass", "2", "--charge", "1", "--spacing", "1",
+          "--nu", NU_PAPER]
+    assert main(["sweep", *lr, "--nu-t", "1.0,2.0", "--measures", "negativity,witness"]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    expect = f"NoConvergence: {what}: Failed to converge after 3 iterations."
+    assert rows[0]["error"] == expect
+    # the flat ring needs no buckling root
+    assert rows[1]["error"] == ("" if module is lattice else expect)
 
 
 def test_measure_subsetting_leaves_other_cells_empty(capsys):

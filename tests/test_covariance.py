@@ -37,7 +37,6 @@ from ionlattice.errors import (
     DomainError,
     NumericalFailure,
     QuadratureFailure,
-    SizeLimitExceeded,
 )
 from ionlattice.lattice import Variant, critical_potential
 from ionlattice.spectrum import build_spectrum, symplectic_form
@@ -131,17 +130,18 @@ def test_flat_configuration_directions_decouple_everywhere(nn_ring):
 
 def test_temperature_raises_position_spread(nn_ring):
     params = nn_ring(n=10)
-    spreads = [pair_moments(params, 1.4, t, 1, "y").var_q for t in (0.0, 0.3, 1.0)]
+    spreads = [
+        block_covariance(params, 1.4, t, (1,), ("y",)).matrix[0, 0] for t in (0.0, 0.3, 1.0)
+    ]
     assert spreads[0] < spreads[1] < spreads[2]
 
 
 def test_critical_moments_and_soft_mode_drop(nn_ring):
     params = nn_ring(n=20)
     mom = pair_moments(params, 1.0, 0.0, 1, "y")
-    assert math.isinf(mom.var_q)
     assert math.isfinite(mom.q_plus)
     cov = block_covariance(params, 1.0, 0.0, (1, 2))
-    assert not np.isfinite(cov.matrix).all()
+    assert math.isinf(cov.matrix[2, 2])  # var q of site 1 along y
     assert cov.dropped_soft_modes == 0
     reg = block_covariance(params, 1.0, 0.0, (1, 2), drop_soft_modes=True)
     assert np.isfinite(reg.matrix).all()
@@ -156,7 +156,7 @@ def test_large_ring_tracks_bulk_criterion(nn_ring):
 
 
 def test_dense_oracle_size_limit(nn_ring):
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(ConfigError, match="dense oracle supports n <= 64"):
         direct_covariance_oracle(nn_ring(n=66), 1.5, 0.0)
 
 
@@ -423,6 +423,16 @@ def _reference_pair(spec, temperature, tau, direction):
     )
 
 
+def _pair_fields(pm):
+    return (pm.q_plus, pm.q_minus, pm.p_plus, pm.p_minus)
+
+
+def _raw_pair_entries(block):
+    """(var q, var p, cov q, cov p) of the one-direction block of sites
+    (1, 1 + tau): the raw moments the pair reference computes first."""
+    return (block[0, 0], block[1, 1], block[0, 2], block[1, 3])
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
@@ -442,9 +452,10 @@ def test_moment_table_equals_the_entry_by_entry_loop(nn_ring, lr_ring, ring, tem
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
             (pm,) = pair_moments_at(table, tau, d)
-            got = (pm.var_q, pm.var_p, pm.cov_q, pm.cov_p,
-                   pm.q_plus, pm.q_minus, pm.p_plus, pm.p_minus)
-            assert _same_bits(got, _reference_pair(spec, temperature, tau, d)), (tau, d)
+            want = _reference_pair(spec, temperature, tau, d)
+            assert _same_bits(_pair_fields(pm), want[4:]), (tau, d)
+            (block,) = block_covariance_at(table, (1, 1 + tau), (d,))
+            assert _same_bits(_raw_pair_entries(block), want[:4]), (tau, d)
     cases = [((1, 2, 3), ("x", "y")), ((3, 1, 2), ("y", "x")), ((1, 2, 4), ("y",))]
     for sites, directions in cases:
         (got,) = block_covariance_at(table, sites, directions)
@@ -477,11 +488,12 @@ def test_stacked_table_equals_the_per_temperature_reference(nn_ring, lr_ring, ri
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
             moments = pair_moments_at(table, tau, d)
-            assert [pm.temperature for pm in moments] == list(temperatures)
-            for pm, t in zip(moments, temperatures):
-                got = (pm.var_q, pm.var_p, pm.cov_q, pm.cov_p,
-                       pm.q_plus, pm.q_minus, pm.p_plus, pm.p_minus)
-                assert _same_bits(got, _reference_pair(spec, t, tau, d)), (tau, d, t)
+            blocks = block_covariance_at(table, (1, 1 + tau), (d,))
+            assert len(moments) == len(blocks) == len(temperatures)
+            for pm, block, t in zip(moments, blocks, temperatures):
+                want = _reference_pair(spec, t, tau, d)
+                assert _same_bits(_pair_fields(pm), want[4:]), (tau, d, t)
+                assert _same_bits(_raw_pair_entries(block), want[:4]), (tau, d, t)
     cases = [((1, 2, 3), ("x", "y")), ((3, 1, 2), ("y", "x")), ((1, 2, 4), ("y",))]
     for sites, directions in cases:
         stack = block_covariance_at(table, sites, directions)
@@ -584,10 +596,11 @@ def test_block_gather_equals_the_per_entry_loop(nn_ring, lr_ring, ring, drop):
     reference = moment_table(spec, temperatures, drop)
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
-            got = [(pm.var_q, pm.var_p, pm.cov_q, pm.cov_p,
-                    pm.q_plus, pm.q_minus, pm.p_plus, pm.p_minus)
-                   for pm in pair_moments_at(table, tau, d)]
-            assert _same_bits(got, _reference_stacked_pairs(reference, tau, d)), (tau, d)
+            want = _reference_stacked_pairs(reference, tau, d)
+            got = [_pair_fields(pm) for pm in pair_moments_at(table, tau, d)]
+            assert _same_bits(got, [w[4:] for w in want]), (tau, d)
+            raw = [_raw_pair_entries(b) for b in block_covariance_at(table, (1, 1 + tau), (d,))]
+            assert _same_bits(raw, [w[:4] for w in want]), (tau, d)
     site_sets = [tuple(range(1, k + 1)) for k in (1, 2, 3, 4)] + [(1, 2, 4)]
     for sites in site_sets:
         for directions in (("x",), ("y",), ("x", "y"), ("y", "x")):

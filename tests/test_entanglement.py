@@ -193,11 +193,7 @@ def test_partial_transpose_route_agrees(nn_ring, fac):
 
 
 def test_both_negative_criteria_warn(nn_ring, monkeypatch):
-    crafted = PairMoments(
-        direction="y", tau=1, temperature=0.0,
-        var_q=0.5, var_p=0.5, cov_q=0.3, cov_p=0.3,
-        q_plus=0.1, q_minus=0.1, p_plus=0.1, p_minus=0.1,
-    )
+    crafted = PairMoments(q_plus=0.1, q_minus=0.1, p_plus=0.1, p_minus=0.1)
     monkeypatch.setattr(ent, "pair_moments", lambda *a, **k: crafted)
     with pytest.warns(RuntimeWarning, match="both separability criteria"):
         report = pair_entanglement(nn_ring(), 1.3, 0.0, 1, "y")

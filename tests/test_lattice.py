@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ionlattice.errors import ConfigError
+from ionlattice import lattice
+from ionlattice.errors import ConfigError, NoConvergence
 from ionlattice.lattice import (
     Configuration,
     LatticeParams,
@@ -185,6 +186,33 @@ def test_configuration_validation():
         Configuration(variant=Variant.LINEAR, b=0.1)
     with pytest.raises(ConfigError):
         Configuration(variant=Variant.ZIGZAG, b=0.0)
+
+
+@pytest.mark.parametrize("field", ["mass", "charge", "spacing", "nu"])
+def test_a_nan_parameter_is_a_config_error(field):
+    base = dict(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    base[field] = math.nan
+    with pytest.raises(ConfigError, match="must be (positive|non-negative)"):
+        LatticeParams(**base)
+
+
+def test_a_nan_transverse_trap_is_a_config_error(nn_ring):
+    # NaN compares false both ways: nu_t <= 0 let it through to a NaN b
+    with pytest.raises(ConfigError, match="nu_t must be positive"):
+        solve_equilibrium(nn_ring(n=8), math.nan)
+
+
+def test_a_nan_buckling_displacement_is_refused():
+    with pytest.raises(ConfigError, match="b > 0"):
+        Configuration(variant=Variant.ZIGZAG, b=math.nan)
+
+
+def test_a_nan_root_fails_the_residual_gate(lr_ring, monkeypatch):
+    params = lr_ring()
+    nu_t = 0.5 * critical_potential(params, td_limit=True)
+    monkeypatch.setattr(lattice, "brentq", lambda *args, **kwargs: math.nan)
+    with pytest.raises(NoConvergence, match="force balance residual nan"):
+        solve_equilibrium(params, nu_t)
 
 
 def test_default_neighbour_range():

@@ -194,6 +194,23 @@ def test_build_spectrum_flat_matches_dispersion(nn_ring):
     assert_allclose(spec.omega[1], wy, rtol=1e-14)
 
 
+@pytest.mark.parametrize("ring", ["nn", "lr"])
+def test_flat_frame_frequencies_are_the_dispersion_at_the_same_label(nn_ring, lr_ring, ring):
+    """In the flat configuration the buckled-frame blocks carry no cross
+    coupling and the squared dispersion at the same l, not at l + n/2."""
+    params = nn_ring(n=8) if ring == "nn" else lr_ring(n=10)
+    nu_t = 1.6
+    config = solve_equilibrium(params, nu_t)
+    assert config.variant is Variant.LINEAR
+    wx2, wy2, wxy = tilde_frequencies(params, config, nu_t)
+    wx, wy = linear_dispersion(params, nu_t)
+    assert np.array_equal(wxy, np.zeros(params.n))
+    assert_allclose(wx2, wx**2, rtol=0, atol=1e-14)
+    assert_allclose(wy2, wy**2, rtol=0, atol=1e-14)
+    # the shifted label is far off: the transverse branch is not flat
+    assert np.abs(wy2 - np.roll(wy, -(params.n // 2)) ** 2).max() > 0.5
+
+
 def test_build_spectrum_zigzag_matches_blockwise(nn_ring):
     params = nn_ring(n=8)
     nu_t = 0.8 * critical_potential(params)
