@@ -22,18 +22,13 @@ from .covariance import (
 )
 from .entanglement import (
     BlockEntropyReport,
-    EntanglementReport,
-    Violation,
     block_entropy,
     block_entropy_profile,
     negativity,
-    negativity_cross_check,
-    pair_entanglement,
     separability_criteria,
     spectrum_entropy,
     symplectic_spectra,
     symplectic_spectrum,
-    von_neumann_entropy,
 )
 from .errors import (
     ConfigError,
@@ -83,7 +78,6 @@ __all__ = [
     "CovarianceMatrix",
     "Divergent",
     "DomainError",
-    "EntanglementReport",
     "ImaginaryFrequency",
     "LatticeParams",
     "Model",
@@ -94,7 +88,6 @@ __all__ = [
     "PairMoments",
     "QuadratureFailure",
     "Variant",
-    "Violation",
     "WitnessReport",
     "block_covariance",
     "block_covariance_at",
@@ -111,8 +104,6 @@ __all__ = [
     "linear_dispersion",
     "moment_table",
     "negativity",
-    "negativity_cross_check",
-    "pair_entanglement",
     "pair_moments",
     "pair_moments_at",
     "separability_bound",
@@ -126,7 +117,6 @@ __all__ = [
     "td_pair_criteria",
     "td_single_site_eigenvalue",
     "tilde_frequencies",
-    "von_neumann_entropy",
     "witness_report",
     "witness_reports",
 ]

@@ -341,13 +341,14 @@ def _witness_outcome(modes, temperatures):
 
 
 def _reduced_witness(params, rep) -> tuple:
-    """(U, bound, Tc, triggered) of a witness report in reduced units."""
+    """(U, bound, Tc, U < bound) of a witness report in reduced units; the
+    comparison takes the raw U and bound, which the division could tie."""
     tc = rep.critical_temperature
     return (
         rep.internal_energy / params.nu_t_unit,
         rep.bound / params.nu_t_unit,
         None if tc is None else tc / params.temperature_unit,
-        rep.triggered,
+        rep.internal_energy < rep.bound,
     )
 
 
@@ -732,14 +733,14 @@ def _cmd_witness(args) -> int:
     params, nu_t, temperature = _point_from_args(args)
     unit = params.nu_t_unit
     rep = witness_report(params, nu_t, temperature)
-    u, bound, tc, triggered = _reduced_witness(params, rep)
+    u, bound, tc, below = _reduced_witness(params, rep)
     row = {
         "omegaX": rep.omega_x / unit,
         "omegaY": rep.omega_y / unit,
         "bound": bound,
         "U": u,
         "Tc": tc,
-        "triggered": triggered,
+        "triggered": below,
     }
     _emit_rows(args, [row], tuple(row))
     return 0

@@ -14,25 +14,15 @@ covariance matrix.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, PairMoments, block_covariance, pair_moments
+from .covariance import CovarianceMatrix, PairMoments, block_covariance
 from .errors import ConfigError, DomainError, NumericalFailure
 from .lattice import LatticeParams
 from .quadrature import Divergent
 from .spectrum import symplectic_form
-
-
-class Violation(Enum):
-    """Which separability criterion, if any, is violated."""
-
-    NONE = "none"
-    S1 = "S1"
-    S2 = "S2"
 
 
 def separability_criteria(moments: PairMoments) -> tuple[float, float]:
@@ -56,41 +46,6 @@ def negativity(s1: float, s2: float) -> float:
             continue
         total += max(0.0, -0.5 * math.log1p(s))
     return total
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Pair criteria, negativity and the violated criterion (if any)."""
-
-    s1: float
-    s2: float
-    log_negativity: float
-    violated: Violation
-
-
-def pair_entanglement(
-    params: LatticeParams, nu_t: float, temperature: float, tau: int, direction: str
-) -> EntanglementReport:
-    """Entanglement of a same-direction site pair at separation tau."""
-    moments = pair_moments(params, nu_t, temperature, tau, direction)
-    s1, s2 = separability_criteria(moments)
-    if s1 < 0.0 and s2 < 0.0:
-        # both negative cannot happen for a physical Gaussian pair state
-        warnings.warn(
-            f"both separability criteria negative (S1={s1:.3g}, S2={s2:.3g}); "
-            "results may be unreliable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if s1 < 0.0:
-        violated = Violation.S1
-    elif s2 < 0.0:
-        violated = Violation.S2
-    else:
-        violated = Violation.NONE
-    return EntanglementReport(
-        s1=s1, s2=s2, log_negativity=negativity(s1, s2), violated=violated
-    )
 
 
 #: Most matrices per eigensolver call. A longer stack is evaluated in
@@ -160,14 +115,6 @@ def symplectic_spectrum(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return spectrum
 
 
-def von_neumann_entropy(r) -> float:
-    """Entropy contribution of one symplectic eigenvalue.
-
-    Accepts :class:`Divergent` (infinite eigenvalue) and returns inf.
-    """
-    return spectrum_entropy((r,))
-
-
 def spectrum_entropy(spectrum) -> float:
     """Von Neumann entropy of a state with the symplectic ``spectrum``: the
     sum of g(r) = up ln(up) - dn ln(dn), up = (r + 1)/2 and dn = (r - 1)/2,
@@ -234,22 +181,3 @@ def block_entropy_profile(
     )
     return block_entropy(cov)
 
-
-def negativity_cross_check(
-    params: LatticeParams, nu_t: float, temperature: float, tau: int, direction: str
-) -> tuple[float, float]:
-    """Pair negativity by two routes: criteria values and partial transpose.
-
-    The partial transpose flips the second site's momentum in the two-site
-    covariance matrix; minus-log of its sub-unit symplectic eigenvalues is
-    the same negativity when the pair state is symmetric.
-    """
-    report = pair_entanglement(params, nu_t, temperature, tau, direction)
-    cov = block_covariance(
-        params, nu_t, temperature, sites=(1, 1 + tau), directions=(direction,)
-    )
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    sigma_pt = flip @ cov.matrix @ flip
-    ev = 2.0 * np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(2) @ sigma_pt)))[::2]
-    en_pt = float(sum(max(0.0, -math.log(r)) for r in ev))
-    return report.log_negativity, en_pt

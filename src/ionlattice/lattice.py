@@ -88,6 +88,9 @@ class LatticeParams:
             raise ConfigError(
                 f"tau_max must be < n/2 (got tau_max={self.tau_max}, n={self.n})"
             )
+        # integers would give integer NumPy accumulators downstream
+        for name in ("mass", "charge", "spacing", "nu"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def coulomb_constant(self) -> float:

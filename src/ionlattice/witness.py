@@ -139,7 +139,6 @@ class WitnessReport:
     bound: float
     internal_energy: float
     critical_temperature: float | None
-    triggered: bool
 
 
 def witness_report(params: LatticeParams, nu_t: float, temperature: float) -> WitnessReport:
@@ -159,15 +158,13 @@ def witness_reports(spec: ModeSpectrum, temperatures) -> list[WitnessReport]:
     tc = _crossing(params, spec.nu_t, energy, bound)
     reports = []
     for t in temperatures:
-        u = energy(t)
         reports.append(
             WitnessReport(
                 omega_x=wx,
                 omega_y=wy,
                 bound=bound,
-                internal_energy=u,
+                internal_energy=energy(t),
                 critical_temperature=tc,
-                triggered=bool(u < bound),
             )
         )
     return reports

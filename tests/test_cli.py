@@ -247,7 +247,7 @@ def one_point_row(params, nu_t_paper, t_paper):
     row["U"] = rep.internal_energy / params.nu_t_unit
     row["bound"] = rep.bound / params.nu_t_unit
     row["Tc"] = None if tc is None else tc / params.temperature_unit
-    row["witnessTriggered"] = rep.triggered
+    row["witnessTriggered"] = rep.internal_energy < rep.bound
     row["error"] = ""
     return row
 
@@ -1007,30 +1007,43 @@ def test_block_entropy_1_is_not_a_sweep_measure(capsys):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config,message",
     [
-        {"params": {"mass": "heavy"}, "nuTGrid": [2.0]},
-        {"nuTGrid": 2.0},
-        {"params": [8, 2.0], "nuTGrid": [2.0]},
-        {"nuTGrid": [2.0], "tdLimit": "no"},
+        ({"params": {"mass": "heavy"}, "nuTGrid": [2.0]},
+         "bad parameter value: could not convert string to float: 'heavy'"),
+        ({"nuTGrid": 2.0}, "config key nuTGrid must hold a JSON list"),
+        ({"params": [8, 2.0], "nuTGrid": [2.0]}, "config key params must hold a JSON object"),
+        ({"nuTGrid": [2.0], "tdLimit": "no"}, "config key tdLimit must be true or false"),
         # int() would run an n = 20 ring, a tauMax 2 ring and a ring of one site
-        {"params": {"n": 20.7}, "nuTGrid": [2.0]},
-        {"params": {"n": 20, "model": "LR", "tauMax": 2.9}, "nuTGrid": [2.0]},
-        {"params": {"n": True}, "nuTGrid": [2.0]},
-        {"params": {"n": float("inf")}, "nuTGrid": [2.0]},
+        ({"params": {"n": 20.7}, "nuTGrid": [2.0]}, "n must be an integer, got 20.7"),
+        ({"params": {"n": 20, "model": "LR", "tauMax": 2.9}, "nuTGrid": [2.0]},
+         "tauMax must be an integer, got 2.9"),
+        ({"params": {"n": True}, "nuTGrid": [2.0]}, "n must be an integer, got True"),
+        ({"params": {"n": float("inf")}, "nuTGrid": [2.0]}, "n must be an integer, got inf"),
         # float() would run a ring of mass 1, nuT 1 and T 0
-        {"params": {"mass": True}, "nuTGrid": [2.0]},
-        {"nuTGrid": [True, 2.0]},
-        {"nuTGrid": [2.0], "temperatures": [False]},
+        ({"params": {"mass": True}, "nuTGrid": [2.0]}, "mass must be a number, got True"),
+        ({"nuTGrid": [True, 2.0]}, "nuT grid entry must be a number, got True"),
+        ({"nuTGrid": [2.0], "temperatures": [False]},
+         "temperature grid entry must be a number, got False"),
+        # LR defaults to tau_max 4, which wraps around a ring of 8
+        ({"params": {"n": 8, "model": "LR"}, "nuTGrid": [2.0]},
+         "tau_max must be < n/2 (got tau_max=4, n=8)"),
+        ({"nuTGrid": []}, "nuT grid must not be empty"),
+        ({"params": {"size": 8}, "nuTGrid": [2.0]}, "unknown parameter keys ['size']"),
+        ({"params": {"model": "XY"}, "nuTGrid": [2.0]}, "model must be NN or LR, got 'XY'"),
+        ({"params": {"mass": 0}, "nuTGrid": [2.0]}, "mass, charge and spacing must be positive"),
+        ([2.0], "config file must hold a JSON object"),
     ],
     ids=["mass", "nuTGrid", "params", "tdLimit", "n-fraction", "tauMax-fraction", "n-bool",
-         "n-inf", "mass-bool", "nuTGrid-bool", "temperatures-bool"],
+         "n-inf", "mass-bool", "nuTGrid-bool", "temperatures-bool", "tauMax-wraps",
+         "nuTGrid-empty", "params-key", "model", "mass-zero", "list"],
 )
-def test_malformed_config_value_is_a_config_error(config, tmp_path, capsys):
+def test_malformed_config_value_is_a_config_error(config, message, tmp_path, capsys):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))
     assert main(["sweep", "--config", str(path)]) == 2
-    assert "configuration error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["sweep", "witness"])

@@ -31,7 +31,7 @@ from ionlattice.covariance import (
 )
 from ionlattice import cli
 from ionlattice.cli import COLUMNS, SweepSpec, _blank_row, run_sweep
-from ionlattice.entanglement import negativity, von_neumann_entropy
+from ionlattice.entanglement import negativity, spectrum_entropy
 from ionlattice.errors import (
     ConfigError,
     DomainError,
@@ -679,7 +679,7 @@ def _reference_rows(params, nu_t_paper, temperatures, negativity):
                     entropy = math.inf
                     if np.isfinite(sub).all():
                         spectrum = _reference_spectrum(sub)
-                        entropy = float(sum(von_neumann_entropy(r) for r in spectrum))
+                        entropy = float(sum(spectrum_entropy((r,)) for r in spectrum))
                     row[f"SV{size}{d}"] = None if math.isinf(entropy) else entropy
                     row[f"SV{size}{d}Divergent"] = math.isinf(entropy)
         except (DomainError, NumericalFailure) as exc:

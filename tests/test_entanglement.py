@@ -1,46 +1,43 @@
 """Separability criteria, negativity, and block entropies."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import ionlattice.entanglement as ent
-from ionlattice.covariance import PairMoments, block_covariance
+from ionlattice.covariance import block_covariance, pair_moments
 from ionlattice.entanglement import (
-    Violation,
     block_entropy_profile,
     negativity,
-    negativity_cross_check,
-    pair_entanglement,
+    separability_criteria,
     spectrum_entropy,
     symplectic_spectra,
     symplectic_spectrum,
-    von_neumann_entropy,
 )
 from ionlattice.errors import ConfigError, DomainError, NumericalFailure
 from ionlattice.quadrature import Divergent
+from ionlattice.spectrum import symplectic_form
 
 
 def test_entropy_closed_forms():
-    assert von_neumann_entropy(1.0) == 0.0
+    assert spectrum_entropy((1.0,)) == 0.0
     # r = 3: (2 ln 2 - 1 ln 1) = 2 ln 2
-    assert_allclose(von_neumann_entropy(3.0), 2.0 * math.log(2.0), atol=1e-14)
+    assert_allclose(spectrum_entropy((3.0,)), 2.0 * math.log(2.0), atol=1e-14)
 
 
 def test_entropy_tolerates_clamped_eigenvalue():
-    assert von_neumann_entropy(1.0 - 1e-12) == 0.0
+    assert spectrum_entropy((1.0 - 1e-12,)) == 0.0
 
 
 def test_entropy_rejects_unphysical_eigenvalue():
     with pytest.raises(DomainError):
-        von_neumann_entropy(0.9)
+        spectrum_entropy((0.9,))
 
 
 def test_entropy_of_divergent_eigenvalue_is_infinite():
-    assert von_neumann_entropy(Divergent("soft zone edge")) == math.inf
+    assert spectrum_entropy((Divergent("soft zone edge"),)) == math.inf
 
 
 def _reference_entropy(r) -> float:
@@ -82,7 +79,7 @@ def test_spectrum_entropy_equals_the_per_eigenvalue_sum_bit_for_bit():
         assert spectrum_entropy(np.array(spectrum)).hex() == want, spectrum
         assert spectrum_entropy(tuple(spectrum)).hex() == want, spectrum
     for r in (1.0, 1.0 - 5e-11, 1.0 + 1e-15, 3.0, 1e6, 1e300):
-        assert von_neumann_entropy(r).hex() == _reference_entropy(r).hex()
+        assert spectrum_entropy((r,)).hex() == _reference_entropy(r).hex()
 
 
 def test_spectrum_entropy_keeps_divergent_and_floor_rules():
@@ -173,31 +170,24 @@ def test_spectrum_shape_validation(shape):
         symplectic_spectrum(np.eye(*shape) * 0.5)
 
 
-@pytest.mark.parametrize(
-    "nu_t,violated",
-    [(0.76, Violation.S1), (0.735, Violation.NONE), (0.70, Violation.S2)],
-)
+@pytest.mark.parametrize("nu_t,violated", [(0.76, "S1"), (0.735, None), (0.70, "S2")])
 def test_violation_switches_across_the_buckled_phase(nn_ring, nu_t, violated):
-    report = pair_entanglement(nn_ring(), nu_t, 0.0, 1, "y")
-    assert report.violated is violated
-    if violated is Violation.NONE:
-        assert report.log_negativity == 0.0
-    else:
-        assert report.log_negativity > 0.0
+    s1, s2 = separability_criteria(pair_moments(nn_ring(), nu_t, 0.0, 1, "y"))
+    assert (s1 < 0.0, s2 < 0.0) == (violated == "S1", violated == "S2")
+    assert (negativity(s1, s2) > 0.0) == (violated is not None)
 
 
 @pytest.mark.parametrize("fac", [1.02, 1.3, 2.0])
 def test_partial_transpose_route_agrees(nn_ring, fac):
-    en_criteria, en_pt = negativity_cross_check(nn_ring(), fac, 0.0, 1, "y")
+    # the partial transpose flips the second site's momentum; minus-log of
+    # its sub-unit symplectic eigenvalues is the negativity of a symmetric pair
+    params = nn_ring()
+    en_criteria = negativity(*separability_criteria(pair_moments(params, fac, 0.0, 1, "y")))
+    sigma = block_covariance(params, fac, 0.0, sites=(1, 2), directions=("y",)).matrix
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    ev = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(2) @ flip @ sigma @ flip)))
+    en_pt = sum(max(0.0, -math.log(r)) for r in 2.0 * ev[::2])
     assert_allclose(en_criteria, en_pt, atol=1e-9)
-
-
-def test_both_negative_criteria_warn(nn_ring, monkeypatch):
-    crafted = PairMoments(q_plus=0.1, q_minus=0.1, p_plus=0.1, p_minus=0.1)
-    monkeypatch.setattr(ent, "pair_moments", lambda *a, **k: crafted)
-    with pytest.warns(RuntimeWarning, match="both separability criteria"):
-        report = pair_entanglement(nn_ring(), 1.3, 0.0, 1, "y")
-    assert report.s1 < 0 and report.s2 < 0
 
 
 def test_block_entropy_at_criticality(nn_ring):
@@ -227,7 +217,7 @@ def test_pure_state_entropy_vanishes(nn_ring):
     cov = block_covariance(params, 1.3, 0.0, range(1, 7))
     spectrum = symplectic_spectrum(cov)
     assert_allclose(spectrum, np.ones(12), atol=1e-8)
-    assert sum(von_neumann_entropy(r) for r in spectrum) < 1e-12
+    assert spectrum_entropy(spectrum) < 1e-12
 
 
 def test_reduced_block_is_mixed_when_entangled(nn_ring):

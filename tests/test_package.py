@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,17 @@ def test_every_exported_name_resolves():
     missing = [name for name in ionlattice.__all__ if not hasattr(ionlattice, name)]
     assert missing == []
     assert len(set(ionlattice.__all__)) == len(ionlattice.__all__)
+
+
+def test_the_readme_python_examples_run():
+    """The fenced ``python`` blocks of the README run in order, each one
+    reading the names the blocks before it defined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def test_every_cache_is_bounded():

@@ -253,3 +253,13 @@ def test_out_of_range_mode_index(nn_ring):
     nu_t = 0.8 * critical_potential(params)
     with pytest.raises(ConfigError):
         coupling_matrix(params, solve_equilibrium(params, nu_t), nu_t, 9)
+
+
+@pytest.mark.parametrize("nu_t", [0.5, 1.5], ids=["buckled", "flat"])
+def test_an_integer_built_ring_equals_the_float_built_ring(nu_t):
+    # integer fields made the buckled phase's accumulators integer arrays
+    ints = build_spectrum(LatticeParams(n=8, mass=2, charge=1, spacing=1, nu=1), nu_t)
+    floats = build_spectrum(LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0), nu_t)
+    assert ints.config == floats.config
+    for name in ("omega", "c2", "s2", "cs"):
+        assert getattr(ints, name).tobytes() == getattr(floats, name).tobytes(), name

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, Verbosity, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -82,7 +82,12 @@ def small_even_rings(draw):
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5a: the bound dresses the traps "
                    "with 4 Q^2 / m, the site diagonal with 2 Q^2 / m")
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+# quiet: a reported falsifying example makes the pytest plugin import libcst
+# and write an @example patch under .hypothesis/patches; no explain phase,
+# which replays the failure under a line tracer for a report nobody reads
+@settings(max_examples=30, deadline=None, database=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink),
+          verbosity=Verbosity.quiet)
 @given(small_even_rings())
 def test_no_product_state_falls_below_the_bound(case):
     # The least energy of a product Gaussian state puts every site in the ground
@@ -113,10 +118,9 @@ def test_crossing_temperature_sits_on_the_bound(nn_ring):
 def test_witness_report_consistency(nn_ring):
     params = nn_ring(n=8)
     report = witness_report(params, 0.8, 0.1)
-    assert report.triggered == (report.internal_energy < report.bound)
-    assert report.triggered  # T = 0.1 is below the crossing
+    assert report.internal_energy < report.bound  # T = 0.1 is below the crossing
     hot = witness_report(params, 0.8, 1.0)
-    assert not hot.triggered
+    assert hot.internal_energy >= hot.bound
     assert_allclose(
         hot.critical_temperature, report.critical_temperature, rtol=1e-12
     )
