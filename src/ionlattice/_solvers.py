@@ -9,7 +9,10 @@ return for the same arguments:
 - ``quad`` is QAGS from R. Piessens, E. de Doncker-Kapenga, C. W. Uberhuber
   and D. K. Kahaner, *QUADPACK* (Springer, 1983): ``dqagse`` with the
   21-point Gauss-Kronrod rule ``dqk21``, the error-list sort ``dqpsrt`` and
-  Wynn's epsilon extrapolation ``dqelg``.
+  Wynn's epsilon extrapolation ``dqelg``. It takes the integrand as a rule
+  integrand, which gives the 21 values of one interval in one call (see
+  ``rule_nodes``); a scalar function f is lifted as
+  ``lambda c, h: [f(x) for x in rule_nodes(c, h)]``.
 
 QUADPACK's arrays keep their 1-based indices: slot 0 of every list is
 unused, so each statement reads as in the reference.
@@ -130,69 +133,71 @@ _ERR_FLOOR = _UFLOW / (50.0 * _EPMACH)
 _EPS50 = _EPMACH * 50.0
 
 
+#: the abscissae in the order of a rule integrand's values: the Gauss nodes
+#: XGK2..XGK10, then the Kronrod nodes XGK1..XGK9
+_ABSCISSAE = (XGK2, XGK4, XGK6, XGK8, XGK10, XGK1, XGK3, XGK5, XGK7, XGK9)
+
+
+def rule_nodes(centr, hlgth):
+    """The 21 nodes of the rule on the interval of centre ``centr`` and
+    half-length ``hlgth``, in the order ``quad`` needs a rule integrand's
+    values: the centre, then centr - hlgth*x and centr + hlgth*x for each
+    abscissa x of ``_ABSCISSAE``, computed as dqk21 computes them."""
+    nodes = [centr]
+    for x in _ABSCISSAE:
+        absc = hlgth * x
+        nodes.append(centr - absc)
+        nodes.append(centr + absc)
+    return nodes
+
+
 def _qk21(f, a, b):
     """dqk21: (result, abserr, resabs, resasc) of the 21-point rule on [a, b].
 
-    The loops of the reference are unrolled; the operations and their order
-    are unchanged (Gauss nodes XGK2..XGK10 first, then XGK1..XGK9).
+    ``f(centr, hlgth)`` gives the integrand's values at the 21
+    ``rule_nodes(centr, hlgth)`` in one call. The loops of the reference
+    are unrolled; the operations and their order are unchanged (Gauss nodes
+    XGK2..XGK10 first, then XGK1..XGK9).
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
+    fc, u2, v2, u4, v4, u6, v6, u8, v8, u10, v10, u1, v1, u3, v3, u5, v5, u7, v7, u9, v9 = f(
+        centr, hlgth
+    )
 
-    fc = f(centr)
     resk = WGK11 * fc
     resabs = abs(resk)
 
-    absc = hlgth * XGK2
-    u2, v2 = f(centr - absc), f(centr + absc)
     fsum = u2 + v2
     resg = WG1 * fsum  # starts from 0.0; a signed zero here cannot reach abserr
     resk = resk + WGK2 * fsum
     resabs = resabs + WGK2 * (abs(u2) + abs(v2))
-    absc = hlgth * XGK4
-    u4, v4 = f(centr - absc), f(centr + absc)
     fsum = u4 + v4
     resg = resg + WG2 * fsum
     resk = resk + WGK4 * fsum
     resabs = resabs + WGK4 * (abs(u4) + abs(v4))
-    absc = hlgth * XGK6
-    u6, v6 = f(centr - absc), f(centr + absc)
     fsum = u6 + v6
     resg = resg + WG3 * fsum
     resk = resk + WGK6 * fsum
     resabs = resabs + WGK6 * (abs(u6) + abs(v6))
-    absc = hlgth * XGK8
-    u8, v8 = f(centr - absc), f(centr + absc)
     fsum = u8 + v8
     resg = resg + WG4 * fsum
     resk = resk + WGK8 * fsum
     resabs = resabs + WGK8 * (abs(u8) + abs(v8))
-    absc = hlgth * XGK10
-    u10, v10 = f(centr - absc), f(centr + absc)
     fsum = u10 + v10
     resg = resg + WG5 * fsum
     resk = resk + WGK10 * fsum
     resabs = resabs + WGK10 * (abs(u10) + abs(v10))
 
-    absc = hlgth * XGK1
-    u1, v1 = f(centr - absc), f(centr + absc)
     resk = resk + WGK1 * (u1 + v1)
     resabs = resabs + WGK1 * (abs(u1) + abs(v1))
-    absc = hlgth * XGK3
-    u3, v3 = f(centr - absc), f(centr + absc)
     resk = resk + WGK3 * (u3 + v3)
     resabs = resabs + WGK3 * (abs(u3) + abs(v3))
-    absc = hlgth * XGK5
-    u5, v5 = f(centr - absc), f(centr + absc)
     resk = resk + WGK5 * (u5 + v5)
     resabs = resabs + WGK5 * (abs(u5) + abs(v5))
-    absc = hlgth * XGK7
-    u7, v7 = f(centr - absc), f(centr + absc)
     resk = resk + WGK7 * (u7 + v7)
     resabs = resabs + WGK7 * (abs(u7) + abs(v7))
-    absc = hlgth * XGK9
-    u9, v9 = f(centr - absc), f(centr + absc)
     resk = resk + WGK9 * (u9 + v9)
     resabs = resabs + WGK9 * (abs(u9) + abs(v9))
 
@@ -356,8 +361,11 @@ def _qelg(n, epstab, res3la, nres):
 def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     """(integral of f over [a, b], error estimate) by QAGS, for a <= b.
 
-    The arguments mean what they mean to ``scipy.integrate.quad``, and the
-    pair is the one it returns. Where QUADPACK sets a nonzero ``ier``
+    ``f`` is a rule integrand: ``f(centr, hlgth)`` returns the values of
+    the function at the 21 ``rule_nodes(centr, hlgth)`` of one interval, as
+    a sequence of floats. The other arguments mean what they mean to
+    ``scipy.integrate.quad``, and for a function lifted that way the pair
+    is the one SciPy returns for the function itself. Where QUADPACK sets a nonzero ``ier``
     (subdivision limit, roundoff, a bad point, slow extrapolation), the
     pair is returned all the same; callers judge the error estimate.
     ``epsabs`` must be positive or ``epsrel`` above 50 machine epsilons.

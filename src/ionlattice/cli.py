@@ -577,6 +577,8 @@ def _params_from_mapping(raw: dict) -> LatticeParams:
         )
         n = _integer("n", raw["n"])
         tau_max = None if raw["tauMax"] is None else _integer("tauMax", raw["tauMax"])
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameter value: {exc}") from None
     if not all(math.isfinite(v) for v in (mass, charge, spacing, nu_paper)):
@@ -630,6 +632,8 @@ def _grid(args, cfg: dict, name: str) -> tuple:
         raise ConfigError("a nuT grid is required (--nu-t or config nuTGrid)")
     try:
         grid = tuple(_real(f"{name} grid entry", v) for v in grid)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grids must be lists of numbers: {exc}") from None
     _check_grid(name, grid)

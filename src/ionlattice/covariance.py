@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._solvers import rule_nodes
 from .errors import ConfigError, ImaginaryFrequency
 from .lattice import (
     LatticeParams,
@@ -470,9 +471,8 @@ def direct_covariance_oracle(
     return CovarianceMatrix(matrix=cov, modes=modes)
 
 
-# The QAGS rule evaluates the same Gauss-Kronrod nodes for every nuT,
-# direction and weight, so a bulk sweep needs about a thousand distinct sums
-# for some 70,000 integrand values.
+# One sum serves the node data of every weight on the same interval (see
+# _rule_node_data) and the zone-edge and zone-centre values of every row.
 @functools.lru_cache(maxsize=4096)
 def _dispersion_sum(tau_max: int, a: float) -> float:
     """sum_{tau=1}^{tau_max} sin^2(a tau) / tau^3, the nuT-independent part
@@ -501,33 +501,64 @@ def _bulk_dispersion(params: LatticeParams, nu_t: float, direction: str) -> tupl
     return nu_t**2, -(0.5 * c)
 
 
+# QAGS bisects the same few dozen intervals for every nuT and direction: the
+# seed-0 bulk workload of perfbench evaluates 1,813 rules on 49 distinct
+# intervals, 81 with their weights. What a node's value takes besides the
+# dispersion's base and prefactor is computed once per interval and weight;
+# the entries are tuples, read-only.
+@functools.lru_cache(maxsize=1024)
+def _rule_node_data(
+    variable: str, tau_max: int, tau: int, sign: float, centr: float, hlgth: float
+) -> tuple:
+    """Per node of ``rule_nodes(centr, hlgth)``, for ``variable`` "alpha"
+    the pair (S(alpha), w) and for "u" the triple (S(alpha), w, 1 - u^2)
+    at alpha = acos(u): S = ``_dispersion_sum(tau_max, .)`` and the weight
+    w = 1 + sign cos(2 alpha tau). Each is the scalar expression the
+    integrand would evaluate at the node, so its bits are kept."""
+    acos, cos, dsum = math.acos, math.cos, _dispersion_sum
+    if variable == "alpha":
+        return tuple(
+            (dsum(tau_max, a), 1.0 + sign * cos(2.0 * a * tau)) for a in rule_nodes(centr, hlgth)
+        )
+    data = []
+    for u in rule_nodes(centr, hlgth):
+        a = acos(u)
+        data.append((dsum(tau_max, a), 1.0 + sign * cos(2.0 * a * tau), 1.0 - u * u))
+    return tuple(data)
+
+
 def _bulk_integrands(base: float, k: float, tau_max: int, tau: int = 0, sign: float = 0.0):
-    """The integrands of quadrature's two half-zone averages for the weight
-    w = 1 + sign cos(2 alpha tau) (sign 0 gives w = 1) on the dispersion
-    omega^2 = base + k S(alpha) of ``_bulk_dispersion``.
+    """The rule integrands (see ``_solvers.quad``) of quadrature's two
+    half-zone averages for the weight w = 1 + sign cos(2 alpha tau) (sign 0
+    gives w = 1) on the dispersion omega^2 = base + k S(alpha) of
+    ``_bulk_dispersion``.
 
     Returns ``(f, (g, gap2, w_end, scale2))``: f(alpha) = w omega for
     ``integrate_weighted_frequency`` and the arguments of
-    ``integrate_weighted_inverse``. Each integrand is a single closure over
-    the math functions and the cached sum. ``1.0 + sign * cos`` equals
-    ``1.0 - cos`` bit for bit, since negation and scaling by 1 are exact.
+    ``integrate_weighted_inverse``, where g(u) = w / sqrt(omega^2 (1 - u^2))
+    at alpha = acos(u), and 0 where omega^2 <= 0. Each rule integrand
+    takes S, w and 1 - u^2 from ``_rule_node_data``, so an interval costs
+    its 21 nodes one square root and one product or quotient each.
+    ``1.0 + sign * cos`` equals ``1.0 - cos`` bit for bit, since negation
+    and scaling by 1 are exact.
     """
-    cos, sqrt, acos, dsum = math.cos, math.sqrt, math.acos, _dispersion_sum
+    sqrt, data = math.sqrt, _rule_node_data
 
-    def f(a):
-        w2 = base + k * dsum(tau_max, a)
-        return (1.0 + sign * cos(2.0 * a * tau)) * sqrt(w2 if w2 > 0.0 else 0.0)
+    def f(centr, hlgth):
+        return [
+            w * sqrt(w2 if (w2 := base + k * s) > 0.0 else 0.0)
+            for s, w in data("alpha", tau_max, tau, sign, centr, hlgth)
+        ]
 
-    def g(u):
-        a = acos(u)
-        w2 = base + k * dsum(tau_max, a)
-        if w2 <= 0.0:
-            return 0.0
-        return (1.0 + sign * cos(2.0 * a * tau)) / sqrt(w2 * (1.0 - u * u))
+    def g(centr, hlgth):
+        return [
+            0.0 if (w2 := base + k * s) <= 0.0 else w / sqrt(w2 * c)
+            for s, w, c in data("u", tau_max, tau, sign, centr, hlgth)
+        ]
 
-    gap2 = base + k * dsum(tau_max, HALF_PI)
-    w_end = 1.0 + sign * cos(2.0 * HALF_PI * tau)
-    scale2 = abs(base + k * dsum(tau_max, 0.0))
+    gap2 = base + k * _dispersion_sum(tau_max, HALF_PI)
+    w_end = 1.0 + sign * math.cos(2.0 * HALF_PI * tau)
+    scale2 = abs(base + k * _dispersion_sum(tau_max, 0.0))
     return f, (g, gap2, w_end, scale2)
 
 

@@ -8,11 +8,13 @@ soft zero into an endpoint power law, and guarded by two detectors: an
 analytic check of the zone-edge gap against the endpoint weight, and a
 growth watch on interval refinements toward the endpoint.
 
-Callers pass the integrands themselves, with the weight and the dispersion
-inlined, because the quadrature evaluates them tens of thousands of times
-per bulk sweep. The adaptive rule is QUADPACK's QAGS (21-point
-Gauss-Kronrod with Wynn's epsilon extrapolation; Piessens et al., QUADPACK,
-Springer 1983), in the package's own port of SciPy's ``quad``.
+Callers pass each integrand as one closure with the weight and the
+dispersion inlined, in the form the package's port of SciPy's ``quad``
+takes: a rule integrand ``f(centr, hlgth)`` that returns its values at the
+21 nodes ``_solvers.rule_nodes(centr, hlgth)`` of one interval in one call,
+so a bulk sweep pays one call per rule instead of one per node. The
+adaptive rule is QUADPACK's QAGS (21-point Gauss-Kronrod with Wynn's
+epsilon extrapolation; Piessens et al., QUADPACK, Springer 1983).
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def _checked_quad(f, lo, hi):
 
 
 def integrate_weighted_frequency(f) -> float:
-    """integral_0^{pi/2} f(alpha) d alpha for f = weight * omega.
+    """integral_0^{pi/2} f(alpha) d alpha for f = weight * omega, given as
+    a rule integrand.
 
     The integrand is bounded, so plain adaptive quadrature suffices.
     """
@@ -74,9 +77,10 @@ def integrate_weighted_inverse(g, gap2: float, w_end: float, scale2: float):
     """integral_0^{pi/2} weight(alpha) / omega(alpha) d alpha, or Divergent.
 
     The average is taken after substituting u = cos(alpha), which maps the
-    zone edge to u = 0: ``g(u) = weight / sqrt(omega^2 (1 - u^2))`` at
-    alpha = acos(u), and 0 where omega^2 <= 0 (only inside the soft window,
-    where the weight vanishes). ``gap2`` is omega^2 at the zone edge,
+    zone edge to u = 0: ``g`` is the rule integrand of
+    ``weight / sqrt(omega^2 (1 - u^2))`` at alpha = acos(u), and 0 where
+    omega^2 <= 0 (only inside the soft window, where the weight vanishes).
+    ``gap2`` is omega^2 at the zone edge,
     ``w_end`` the weight there and ``scale2`` = |omega^2(0)|.
 
     Precondition: omega^2 attains its minimum at the zone edge alpha = pi/2

@@ -42,15 +42,21 @@ def span_names(record):
 
 
 def test_traced_pooled_sweep_records_the_main_and_every_worker(tmp_path):
-    jobs = 2
-    argv = ["sweep", *RING, "--nu-t", "0.9:2.1:4", "--temp", "0,0.3", "--jobs", str(jobs)]
+    """Every pool worker has a tracer of its own, which writes a span file
+    even when the other worker took every task, and each pool task leaves
+    exactly one worker span, in some worker, none in the main process."""
+    jobs, points = 2, 4
+    tasks = min(jobs, points)  # run_sweep sends one interleaved chunk per worker
+    argv = ["sweep", *RING, "--nu-t", f"0.9:2.1:{points}", "--temp", "0,0.3",
+            "--jobs", str(jobs)]
     result, by_pid = traced_sample(tmp_path, argv)
     assert result["code"] == 0
     main = by_pid.pop(result["pid"])
     assert {"cli.main", "cli._emit"} <= span_names(main)
+    assert "cli._row_worker" not in span_names(main)
     assert len(by_pid) == jobs
-    for worker in by_pid.values():
-        assert "cli._row_worker" in span_names(worker)
+    worker_spans = [span[0] for worker in by_pid.values() for span in worker["spans"]]
+    assert worker_spans.count("cli._row_worker") == tasks
 
 
 def test_traced_bulk_sweep_counts_the_quadrature_calls(tmp_path):

@@ -1043,7 +1043,7 @@ def test_malformed_config_value_is_a_config_error(config, message, tmp_path, cap
     path.write_text(json.dumps(config))
     assert main(["sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and message in err
+    assert err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "witness"])

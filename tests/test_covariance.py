@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ionlattice import covariance
+from ionlattice import _solvers, covariance
 from ionlattice.covariance import (
     DIRECTIONS,
     _block_layout,
     _cos_weights,
     _dispersion_sum,
     _pair_weights,
+    _rule_node_data,
     _sin_weights,
     block_covariance,
     block_covariance_at,
@@ -247,6 +248,7 @@ def test_bulk_results_do_not_depend_on_cache_order(nn_ring, lr_ring):
     for i, params in enumerate(rings):
         for direction in DIRECTIONS:
             _clear_caches()
+            assert _rule_node_data.cache_info().currsize == 0
             alone[i, direction] = values(params, direction)
     assert sum(not isinstance(v, str) for vs in alone.values() for v in vs) >= 12
     _clear_caches()
@@ -254,6 +256,61 @@ def test_bulk_results_do_not_depend_on_cache_order(nn_ring, lr_ring):
         for i, params in enumerate(rings):
             assert values(params, direction) == alone[i, direction]
     assert _dispersion_sum.cache_info().hits > 0
+    assert _rule_node_data.cache_info().hits > 0
+
+
+def test_bulk_sweep_takes_each_acos_once_per_node(tmp_path, monkeypatch):
+    """A bulk sweep evaluates math.acos at most once per node of each
+    distinct rule interval of an inverse average (per range, weight and
+    interval): the node data of an interval are cached across nuT rows and
+    directions. Before the cache, every rule evaluation paid 21 acos."""
+    _clear_caches()
+    weights, intervals, acos_args = {}, set(), []
+    integrands, qk21, acos = covariance._bulk_integrands, _solvers._qk21, math.acos
+
+    def tagged(base, k, tau_max, tau=0, sign=0.0):
+        f, (g, *edge) = integrands(base, k, tau_max, tau, sign)
+        weights[g] = (tau_max, tau, sign)
+        return f, (g, *edge)
+
+    def recorded_qk21(f, a, b):
+        if f in weights:
+            intervals.add((weights[f], a, b))
+        return qk21(f, a, b)
+
+    def counted_acos(u):
+        acos_args.append(u)
+        return acos(u)
+
+    monkeypatch.setattr(covariance, "_bulk_integrands", tagged)
+    monkeypatch.setattr(_solvers, "_qk21", recorded_qk21)
+    monkeypatch.setattr(math, "acos", counted_acos)
+    out = tmp_path / "bulk.csv"
+    argv = ["sweep", "--mass", "2", "--charge", "1", "--spacing", "1",
+            "--nu", "1.4142135623730951", "--n", "20", "--td-limit",
+            "--nu-t", "1.4142135623730951:2.1:41", "--measures", "negativity,entropy",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(out.read_text().splitlines()) == 42
+    assert {w[1:] for w, _, _ in intervals} == {(0, 0.0), (1, 1.0), (1, -1.0)}
+    assert 0 < len(acos_args) <= 21 * len(intervals)
+    info = _rule_node_data.cache_info()
+    assert info.hits > 10 * info.misses
+
+
+def test_rule_node_data_is_read_only():
+    """Every integrand of a sweep shares the cached node data of an
+    interval, so no caller can change an entry."""
+    for variable, width in (("alpha", 2), ("u", 3)):
+        data = _rule_node_data(variable, 4, 1, -1.0, 0.5, 0.25)
+        assert type(data) is tuple and len(data) == 21
+        for node in data:
+            assert type(node) is tuple and len(node) == width
+        with pytest.raises(TypeError):
+            data[0] = data[1]
+        with pytest.raises(TypeError):
+            data[0][0] = 0.0
+        assert _rule_node_data(variable, 4, 1, -1.0, 0.5, 0.25) is data
 
 
 def test_axial_bulk_averages_are_computed_once_per_ring(nn_ring, lr_ring):

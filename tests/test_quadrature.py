@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ionlattice import covariance
+from ionlattice._solvers import rule_nodes
 from ionlattice.covariance import (
     _bulk_dispersion,
     _bulk_integrands,
@@ -20,7 +22,7 @@ from ionlattice.covariance import (
     td_pair_criteria,
     td_single_site_eigenvalue,
 )
-from ionlattice.errors import ConfigError
+from ionlattice.errors import ConfigError, QuadratureFailure
 from ionlattice.lattice import critical_potential
 from ionlattice.quadrature import (
     HALF_PI,
@@ -30,6 +32,11 @@ from ionlattice.quadrature import (
 )
 
 COS2 = lambda a: math.cos(a) ** 2  # omega^2 for the critical NN branch, C = 2
+
+
+def lift(f):
+    """The rule integrand of a scalar function: its 21 values on an interval."""
+    return lambda centr, hlgth: [f(x) for x in rule_nodes(centr, hlgth)]
 
 
 def frequency_integrand(weight, omega2):
@@ -56,11 +63,12 @@ def inverse_arguments(weight, omega2):
 
 
 def integrate_frequency(weight, omega2):
-    return integrate_weighted_frequency(frequency_integrand(weight, omega2))
+    return integrate_weighted_frequency(lift(frequency_integrand(weight, omega2)))
 
 
 def integrate_inverse(weight, omega2):
-    return integrate_weighted_inverse(*inverse_arguments(weight, omega2))
+    g, *edge = inverse_arguments(weight, omega2)
+    return integrate_weighted_inverse(lift(g), *edge)
 
 
 def test_weighted_frequency_closed_forms():
@@ -160,34 +168,80 @@ def test_td_criteria_validation(nn_ring):
         td_pair_criteria(params, 1.5, 1, "z")
 
 
+def same_bits(got, expect):
+    """Equal values, and equal signs of zero."""
+    return len(got) == len(expect) and all(
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b) for a, b in zip(got, expect)
+    )
+
+
+def visited_intervals(integrate, f, *args):
+    """The (centre, half-length) of every rule a quadrature of f evaluates."""
+    seen = []
+
+    def recorded(centr, hlgth):
+        seen.append((centr, hlgth))
+        return f(centr, hlgth)
+
+    try:
+        integrate(recorded, *args)
+    except QuadratureFailure:
+        pass
+    return seen
+
+
+WEIGHTS = [(0, 0.0), (1, 1.0), (1, -1.0), (3, 1.0), (3, -1.0)]
+
+
+def textbook_weight(tau, sign):
+    if sign == 0.0:
+        return lambda a: 1.0
+    if sign > 0.0:
+        return lambda a: 1.0 + math.cos(2.0 * a * tau)
+    return lambda a: 1.0 - math.cos(2.0 * a * tau)
+
+
 @pytest.mark.parametrize("ring", ["nn", "lr"])
 @pytest.mark.parametrize("direction", ["x", "y"])
-@pytest.mark.parametrize("tau, sign", [(0, 0.0), (1, 1.0), (1, -1.0), (3, 1.0), (3, -1.0)])
+@pytest.mark.parametrize("tau, sign", WEIGHTS)
 def test_bulk_integrands_equal_the_composed_ones(nn_ring, lr_ring, ring, direction, tau, sign):
-    """The single-closure integrands give the value, bit for bit, of the
-    weight and dispersion evaluated as separate functions in their
-    textbook form (1 - cos, base - C/2 S), over both variables' ranges."""
+    """The rule integrands give every rule value, bit for bit, of the weight
+    and dispersion evaluated per node as separate functions in their
+    textbook form (1 - cos, base - C/2 S): on seeded random intervals of
+    both variables and on every interval that QAGS visits, away from the
+    soft edge, next to it, and past it, where omega^2 <= 0 near the edge
+    gives zeros. The other weights fill the node cache on the same
+    intervals first, so no cached entry of theirs can stand in."""
     params = nn_ring() if ring == "nn" else lr_ring()
-    nu_t = 1.3
     c, tau_max = params.coulomb_constant, params.tau_max
-    if direction == "x":
-        omega2 = lambda a: params.nu**2 + c * _dispersion_sum(tau_max, a)
-    else:
-        omega2 = lambda a: nu_t**2 - 0.5 * c * _dispersion_sum(tau_max, a)
-    if sign == 0.0:
-        weight = lambda a: 1.0
-    elif sign > 0.0:
-        weight = lambda a: 1.0 + math.cos(2.0 * a * tau)
-    else:
-        weight = lambda a: 1.0 - math.cos(2.0 * a * tau)
-    f, inverse = _bulk_integrands(*_bulk_dispersion(params, nu_t, direction), tau_max, tau, sign)
-    f_ref = frequency_integrand(weight, omega2)
-    g_ref, *edge_ref = inverse_arguments(weight, omega2)
-    g, *edge = inverse
-    assert edge == edge_ref
+    crit = critical_potential(params, td_limit=True)
+    weight = textbook_weight(tau, sign)
     rng = np.random.default_rng(tau)
-    nodes = [0.0, *rng.uniform(0.0, 1.0, 300)]
-    for x in nodes:
-        assert f(x * HALF_PI) == f_ref(x * HALF_PI)
-        assert g(x) == g_ref(x)  # g is singular at u = 1, which QAGS never samples
-    assert f(HALF_PI) == f_ref(HALF_PI)
+    checked = 0
+    for nu_t in (crit * (1.0 - 1e-3), crit * (1.0 + 1e-6), 1.3):
+        if direction == "x":
+            omega2 = lambda a: params.nu**2 + c * _dispersion_sum(tau_max, a)
+        else:
+            omega2 = lambda a: nu_t**2 - 0.5 * c * _dispersion_sum(tau_max, a)
+        base_k = _bulk_dispersion(params, nu_t, direction)
+        f, (g, *edge) = _bulk_integrands(*base_k, tau_max, tau, sign)
+        f_ref = frequency_integrand(weight, omega2)
+        g_ref, *edge_ref = inverse_arguments(weight, omega2)
+        assert edge == edge_ref
+        others = [_bulk_integrands(*base_k, tau_max, *w) for w in WEIGHTS if w != (tau, sign)]
+        for rule, ref, end, integrate, args, other_rules in (
+            (f, f_ref, HALF_PI, integrate_weighted_frequency, (), [o[0] for o in others]),
+            (g, g_ref, 1.0, integrate_weighted_inverse, edge, [o[1][0] for o in others]),
+        ):
+            ends = np.sort(rng.uniform(0.0, end, (40, 2)))
+            intervals = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in ends]
+            intervals += visited_intervals(integrate, lift(ref), *args)
+            covariance._rule_node_data.cache_clear()
+            for other in other_rules:
+                for centr, hlgth in intervals:
+                    other(centr, hlgth)
+            for centr, hlgth in intervals:
+                expect = [ref(x) for x in rule_nodes(centr, hlgth)]
+                assert same_bits(rule(centr, hlgth), expect), (nu_t, centr, hlgth)
+                checked += 1
+    assert checked > 240  # 240 random intervals, the rest visited by QAGS

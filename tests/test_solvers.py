@@ -2,7 +2,9 @@
 
 ``ionlattice._solvers`` ports SciPy's ``brentq`` and ``quad`` (QUADPACK's
 QAGS) with the same float operations in the same order, so every result
-must equal SciPy's under ``==``, not just agree to a tolerance.
+must equal SciPy's under ``==``, not just agree to a tolerance. The port's
+``quad`` takes a rule integrand, so each scalar function is lifted through
+the rule's nodes first.
 """
 
 import math
@@ -15,6 +17,11 @@ from ionlattice import _solvers
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 scipy_optimize = pytest.importorskip("scipy.optimize")
+
+
+def lift(f):
+    """The rule integrand of a scalar function: its 21 values on an interval."""
+    return lambda centr, hlgth: [f(x) for x in _solvers.rule_nodes(centr, hlgth)]
 
 
 def _qagse_ier(f, a, b, epsabs, epsrel, limit):
@@ -63,7 +70,7 @@ def test_quad_equals_scipy_bit_for_bit():
         for limit in LIMITS:
             for epsabs, epsrel in TOLERANCES:
                 expect = scipy_integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
-                got = _solvers.quad(f, a, b, epsabs, epsrel, limit)
+                got = _solvers.quad(lift(f), a, b, epsabs, epsrel, limit)
                 assert got == expect, (kind, a, b, epsabs, epsrel, limit)
                 codes[_qagse_ier(f, a, b, epsabs, epsrel, limit)] += 1
                 calls += 1
@@ -77,7 +84,7 @@ def test_quad_single_interval_and_exact_rules():
     # polynomials up to degree 31 are exact for the 21-point Kronrod rule
     for f in (lambda x: 3.0, lambda x: x**7 - 2.0 * x, math.exp):
         for limit in (1, 2, 50):
-            assert _solvers.quad(f, -0.3, 1.7, limit=limit) == scipy_integrate.quad(
+            assert _solvers.quad(lift(f), -0.3, 1.7, limit=limit) == scipy_integrate.quad(
                 f, -0.3, 1.7, limit=limit
             )
 
