@@ -42,7 +42,6 @@ from .lattice import (
     Configuration,
     CouplingCoefficients,
     LatticeParams,
-    Model,
     Variant,
     critical_potential,
     equilibrium_residual,
@@ -80,7 +79,6 @@ __all__ = [
     "DomainError",
     "ImaginaryFrequency",
     "LatticeParams",
-    "Model",
     "ModeSpectrum",
     "MomentTable",
     "NoConvergence",

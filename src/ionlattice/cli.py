@@ -51,7 +51,6 @@ from .errors import (
 )
 from .lattice import (
     LatticeParams,
-    Model,
     Variant,
     solve_equilibrium,
 )
@@ -82,9 +81,12 @@ CONFIG_KEYS = {
 }
 
 #: keys of the config's ``params``, each the destination of its flag too,
-#: with their defaults
+#: with their defaults; an unset tauMax takes the preset of the model
 PARAMS = {"n": 20, "mass": 1.0, "charge": 1.0, "spacing": 1.0, "nu": 1.0, "model": "NN",
           "tauMax": None}
+
+#: the tauMax preset of each model, in any letter case; NN admits no other
+MODEL_TAU_MAX = {"NN": 1, "LR": 4}
 
 #: most points of a start:stop:count grid; a larger count is refused before
 #: the grid is built
@@ -567,16 +569,16 @@ def _params_from_mapping(raw: dict) -> LatticeParams:
     if extra:
         raise ConfigError(f"unknown parameter keys {sorted(extra)}")
     raw = {**PARAMS, **raw}
-    try:
-        model = Model[str(raw["model"]).upper()]
-    except KeyError:
-        raise ConfigError(f"model must be NN or LR, got {raw['model']!r}") from None
+    model = str(raw["model"]).upper()
+    if model not in MODEL_TAU_MAX:
+        raise ConfigError(f"model must be NN or LR, got {raw['model']!r}")
     try:
         mass, charge, spacing, nu_paper = (
             _real(key, raw[key]) for key in ("mass", "charge", "spacing", "nu")
         )
         n = _integer("n", raw["n"])
-        tau_max = None if raw["tauMax"] is None else _integer("tauMax", raw["tauMax"])
+        tau_max = (MODEL_TAU_MAX[model] if raw["tauMax"] is None
+                   else _integer("tauMax", raw["tauMax"]))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -586,15 +588,17 @@ def _params_from_mapping(raw: dict) -> LatticeParams:
     if charge <= 0 or mass <= 0 or spacing <= 0:
         raise ConfigError("mass, charge and spacing must be positive")
     unit = math.sqrt(charge**2 / (mass * spacing**3))
-    return LatticeParams(
+    params = LatticeParams(
         n=n,
         mass=mass,
         charge=charge,
         spacing=spacing,
         nu=nu_paper * unit,
-        model=model,
         tau_max=tau_max,
     )
+    if model == "NN" and tau_max != 1:
+        raise ConfigError("nearest-neighbour model requires tau_max == 1")
+    return params
 
 
 def _load(args):
@@ -677,7 +681,7 @@ def _add_param_flags(sub, grids=tuple(GRIDS)):
     sub.add_argument("--charge", type=float)
     sub.add_argument("--spacing", type=float)
     sub.add_argument("--nu", type=float, help="axial trap frequency, reduced units")
-    sub.add_argument("--model", choices=["NN", "LR", "nn", "lr"])
+    sub.add_argument("--model", help="NN or LR, any case: tauMax preset 1 or 4")
     sub.add_argument("--tau-max", dest="tauMax", type=int)
     for name in grids:
         flag, dest = GRIDS[name][:2]

@@ -36,12 +36,15 @@ def negativity(s1: float, s2: float) -> float:
     """Logarithmic negativity from the two criteria values.
 
     Values at or below -1 would make a reduced variance product negative,
-    which no physical state produces.
+    which no physical state produces; a NaN decides nothing. Both raise
+    ``DomainError``. An infinite value (a divergent criterion) adds 0.
     """
     total = 0.0
     for s in (s1, s2):
         if s <= -1.0:
             raise DomainError(f"criterion value {s} at or below -1 is unphysical")
+        if math.isnan(s):
+            raise DomainError("criterion value is nan")
         if math.isinf(s):
             continue
         total += max(0.0, -0.5 * math.log1p(s))

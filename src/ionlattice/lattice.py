@@ -27,19 +27,9 @@ from .errors import ConfigError, NoConvergence
 EQUILIBRIUM_RTOL = 1e-12
 
 
-class Model(Enum):
-    """Interaction range: nearest neighbour only, or long range (truncated)."""
-
-    NN = "nn"
-    LR = "lr"
-
-
 class Variant(Enum):
     LINEAR = "linear"
     ZIGZAG = "zigzag"
-
-
-_DEFAULT_TAU_MAX = {Model.NN: 1, Model.LR: 4}
 
 
 @dataclass(frozen=True)
@@ -55,10 +45,9 @@ class LatticeParams:
         (free oscillators); the others must be positive.
     nu : float
         Axial (in-plane) trap frequency.
-    model : Model
-        Interaction range. ``Model.NN`` forces ``tau_max == 1``.
     tau_max : int, optional
-        Neighbour cutoff. Defaults to 1 for NN and 4 for LR.
+        Neighbour cutoff, the one range input: 1 (the default) is the
+        nearest-neighbour ring.
     """
 
     n: int
@@ -66,12 +55,9 @@ class LatticeParams:
     charge: float
     spacing: float
     nu: float
-    model: Model = Model.NN
-    tau_max: int | None = None
+    tau_max: int = 1
 
     def __post_init__(self):
-        if self.tau_max is None:
-            object.__setattr__(self, "tau_max", _DEFAULT_TAU_MAX[self.model])
         if not isinstance(self.n, int) or self.n < 3:
             raise ConfigError(f"n must be an integer >= 3, got {self.n!r}")
         # written so that a NaN fails them
@@ -81,8 +67,6 @@ class LatticeParams:
             raise ConfigError("charge must be non-negative")
         if not isinstance(self.tau_max, int) or self.tau_max < 1:
             raise ConfigError(f"tau_max must be a positive integer, got {self.tau_max!r}")
-        if self.model is Model.NN and self.tau_max != 1:
-            raise ConfigError("nearest-neighbour model requires tau_max == 1")
         # no wrap-around: each neighbour distance must be unambiguous on the ring
         if self.tau_max >= self.n / 2:
             raise ConfigError(
@@ -193,7 +177,8 @@ def solve_equilibrium(params: LatticeParams, nu_t: float) -> Configuration:
 
         m nu_t^2 / 2 = Q^2 sum_{tau odd} ((tau a)^2 + b^2)^(-3/2)
 
-    to a relative residual of ``EQUILIBRIUM_RTOL``. The buckled pattern
+    to a relative residual of ``EQUILIBRIUM_RTOL``: in closed form at
+    ``tau_max == 1``, by Brent's method otherwise. The buckled pattern
     needs alternating site parity, so even ``n`` is required there.
 
     Raises
@@ -206,7 +191,8 @@ def solve_equilibrium(params: LatticeParams, nu_t: float) -> Configuration:
     """
     if not nu_t > 0:
         raise ConfigError("nu_t must be positive")
-    if nu_t >= critical_potential(params, td_limit=True) or params.charge == 0:
+    # a charge-free ring's critical trap is 0, so it is always flat
+    if nu_t >= critical_potential(params, td_limit=True):
         return Configuration(Variant.LINEAR, 0.0)
     if params.n % 2:
         raise ConfigError(
@@ -214,7 +200,7 @@ def solve_equilibrium(params: LatticeParams, nu_t: float) -> Configuration:
         )
 
     m, q, a = params.mass, params.charge, params.spacing
-    if params.model is Model.NN:
+    if params.tau_max == 1:
         b = math.sqrt((2 * q**2 / (m * nu_t**2)) ** (2 / 3) - a**2)
     else:
         balance = functools.partial(_force_balance, params, nu_t)

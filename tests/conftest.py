@@ -1,6 +1,6 @@
 import pytest
 
-from ionlattice.lattice import LatticeParams, Model
+from ionlattice.lattice import LatticeParams
 
 #: collected "criterion NN: PASS/FAIL" lines, echoed after the run
 ACCEPTANCE_LINES = []
@@ -21,10 +21,7 @@ def lr_ring():
     """Longer-range ring factory (couplings out to fourth neighbours)."""
 
     def make(n=20, nu=1.0, spacing=1.0):
-        return LatticeParams(
-            n=n, mass=2.0, charge=1.0, spacing=spacing, nu=nu,
-            model=Model.LR, tau_max=4,
-        )
+        return LatticeParams(n=n, mass=2.0, charge=1.0, spacing=spacing, nu=nu, tau_max=4)
 
     return make
 

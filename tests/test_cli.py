@@ -37,7 +37,7 @@ from ionlattice.entanglement import (
     separability_criteria,
 )
 from ionlattice.errors import ConfigError, DomainError
-from ionlattice.lattice import LatticeParams, Model, solve_equilibrium
+from ionlattice.lattice import LatticeParams, solve_equilibrium
 from ionlattice.witness import witness_report
 
 #: reduced-unit value of the canonical test ring's raw nu = 1 (m=2, Q=1, a=1)
@@ -200,7 +200,7 @@ def test_parallel_rows_identical_to_serial():
               measures=("negativity", "entropy", "blockEntropy2", "witness")), 0),
         # LR: the witness fails in two rows, which must keep their places
         (dict(params=LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0,
-                                   model=Model.LR),
+                                   tau_max=4),
               nu_t_grid=_parse_grid("0.9:2.1:7"), temperatures=(0.0, 0.3),
               measures=("negativity", "blockEntropy3", "witness")), 2),
     ],
@@ -260,11 +260,11 @@ NU_T_CRITICAL_ARG = repr(NU_T_CRITICAL)
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_sweep_cells_equal_the_one_point_calls(jobs):
-    lr = LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, model=Model.LR)
+    lr = LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, tau_max=4)
     specs = [
         # NN: buckled at nuT 1.0, exactly critical, flat at 2.0 and 2.5
         small_spec(nu_t_grid=(1.0, NU_T_CRITICAL, 2.0, 2.5)),
-        # LR, default range tau_max = 4: buckled at 1.0, 1.3 and 1.4, critical
+        # LR, tau_max = 4: buckled at 1.0, 1.3 and 1.4, critical
         # near 1.44, flat at 1.5 and 2.0; the witness fails at 1.4 and 1.5
         small_spec(params=lr, nu_t_grid=(1.0, 1.3, 1.4, 1.5, 2.0)),
     ]
@@ -276,11 +276,11 @@ def test_sweep_cells_equal_the_one_point_calls(jobs):
         assert {row["configVariant"] for row in rows} == {"zigzag", "linear"}
         for row, (nt, t) in zip(rows, grid):
             expect = one_point_row(spec.params, nt, t)
-            assert {c: row[c] for c in expect} == expect, (spec.params.model, nt, t)
-        if spec.params.model is Model.LR:
+            assert {c: row[c] for c in expect} == expect, (spec.params.tau_max, nt, t)
+        if spec.params.tau_max == 4:
             failed = [row["nuT"] for row in rows if row["error"]]
             assert failed == [1.4] * 3 + [1.5] * 3
-        if spec.params.model is Model.NN:
+        else:
             # the critical rows do carry infinite block entries
             critical = [row for row in rows if row["nuT"] == NU_T_CRITICAL]
             assert len(critical) == 3
@@ -1023,6 +1023,8 @@ def test_block_entropy_1_is_not_a_sweep_measure(capsys):
         # float() would run a ring of mass 1, nuT 1 and T 0
         ({"params": {"mass": True}, "nuTGrid": [2.0]}, "mass must be a number, got True"),
         ({"nuTGrid": [True, 2.0]}, "nuT grid entry must be a number, got True"),
+        ({"nuTGrid": ["abc"]},
+         "grids must be lists of numbers: could not convert string to float: 'abc'"),
         ({"nuTGrid": [2.0], "temperatures": [False]},
          "temperature grid entry must be a number, got False"),
         # LR defaults to tau_max 4, which wraps around a ring of 8
@@ -1035,8 +1037,8 @@ def test_block_entropy_1_is_not_a_sweep_measure(capsys):
         ([2.0], "config file must hold a JSON object"),
     ],
     ids=["mass", "nuTGrid", "params", "tdLimit", "n-fraction", "tauMax-fraction", "n-bool",
-         "n-inf", "mass-bool", "nuTGrid-bool", "temperatures-bool", "tauMax-wraps",
-         "nuTGrid-empty", "params-key", "model", "mass-zero", "list"],
+         "n-inf", "mass-bool", "nuTGrid-bool", "nuTGrid-text", "temperatures-bool",
+         "tauMax-wraps", "nuTGrid-empty", "params-key", "model", "mass-zero", "list"],
 )
 def test_malformed_config_value_is_a_config_error(config, message, tmp_path, capsys):
     path = tmp_path / "sweep.json"
@@ -1044,6 +1046,34 @@ def test_malformed_config_value_is_a_config_error(config, message, tmp_path, cap
     assert main(["sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        # the model is the loader's preset of tauMax; NN admits range 1 only,
+        # and the ring's own checks come first
+        (["--model", "NN", "--tau-max", "3"], "nearest-neighbour model requires tau_max == 1"),
+        (["--model", "NN", "--tau-max", "0"], "tau_max must be a positive integer, got 0"),
+        (["--model", "XY"], "model must be NN or LR, got 'XY'"),
+    ],
+    ids=["nn-range-3", "nn-range-0", "unknown"],
+)
+def test_a_bad_model_flag_is_a_config_error(flags, message, capsys):
+    rc, out, err = run(["sweep", *base_args(), "--nu-t", "2.0", *flags], capsys)
+    assert (rc, out, err) == (2, "", f"configuration error: {message}\n")
+
+
+@pytest.mark.parametrize("spelling", ["LR", "Lr"])
+def test_a_range_one_ring_prints_one_sweep(spelling, capsys):
+    # a ring cut at range 1 is the nearest-neighbour ring, whatever its model
+    # label: the same equilibrium, spectrum, blocks and witness, byte for byte
+    argv = ["sweep", *base_args(20), "--nu-t", "0.9:1.9:26", "--temp", "0,0.3",
+            "--measures", "negativity,entropy,blockEntropy3,witness"]
+    rc, nn, _ = run([*argv, "--model", "NN"], capsys)
+    assert rc == 0
+    assert {row["configVariant"] for row in parse_csv(nn)} == {"zigzag", "linear"}
+    assert run([*argv, "--model", spelling, "--tau-max", "1"], capsys) == (0, nn, "")
 
 
 @pytest.mark.parametrize("command", ["sweep", "witness"])

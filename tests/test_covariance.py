@@ -161,6 +161,11 @@ def test_dense_oracle_size_limit(nn_ring):
         direct_covariance_oracle(nn_ring(n=66), 1.5, 0.0)
 
 
+def test_dense_oracle_refuses_a_negative_temperature(nn_ring):
+    with pytest.raises(ConfigError, match="temperature must be non-negative"):
+        direct_covariance_oracle(nn_ring(n=8), 1.5, -0.1)
+
+
 def test_mode_ordering_and_shape(nn_ring):
     params = nn_ring(n=8)
     cov = block_covariance(params, 1.3, 0.0, (3, 5), directions=("y",))

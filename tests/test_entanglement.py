@@ -105,9 +105,20 @@ def test_negativity_single_violation_anchor():
     assert_allclose(negativity(s1, math.inf), expect, atol=1e-12)
 
 
-def test_negativity_rejects_unphysical_criterion():
-    with pytest.raises(DomainError):
-        negativity(-1.2, 0.0)
+@pytest.mark.parametrize(
+    "s1, s2, message",
+    [
+        (-1.2, 0.0, "criterion value -1.2 at or below -1 is unphysical"),
+        # max(0, nan) is 0: a NaN read as "not entangled"
+        (math.nan, 0.5, "criterion value is nan"),
+        (-0.3, math.nan, "criterion value is nan"),
+    ],
+    ids=["below-minus-one", "nan-s1", "nan-s2"],
+)
+def test_negativity_rejects_unphysical_criterion(s1, s2, message):
+    with pytest.raises(DomainError) as err:
+        negativity(s1, s2)
+    assert str(err.value) == message
 
 
 def test_vacuum_spectrum_is_all_ones(nn_ring):

@@ -17,7 +17,6 @@ from ionlattice.errors import ConfigError, NoConvergence
 from ionlattice.lattice import (
     Configuration,
     LatticeParams,
-    Model,
     Variant,
     critical_potential,
     equilibrium_residual,
@@ -110,6 +109,17 @@ def test_nn_equilibrium_closed_form_frozen(nn_ring):
     assert abs(equilibrium_residual(params, 0.8, config.b)) < 1e-12
 
 
+def test_a_range_one_ring_takes_the_closed_form(monkeypatch):
+    # the range alone picks the route: no root-find, and b is the closed form
+    # bit for bit at every buckled nu_t
+    monkeypatch.setattr(lattice, "brentq", None)
+    params = LatticeParams(n=20, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, tau_max=1)
+    for nu_t in np.linspace(0.05, 0.999, 50):
+        closed = math.sqrt((2.0 * params.charge**2 / (params.mass * nu_t**2)) ** (2.0 / 3.0)
+                           - params.spacing**2)
+        assert solve_equilibrium(params, nu_t).b == closed
+
+
 @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.7, 0.9, 0.99])
 def test_lr_equilibrium_residual(lr_ring, fraction):
     params = lr_ring()
@@ -171,7 +181,6 @@ def test_nonpositive_trap_rejected(nn_ring):
         dict(charge=-0.5),
         dict(tau_max=0),
         dict(tau_max=12),  # wrap-around on n = 20
-        dict(model=Model.NN, tau_max=3),
     ],
 )
 def test_parameter_validation(kwargs):
@@ -216,7 +225,6 @@ def test_a_nan_root_fails_the_residual_gate(lr_ring, monkeypatch):
 
 
 def test_default_neighbour_range():
+    # the nearest-neighbour ring; the CLI's --model LR presets tau_max 4
     nn = LatticeParams(n=8, mass=1.0, charge=1.0, spacing=1.0, nu=1.0)
-    lr = LatticeParams(n=12, mass=1.0, charge=1.0, spacing=1.0, nu=1.0, model=Model.LR)
     assert nn.tau_max == 1
-    assert lr.tau_max == 4

@@ -5,11 +5,13 @@ import json
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import ionlattice
+from ionlattice import cli
 
 
 def test_every_exported_name_resolves():
@@ -27,6 +29,19 @@ def test_the_readme_python_examples_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_the_readme_command_line_examples_run(tmp_path, monkeypatch):
+    """Every ``ionlattice`` command of the README's ``sh`` blocks exits 0.
+    They run in an empty directory, since ``covariance --dump`` writes there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("ionlattice ")]
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
 
 
 def test_every_cache_is_bounded():

@@ -17,7 +17,6 @@ from ionlattice.errors import ConfigError, DomainError, ImaginaryFrequency
 from ionlattice.lattice import (
     Configuration,
     LatticeParams,
-    Model,
     Variant,
     critical_potential,
     solve_equilibrium,
@@ -89,6 +88,13 @@ def test_decoupled_block_keeps_branch_identity():
     assert_allclose(smat @ OMEGA4 @ smat.T, OMEGA4, atol=1e-12)
 
 
+def test_an_asymmetric_block_is_a_config_error():
+    block = _block(4.0, 1.0, 0.5, mass=2.0)
+    block[0, 2] += 1e-3
+    with pytest.raises(ConfigError, match="expected a symmetric 4x4 block"):
+        symplectic_diagonalize(block)
+
+
 @pytest.mark.parametrize("wx2, wy2, wxy", [(4.0, 0.0, 0.0), (4.0, 1.0, 2.0)],
                          ids=["decoupled", "coupled"])
 def test_zero_frequency_mode_is_a_domain_error(wx2, wy2, wxy):
@@ -102,7 +108,7 @@ def test_zero_frequency_mode_is_a_domain_error(wx2, wy2, wxy):
 def test_an_unstable_block_names_its_branch_and_no_wave_number():
     """The oracle sees one block, so it has no wave number to give; the
     spectrum over all blocks names the unstable ones."""
-    params = LatticeParams(n=64, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, model=Model.LR)
+    params = LatticeParams(n=64, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, tau_max=4)
     nu_t = 0.2 * critical_potential(params, td_limit=True)
     with pytest.raises(ImaginaryFrequency) as whole:
         build_spectrum(params, nu_t)

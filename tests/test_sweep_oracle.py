@@ -20,7 +20,6 @@ from ionlattice.cli import SweepSpec, run_sweep
 from ionlattice.covariance import direct_covariance_oracle
 from ionlattice.lattice import (
     LatticeParams,
-    Model,
     Variant,
     critical_potential,
     solve_equilibrium,
@@ -38,10 +37,8 @@ def sweeps(draw):
     """A ring, one nuT on either side of the transition (never at it) and
     one temperature, in reduced units."""
     n = draw(st.sampled_from([8, 10, 12, 14, 16]))
-    model = draw(st.sampled_from([Model.NN, Model.LR]))
-    tau_max = 1 if model is Model.NN else draw(st.integers(1, 3))
-    params = LatticeParams(n=n, mass=2.0, charge=1.0, spacing=1.0, nu=1.0,
-                           model=model, tau_max=tau_max)
+    tau_max = draw(st.integers(1, 3))
+    params = LatticeParams(n=n, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, tau_max=tau_max)
     crit = critical_potential(params, td_limit=True) / params.nu_t_unit
     buckled = draw(st.booleans())
     fraction = draw(st.floats(0.75, 0.97) if buckled else st.floats(1.03, 2.0))
@@ -139,8 +136,7 @@ def test_every_printed_cell_matches_the_dense_oracle(case):
 
 def test_pooled_cells_match_the_dense_oracle():
     """Both phases of an LR ring at two temperatures through two workers."""
-    params = LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0,
-                           model=Model.LR, tau_max=3)
+    params = LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, tau_max=3)
     crit = critical_potential(params, td_limit=True) / params.nu_t_unit
     spec = SweepSpec(params=params, nu_t_grid=(0.85 * crit, 1.3 * crit),
                      temperatures=(0.0, 0.4), measures=MEASURES)

@@ -19,7 +19,6 @@ from ionlattice.cli import SweepSpec, _params_from_mapping, run_sweep
 from ionlattice.errors import ConfigError
 from ionlattice.lattice import (
     LatticeParams,
-    Model,
     critical_potential,
     solve_equilibrium,
     taylor_coefficients,
@@ -71,12 +70,12 @@ def test_bound_is_half_ring_times_frequency_sum(nn_ring):
 
 @st.composite
 def small_even_rings(draw):
-    """(params, nu_t): an even NN or LR ring of at most 16 sites at (m, Q, a)
-    = (2, 1, 1), with nu_t between half and twice its critical value."""
-    model = draw(st.sampled_from((Model.NN, Model.LR)))
-    sizes = (4, 6, 8, 10, 12) if model is Model.NN else (10, 12, 14, 16)
+    """(params, nu_t): an even ring of range 1 or 4 and at most 16 sites at
+    (m, Q, a) = (2, 1, 1), with nu_t between half and twice its critical value."""
+    tau_max = draw(st.sampled_from((1, 4)))
+    sizes = (4, 6, 8, 10, 12) if tau_max == 1 else (10, 12, 14, 16)
     params = LatticeParams(n=draw(st.sampled_from(sizes)), mass=2.0, charge=1.0,
-                           spacing=1.0, nu=draw(st.floats(0.5, 2.0)), model=model)
+                           spacing=1.0, nu=draw(st.floats(0.5, 2.0)), tau_max=tau_max)
     return params, draw(st.floats(0.5, 2.0)) * critical_potential(params)
 
 
@@ -129,6 +128,8 @@ def test_witness_report_consistency(nn_ring):
 def test_negative_temperature_is_a_config_error(nn_ring):
     with pytest.raises(ConfigError):
         internal_energy(nn_ring(), 1.5, -0.5)
+    with pytest.raises(ConfigError, match="temperature must be non-negative"):
+        witness_reports(build_spectrum(nn_ring(), 1.5), (0.0, -0.5))
 
 
 def test_critical_point_zero_mode_gets_kinetic_share(nn_ring):
