@@ -47,15 +47,14 @@ from .lattice import (
     equilibrium_residual,
     solve_equilibrium,
     taylor_coefficients,
+    tilde_frequencies,
 )
 from .quadrature import Divergent
 from .spectrum import (
     ModeSpectrum,
     build_spectrum,
     coupling_matrix,
-    linear_dispersion,
     symplectic_diagonalize,
-    tilde_frequencies,
 )
 from .witness import (
     WitnessReport,
@@ -99,7 +98,6 @@ __all__ = [
     "effective_frequencies",
     "equilibrium_residual",
     "internal_energy",
-    "linear_dispersion",
     "moment_table",
     "negativity",
     "pair_moments",

@@ -16,13 +16,12 @@ import numpy as np
 from .covariance import block_covariance, direct_covariance_oracle
 from .entanglement import symplectic_spectrum
 from .errors import ConfigError, DomainError
-from .lattice import LatticeParams, critical_potential, solve_equilibrium
+from .lattice import LatticeParams, critical_potential, solve_equilibrium, tilde_frequencies
 from .spectrum import (
     build_spectrum,
     coupling_matrix,
     symplectic_diagonalize,
     symplectic_form,
-    tilde_frequencies,
 )
 
 

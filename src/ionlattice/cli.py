@@ -29,7 +29,6 @@ from .covariance import (
     DIRECTIONS,
     block_covariance,
     block_covariance_at,
-    bulk_closed_forms_hold,
     moment_table,
     pair_moments_at,
     td_pair_criteria,
@@ -52,6 +51,7 @@ from .errors import (
 from .lattice import (
     LatticeParams,
     Variant,
+    check_finite,
     solve_equilibrium,
 )
 from .quadrature import Divergent
@@ -365,8 +365,10 @@ def _witness_cells(params, point: _Point):
             )
 
 
-def _finite_point(params, measures, nu_t: float, temperatures, point: _Point, axial: dict):
-    config = solve_equilibrium(params, nu_t)
+def _finite_point(params, measures, nu_t: float, temperatures, point: _Point, axial: dict,
+                  config=None):
+    if config is None:
+        config = solve_equilibrium(params, nu_t)
     for row in point.rows:
         row["configVariant"] = config.variant.value
         row["b"] = config.b / params.spacing
@@ -386,13 +388,15 @@ def _finite_point(params, measures, nu_t: float, temperatures, point: _Point, ax
 
 
 def _td_point(spec: SweepSpec, nu_t: float, point: _Point, axial: dict):
-    """Bulk-limit row: dispersion averages where the flat closed forms hold,
-    a large-ring stand-in (n = TD_PROXY_N) everywhere else."""
+    """Bulk-limit row: a large-ring stand-in (n = TD_PROXY_N) where it
+    buckles, and where it is flat, dispersion averages for the pair criteria
+    and the single-site entropy and the stand-in for the rest."""
     params = spec.params
     proxy = dataclasses.replace(params, n=TD_PROXY_N)
-    if not bulk_closed_forms_hold(params, nu_t):
+    config = solve_equilibrium(proxy, nu_t)
+    if config.variant is Variant.ZIGZAG:
         # below the buckling point only the large-ring stand-in is available
-        _finite_point(proxy, spec.measures, nu_t, (0.0,), point, axial)
+        _finite_point(proxy, spec.measures, nu_t, (0.0,), point, axial, config)
         return
     [row] = point.rows
     row["configVariant"] = Variant.LINEAR.value
@@ -408,7 +412,7 @@ def _td_point(spec: SweepSpec, nu_t: float, point: _Point, axial: dict):
             row[f"SV1{d}"], row[f"SV1{d}Divergent"] = cell
     sizes = tuple(size for size in sizes if size > 1)
     if sizes or "witness" in spec.measures:
-        modes = build_spectrum(proxy, nu_t)
+        modes = build_spectrum(proxy, nu_t, config)
         if sizes:
             _stack_blocks(moment_table(modes, (0.0,)), sizes, point, axial)
         if "witness" in spec.measures:
@@ -583,17 +587,18 @@ def _params_from_mapping(raw: dict) -> LatticeParams:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameter value: {exc}") from None
-    if not all(math.isfinite(v) for v in (mass, charge, spacing, nu_paper)):
-        raise ConfigError("mass, charge, spacing and nu must be finite")
+    check_finite(mass, charge, spacing, nu_paper)
     if charge <= 0 or mass <= 0 or spacing <= 0:
         raise ConfigError("mass, charge and spacing must be positive")
-    unit = math.sqrt(charge**2 / (mass * spacing**3))
+    nu = nu_paper * math.sqrt(charge**2 / (mass * spacing**3))
+    if not math.isfinite(nu):
+        raise NumericalFailure("axial trap frequency not finite in the raw units (overflow)")
     params = LatticeParams(
         n=n,
         mass=mass,
         charge=charge,
         spacing=spacing,
-        nu=nu_paper * unit,
+        nu=nu,
         tau_max=tau_max,
     )
     if model == "NN" and tau_max != 1:

@@ -589,15 +589,11 @@ def _site_averages(base: float, k: float, tau_max: int) -> tuple:
     return iq, integrate_weighted_frequency(f)
 
 
-def bulk_closed_forms_hold(params: LatticeParams, nu_t: float) -> bool:
-    """Whether the flat-phase bulk-limit expressions hold at ``nu_t``: at or
-    above the bulk critical point, less a relative margin of 1e-12."""
-    return nu_t >= critical_potential(params, td_limit=True) * (1.0 - 1e-12)
-
-
 def _require_flat_bulk(params: LatticeParams, nu_t: float):
-    if not bulk_closed_forms_hold(params, nu_t):
-        crit = critical_potential(params, td_limit=True)
+    """Refuse a ``nu_t`` where ``solve_equilibrium`` buckles the ring: below
+    the bulk critical point (or NaN)."""
+    crit = critical_potential(params, td_limit=True)
+    if not nu_t >= crit:
         raise ConfigError(
             "bulk-limit expressions hold in the flat configuration only "
             f"(nu_t={nu_t:.6g} below critical {crit:.6g})"

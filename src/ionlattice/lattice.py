@@ -6,7 +6,8 @@ Above a critical ``nu_t`` the equilibrium is the flat ring (linear
 configuration); below it the sites buckle alternately out of the plane by
 ``+-b/2`` (zigzag configuration). Interactions are the second-order expansion
 of the Coulomb pair potential around the equilibrium, truncated at neighbour
-distance ``tau_max``.
+distance ``tau_max``; ``tilde_frequencies`` sums them at each wave number,
+for the spectrum of either configuration and the finite ring's critical trap.
 
 hbar and k_B are 1 throughout; mass, charge and length are raw model units.
 """
@@ -30,6 +31,12 @@ EQUILIBRIUM_RTOL = 1e-12
 class Variant(Enum):
     LINEAR = "linear"
     ZIGZAG = "zigzag"
+
+
+def check_finite(mass, charge, spacing, nu):
+    """Refuse an infinite (or NaN) ring parameter."""
+    if not all(math.isfinite(v) for v in (mass, charge, spacing, nu)):
+        raise ConfigError("mass, charge, spacing and nu must be finite")
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,9 @@ class LatticeParams:
             raise ConfigError("mass, spacing and nu must be positive")
         if not self.charge >= 0:
             raise ConfigError("charge must be non-negative")
-        if not isinstance(self.tau_max, int) or self.tau_max < 1:
+        check_finite(self.mass, self.charge, self.spacing, self.nu)
+        # a bool is an int, and would store a flag as the range
+        if type(self.tau_max) is not int or self.tau_max < 1:
             raise ConfigError(f"tau_max must be a positive integer, got {self.tau_max!r}")
         # no wrap-around: each neighbour distance must be unambiguous on the ring
         if self.tau_max >= self.n / 2:
@@ -133,14 +142,6 @@ def _odd_inverse_cubes(tau_max: int) -> float:
     return float(np.sum(1.0 / np.arange(1, tau_max + 1, 2).astype(float) ** 3))
 
 
-def _softening(params: LatticeParams, ls: np.ndarray) -> np.ndarray:
-    """sum_{tau=1}^{tau_max} sin^2(pi l tau / n) / tau^3 at each wave number
-    l of ``ls``; the flat ring's squared axial dispersion is nu^2 + C times
-    this sum."""
-    taus = np.arange(1, params.tau_max + 1, dtype=float)
-    return (np.sin(np.pi * np.outer(ls, taus) / params.n) ** 2 / taus**3).sum(axis=1)
-
-
 def critical_potential(params: LatticeParams, td_limit: bool = False) -> float:
     """Transverse trap frequency at which the flat ring goes soft.
 
@@ -149,11 +150,12 @@ def critical_potential(params: LatticeParams, td_limit: bool = False) -> float:
     transverse mode of the flat configuration reaches zero. For even ``n``
     the softest mode sits exactly at the zone edge and the two agree.
     """
-    c_half = 0.5 * params.coulomb_constant
     if td_limit:
-        return math.sqrt(c_half * _odd_inverse_cubes(params.tau_max))
-    softening = _softening(params, np.arange(1, params.n + 1, dtype=float))
-    return math.sqrt(c_half * float(softening.max()))
+        return math.sqrt(0.5 * params.coulomb_constant * _odd_inverse_cubes(params.tau_max))
+    # the flat ring's squared transverse frequencies at nu_t = 0 are minus
+    # their softening, which is largest at the softest mode
+    _, wy2, _ = tilde_frequencies(params, Configuration(Variant.LINEAR, 0.0), 0.0)
+    return math.sqrt(-wy2.min())
 
 
 def _force_balance(params: LatticeParams, nu_t: float, b: float) -> float:
@@ -245,3 +247,39 @@ def taylor_coefficients(params: LatticeParams, config: Configuration) -> Couplin
     return CouplingCoefficients(
         tau=np.arange(1, params.tau_max + 1), dx=dx, dy=dy, dxy=dxy
     )
+
+
+def tilde_frequencies(
+    params: LatticeParams, config: Configuration, nu_t: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-block squared frequencies and cross coupling in the buckled frame.
+
+    Returns arrays ``(wx2, wy2, wxy)`` over l = 1 .. n:
+
+        wx2_l = nu^2   + (4 Q^2/m) sum_tau dx_tau sin^2(pi l tau / n)
+        wy2_l = nu_t^2 + (4 Q^2/m) [even-tau dy sin^2 + odd-tau dy cos^2]
+        wxy_l = (Q^2/m) sum_{tau odd} dxy_tau sin(2 pi l tau / n)
+
+    The transverse transform carries a half-zone shift that absorbs the
+    alternating sign of the buckled pattern, hence the cos^2 weights of the
+    odd-distance transverse couplings there. In the flat configuration
+    every weight is sin^2 and the cross coupling vanishes: wx2 and wy2 are
+    the squared axial and transverse dispersion at the same l, the one
+    source of the flat spectrum and of the finite ring's critical trap.
+    """
+    coeff = taylor_coefficients(params, config)
+    pref = 4.0 * params.charge**2 / params.mass
+    ls = np.arange(1, params.n + 1, dtype=float)
+    wx2 = np.full(params.n, params.nu**2)
+    wy2 = np.full(params.n, nu_t**2)
+    wxy = np.zeros(params.n)
+    for i, tau in enumerate(coeff.tau):
+        phase = np.pi * ls * tau / params.n
+        sin2 = np.sin(phase) ** 2
+        wx2 += pref * coeff.dx[i] * sin2
+        if config.variant is Variant.ZIGZAG and tau % 2 == 1:
+            wy2 += pref * coeff.dy[i] * np.cos(phase) ** 2
+            wxy += (pref / 4.0) * coeff.dxy[i] * np.sin(2.0 * phase)
+        else:
+            wy2 += pref * coeff.dy[i] * sin2
+    return wx2, wy2, wxy

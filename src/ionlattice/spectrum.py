@@ -1,18 +1,18 @@
 """Normal modes of the ring in both configurations.
 
 Translation invariance reduces the quadratic Hamiltonian to independent
-wave-number blocks l = 1 .. n. In the flat configuration the axial and
-transverse branches decouple and the dispersion is analytic. In the buckled
-configuration the two directions mix within each block: ``build_spectrum``
-gives every block's normal frequencies and mixing weights in closed form,
-and ``symplectic_diagonalize`` brings one block to normal form with
-``np.linalg.eigh`` as the independent oracle for them.
+wave-number blocks l = 1 .. n. Their squared frequencies and cross coupling
+are one tau-sum in both phases, ``lattice.tilde_frequencies``. In the flat
+configuration the cross coupling vanishes and the axial and transverse
+branches decouple. In the buckled configuration the two directions mix
+within each block: ``build_spectrum`` gives every block's normal frequencies
+and mixing weights in closed form, and ``symplectic_diagonalize`` brings one
+block to normal form with ``np.linalg.eigh`` as the independent oracle for
+them.
 
-The transverse Fourier transform carries a half-zone shift that absorbs the
-alternating sign of the buckled pattern; its trace is that odd-distance
-transverse couplings enter with cos^2 weights where all other terms carry
-sin^2, and that the transverse branch of the flat ring maps onto the buckled
-labels as l -> l + n/2.
+The buckled labels carry the half-zone shift of the transverse transform
+(see ``tilde_frequencies``): the transverse branch of the flat ring maps
+onto them as l -> l + n/2.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ import numpy as np
 from .errors import ConfigError, DomainError, ImaginaryFrequency, NumericalFailure
 from .lattice import (
     Configuration,
-    CouplingCoefficients,
     LatticeParams,
     Variant,
-    _softening,
     solve_equilibrium,
-    taylor_coefficients,
+    tilde_frequencies,
 )
 
 #: Squared frequencies more negative than this raise; values in [-tol, 0) clamp to 0.
@@ -74,47 +72,6 @@ def _sqrt_radicand(w2, branch: str):
     return np.sqrt(np.where(w2 < 0.0, 0.0, w2))
 
 
-def linear_dispersion(params: LatticeParams, nu_t: float):
-    """Axial and transverse mode frequencies of the flat ring, as arrays
-    over l = 1 .. n. The axial branch does not depend on ``nu_t``."""
-    c = params.coulomb_constant
-    softening = _softening(params, np.arange(1, params.n + 1, dtype=float))
-    wx = _sqrt_radicand(params.nu**2 + c * softening, "axial")
-    wy = _sqrt_radicand(nu_t**2 - 0.5 * c * softening, "transverse")
-    return wx, wy
-
-
-def tilde_frequencies(
-    params: LatticeParams, config: Configuration, nu_t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block squared frequencies and cross coupling in the buckled frame.
-
-    Returns arrays ``(wx2, wy2, wxy)`` over l = 1 .. n:
-
-        wx2_l = nu^2   + (4 Q^2/m) sum_tau dx_tau sin^2(pi l tau / n)
-        wy2_l = nu_t^2 + (4 Q^2/m) [even-tau dy sin^2 + odd-tau dy cos^2]
-        wxy_l = (Q^2/m) sum_{tau odd} dxy_tau sin(2 pi l tau / n)
-
-    In the flat configuration only the cross coupling wxy vanishes; wx2 and
-    wy2 are the squares of ``linear_dispersion``'s branches at the same l.
-    """
-    coeff: CouplingCoefficients = taylor_coefficients(params, config)
-    pref = 4.0 * params.charge**2 / params.mass
-    ls = np.arange(1, params.n + 1, dtype=float)
-    wx2 = np.full(params.n, params.nu**2)
-    wy2 = np.full(params.n, nu_t**2)
-    wxy = np.zeros(params.n)
-    for i, tau in enumerate(coeff.tau):
-        phase = np.pi * ls * tau / params.n
-        wx2 += pref * coeff.dx[i] * np.sin(phase) ** 2
-        if config.variant is Variant.ZIGZAG and tau % 2 == 1:
-            wy2 += pref * coeff.dy[i] * np.cos(phase) ** 2
-            wxy += (pref / 4.0) * coeff.dxy[i] * np.sin(2.0 * phase)
-        else:
-            wy2 += pref * coeff.dy[i] * np.sin(phase) ** 2
-    return wx2, wy2, wxy
-
-
 def coupling_matrix(
     params: LatticeParams, config: Configuration, nu_t: float, l: int
 ) -> np.ndarray:
@@ -146,7 +103,7 @@ def symplectic_diagonalize(block: np.ndarray) -> tuple[float, float, np.ndarray]
     ``S^-T``.
     """
     block = np.asarray(block, dtype=float)
-    if block.shape != (4, 4) or not np.allclose(block, block.T, atol=1e-12):
+    if block.shape != (4, 4) or not np.allclose(block, block.T, rtol=0, atol=1e-12):
         raise ConfigError("expected a symmetric 4x4 block")
     m = 0.5 / block[1, 1]
     w2, vectors = np.linalg.eigh(2.0 * block[::2, ::2] / m)
@@ -173,7 +130,8 @@ class ModeSpectrum:
     x-moments weight branch 0 by ``c2`` and branch 1 by ``s2``, y-moments
     the other way round. Buckled configuration: branch 0 is the upper and
     branch 1 the lower normal branch. Flat configuration: branch 0 is the
-    axial and branch 1 the transverse dispersion, unmixed (weights exactly
+    axial and branch 1 the transverse dispersion, the square roots of
+    ``tilde_frequencies``' ``wx2`` and ``wy2``, unmixed (weights exactly
     1, 0, 0) and indexed without the half-zone shift.
     """
 
@@ -197,12 +155,12 @@ def build_spectrum(
     unless ``config`` (the one at this ``nu_t``) is given."""
     if config is None:
         config = solve_equilibrium(params, nu_t)
+    wx2, wy2, wxy = tilde_frequencies(params, config, nu_t)
     if config.variant is Variant.LINEAR:
         zeros = np.zeros(params.n)
-        omega = np.array(linear_dispersion(params, nu_t))
+        omega = np.array([_sqrt_radicand(wx2, "axial"), _sqrt_radicand(wy2, "transverse")])
         return ModeSpectrum(params, nu_t, config, omega, np.ones(params.n), zeros, zeros)
 
-    wx2, wy2, wxy = tilde_frequencies(params, config, nu_t)
     delta = wx2 - wy2
     big_r = np.hypot(delta, 2.0 * wxy)
     wv = _sqrt_radicand(0.5 * (wx2 + wy2 + big_r), "upper normal")

@@ -784,15 +784,21 @@ def bulk_boundary_point(gap):
     return params, crit * (1.0 - gap) / params.nu_t_unit
 
 
-def test_bulk_closed_forms_hold_within_the_margin(capsys):
+def test_a_bulk_row_just_below_the_critical_point_is_the_stand_in_row(capsys):
+    """5e-13 below the bulk critical point the n = TD_PROXY_N stand-in ring
+    buckles, so every cell of the bulk row is that ring's finite row; no
+    row mixes closed-form flat cells with buckled stand-in cells."""
     params, nu_t_paper = bulk_boundary_point(5e-13)
-    s1, _ = covariance.td_pair_criteria(params, nu_t_paper * params.nu_t_unit, 1, "y")
-    rc = main(["sweep", *base_args(), "--nu-t", repr(nu_t_paper), "--td-limit",
-               "--measures", "negativity"])
-    assert rc == 0
-    row = parse_csv(capsys.readouterr().out)[0]
-    assert row["configVariant"] == "linear"
-    assert row["S1y"] == _format_cell(s1)
+    with pytest.raises(ConfigError, match="flat configuration only"):
+        covariance.td_pair_criteria(params, nu_t_paper * params.nu_t_unit, 1, "y")
+    point = ["--nu-t", repr(nu_t_paper), "--measures", "negativity,entropy,blockEntropy2,witness"]
+    assert main(["sweep", *base_args(), *point, "--td-limit"]) == 0
+    bulk = capsys.readouterr().out
+    [row] = parse_csv(bulk)
+    assert row["configVariant"] == "zigzag" and float(row["b"]) > 0.0
+    assert row["error"] == "" and row["S1y"] != "" and row["bound"] != ""
+    assert main(["sweep", *base_args(cli.TD_PROXY_N), *point]) == 0
+    assert bulk == capsys.readouterr().out
 
 
 def test_bulk_closed_forms_end_beyond_the_margin(capsys):

@@ -20,14 +20,13 @@ from ionlattice.lattice import (
     Variant,
     critical_potential,
     solve_equilibrium,
+    tilde_frequencies,
 )
 from ionlattice.spectrum import (
     build_spectrum,
     coupling_matrix,
-    linear_dispersion,
     symplectic_diagonalize,
     symplectic_form,
-    tilde_frequencies,
 )
 
 #: symplectic form of one 4x4 block, ordered (X, Px, Y, Py)
@@ -39,6 +38,24 @@ def williamson_oracle(block):
     freqs = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA4 @ (2.0 * block))))
     assert_allclose(freqs[::2], freqs[1::2], rtol=1e-12)
     return freqs[3], freqs[1]
+
+
+def flat_branches(params, nu_t):
+    """Axial and transverse frequencies of the flat ring over l = 1 .. n."""
+    spec = build_spectrum(params, nu_t)
+    assert spec.variant is Variant.LINEAR
+    return spec.omega
+
+
+def textbook_dispersion(params, nu_t):
+    """Squared axial and transverse frequencies of the flat ring, written
+    from the pair sum: nu^2 + C S_l and nu_t^2 - C S_l / 2 with
+    S_l = sum_tau sin^2(pi l tau / n) / tau^3 and C = 4 Q^2 / (m a^3)."""
+    ls = np.arange(1, params.n + 1)[:, None]
+    taus = np.arange(1, params.tau_max + 1)
+    s = (np.sin(np.pi * ls * taus / params.n) ** 2 / taus**3).sum(axis=1)
+    c = params.coulomb_constant
+    return params.nu**2 + c * s, nu_t**2 - 0.5 * c * s
 
 
 def _block(wx2, wy2, wxy, mass):
@@ -89,10 +106,12 @@ def test_decoupled_block_keeps_branch_identity():
 
 
 def test_an_asymmetric_block_is_a_config_error():
-    block = _block(4.0, 1.0, 0.5, mass=2.0)
-    block[0, 2] += 1e-3
-    with pytest.raises(ConfigError, match="expected a symmetric 4x4 block"):
-        symplectic_diagonalize(block)
+    # 1e-6 is 2e-6 relative, inside NumPy's default rtol of 1e-5
+    for skew in (1e-3, 1e-6):
+        block = _block(4.0, 1.0, 0.5, mass=2.0)
+        block[0, 2] += skew
+        with pytest.raises(ConfigError, match="expected a symmetric 4x4 block"):
+            symplectic_diagonalize(block)
 
 
 @pytest.mark.parametrize("wx2, wy2, wxy", [(4.0, 0.0, 0.0), (4.0, 1.0, 2.0)],
@@ -142,21 +161,21 @@ def test_coupling_matrix_layout(nn_ring):
 def test_linear_dispersion_frozen_quarter_ring(nn_ring):
     # N = 4, l = 1: axial 1 + 2 sin^2(pi/4) = 2; transverse 1.5^2 - sin^2(pi/4)
     params = nn_ring(n=4)
-    wx, wy = linear_dispersion(params, 1.5)
+    wx, wy = flat_branches(params, 1.5)
     assert_allclose(wx[0], math.sqrt(2.0), rtol=1e-12)
     assert_allclose(wy[0], math.sqrt(1.75), rtol=1e-12)
 
 
 def test_zone_centre_recovers_trap_frequencies(nn_ring):
     params = nn_ring(n=10)
-    wx, wy = linear_dispersion(params, 1.7)
+    wx, wy = flat_branches(params, 1.7)
     assert_allclose(wx[-1], params.nu, rtol=1e-12)
     assert_allclose(wy[-1], 1.7, rtol=1e-12)
 
 
 def test_reflection_symmetry(lr_ring):
     params = lr_ring(n=12)
-    wx, wy = linear_dispersion(params, 1.4)
+    wx, wy = flat_branches(params, 1.4)
     for l in range(1, 12):
         assert_allclose(wx[l - 1], wx[12 - l - 1], rtol=1e-12)
         assert_allclose(wy[l - 1], wy[12 - l - 1], rtol=1e-12)
@@ -164,15 +183,15 @@ def test_reflection_symmetry(lr_ring):
 
 def test_axial_branch_ignores_transverse_trap(nn_ring):
     params = nn_ring(n=8)
-    wx1, _ = linear_dispersion(params, 1.2)
-    wx2, _ = linear_dispersion(params, 3.7)
+    wx1, _ = flat_branches(params, 1.2)
+    wx2, _ = flat_branches(params, 3.7)
     assert_allclose(wx1, wx2, rtol=0, atol=0)
 
 
 def test_zone_edge_softens_at_critical_point(nn_ring):
     params = nn_ring(n=16)
     crit = critical_potential(params)
-    _, wy = linear_dispersion(params, crit)
+    _, wy = flat_branches(params, crit)
     assert abs(wy[8 - 1]) < 1e-7
 
 
@@ -182,7 +201,7 @@ def test_zigzag_branches_continuous_at_onset(nn_ring):
     params = nn_ring(n=8)
     nu_t = 1.05  # flat side, but evaluate the coupled transform at tiny b
     config = Configuration(variant=Variant.ZIGZAG, b=1e-7)
-    wx, wy = linear_dispersion(params, nu_t)
+    wx, wy = flat_branches(params, nu_t)
     for l in range(1, 9):
         block = coupling_matrix(params, config, nu_t, l)
         wv, ww, _ = symplectic_diagonalize(block)
@@ -191,13 +210,14 @@ def test_zigzag_branches_continuous_at_onset(nn_ring):
         assert_allclose(sorted([ww, wv]), expect, atol=1e-6)
 
 
-def test_build_spectrum_flat_matches_dispersion(nn_ring):
-    params = nn_ring(n=12)
-    spec = build_spectrum(params, 1.3)
-    wx, wy = linear_dispersion(params, 1.3)
-    assert spec.variant is Variant.LINEAR
-    assert_allclose(spec.omega[0], wx, rtol=1e-14)
-    assert_allclose(spec.omega[1], wy, rtol=1e-14)
+def test_build_spectrum_flat_matches_dispersion(nn_ring, lr_ring):
+    """The flat branches are the square roots of the tau-sum, bit for bit."""
+    for params, nu_t in ((nn_ring(n=12), 1.3), (lr_ring(n=10), 1.6), (lr_ring(n=1000), 1.2)):
+        spec = build_spectrum(params, nu_t)
+        assert spec.variant is Variant.LINEAR
+        wx2, wy2, _ = tilde_frequencies(params, spec.config, nu_t)
+        assert spec.omega[0].tobytes() == np.sqrt(wx2).tobytes()
+        assert spec.omega[1].tobytes() == np.sqrt(wy2).tobytes()
 
 
 @pytest.mark.parametrize("ring", ["nn", "lr"])
@@ -209,12 +229,12 @@ def test_flat_frame_frequencies_are_the_dispersion_at_the_same_label(nn_ring, lr
     config = solve_equilibrium(params, nu_t)
     assert config.variant is Variant.LINEAR
     wx2, wy2, wxy = tilde_frequencies(params, config, nu_t)
-    wx, wy = linear_dispersion(params, nu_t)
+    want_x2, want_y2 = textbook_dispersion(params, nu_t)
     assert np.array_equal(wxy, np.zeros(params.n))
-    assert_allclose(wx2, wx**2, rtol=0, atol=1e-14)
-    assert_allclose(wy2, wy**2, rtol=0, atol=1e-14)
+    assert_allclose(wx2, want_x2, rtol=0, atol=1e-14)
+    assert_allclose(wy2, want_y2, rtol=0, atol=1e-14)
     # the shifted label is far off: the transverse branch is not flat
-    assert np.abs(wy2 - np.roll(wy, -(params.n // 2)) ** 2).max() > 0.5
+    assert np.abs(wy2 - np.roll(want_y2, -(params.n // 2))).max() > 0.5
 
 
 def test_build_spectrum_zigzag_matches_blockwise(nn_ring):
