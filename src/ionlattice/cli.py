@@ -257,7 +257,8 @@ def _point(spec: SweepSpec, nu_t_paper: float, axial: dict) -> _Point:
             _td_point(spec, nu_t, point, axial)
         else:
             temperatures = tuple(t * params.temperature_unit for t in spec.temperatures)
-            _finite_point(params, spec.measures, nu_t, temperatures, point, axial)
+            config = solve_equilibrium(params, nu_t)
+            _finite_point(params, spec.measures, nu_t, config, temperatures, point, axial)
     except _ROW_ERRORS as exc:
         _fail(point.rows, exc)
     return point
@@ -365,10 +366,8 @@ def _witness_cells(params, point: _Point):
             )
 
 
-def _finite_point(params, measures, nu_t: float, temperatures, point: _Point, axial: dict,
-                  config=None):
-    if config is None:
-        config = solve_equilibrium(params, nu_t)
+def _finite_point(params, measures, nu_t: float, config, temperatures, point: _Point,
+                  axial: dict):
     for row in point.rows:
         row["configVariant"] = config.variant.value
         row["b"] = config.b / params.spacing
@@ -396,7 +395,7 @@ def _td_point(spec: SweepSpec, nu_t: float, point: _Point, axial: dict):
     config = solve_equilibrium(proxy, nu_t)
     if config.variant is Variant.ZIGZAG:
         # below the buckling point only the large-ring stand-in is available
-        _finite_point(proxy, spec.measures, nu_t, (0.0,), point, axial, config)
+        _finite_point(proxy, spec.measures, nu_t, config, (0.0,), point, axial)
         return
     [row] = point.rows
     row["configVariant"] = Variant.LINEAR.value
