@@ -32,6 +32,7 @@ from .entanglement import (
 )
 from .errors import (
     ConfigError,
+    Divergent,
     DomainError,
     ImaginaryFrequency,
     NoConvergence,
@@ -49,7 +50,6 @@ from .lattice import (
     taylor_coefficients,
     tilde_frequencies,
 )
-from .quadrature import Divergent
 from .spectrum import (
     ModeSpectrum,
     build_spectrum,

@@ -43,6 +43,7 @@ from .entanglement import (
 )
 from .errors import (
     ConfigError,
+    Divergent,
     DomainError,
     NoConvergence,
     NumericalFailure,
@@ -54,7 +55,6 @@ from .lattice import (
     check_finite,
     solve_equilibrium,
 )
-from .quadrature import Divergent
 from .spectrum import build_spectrum
 from .witness import witness_report, witness_reports
 
@@ -249,19 +249,41 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
 
 
 def _point(spec: SweepSpec, nu_t_paper: float, axial: dict) -> _Point:
+    """One nuT point, evaluated up to its block stacks and witness. A
+    bulk-limit point is the point of the stand-in ring (n = TD_PROXY_N),
+    whose equilibrium decides the phase; where that ring is flat, the pair
+    criteria and the single-site entropy take their closed forms instead."""
     point = _Point([_blank_row(nu_t_paper, t) for t in spec.temperatures])
-    params = spec.params
+    params, measures = spec.params, spec.measures
+    ring = dataclasses.replace(params, n=TD_PROXY_N) if spec.td_limit else params
     nu_t = nu_t_paper * params.nu_t_unit
     try:
-        if spec.td_limit:
-            _td_point(spec, nu_t, point, axial)
-        else:
+        config = solve_equilibrium(ring, nu_t)
+        for row in point.rows:
+            row["configVariant"] = config.variant.value
+            row["b"] = config.b / params.spacing
+        if spec.td_limit and config.variant is Variant.LINEAR:
+            measures = _closed_form_cells(params, nu_t, measures, point.rows[0])
+        if measures:
             temperatures = tuple(t * params.temperature_unit for t in spec.temperatures)
-            config = solve_equilibrium(params, nu_t)
-            _finite_point(params, spec.measures, nu_t, config, temperatures, point, axial)
+            _finite_point(ring, measures, nu_t, config, temperatures, point, axial)
     except _ROW_ERRORS as exc:
         _fail(point.rows, exc)
     return point
+
+
+def _closed_form_cells(params, nu_t: float, measures, row) -> tuple:
+    """Fill the pair and single-site cells of a flat bulk row from their
+    dispersion averages; return the measures left to the stand-in ring."""
+    if "negativity" in measures:
+        for d in DIRECTIONS:
+            _pair_cells(row, d, *td_pair_criteria(params, nu_t, 1, d))
+    if "entropy" in measures:
+        for d in DIRECTIONS:
+            r = td_single_site_eigenvalue(params, nu_t, d)
+            cell = _entropy_cell(r if isinstance(r, Divergent) else (r,))
+            row[f"SV1{d}"], row[f"SV1{d}Divergent"] = cell
+    return tuple(m for m in measures if m not in ("negativity", "entropy"))
 
 
 def _pair_cells(row, direction, s1, s2):
@@ -289,14 +311,6 @@ def _moments(table, direction: str, size, axial: dict):
     if shared:
         axial[key] = value
     return value
-
-
-def _stack_blocks(table, sizes, point: _Point, axial: dict):
-    """Give ``point`` its block sizes and the covariance stacks of the
-    largest; a block of k sites is its leading 2k x 2k part."""
-    if sizes:
-        point.blocks = tuple(_moments(table, d, max(sizes), axial) for d in DIRECTIONS)
-        point.sizes = sizes
 
 
 def _block_cells(points):
@@ -334,15 +348,6 @@ def _size_cells(points, size: int):
                 _fail([row], exc)
 
 
-def _witness_outcome(modes, temperatures):
-    """The witness reports of a point, or the error that ends its rows."""
-    try:
-        return witness_reports(modes, temperatures)
-    except _ROW_ERRORS as exc:
-        # its traceback would keep the point's spectrum alive
-        return exc.with_traceback(None)
-
-
 def _reduced_witness(params, rep) -> tuple:
     """(U, bound, Tc, U < bound) of a witness report in reduced units; the
     comparison takes the raw U and bound, which the division could tie."""
@@ -368,9 +373,6 @@ def _witness_cells(params, point: _Point):
 
 def _finite_point(params, measures, nu_t: float, config, temperatures, point: _Point,
                   axial: dict):
-    for row in point.rows:
-        row["configVariant"] = config.variant.value
-        row["b"] = config.b / params.spacing
     modes = build_spectrum(params, nu_t, config)
     table = moment_table(modes, temperatures)
     if "negativity" in measures:
@@ -381,41 +383,19 @@ def _finite_point(params, measures, nu_t: float, config, temperatures, point: _P
                     _pair_cells(row, d, *separability_criteria(pm))
             except _ROW_ERRORS as exc:
                 _fail([row], exc)
-    _stack_blocks(table, _block_sizes(measures), point, axial)
+    sizes = _block_sizes(measures)
+    if sizes:
+        # the stacks of the largest block: a block of k sites is its
+        # leading 2k x 2k part
+        point.blocks = tuple(_moments(table, d, max(sizes), axial) for d in DIRECTIONS)
+        point.sizes = sizes
     if "witness" in measures:
-        point.witness = _witness_outcome(modes, temperatures)
-
-
-def _td_point(spec: SweepSpec, nu_t: float, point: _Point, axial: dict):
-    """Bulk-limit row: a large-ring stand-in (n = TD_PROXY_N) where it
-    buckles, and where it is flat, dispersion averages for the pair criteria
-    and the single-site entropy and the stand-in for the rest."""
-    params = spec.params
-    proxy = dataclasses.replace(params, n=TD_PROXY_N)
-    config = solve_equilibrium(proxy, nu_t)
-    if config.variant is Variant.ZIGZAG:
-        # below the buckling point only the large-ring stand-in is available
-        _finite_point(proxy, spec.measures, nu_t, config, (0.0,), point, axial)
-        return
-    [row] = point.rows
-    row["configVariant"] = Variant.LINEAR.value
-    row["b"] = 0.0
-    if "negativity" in spec.measures:
-        for d in ("x", "y"):
-            _pair_cells(row, d, *td_pair_criteria(params, nu_t, 1, d))
-    sizes = _block_sizes(spec.measures)
-    if 1 in sizes:
-        for d in ("x", "y"):
-            r = td_single_site_eigenvalue(params, nu_t, d)
-            cell = _entropy_cell(r if isinstance(r, Divergent) else (r,))
-            row[f"SV1{d}"], row[f"SV1{d}Divergent"] = cell
-    sizes = tuple(size for size in sizes if size > 1)
-    if sizes or "witness" in spec.measures:
-        modes = build_spectrum(proxy, nu_t, config)
-        if sizes:
-            _stack_blocks(moment_table(modes, (0.0,)), sizes, point, axial)
-        if "witness" in spec.measures:
-            point.witness = _witness_outcome(modes, (0.0,))
+        try:
+            point.witness = witness_reports(modes, temperatures)
+        except _ROW_ERRORS as exc:
+            # the error ends the point's rows; its traceback would keep the
+            # point's spectrum alive
+            point.witness = exc.with_traceback(None)
 
 
 def _row_worker(task):
@@ -428,22 +408,23 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     """All sweep rows in grid order (outer nuT, inner temperature).
 
     Each nuT is evaluated once for all its temperatures. A serial sweep is
-    one chunk of the whole grid; ``jobs`` worker processes, but no more
-    than there are nuT points, take one interleaved chunk each
-    (``grid[i::jobs]``), so a pool task carries many points.
+    one chunk of the whole grid; ``jobs`` chunks, but no more than there
+    are nuT points, are interleaved (``grid[i::jobs]``), so a pool task
+    carries many points. The pool starts no more worker processes than
+    there are CPUs, whatever ``jobs`` asks.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     grid = spec.nu_t_grid
-    workers = min(jobs, len(grid))
-    if workers == 1:
+    chunks = min(jobs, len(grid))
+    if chunks == 1:
         groups = _chunk_rows(spec, grid)
     else:
-        tasks = [(spec, grid[i::workers]) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_row_worker, tasks))
-        # point j is item j // workers of chunk j % workers
-        groups = [chunks[j % workers][j // workers] for j in range(len(grid))]
+        tasks = [(spec, grid[i::chunks]) for i in range(chunks)]
+        with ProcessPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
+            done = list(pool.map(_row_worker, tasks))
+        # point j is item j // chunks of chunk j % chunks
+        groups = [done[j % chunks][j // chunks] for j in range(len(grid))]
     return [row for group in groups for row in group]
 
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._solvers import rule_nodes
-from .errors import ConfigError, ImaginaryFrequency
+from .errors import ConfigError, Divergent, ImaginaryFrequency
 from .lattice import (
     LatticeParams,
     Variant,
@@ -35,7 +35,6 @@ from .lattice import (
 )
 from .quadrature import (
     HALF_PI,
-    Divergent,
     integrate_weighted_frequency,
     integrate_weighted_inverse,
 )
@@ -160,24 +159,19 @@ def _pair_weights(n, tau, parity):
 
 @dataclass(frozen=True)
 class MomentTable:
-    """The mode sums of one mode spectrum at a stack of temperatures.
+    """The thermal factors of one mode spectrum at a stack of temperatures.
 
-    The thermal factors of every temperature are evaluated once, when the
-    table is built, and each distinct mode sum once, for all temperatures
-    and both quadratures, when it is first read: a raw entry of one kernel
-    depends on the site distance only, so the pair moments and the blocks
-    of a sweep's working point share a few sums. ``factors`` has shape
-    (2, 2, n_T, n): branch, position or momentum factor, temperature, mode;
-    each branch's block is contiguous. ``sums`` maps (kernel name, site
-    distance) to the raw mode sums, an array of shape (2, n_T). Build it
-    with :func:`moment_table` and keep it for as long as its spectrum.
+    The factors of every temperature are evaluated once, when the table is
+    built; each mode sum over them serves all temperatures and both
+    quadratures at once. ``factors`` has shape (2, 2, n_T, n): branch,
+    position or momentum factor, temperature, mode; each branch's block is
+    contiguous. Build it with :func:`moment_table`.
     """
 
     spectrum: ModeSpectrum
     temperatures: tuple
     kernels: _Kernels
     factors: np.ndarray
-    sums: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def moment_table(
@@ -202,16 +196,10 @@ def moment_table(
 def _mode_sum(table: MomentTable, kernel: str, delta: int) -> np.ndarray:
     """Raw mode sums, shape (2, n_T), of the position and momentum factors
     over ``kernel`` ("x", "y" or "cross") with the phase weights of site
-    distance ``delta`` (cos for a direction, sin for the cross kernel),
-    computed once per table."""
-    key = (kernel, delta)
-    total = table.sums.get(key)
-    if total is None:
-        n = table.spectrum.params.n
-        phase = _sin_weights(n, delta) if kernel == "cross" else _cos_weights(n, delta)
-        total = _weighted_mode_sums(getattr(table.kernels, kernel), table.factors, phase, n)
-        table.sums[key] = total
-    return total
+    distance ``delta`` (cos for a direction, sin for the cross kernel)."""
+    n = table.spectrum.params.n
+    phase = _sin_weights(n, delta) if kernel == "cross" else _cos_weights(n, delta)
+    return _weighted_mode_sums(getattr(table.kernels, kernel), table.factors, phase, n)
 
 
 @dataclass(frozen=True)

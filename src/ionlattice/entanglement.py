@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceMatrix, PairMoments, block_covariance
-from .errors import ConfigError, DomainError, NumericalFailure
+from .errors import ConfigError, Divergent, DomainError, NumericalFailure
 from .lattice import LatticeParams
-from .quadrature import Divergent
 from .spectrum import symplectic_form
 
 

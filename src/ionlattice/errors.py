@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the Divergent marker."""
+
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -31,3 +33,13 @@ class QuadratureFailure(RuntimeError):
 
 class NumericalFailure(RuntimeError):
     """A linear-algebra result violated a structural expectation."""
+
+
+@dataclass(frozen=True)
+class Divergent:
+    """Marker for a quantity that diverges, with detection provenance."""
+
+    reason: str
+
+    def __repr__(self):
+        return f"Divergent({self.reason!r})"

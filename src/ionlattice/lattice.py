@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from ._solvers import brentq
-from .errors import ConfigError, NoConvergence
+from .errors import ConfigError, NoConvergence, NumericalFailure
 
 #: Relative residual demanded of the transverse force balance after solving.
 EQUILIBRIUM_RTOL = 1e-12
@@ -269,6 +269,8 @@ def tilde_frequencies(
     """
     coeff = taylor_coefficients(params, config)
     pref = 4.0 * params.charge**2 / params.mass
+    if not math.isfinite(pref):
+        raise NumericalFailure("coupling prefactor 4 Q^2 / m not finite (overflow)")
     ls = np.arange(1, params.n + 1, dtype=float)
     wx2 = np.full(params.n, params.nu**2)
     wy2 = np.full(params.n, nu_t**2)

@@ -20,10 +20,9 @@ epsilon extrapolation; Piessens et al., QUADPACK, Springer 1983).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._solvers import quad
-from .errors import QuadratureFailure
+from .errors import Divergent, QuadratureFailure
 
 HALF_PI = math.pi / 2.0
 
@@ -43,16 +42,6 @@ GROWTH_COUNT = 5
 #: its error estimate is within max(ATOL, 1e-8 |value|), and the endpoint
 #: refinement stops at the first piece below ATOL.
 ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Divergent:
-    """Marker for a quantity that diverges, with detection provenance."""
-
-    reason: str
-
-    def __repr__(self):
-        return f"Divergent({self.reason!r})"
 
 
 def _checked_quad(f, lo, hi):

@@ -16,12 +16,17 @@ the raw units, could pass it by a change of units alone. The reading
 traps with the zone-edge coupling sum (4 Q^2 / m) sum d_tau where the site
 diagonal is (2 Q^2 / m) sum d_tau (corrected, the reading is 0.4163), and
 nothing in the repository derives the 0.12 anchor or its temperature unit.
+
+Beside criterion 03, two plain tests check the block entropy at and near
+the transition against the c = 1 laws that conformal field theory fixes,
+which the code does not itself encode.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq
 
 from ionlattice.cli import main
@@ -32,6 +37,7 @@ from ionlattice.covariance import (
     td_single_site_eigenvalue,
 )
 from ionlattice.entanglement import (
+    block_entropy,
     block_entropy_profile,
     negativity,
     separability_criteria,
@@ -109,6 +115,45 @@ def test_criterion_03_entropy_divergence(record_criterion, nn_ring):
         3, ok, "SV1y(crit) = " + " < ".join(f"{s:.6f}" for s in entropies)
         + f"; bulk limit flagged {flag!r}; {elapsed:.1f}s",
     )
+
+
+def _raw_ring(n, tau_max=1):
+    """The ring of the c = 1 laws: (m, Q, a) = (2, 1, 1), raw nu = sqrt(2)."""
+    return LatticeParams(n=n, mass=2.0, charge=1.0, spacing=1.0, nu=math.sqrt(2.0),
+                         tau_max=tau_max)
+
+
+@pytest.mark.parametrize("tau_max", [1, 4])
+def test_the_critical_block_entropy_grows_as_a_third_of_the_log_chord(tau_max):
+    """At the transition the soft transverse branch is a free massless
+    boson (c = 1, after y_j -> (-1)^j y_j), so a y block of L sites on a
+    ring of n has S_L = (1/3) ln[(n/pi) sin(pi L/n)] + const (Calabrese &
+    Cardy 2004). Fitted over L = 8..64 at n = 128, 1e-12 above the
+    finite ring's critical trap, at T = 0."""
+    n = 128
+    params = _raw_ring(n, tau_max)
+    nu_t = critical_potential(params) * (1.0 + 1e-12)
+    sigma = block_covariance(params, nu_t, 0.0, range(1, n // 2 + 1), ("y",)).matrix
+    sizes = np.arange(8, n // 2 + 1)
+    entropies = [block_entropy(sigma[: 2 * L, : 2 * L]).entropy for L in sizes]
+    chord = np.log(n / math.pi * np.sin(math.pi * sizes / n))
+    slope = np.polyfit(chord, entropies, 1)[0]
+    assert abs(slope - 1.0 / 3.0) < 0.002, slope
+
+
+def test_the_off_critical_block_entropy_saturates_at_a_sixth_of_the_log_gap():
+    """Off the transition a block much longer than the correlation length
+    xi ~ eps^(-1/2) saturates at (1/3) ln xi, so dS_L / d ln eps = -1/6,
+    eps = nu_t / nu_c - 1. Read at n = 4096 and L = 256 on the flat side,
+    between eps = 1e-3 and 1e-4."""
+    params = _raw_ring(4096)
+    crit = critical_potential(params)
+    s_3, s_4 = (
+        block_entropy_profile(params, crit * (1.0 + eps), 0.0, 256, "y").entropy
+        for eps in (1e-3, 1e-4)
+    )
+    slope = (s_3 - s_4) / math.log(10.0)
+    assert abs(slope + 1.0 / 6.0) < 0.005, slope
 
 
 def test_criterion_04_oracle_equivalence(record_criterion, nn_ring):

@@ -46,7 +46,7 @@ def test_traced_pooled_sweep_records_the_main_and_every_worker(tmp_path):
     even when the other worker took every task, and each pool task leaves
     exactly one worker span, in some worker, none in the main process."""
     jobs, points = 2, 4
-    tasks = min(jobs, points)  # run_sweep sends one interleaved chunk per worker
+    tasks = min(jobs, points)  # run_sweep sends one interleaved chunk per job
     argv = ["sweep", *RING, "--nu-t", f"0.9:2.1:{points}", "--temp", "0,0.3",
             "--jobs", str(jobs)]
     result, by_pid = traced_sample(tmp_path, argv)

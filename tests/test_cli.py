@@ -477,29 +477,38 @@ def test_sweep_rejects_a_job_count_below_one(jobs, capsys):
     assert "configuration error: jobs must be at least 1" in capsys.readouterr().err
 
 
-def test_sweep_starts_no_more_workers_than_nu_t_points(monkeypatch):
+def recorded_pools(monkeypatch, cpus):
+    """The worker counts of the process pools started from now on, on a
+    machine that reports ``cpus`` CPUs; each pool's tasks run in this
+    process, so no worker process is started."""
     started = []
 
-    class SerialPool:
-        """Stands in for the process pool: records the worker count and
-        runs the tasks in this process."""
-
+    class SerialPool(InProcessPool):
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    return started
+
+
+def test_sweep_starts_no_more_workers_than_nu_t_points(monkeypatch):
+    started = recorded_pools(monkeypatch, 64)
     spec = small_spec(nu_t_grid=(1.2, 2.2, 2.5))
     assert run_sweep(spec, jobs=500) == run_sweep(spec, jobs=1)
     assert started == [3]
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, cpus, workers):
+    # jobs still sets the number of chunks: one task per nuT point here
+    started = recorded_pools(monkeypatch, cpus)
+    tasks, worker = [], cli._row_worker
+    monkeypatch.setattr(cli, "_row_worker", lambda task: tasks.append(task) or worker(task))
+    spec = small_spec(nu_t_grid=(1.2, 1.5, 2.2, 2.5, 3.0))
+    assert run_sweep(spec, jobs=100_000) == run_sweep(spec, jobs=1)
+    assert started == [workers]
+    assert [nu_t_papers for _, nu_t_papers in tasks] == [(v,) for v in spec.nu_t_grid]
 
 
 @pytest.mark.parametrize(
@@ -784,21 +793,43 @@ def bulk_boundary_point(gap):
     return params, crit * (1.0 - gap) / params.nu_t_unit
 
 
+#: the cells of a flat bulk row that take their closed forms
+CLOSED_FORM_COLUMNS = ("S1x", "S2x", "S1y", "S2y", "ENx", "ENy", "SV1x", "SV1y",
+                       "SV1xDivergent", "SV1yDivergent")
+
+
 def test_a_bulk_row_just_below_the_critical_point_is_the_stand_in_row(capsys):
     """5e-13 below the bulk critical point the n = TD_PROXY_N stand-in ring
     buckles, so every cell of the bulk row is that ring's finite row; no
-    row mixes closed-form flat cells with buckled stand-in cells."""
+    row mixes closed-form flat cells with buckled stand-in cells. At a
+    flat point (reduced nuT 1.6) the bulk row is the stand-in's row but
+    for the cells with closed forms, which are those forms."""
     params, nu_t_paper = bulk_boundary_point(5e-13)
     with pytest.raises(ConfigError, match="flat configuration only"):
         covariance.td_pair_criteria(params, nu_t_paper * params.nu_t_unit, 1, "y")
-    point = ["--nu-t", repr(nu_t_paper), "--measures", "negativity,entropy,blockEntropy2,witness"]
-    assert main(["sweep", *base_args(), *point, "--td-limit"]) == 0
-    bulk = capsys.readouterr().out
+    rows = {}
+    for case, nu_t in (("buckled", nu_t_paper), ("flat", 1.6)):
+        point = ["--nu-t", repr(nu_t), "--measures", "negativity,entropy,blockEntropy2,witness"]
+        assert main(["sweep", *base_args(), *point, "--td-limit"]) == 0
+        bulk = capsys.readouterr().out
+        assert main(["sweep", *base_args(cli.TD_PROXY_N), *point]) == 0
+        rows[case] = bulk, capsys.readouterr().out
+    bulk, stand_in = rows["buckled"]
     [row] = parse_csv(bulk)
     assert row["configVariant"] == "zigzag" and float(row["b"]) > 0.0
     assert row["error"] == "" and row["S1y"] != "" and row["bound"] != ""
-    assert main(["sweep", *base_args(cli.TD_PROXY_N), *point]) == 0
-    assert bulk == capsys.readouterr().out
+    assert bulk == stand_in
+    [row], [finite] = (parse_csv(text) for text in rows["flat"])
+    assert row["configVariant"] == "linear" and row["error"] == "" and row["SV2y"] != ""
+    for c in COLUMNS:
+        if c not in CLOSED_FORM_COLUMNS:
+            assert row[c] == finite[c], c
+    nu_t = 1.6 * params.nu_t_unit
+    for d in ("x", "y"):
+        s1, s2 = covariance.td_pair_criteria(params, nu_t, 1, d)
+        r = covariance.td_single_site_eigenvalue(params, nu_t, d)
+        assert row[f"S1{d}"] == _format_cell(s1) and row[f"S2{d}"] == _format_cell(s2)
+        assert row[f"SV1{d}"] == _format_cell(entanglement.spectrum_entropy((r,)))
 
 
 def test_bulk_closed_forms_end_beyond_the_margin(capsys):

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ionlattice.covariance import block_covariance
-from ionlattice.errors import ConfigError, DomainError, ImaginaryFrequency
+from ionlattice.errors import ConfigError, DomainError, ImaginaryFrequency, NumericalFailure
 from ionlattice.lattice import (
     Configuration,
     LatticeParams,
@@ -218,6 +218,14 @@ def test_build_spectrum_flat_matches_dispersion(nn_ring, lr_ring):
         wx2, wy2, _ = tilde_frequencies(params, spec.config, nu_t)
         assert spec.omega[0].tobytes() == np.sqrt(wx2).tobytes()
         assert spec.omega[1].tobytes() == np.sqrt(wy2).tobytes()
+
+
+def test_an_overflowing_coupling_prefactor_is_a_numerical_failure():
+    # 4 Q^2 / m overflows at a subnormal mass; summed into the dispersion,
+    # inf + -inf made a nan with a RuntimeWarning
+    params = LatticeParams(n=8, mass=1e-320, charge=1.0, spacing=1.0, nu=1.0)
+    with pytest.raises(NumericalFailure, match="not finite"):
+        build_spectrum(params, math.inf)
 
 
 @pytest.mark.parametrize("ring", ["nn", "lr"])
