@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .cli import TEMPERATURE_UNIT
 from .covariance import block_covariance, direct_covariance_oracle
 from .entanglement import symplectic_spectrum
 from .errors import ConfigError, DomainError
@@ -28,11 +29,11 @@ from .spectrum import (
 def _check_oracle_equivalence():
     worst = 0.0
     for n in (4, 6, 8):
-        params = LatticeParams(n=n, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+        params = LatticeParams(n=n, nu=1.0)
         crit = critical_potential(params)
         for fac in (1.5, 0.8):
             for t_paper in (0.0, 0.5):
-                t = t_paper * params.temperature_unit
+                t = t_paper * TEMPERATURE_UNIT
                 a = block_covariance(params, fac * crit, t, sites=range(1, n + 1))
                 b = direct_covariance_oracle(params, fac * crit, t)
                 worst = max(worst, float(np.max(np.abs(a.matrix - b.matrix))))
@@ -44,7 +45,7 @@ def _check_symplectic():
     of every wave-number block: the frequencies, the normal form and its
     symplecticity, and the mixing weights, which must rebuild the block's
     squared frequencies and coupling from the two branches."""
-    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    params = LatticeParams(n=8, nu=1.0)
     nu_t = 0.8 * critical_potential(params)
     config = solve_equilibrium(params, nu_t)
     spec = build_spectrum(params, nu_t, config)
@@ -74,7 +75,7 @@ def _check_symplectic():
 def _check_purity():
     worst = 0.0
     for fac in (1.4, 0.8):
-        params = LatticeParams(n=6, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+        params = LatticeParams(n=6, nu=1.0)
         nu_t = fac * critical_potential(params)
         cov = block_covariance(params, nu_t, 0.0, sites=range(1, 7))
         spec = symplectic_spectrum(cov)
@@ -83,7 +84,7 @@ def _check_purity():
 
 
 def _check_decoupling():
-    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    params = LatticeParams(n=8, nu=1.0)
     crit = critical_potential(params)
     details = []
     ok = True
@@ -110,13 +111,13 @@ def _check_decoupling():
 
 
 def _check_uncertainty():
-    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    params = LatticeParams(n=8, nu=1.0)
     crit = critical_potential(params)
     worst = math.inf
     try:
         for fac in (1.5, 0.8):
             for t_paper in (0.0, 0.4):
-                t = t_paper * params.temperature_unit
+                t = t_paper * TEMPERATURE_UNIT
                 for sites in ((1,), (1, 2), (1, 3, 5)):
                     cov = block_covariance(params, fac * crit, t, sites=sites)
                     spec = symplectic_spectrum(cov)
@@ -127,7 +128,7 @@ def _check_uncertainty():
 
 
 def _check_odd_ring_rejection():
-    params = LatticeParams(n=7, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    params = LatticeParams(n=7, nu=1.0)
     crit = critical_potential(params, td_limit=True)
     try:
         solve_equilibrium(params, 0.8 * crit)

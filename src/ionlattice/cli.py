@@ -2,11 +2,12 @@
 
 All frequencies and temperatures cross this boundary in reduced units:
 trap frequencies (including the axial ``nu``) in units of
-sqrt(Q^2 / (m a^3)) and temperatures in units of half that. Conversion to
-the raw internal units happens exactly once, when a command's inputs are
-resolved; outputs are converted back at emission. Lengths are reported in
-units of the lattice spacing. Witness energies are reported in the
-frequency unit (hbar = 1).
+sqrt(Q^2 / (m a^3)) and temperatures in units of half that. They are
+converted to library units (see :mod:`ionlattice.lattice`) exactly once, by
+``NU_T_UNIT`` and ``TEMPERATURE_UNIT``, when a command's inputs are
+resolved, and back at emission. Lengths are reported in units of the
+lattice spacing, witness energies in the frequency unit (hbar = 1).
+``--mass``, ``--charge`` and ``--spacing`` are checked and change no output.
 
 Exit codes: 0 success, 1 check-suite failure, 2 configuration error,
 3 numerical failure.
@@ -49,17 +50,17 @@ from .errors import (
     NumericalFailure,
     QuadratureFailure,
 )
-from .lattice import (
-    LatticeParams,
-    Variant,
-    check_finite,
-    solve_equilibrium,
-)
+from .lattice import LatticeParams, Variant, solve_equilibrium
 from .spectrum import build_spectrum
 from .witness import witness_report, witness_reports
 
 #: Ring size standing in for the bulk limit where no closed form exists.
 TD_PROXY_N = 4096
+
+#: the reduced frequency unit sqrt(Q^2 / (m a^3)) in library units, and the
+#: reduced temperature unit, half of it
+NU_T_UNIT = math.sqrt(0.5)
+TEMPERATURE_UNIT = 0.5 * NU_T_UNIT
 
 MEASURES = (
     "negativity",
@@ -139,10 +140,15 @@ _ROW_ERRORS = (
     ArithmeticError,
 )
 
+#: a NumPy overflow, division by zero or invalid operation on the row path
+#: raises FloatingPointError, an ArithmeticError, instead of leaving an inf
+#: or nan cell; the library's local ``np.errstate`` blocks still apply
+_FP_FAULTS = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A resolved sweep: raw-unit parameters plus reduced-unit grids."""
+    """A resolved sweep: library-unit parameters plus reduced-unit grids."""
 
     params: LatticeParams
     nu_t_grid: tuple
@@ -160,8 +166,6 @@ class SweepSpec:
             raise ConfigError("at least one measure is required")
         if self.td_limit and tuple(self.temperatures) != (0.0,):
             raise ConfigError("the bulk limit is implemented for temperature 0 only")
-        if self.params.charge <= 0:
-            raise ConfigError("reduced units require a positive charge")
 
 
 def _check_grid(name: str, grid):
@@ -241,10 +245,11 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
     the chunk, and the block and witness cells follow, in that order.
     """
     axial = {}
-    points = [_point(spec, nu_t_paper, axial) for nu_t_paper in nu_t_papers]
-    _block_cells(points)
-    for point in points:
-        _witness_cells(spec.params, point)
+    with np.errstate(**_FP_FAULTS):
+        points = [_point(spec, nu_t_paper, axial) for nu_t_paper in nu_t_papers]
+        _block_cells(points)
+        for point in points:
+            _witness_cells(point)
     return [point.rows for point in points]
 
 
@@ -256,16 +261,16 @@ def _point(spec: SweepSpec, nu_t_paper: float, axial: dict) -> _Point:
     point = _Point([_blank_row(nu_t_paper, t) for t in spec.temperatures])
     params, measures = spec.params, spec.measures
     ring = dataclasses.replace(params, n=TD_PROXY_N) if spec.td_limit else params
-    nu_t = nu_t_paper * params.nu_t_unit
+    nu_t = nu_t_paper * NU_T_UNIT
     try:
         config = solve_equilibrium(ring, nu_t)
         for row in point.rows:
             row["configVariant"] = config.variant.value
-            row["b"] = config.b / params.spacing
+            row["b"] = config.b
         if spec.td_limit and config.variant is Variant.LINEAR:
             measures = _closed_form_cells(params, nu_t, measures, point.rows[0])
         if measures:
-            temperatures = tuple(t * params.temperature_unit for t in spec.temperatures)
+            temperatures = tuple(t * TEMPERATURE_UNIT for t in spec.temperatures)
             _finite_point(ring, measures, nu_t, config, temperatures, point, axial)
     except _ROW_ERRORS as exc:
         _fail(point.rows, exc)
@@ -348,27 +353,26 @@ def _size_cells(points, size: int):
                 _fail([row], exc)
 
 
-def _reduced_witness(params, rep) -> tuple:
+def _reduced_witness(rep) -> tuple:
     """(U, bound, Tc, U < bound) of a witness report in reduced units; the
-    comparison takes the raw U and bound, which the division could tie."""
+    comparison takes the library-unit U and bound, which the division
+    could tie."""
     tc = rep.critical_temperature
     return (
-        rep.internal_energy / params.nu_t_unit,
-        rep.bound / params.nu_t_unit,
-        None if tc is None else tc / params.temperature_unit,
+        rep.internal_energy / NU_T_UNIT,
+        rep.bound / NU_T_UNIT,
+        None if tc is None else tc / TEMPERATURE_UNIT,
         rep.internal_energy < rep.bound,
     )
 
 
-def _witness_cells(params, point: _Point):
+def _witness_cells(point: _Point):
     if isinstance(point.witness, Exception):
         _fail(point.rows, point.witness)
         return
     for rep, row in zip(point.witness or (), point.rows):
         if not row["error"]:
-            row["U"], row["bound"], row["Tc"], row["witnessTriggered"] = _reduced_witness(
-                params, rep
-            )
+            row["U"], row["bound"], row["Tc"], row["witnessTriggered"] = _reduced_witness(rep)
 
 
 def _finite_point(params, measures, nu_t: float, config, temperatures, point: _Point,
@@ -567,28 +571,21 @@ def _params_from_mapping(raw: dict) -> LatticeParams:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameter value: {exc}") from None
-    check_finite(mass, charge, spacing, nu_paper)
+    if not all(math.isfinite(v) for v in (mass, charge, spacing, nu_paper)):
+        raise ConfigError("mass, charge, spacing and nu must be finite")
+    # every output is in reduced units, so the raw units are checked and
+    # then left unused
     if charge <= 0 or mass <= 0 or spacing <= 0:
         raise ConfigError("mass, charge and spacing must be positive")
-    nu = nu_paper * math.sqrt(charge**2 / (mass * spacing**3))
-    if not math.isfinite(nu):
-        raise NumericalFailure("axial trap frequency not finite in the raw units (overflow)")
-    params = LatticeParams(
-        n=n,
-        mass=mass,
-        charge=charge,
-        spacing=spacing,
-        nu=nu,
-        tau_max=tau_max,
-    )
+    params = LatticeParams(n=n, nu=nu_paper * NU_T_UNIT, tau_max=tau_max)
     if model == "NN" and tau_max != 1:
         raise ConfigError("nearest-neighbour model requires tau_max == 1")
     return params
 
 
 def _load(args):
-    """(config mapping, raw-unit parameters) of any subcommand: the config
-    file, then the parameter flags that are set."""
+    """(config mapping, library-unit parameters) of any subcommand: the
+    config file, then the parameter flags that are set."""
     cfg = {}
     if args.config:
         try:
@@ -653,18 +650,18 @@ def _single(args, cfg: dict, name: str) -> float:
 
 
 def _point_from_args(args):
-    """(params, raw nu_t, raw temperature) of a one-point command with ``--temp``."""
+    """(params, nu_t, temperature) of a one-point command with ``--temp``,
+    in library units."""
     cfg, params = _load(args)
     nu_t, temperature = (_single(args, cfg, name) for name in GRIDS)
-    return params, nu_t * params.nu_t_unit, temperature * params.temperature_unit
+    return params, nu_t * NU_T_UNIT, temperature * TEMPERATURE_UNIT
 
 
 def _add_param_flags(sub, grids=tuple(GRIDS)):
     sub.add_argument("--config", help="JSON file with params and grids")
     sub.add_argument("--n", type=int, help="number of sites")
-    sub.add_argument("--mass", type=float)
-    sub.add_argument("--charge", type=float)
-    sub.add_argument("--spacing", type=float)
+    for raw in ("--mass", "--charge", "--spacing"):
+        sub.add_argument(raw, type=float, help="raw unit: checked, changes no output")
     sub.add_argument("--nu", type=float, help="axial trap frequency, reduced units")
     sub.add_argument("--model", help="NN or LR, any case: tauMax preset 1 or 4")
     sub.add_argument("--tau-max", dest="tauMax", type=int)
@@ -687,11 +684,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg, params = _load(args)
-    spec = build_spectrum(params, _single(args, cfg, "nuT") * params.nu_t_unit)
+    spec = build_spectrum(params, _single(args, cfg, "nuT") * NU_T_UNIT)
     cols = ("l", "variant", "omegaX", "omegaY", "omegaV", "omegaW")
     names = cols[2:4] if spec.variant is Variant.LINEAR else cols[4:6]
     rows = []
-    for l, freqs in enumerate(spec.omega.T / params.nu_t_unit, start=1):
+    for l, freqs in enumerate(spec.omega.T / NU_T_UNIT, start=1):
         row = dict.fromkeys(cols)
         row.update({"l": l, "variant": spec.variant.value, **dict(zip(names, freqs))})
         rows.append(row)
@@ -724,12 +721,11 @@ def _cmd_block_entropy(args) -> int:
 
 def _cmd_witness(args) -> int:
     params, nu_t, temperature = _point_from_args(args)
-    unit = params.nu_t_unit
     rep = witness_report(params, nu_t, temperature)
-    u, bound, tc, below = _reduced_witness(params, rep)
+    u, bound, tc, below = _reduced_witness(rep)
     row = {
-        "omegaX": rep.omega_x / unit,
-        "omegaY": rep.omega_y / unit,
+        "omegaX": rep.omega_x / NU_T_UNIT,
+        "omegaY": rep.omega_y / NU_T_UNIT,
         "bound": bound,
         "U": u,
         "Tc": tc,
@@ -829,7 +825,8 @@ def main(argv=None) -> int:
                            ("dump file", getattr(args, "dump", None))):
             if path:
                 _check_writable(path, what)
-        return args.func(args)
+        with np.errstate(**_FP_FAULTS):
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -6,14 +6,15 @@ quadrature pair, and site moments are mode averages with the appropriate
 phase weights. Quadratures are reported normalized, q -> q sqrt(m nu_ref)
 and p -> p / sqrt(m nu_ref) with nu_ref the trap frequency of the direction,
 so an uncoupled oscillator's vacuum has var q = var p = 1/2; equivalently
-the reduced single-mode symplectic eigenvalue is r = 2 sqrt(<q^2><p^2>) in
-raw units.
+the reduced single-mode symplectic eigenvalue is r = 2 sqrt(<q^2><p^2>).
+The mass cancels from these moments, so the mode factors below are those
+of unit mass: sigma / omega and omega sigma.
 
 Two rules keep criticality finite where it should be. A mode summed with an
 exactly zero phase weight contributes nothing even if its own variance
 diverges (zero-weight rule), and the momentum factor of a zero mode takes
-its analytic limit m T. Raw variances that genuinely diverge are reported
-as inf.
+its analytic limit T. Variances that genuinely diverge are reported as
+inf.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ SOFT_FREQ_FACTOR = 1e-6
 DIRECTIONS = ("x", "y")
 
 
-def _mode_factors(omega, temperatures, mass):
-    """Per-mode <q^2> factor sigma/(m omega) and <p^2> factor m omega sigma
-    at each of ``temperatures``, with sigma = (1/2) coth(omega / 2T), 1/2
-    at T = 0; one evaluation of sigma serves both. A zero mode has the
-    position factor inf and the momentum factor m T, the limit of
-    m omega sigma (equipartition). The temperature axis goes in before the
+def _mode_factors(omega, temperatures):
+    """Per-mode <q^2> factor sigma/omega and <p^2> factor omega sigma at
+    each of ``temperatures``, with sigma = (1/2) coth(omega / 2T), 1/2 at
+    T = 0; one evaluation of sigma serves both. A zero mode has the
+    position factor inf and the momentum factor T, the limit of omega sigma
+    (equipartition). The temperature axis goes in before the
     mode axis, so omega of shape (2, n) gives factors of shape (2, n_T, n);
     each value equals the evaluation at its temperature alone bit for bit.
     """
@@ -68,9 +69,9 @@ def _mode_factors(omega, temperatures, mass):
         with np.errstate(divide="ignore", over="ignore"):
             sig[..., warm, :] = 0.5 / np.tanh(omega / (2.0 * temps[warm]))
     live = omega > 0.0
-    position = np.where(live, sig / (mass * np.where(live, omega, 1.0)), np.inf)
+    position = np.where(live, sig / np.where(live, omega, 1.0), np.inf)
     # sigma is inf where omega / 2T is 0 (a zero mode, or an underflow): avoid 0 * inf
-    momentum = np.where(live, mass * omega * np.where(np.isinf(sig), 0.0, sig), mass * temps)
+    momentum = np.where(live, omega * np.where(np.isinf(sig), 0.0, sig), temps)
     return position, momentum
 
 
@@ -187,7 +188,7 @@ def moment_table(
     temperatures = tuple(temperatures)
     if any(t < 0 for t in temperatures):
         raise ConfigError("temperatures must be non-negative")
-    factors = _mode_factors(spec.omega, temperatures, spec.params.mass)
+    factors = _mode_factors(spec.omega, temperatures)
     return MomentTable(
         spec, temperatures, _direction_kernels(spec, drop_soft_modes), np.stack(factors, axis=1)
     )
@@ -248,13 +249,12 @@ def pair_moments_at(table: MomentTable, tau: int, direction: str) -> tuple:
     zigzag = spec.config.variant is Variant.ZIGZAG
     parity = (-1.0) ** (2 + tau) if direction == "y" and zigzag else 1.0
     nu_ref = params.nu if direction == "x" else spec.nu_t
-    q_scale = params.mass * nu_ref
     n = params.n
 
     plus, minus = _pair_weights(n, tau, parity)
     q_plus, p_plus = _weighted_mode_sums(kern, table.factors, plus, n)
     q_minus, p_minus = _weighted_mode_sums(kern, table.factors, minus, n)
-    columns = (q_scale * q_plus, q_scale * q_minus, p_plus / q_scale, p_minus / q_scale)
+    columns = (nu_ref * q_plus, nu_ref * q_minus, p_plus / nu_ref, p_minus / nu_ref)
     return tuple(PairMoments(*v) for v in zip(*(c.tolist() for c in columns)))
 
 
@@ -380,7 +380,7 @@ def block_covariance_at(table: MomentTable, sites, directions=DIRECTIONS) -> np.
     # per upper entry: position and momentum moment at every temperature
     sums = np.stack([zero if key is None else _mode_sum(table, *key) for key in keys])
     entries = sums[entry_key] * signs
-    scale = {d: params.mass * (params.nu if d == "x" else spec.nu_t) for d in DIRECTIONS}
+    scale = {"x": params.nu, "y": spec.nu_t}
     g = np.array([math.sqrt(scale[d1] * scale[d2]) for d1, d2 in pairs])[entry_pair, None]
     qq, pp = (g * entries[:, 0]).T, (entries[:, 1] / g).T
     k = len(modes)
@@ -407,28 +407,28 @@ def direct_covariance_oracle(
         raise ConfigError("temperature must be non-negative")
     config = solve_equilibrium(params, nu_t)
     coeff = taylor_coefficients(params, config)
-    m, q2 = params.mass, params.charge**2
 
-    # potential quadratic form V over u = (x_1..x_n, y_1..y_n), H = p^2/2m + u^T V u;
-    # a pair term c (u_j - u_{j+tau})^2 summed over j is the form d^T c d
-    # with row j of d equal to e_j - e_{j+tau}
+    # potential quadratic form V over u = (x_1..x_n, y_1..y_n), H = p^2/4 + u^T V u
+    # at the library's mass 2, so that the squared normal frequencies are the
+    # eigenvalues of V; a pair term c (u_j - u_{j+tau})^2 summed over j is the
+    # form d^T c d with row j of d equal to e_j - e_{j+tau}
     V = np.zeros((2 * n, 2 * n))
-    np.fill_diagonal(V[:n, :n], 0.5 * m * params.nu**2)
-    np.fill_diagonal(V[n:, n:], 0.5 * m * nu_t**2)
+    np.fill_diagonal(V[:n, :n], params.nu**2)
+    np.fill_diagonal(V[n:, n:], nu_t**2)
     sites = np.arange(n)
     for idx, tau in enumerate(coeff.tau):
         d = np.eye(n) - np.eye(n)[(sites + tau) % n]
         lap = d.T @ d
-        V[:n, :n] += 0.5 * q2 * coeff.dx[idx] * lap
-        V[n:, n:] += 0.5 * q2 * coeff.dy[idx] * lap
+        V[:n, :n] += 0.5 * coeff.dx[idx] * lap
+        V[n:, n:] += 0.5 * coeff.dy[idx] * lap
         if config.variant is Variant.ZIGZAG and tau % 2 == 1:
             # cross coupling alternates with the parity of the first site
-            cd = 0.25 * q2 * coeff.dxy[idx] * (-1.0) ** (sites + 1)
+            cd = 0.25 * coeff.dxy[idx] * (-1.0) ** (sites + 1)
             cross = d.T @ (cd[:, None] * d)
             V[:n, n:] += cross
             V[n:, :n] += cross
 
-    w2, basis = np.linalg.eigh(2.0 * V / m)
+    w2, basis = np.linalg.eigh(V)
     if (w2 < -RADICAND_TOL).any():
         bad = np.nonzero(w2 < -RADICAND_TOL)[0].tolist()
         raise ImaginaryFrequency(
@@ -439,19 +439,19 @@ def direct_covariance_oracle(
     # never enters a matmul; their momentum factor is the equipartition limit
     zero = omega <= SOFT_FREQ_FACTOR * max(params.nu, nu_t)
     pos = ~zero
-    position, momentum = (f[0] for f in _mode_factors(omega[pos], (temperature,), m))
+    position, momentum = (f[0] for f in _mode_factors(omega[pos], (temperature,)))
     qmat = basis[:, pos] @ np.diag(position) @ basis[:, pos].T
     pmat = basis[:, pos] @ np.diag(momentum) @ basis[:, pos].T
     if zero.any():
         proj = basis[:, zero] @ basis[:, zero].T
-        pmat = pmat + m * temperature * proj
+        pmat = pmat + temperature * proj
         diverges = np.abs(proj) > 1e-10 * np.abs(proj).max()
         qmat[diverges] = np.sign(proj[diverges]) * np.inf
 
     modes = tuple((s, d) for s in range(1, n + 1) for d in DIRECTIONS)
     # u index of each mode (1x, 1y, 2x, ...): 0, n, 1, n + 1, ...
     u = np.arange(2 * n).reshape(2, n).T.ravel()
-    scale = np.tile([m * params.nu, m * nu_t], n)
+    scale = np.tile([params.nu, nu_t], n)
     g = np.sqrt(np.outer(scale, scale))
     cov = np.zeros((4 * n, 4 * n))
     cov[0::2, 0::2] = g * qmat[np.ix_(u, u)]
@@ -480,13 +480,11 @@ def _dispersion_taus(tau_max: int):
 
 def _bulk_dispersion(params: LatticeParams, nu_t: float, direction: str) -> tuple:
     """(base, k) of the bulk dispersion omega^2 = base + k S(alpha) with
-    S = ``_dispersion_sum``: base = nu^2 and k = C along x, base = nu_t^2
-    and k = -C/2 along y. ``base + k * s`` equals ``base - 0.5 * c * s``
-    bit for bit, since negation is exact."""
-    c = params.coulomb_constant
+    S = ``_dispersion_sum``: base = nu^2 and k = 2 along x, base = nu_t^2
+    and k = -1 along y."""
     if direction == "x":
-        return params.nu**2, c
-    return nu_t**2, -(0.5 * c)
+        return params.nu**2, 2.0
+    return nu_t**2, -1.0
 
 
 # QAGS bisects the same few dozen intervals for every nuT and direction: the

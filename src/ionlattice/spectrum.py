@@ -33,9 +33,9 @@ from .lattice import (
 #: Squared frequencies more negative than this raise; values in [-tol, 0) clamp to 0.
 RADICAND_TOL = 1e-12
 
-#: Couplings below this fraction of the squared frequency unit Q^2/(m a^3)
-#: leave a block of ``build_spectrum`` unmixed (1e-14 at m = 2, Q = a = 1).
-COUPLING_TOL = 2e-14
+#: Couplings below this, in squared library frequency units, leave a block of
+#: ``build_spectrum`` unmixed.
+COUPLING_TOL = 1e-14
 
 
 def symplectic_form(k: int) -> np.ndarray:
@@ -49,7 +49,7 @@ def symplectic_form(k: int) -> np.ndarray:
 
 def _sqrt_radicand(w2, branch: str):
     """Square root with the clamp window; raises on a radicand below it and
-    on a non-finite one (an overflow in the raw units). An array is indexed
+    on a non-finite one (an overflow). An array is indexed
     by l = 1 .. n, and the error lists the offending wave numbers; a scalar
     (one block of the oracle) has none to give."""
     w2 = np.asarray(w2, dtype=float)
@@ -75,18 +75,21 @@ def _sqrt_radicand(w2, branch: str):
 def coupling_matrix(
     params: LatticeParams, config: Configuration, nu_t: float, l: int
 ) -> np.ndarray:
-    """4x4 quadratic-form block for wave number ``l``, ordered (X, Px, Y, Py)."""
+    """4x4 quadratic-form block for wave number ``l``, ordered (X, Px, Y, Py).
+
+    The library's mass is 2 (see :mod:`ionlattice.lattice`), so the
+    position entries are the squared frequencies themselves and the
+    momentum entries 1/(2m) = 1/4."""
     if not 1 <= l <= params.n:
         raise ConfigError(f"l must be in 1..{params.n}, got {l}")
     wx2, wy2, wxy = tilde_frequencies(params, config, nu_t)
-    m = params.mass
     i = l - 1
     return np.array(
         [
-            [0.5 * m * wx2[i], 0.0, 0.5 * m * wxy[i], 0.0],
-            [0.0, 0.5 / m, 0.0, 0.0],
-            [0.5 * m * wxy[i], 0.0, 0.5 * m * wy2[i], 0.0],
-            [0.0, 0.0, 0.0, 0.5 / m],
+            [wx2[i], 0.0, wxy[i], 0.0],
+            [0.0, 0.25, 0.0, 0.0],
+            [wxy[i], 0.0, wy2[i], 0.0],
+            [0.0, 0.0, 0.0, 0.25],
         ]
     )
 
@@ -166,7 +169,7 @@ def build_spectrum(
     wv = _sqrt_radicand(0.5 * (wx2 + wy2 + big_r), "upper normal")
     ww = _sqrt_radicand(0.5 * (wx2 + wy2 - big_r), "lower normal")
 
-    tiny = np.abs(wxy) < COUPLING_TOL * params.omega0_sq
+    tiny = np.abs(wxy) < COUPLING_TOL
     safe_r = np.where(big_r > 0.0, big_r, 1.0)
     c2 = np.where(tiny, np.where(delta >= 0.0, 1.0, 0.0), (big_r + delta) / (2 * safe_r))
     s2 = np.where(tiny, np.where(delta >= 0.0, 0.0, 1.0), (big_r - delta) / (2 * safe_r))

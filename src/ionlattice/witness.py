@@ -6,8 +6,9 @@ certifies entanglement somewhere in the chain. The bound used here is
 
     E_bound = (N / 2) (Omega_x + Omega_y),
 
-with Omega_u^2 = nu_u^2 + (4 Q^2 / m) sum_{tau>0} d^u_tau the trap
-frequency dressed by the full coupling row. The x-y cross coupling of the
+with Omega_u^2 = nu_u^2 + 2 sum_{tau>0} d^u_tau the trap frequency
+dressed by the full coupling row (library units, see
+:mod:`ionlattice.lattice`). The x-y cross coupling of the
 buckled phase alternates with the site parity over odd tau, so on every
 site its two neighbour terms cancel and it adds nothing to the bound.
 """
@@ -29,9 +30,8 @@ from .spectrum import ModeSpectrum, build_spectrum
 #: past about 709.8
 _BOSE_NEGLIGIBLE = 700.0
 
-#: absolute tolerance of the crossing temperature Tc, in temperature units;
-#: 2e-12 in raw temperature at (m, Q, a) = (2, 1, 1)
-TC_XTOL = 5.65685424949238e-12
+#: absolute tolerance of the crossing temperature Tc, in library units
+TC_XTOL = 2e-12
 
 
 def effective_frequencies(
@@ -41,9 +41,8 @@ def effective_frequencies(
     if config is None:
         config = solve_equilibrium(params, nu_t)
     coeff = taylor_coefficients(params, config)
-    pref = 4.0 * params.charge**2 / params.mass
-    wx2 = params.nu**2 + pref * float(np.sum(coeff.dx))
-    wy2 = nu_t**2 + pref * float(np.sum(coeff.dy))
+    wx2 = params.nu**2 + 2.0 * float(np.sum(coeff.dx))
+    wy2 = nu_t**2 + 2.0 * float(np.sum(coeff.dy))
     for name, val in (("x", wx2), ("y", wy2)):
         if val < 0.0:
             raise DomainError(
@@ -123,9 +122,8 @@ def _crossing(params: LatticeParams, nu_t: float, energy: _Energy, bound: float)
         hi *= 2.0
     else:
         raise DomainError("no bound crossing found below an extreme temperature")
-    xtol = TC_XTOL * params.temperature_unit
     try:
-        return float(brentq(gap, 0.0, hi, xtol=xtol, rtol=1e-10))
+        return float(brentq(gap, 0.0, hi, xtol=TC_XTOL, rtol=1e-10))
     except RuntimeError as exc:
         raise NoConvergence(f"crossing temperature: {exc}") from None
 

@@ -8,10 +8,10 @@ ACCEPTANCE_LINES = []
 
 @pytest.fixture
 def nn_ring():
-    """NN ring factory with C = 4Q^2/(m a^3) = 2 (critical point at nu_t = 1)."""
+    """NN ring factory in library units (critical point at nu_t = 1)."""
 
-    def make(n=20, nu=1.0, charge=1.0):
-        return LatticeParams(n=n, mass=2.0, charge=charge, spacing=1.0, nu=nu)
+    def make(n=20, nu=1.0):
+        return LatticeParams(n=n, nu=nu)
 
     return make
 
@@ -20,8 +20,8 @@ def nn_ring():
 def lr_ring():
     """Longer-range ring factory (couplings out to fourth neighbours)."""
 
-    def make(n=20, nu=1.0, spacing=1.0):
-        return LatticeParams(n=n, mass=2.0, charge=1.0, spacing=spacing, nu=nu, tau_max=4)
+    def make(n=20, nu=1.0):
+        return LatticeParams(n=n, nu=nu, tau_max=4)
 
     return make
 

@@ -65,8 +65,8 @@ def cells(argv) -> tuple[list, list]:
         columns = list(cli.COLUMNS)
     elif args.command == "spectrum":
         cfg, params = cli._load(args)
-        modes = build_spectrum(params, cli._single(args, cfg, "nuT") * params.nu_t_unit)
-        omega = (modes.omega.T / params.nu_t_unit).tolist()
+        modes = build_spectrum(params, cli._single(args, cfg, "nuT") * cli.NU_T_UNIT)
+        omega = (modes.omega.T / cli.NU_T_UNIT).tolist()
         table = [[l, modes.variant.value, *w] for l, w in enumerate(omega, start=1)]
         columns = ["l", "variant", "omega0", "omega1"]
     else:

@@ -17,9 +17,9 @@ traps with the zone-edge coupling sum (4 Q^2 / m) sum d_tau where the site
 diagonal is (2 Q^2 / m) sum d_tau (corrected, the reading is 0.4163), and
 nothing in the repository derives the 0.12 anchor or its temperature unit.
 
-Beside criterion 03, two plain tests check the block entropy at and near
-the transition against the c = 1 laws that conformal field theory fixes,
-which the code does not itself encode.
+Beside criterion 03, three plain tests check the block entropy at and near
+the transition, at zero and finite temperature, against the c = 1 laws
+that conformal field theory fixes, which the code does not itself encode.
 """
 
 import math
@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ionlattice.cli import main
+from ionlattice.cli import TEMPERATURE_UNIT, main
 from ionlattice.covariance import (
     block_covariance,
     direct_covariance_oracle,
@@ -87,12 +87,12 @@ def test_criterion_01_bulk_critical_negativity(record_criterion, capsys):
 
 
 def test_criterion_02_critical_potentials(record_criterion, nn_ring, lr_ring):
+    coupling = 2.0  # C = 4 Q^2 / (m a^3) in library units
     params = nn_ring()
-    target = math.sqrt(params.coulomb_constant / 2.0)
+    target = math.sqrt(coupling / 2.0)
     nn_dev = abs(critical_potential(params) - target)
-    lr = lr_ring(spacing=14.0 / 15.0)
-    crit_lr = critical_potential(lr, td_limit=True)
-    heuristic = math.sqrt(0.6 * lr.coulomb_constant)
+    crit_lr = critical_potential(lr_ring(), td_limit=True)
+    heuristic = math.sqrt(0.6 * coupling)
     lr_dev = abs(crit_lr - heuristic) / heuristic
     ok = nn_dev < 1e-9 and lr_dev < 0.10
     record_criterion(
@@ -117,10 +117,9 @@ def test_criterion_03_entropy_divergence(record_criterion, nn_ring):
     )
 
 
-def _raw_ring(n, tau_max=1):
-    """The ring of the c = 1 laws: (m, Q, a) = (2, 1, 1), raw nu = sqrt(2)."""
-    return LatticeParams(n=n, mass=2.0, charge=1.0, spacing=1.0, nu=math.sqrt(2.0),
-                         tau_max=tau_max)
+def _law_ring(n, tau_max=1):
+    """The ring of the c = 1 laws: nu = sqrt(2) in library units."""
+    return LatticeParams(n=n, nu=math.sqrt(2.0), tau_max=tau_max)
 
 
 @pytest.mark.parametrize("tau_max", [1, 4])
@@ -131,7 +130,7 @@ def test_the_critical_block_entropy_grows_as_a_third_of_the_log_chord(tau_max):
     Cardy 2004). Fitted over L = 8..64 at n = 128, 1e-12 above the
     finite ring's critical trap, at T = 0."""
     n = 128
-    params = _raw_ring(n, tau_max)
+    params = _law_ring(n, tau_max)
     nu_t = critical_potential(params) * (1.0 + 1e-12)
     sigma = block_covariance(params, nu_t, 0.0, range(1, n // 2 + 1), ("y",)).matrix
     sizes = np.arange(8, n // 2 + 1)
@@ -146,7 +145,7 @@ def test_the_off_critical_block_entropy_saturates_at_a_sixth_of_the_log_gap():
     xi ~ eps^(-1/2) saturates at (1/3) ln xi, so dS_L / d ln eps = -1/6,
     eps = nu_t / nu_c - 1. Read at n = 4096 and L = 256 on the flat side,
     between eps = 1e-3 and 1e-4."""
-    params = _raw_ring(4096)
+    params = _law_ring(4096)
     crit = critical_potential(params)
     s_3, s_4 = (
         block_entropy_profile(params, crit * (1.0 + eps), 0.0, 256, "y").entropy
@@ -156,6 +155,27 @@ def test_the_off_critical_block_entropy_saturates_at_a_sixth_of_the_log_gap():
     assert abs(slope + 1.0 / 6.0) < 0.005, slope
 
 
+def test_the_thermal_block_entropy_grows_as_the_thermal_entropy_density():
+    """At temperature T the critical c = 1 boson has
+    S_L = (1/3) ln[(v/(pi T)) sinh(pi T L / v)] + const, so a block much
+    longer than v/T grows at the thermal entropy density dS_L/dL = pi T/(3v).
+    On the NN ring the soft branch is omega = |cos(k/2)| at the transition,
+    so v = 1/2 exactly in library units. Read between L = 32 and 48 at
+    n = 1024, 1e-6 above the finite ring's critical trap, at T = 0.05; the
+    lattice corrections leave it about 1% low. (The LR ring reads 3-4% low
+    against its own velocity, so it is not checked.)"""
+    params = _law_ring(1024)
+    nu_t = critical_potential(params) * (1.0 + 1e-6)
+    temperature, velocity = 0.05, 0.5
+    s_32, s_48 = (
+        block_entropy_profile(params, nu_t, temperature, size, "y").entropy
+        for size in (32, 48)
+    )
+    slope = (s_48 - s_32) / 16.0
+    density = math.pi * temperature / (3.0 * velocity)
+    assert abs(slope / density - 1.0) < 0.03, (slope, density)
+
+
 def test_criterion_04_oracle_equivalence(record_criterion, nn_ring):
     worst = 0.0
     for n in (4, 6, 8, 12, 16):
@@ -163,7 +183,7 @@ def test_criterion_04_oracle_equivalence(record_criterion, nn_ring):
         crit = critical_potential(params)
         for fac in (1.5, 0.8):
             for t_paper in (0.0, 0.5, 2.0):
-                t = t_paper * params.temperature_unit
+                t = t_paper * TEMPERATURE_UNIT
                 four = block_covariance(params, fac * crit, t, range(1, n + 1))
                 dense = direct_covariance_oracle(params, fac * crit, t)
                 worst = max(worst, float(np.abs(four.matrix - dense.matrix).max()))
@@ -317,10 +337,8 @@ def test_criterion_08_block_entropy_ordering(record_criterion, lr_ring):
 
 def test_criterion_09_witness_anchor(record_criterion):
     started = time.perf_counter()
-    params = LatticeParams(
-        n=20, mass=2.0, charge=1.0, spacing=1.0, nu=1.0 * ROOT_HALF
-    )
-    t_unit = params.temperature_unit
+    params = LatticeParams(n=20, nu=1.0 * ROOT_HALF)
+    t_unit = TEMPERATURE_UNIT
 
     def s1y(nu_t):
         return separability_criteria(pair_moments(params, nu_t, 0.0, 1, "y"))[0]
@@ -339,7 +357,7 @@ def test_criterion_09_witness_anchor(record_criterion):
 def test_criterion_10_thermal_smoothing(record_criterion, nn_ring):
     params = nn_ring()
     crit = critical_potential(params)
-    t_unit = params.temperature_unit
+    t_unit = TEMPERATURE_UNIT
 
     vals = [_eny(params, crit, tp * t_unit) for tp in np.linspace(0.0, 0.65, 10)]
     decreasing = all(a > b for a, b in zip(vals, vals[1:]))
@@ -368,10 +386,7 @@ def test_criterion_11_equilibrium_closed_form(record_criterion, nn_ring):
     for fac in np.linspace(0.10, 0.99, 20):
         nu_t = fac * 1.0
         b = solve_equilibrium(params, nu_t).b
-        closed = math.sqrt(
-            (2.0 * params.charge**2 / (params.mass * nu_t**2)) ** (2.0 / 3.0)
-            - params.spacing**2
-        )
+        closed = math.sqrt(nu_t ** (-4.0 / 3.0) - 1.0)
         worst = max(worst, abs(b - closed))
     ok = worst < 1e-10
     record_criterion(11, ok, f"max |b - closed form| = {worst:.3e} over 20 points")

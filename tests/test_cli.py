@@ -2,9 +2,10 @@
 
 Everything crosses the CLI in reduced units (frequencies in sqrt(Q^2/m a^3),
 temperatures in half that), so these tests pin the conversion happening
-exactly once against API calls made directly in raw units.
+exactly once against API calls made directly in library units.
 """
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -16,6 +17,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ionlattice.cli import (
@@ -40,7 +43,7 @@ from ionlattice.errors import ConfigError, DomainError
 from ionlattice.lattice import LatticeParams, solve_equilibrium
 from ionlattice.witness import witness_report
 
-#: reduced-unit value of the canonical test ring's raw nu = 1 (m=2, Q=1, a=1)
+#: reduced-unit value of the test ring's nu = 1 in library units
 NU_PAPER = "1.4142135623730951"
 
 
@@ -51,7 +54,7 @@ def parse_csv(text):
 
 
 def small_spec(**over):
-    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    params = LatticeParams(n=8, nu=1.0)
     kwargs = dict(
         params=params,
         nu_t_grid=(1.2, 2.2),
@@ -86,9 +89,10 @@ def test_spec_rejects_bulk_limit_with_thermal_grid():
 
 
 def test_spec_rejects_unchargeable_units():
-    params = LatticeParams(n=8, mass=2.0, charge=0.0, spacing=1.0, nu=1.0)
-    with pytest.raises(ConfigError, match="positive charge"):
-        small_spec(params=params)
+    # reduced units need a positive charge; the loader refuses zero
+    args = cli._build_parser().parse_args(["sweep", "--charge", "0", "--nu-t", "2.0"])
+    with pytest.raises(ConfigError, match="mass, charge and spacing must be positive"):
+        cli._spec_from_args(args)
 
 
 def test_parse_grid_forms():
@@ -199,8 +203,7 @@ def test_parallel_rows_identical_to_serial():
         (dict(nu_t_grid=(1.2, 1.6, 1.9), temperatures=(0.0,), td_limit=True,
               measures=("negativity", "entropy", "blockEntropy2", "witness")), 0),
         # LR: the witness fails in two rows, which must keep their places
-        (dict(params=LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0,
-                                   tau_max=4),
+        (dict(params=LatticeParams(n=12, nu=1.0, tau_max=4),
               nu_t_grid=_parse_grid("0.9:2.1:7"), temperatures=(0.0, 0.3),
               measures=("negativity", "blockEntropy3", "witness")), 2),
     ],
@@ -220,10 +223,10 @@ ALL_MEASURES = (
 
 def one_point_row(params, nu_t_paper, t_paper):
     """The cells of one sweep row from the public one-point calls."""
-    nu_t = nu_t_paper * params.nu_t_unit
-    temperature = t_paper * params.temperature_unit
+    nu_t = nu_t_paper * cli.NU_T_UNIT
+    temperature = t_paper * cli.TEMPERATURE_UNIT
     config = solve_equilibrium(params, nu_t)
-    row = {"configVariant": config.variant.value, "b": config.b / params.spacing}
+    row = {"configVariant": config.variant.value, "b": config.b}
     for d in ("x", "y"):
         s1, s2 = separability_criteria(pair_moments(params, nu_t, temperature, 1, d))
         row.update({f"S1{d}": s1, f"S2{d}": s2, f"EN{d}": negativity(s1, s2)})
@@ -244,9 +247,9 @@ def one_point_row(params, nu_t_paper, t_paper):
         row["error"] = f"DomainError: {exc}"
         return row
     tc = rep.critical_temperature
-    row["U"] = rep.internal_energy / params.nu_t_unit
-    row["bound"] = rep.bound / params.nu_t_unit
-    row["Tc"] = None if tc is None else tc / params.temperature_unit
+    row["U"] = rep.internal_energy / cli.NU_T_UNIT
+    row["bound"] = rep.bound / cli.NU_T_UNIT
+    row["Tc"] = None if tc is None else tc / cli.TEMPERATURE_UNIT
     row["witnessTriggered"] = rep.internal_energy < rep.bound
     row["error"] = ""
     return row
@@ -260,7 +263,7 @@ NU_T_CRITICAL_ARG = repr(NU_T_CRITICAL)
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_sweep_cells_equal_the_one_point_calls(jobs):
-    lr = LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, tau_max=4)
+    lr = LatticeParams(n=12, nu=1.0, tau_max=4)
     specs = [
         # NN: buckled at nuT 1.0, exactly critical, flat at 2.0 and 2.5
         small_spec(nu_t_grid=(1.0, NU_T_CRITICAL, 2.0, 2.5)),
@@ -336,7 +339,7 @@ def test_sweep_computes_each_mode_sum_once_per_working_point(mode_sums):
     # each stacked sum covers every temperature and both quadratures of
     # one working point, so at most 20 of them serve all its rows, where
     # one per row and entry took 20 per row
-    params = LatticeParams(n=20, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    params = LatticeParams(n=20, nu=1.0)
     spec = small_spec(
         params=params, nu_t_grid=(1.0, 1.2), temperatures=(0.0, 0.3, 0.6),
         measures=ALL_MEASURES[:-1],
@@ -457,10 +460,10 @@ def test_sweep_converts_units_exactly_once(tmp_path, capsys):
     rc = main(["sweep", *base_args(), "--nu-t", repr(nu_t_paper)])
     assert rc == 0
     row = parse_csv(capsys.readouterr().out)[0]
-    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    params = LatticeParams(n=8, nu=1.0)
     config = solve_equilibrium(params, 0.8)
     assert row["configVariant"] == "zigzag"
-    assert_allclose(float(row["b"]), config.b / params.spacing, rtol=1e-12)
+    assert_allclose(float(row["b"]), config.b, rtol=1e-12)
 
 
 def test_sweep_exit_codes(capsys):
@@ -628,11 +631,9 @@ def test_covariance_dump_round_trips(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     loaded = np.loadtxt(dump, delimiter=",")
-    # replicate the command's reduced-to-raw conversion bit for bit
+    # replicate the command's conversion from reduced units bit for bit
     unit = math.sqrt(0.5)
-    params = LatticeParams(
-        n=8, mass=2.0, charge=1.0, spacing=1.0, nu=float(NU_PAPER) * unit
-    )
+    params = LatticeParams(n=8, nu=float(NU_PAPER) * unit)
     cov = block_covariance(params, 2.0 * unit, 0.3 * (0.5 * unit), (1, 3))
     assert np.array_equal(loaded, cov.matrix)
 
@@ -762,7 +763,7 @@ def test_subnormal_temperature_is_the_cold_limit_without_warnings(capsys):
                 "--measures", "negativity,entropy,witness"]
         assert main(argv) == 0
         zero, tiny = parse_csv(capsys.readouterr().out)
-        params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+        params = LatticeParams(n=8, nu=1.0)
         u_tiny = witness_report(params, 2.0, 1e-310).internal_energy
         assert u_tiny == witness_report(params, 2.0, 0.0).internal_energy
     assert cold["U"] == zero["U"]
@@ -784,13 +785,11 @@ def test_bulk_limit_below_transition_uses_large_ring(capsys):
 
 
 def bulk_boundary_point(gap):
-    """(raw params, reduced nuT) of base_args() at crit (1 - gap), crit the
+    """(params, reduced nuT) of base_args() at crit (1 - gap), crit the
     bulk critical point of that ring."""
-    params = cli._params_from_mapping(
-        {"n": 8, "mass": 2.0, "charge": 1.0, "spacing": 1.0, "nu": float(NU_PAPER)}
-    )
+    params = cli._params_from_mapping({"n": 8, "nu": float(NU_PAPER)})
     crit = lattice.critical_potential(params, td_limit=True)
-    return params, crit * (1.0 - gap) / params.nu_t_unit
+    return params, crit * (1.0 - gap) / cli.NU_T_UNIT
 
 
 #: the cells of a flat bulk row that take their closed forms
@@ -806,7 +805,7 @@ def test_a_bulk_row_just_below_the_critical_point_is_the_stand_in_row(capsys):
     for the cells with closed forms, which are those forms."""
     params, nu_t_paper = bulk_boundary_point(5e-13)
     with pytest.raises(ConfigError, match="flat configuration only"):
-        covariance.td_pair_criteria(params, nu_t_paper * params.nu_t_unit, 1, "y")
+        covariance.td_pair_criteria(params, nu_t_paper * cli.NU_T_UNIT, 1, "y")
     rows = {}
     for case, nu_t in (("buckled", nu_t_paper), ("flat", 1.6)):
         point = ["--nu-t", repr(nu_t), "--measures", "negativity,entropy,blockEntropy2,witness"]
@@ -824,7 +823,7 @@ def test_a_bulk_row_just_below_the_critical_point_is_the_stand_in_row(capsys):
     for c in COLUMNS:
         if c not in CLOSED_FORM_COLUMNS:
             assert row[c] == finite[c], c
-    nu_t = 1.6 * params.nu_t_unit
+    nu_t = 1.6 * cli.NU_T_UNIT
     for d in ("x", "y"):
         s1, s2 = covariance.td_pair_criteria(params, nu_t, 1, d)
         r = covariance.td_single_site_eigenvalue(params, nu_t, d)
@@ -835,7 +834,7 @@ def test_a_bulk_row_just_below_the_critical_point_is_the_stand_in_row(capsys):
 def test_bulk_closed_forms_end_beyond_the_margin(capsys):
     params, nu_t_paper = bulk_boundary_point(2e-12)
     with pytest.raises(ConfigError, match="flat configuration only"):
-        covariance.td_pair_criteria(params, nu_t_paper * params.nu_t_unit, 1, "y")
+        covariance.td_pair_criteria(params, nu_t_paper * cli.NU_T_UNIT, 1, "y")
     rc = main(["sweep", *base_args(), "--nu-t", repr(nu_t_paper), "--td-limit",
                "--measures", "negativity"])
     assert rc == 0
@@ -866,18 +865,6 @@ def test_overflow_in_a_one_point_command_names_the_exception_type(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: OverflowError: ")
-
-
-def test_a_non_finite_squared_frequency_is_a_numerical_failure(capsys):
-    # the raw frequency unit overflows at a subnormal mass: the spectrum
-    # ends in exit 3, not in nan frequencies with exit 0
-    argv = ["spectrum", "--n", "8", "--mass", "1e-320", "--charge", "1", "--spacing", "1",
-            "--nu", "1", "--nu-t", "1.5"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("numerical failure: NumericalFailure: ")
-    assert "not finite" in captured.err
 
 
 def test_the_coupling_tolerance_does_not_depend_on_the_raw_units(capsys):
@@ -961,9 +948,8 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     rows = parse_csv(out)
     assert len(rows) == 1
     # the override ring (n=8) is what actually ran
-    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
-    unit = params.nu_t_unit
-    s1, _ = separability_criteria(pair_moments(params, 2.0 * unit, 0.0, 1, "y"))
+    params = LatticeParams(n=8, nu=1.0)
+    s1, _ = separability_criteria(pair_moments(params, 2.0 * cli.NU_T_UNIT, 0.0, 1, "y"))
     assert_allclose(float(rows[0]["S1y"]), s1, rtol=1e-10)
 
 
@@ -999,6 +985,10 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys):
         ["sweep", *base_args(), "--mass", "nan", "--nu-t", "2.0"],
         ["sweep", *base_args(), "--charge", "inf", "--nu-t", "2.0"],
         ["sweep", *base_args(), "--spacing", "nan", "--nu-t", "2.0"],
+        # the raw units change no output, but are still checked
+        ["sweep", *base_args(), "--mass", "inf", "--nu-t", "2.0"],
+        ["sweep", *base_args(), "--charge", "nan", "--nu-t", "2.0"],
+        ["sweep", *base_args(), "--spacing", "inf", "--nu-t", "2.0"],
         ["block-entropy", *base_args(), "--nu", "nan", "--nu-t", "2.0"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[11:]),
@@ -1006,6 +996,97 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys):
 def test_non_finite_input_is_a_config_error(argv, capsys):
     assert main(argv) == 2
     assert "configuration error:" in capsys.readouterr().err
+
+
+#: a raw mass, charge or spacing, log-uniform over 1e-300 .. 1e300
+RAW_SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+#: a finite and a bulk sweep, the spectrum and the witness of small rings,
+#: with every phase and measure kind among them
+SCALE_FREE_COMMANDS = (
+    ["sweep", "--n", "8", "--nu", NU_PAPER, "--nu-t", "0.9,1.6", "--temp", "0,0.3",
+     "--measures", "negativity,entropy,blockEntropy2,witness"],
+    ["sweep", "--n", "20", "--nu", NU_PAPER, "--nu-t", "1.4142135623730951,1.6",
+     "--td-limit", "--measures", "negativity,entropy,blockEntropy3"],
+    ["spectrum", "--n", "8", "--nu", NU_PAPER, "--nu-t", "1.2"],
+    ["witness", "--n", "12", "--model", "LR", "--nu", NU_PAPER, "--nu-t", "2.0",
+     "--temp", "0.2"],
+)
+
+
+def printed(argv):
+    """(exit code, stdout, stderr) of one command, captured without capsys,
+    which a property test cannot take."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def with_raw_units(argv, mass, charge, spacing):
+    return [*argv, "--mass", repr(mass), "--charge", repr(charge), "--spacing", repr(spacing)]
+
+
+_CANONICAL = {}
+
+
+def canonical(argv):
+    """What ``argv`` prints at (m, Q, a) = (2, 1, 1), the scale of every
+    pinned output; computed once."""
+    key = tuple(argv)
+    if key not in _CANONICAL:
+        _CANONICAL[key] = printed(with_raw_units(argv, 2.0, 1.0, 1.0))
+    return _CANONICAL[key]
+
+
+@settings(max_examples=50, deadline=None)
+@given(mass=RAW_SCALE, charge=RAW_SCALE, spacing=RAW_SCALE)
+# the raw-unit overflow ended the whole sweep with exit 3
+@example(mass=1e300, charge=1e300, spacing=1.0)
+# every bulk row failed its quadrature at this scale
+@example(mass=7.3, charge=0.01, spacing=3e-6)
+# the frequency unit overflowed at a subnormal mass
+@example(mass=1e-320, charge=1.0, spacing=1.0)
+def test_outputs_do_not_depend_on_the_raw_units(mass, charge, spacing):
+    for argv in SCALE_FREE_COMMANDS:
+        got = printed(with_raw_units(argv, mass, charge, spacing))
+        assert got == canonical(argv), argv
+
+
+def test_the_bulk_sweep_fails_one_row_at_any_raw_scale():
+    """The bulk sweep that failed all 41 rows at (m, Q, a) = (7.3, 0.01,
+    3e-6) prints the bytes of (2, 1, 1), with its one QuadratureFailure row."""
+    argv = ["sweep", "--td-limit", "--n", "20", "--nu", NU_PAPER,
+            "--nu-t", "1.4142135623730951:2.1:41",
+            "--measures", "negativity,entropy,blockEntropy3"]
+    rc, out, err = printed(with_raw_units(argv, 7.3, 0.01, 3e-6))
+    assert (rc, out, err) == canonical(argv)
+    rows = parse_csv(out)
+    assert len(rows) == 41
+    assert [row["error"].split(":")[0] for row in rows if row["error"]] == ["QuadratureFailure"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_floating_point_fault_ends_its_row(jobs):
+    """At a subnormal axial trap the x moments overflow: the row ends with
+    a FloatingPointError in its error cell, not with inf or nan cells and a
+    RuntimeWarning, serially and in the pool."""
+    argv = ["sweep", "--n", "8", "--mass", "2", "--charge", "1", "--spacing", "1",
+            "--nu", "5e-324", "--nu-t", "2,2.5", "--measures", "negativity,entropy",
+            "--jobs", str(jobs)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = printed(argv)
+    assert (rc, err) == (0, "")
+    for row in parse_csv(out):
+        assert row["error"] == "FloatingPointError: overflow encountered in divide"
+        assert not {"inf", "nan"} & set(row.values())
+
+
+def test_a_floating_point_fault_in_a_one_point_command_is_a_numerical_failure(capsys):
+    rc, out, err = run(["covariance", "--n", "8", "--nu", "5e-324", "--nu-t", "2"], capsys)
+    assert (rc, out) == (3, "")
+    assert err.startswith("numerical failure: FloatingPointError: ")
 
 
 @pytest.mark.parametrize(
@@ -1072,10 +1153,19 @@ def test_block_entropy_1_is_not_a_sweep_measure(capsys):
         ({"params": {"model": "XY"}, "nuTGrid": [2.0]}, "model must be NN or LR, got 'XY'"),
         ({"params": {"mass": 0}, "nuTGrid": [2.0]}, "mass, charge and spacing must be positive"),
         ([2.0], "config file must hold a JSON object"),
+        ({"params": {"charge": True}, "nuTGrid": [2.0]}, "charge must be a number, got True"),
+        ({"params": {"spacing": False}, "nuTGrid": [2.0]}, "spacing must be a number, got False"),
+        ({"params": {"charge": 0.0}, "nuTGrid": [2.0]},
+         "mass, charge and spacing must be positive"),
+        ({"params": {"spacing": -0.5}, "nuTGrid": [2.0]},
+         "mass, charge and spacing must be positive"),
+        ({"params": {"charge": float("-inf")}, "nuTGrid": [2.0]},
+         "mass, charge, spacing and nu must be finite"),
     ],
     ids=["mass", "nuTGrid", "params", "tdLimit", "n-fraction", "tauMax-fraction", "n-bool",
          "n-inf", "mass-bool", "nuTGrid-bool", "nuTGrid-text", "temperatures-bool",
-         "tauMax-wraps", "nuTGrid-empty", "params-key", "model", "mass-zero", "list"],
+         "tauMax-wraps", "nuTGrid-empty", "params-key", "model", "mass-zero", "list",
+         "charge-bool", "spacing-bool", "charge-zero", "spacing-negative", "charge-inf"],
 )
 def test_malformed_config_value_is_a_config_error(config, message, tmp_path, capsys):
     path = tmp_path / "sweep.json"
@@ -1234,7 +1324,7 @@ def test_one_point_command_takes_one_value_per_grid(command, flags, config, mess
 
 
 def test_block_entropy_takes_the_library_block_size_rule(capsys):
-    params = LatticeParams(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    params = LatticeParams(n=8, nu=1.0)
     with pytest.raises(ConfigError) as exc:
         block_entropy_profile(params, 2.0, 0.0, 5, "y")
     rc, out, err = run(["block-entropy", *base_args(), "--nu-t", "2.0", "--sites", "5"], capsys)

@@ -31,7 +31,7 @@ from ionlattice.covariance import (
     td_single_site_eigenvalue,
 )
 from ionlattice import cli
-from ionlattice.cli import COLUMNS, SweepSpec, _blank_row, run_sweep
+from ionlattice.cli import COLUMNS, NU_T_UNIT, TEMPERATURE_UNIT, SweepSpec, _blank_row, run_sweep
 from ionlattice.entanglement import negativity, spectrum_entropy
 from ionlattice.errors import (
     ConfigError,
@@ -90,17 +90,23 @@ def test_translation_invariance(nn_ring):
     assert np.abs(a - b).max() < 1e-12
 
 
+#: the nearly uncharged ring: a charge Q -> 0 at fixed raw traps is, in
+#: library units, traps far above the couplings (of order 1), which then
+#: move every normalized moment by about 1e-8
+STRONG_TRAP = 1e4
+
+
 def test_uncharged_ring_is_a_vacuum_product(nn_ring):
-    params = nn_ring(n=8, charge=0.0)
-    cov = block_covariance(params, 1.3, 0.0, range(1, 9))
-    assert_allclose(cov.matrix, 0.5 * np.eye(32), atol=1e-14)
+    params = nn_ring(n=8, nu=STRONG_TRAP)
+    cov = block_covariance(params, STRONG_TRAP, 0.0, range(1, 9))
+    assert_allclose(cov.matrix, 0.5 * np.eye(32), atol=1e-7)
 
 
 def test_uncharged_pair_sits_on_the_boundary(nn_ring):
-    params = nn_ring(n=8, charge=0.0)
-    mom = pair_moments(params, 1.3, 0.0, 1, "y")
-    assert_allclose(mom.q_plus * mom.p_minus, 0.25, atol=1e-13)
-    assert_allclose(mom.q_minus * mom.p_plus, 0.25, atol=1e-13)
+    params = nn_ring(n=8, nu=STRONG_TRAP)
+    mom = pair_moments(params, STRONG_TRAP, 0.0, 1, "y")
+    assert_allclose(mom.q_plus * mom.p_minus, 0.25, atol=1e-7)
+    assert_allclose(mom.q_minus * mom.p_plus, 0.25, atol=1e-7)
 
 
 def test_quadrature_cross_sector_vanishes(nn_ring):
@@ -231,9 +237,9 @@ def _clear_caches():
 
 def test_bulk_results_do_not_depend_on_cache_order(nn_ring, lr_ring):
     """Interleaving rings that share quadrature nodes but differ in range
-    and charge gives each ring the outcome it gets alone. A quadrature
+    and axial trap gives each ring the outcome it gets alone. A quadrature
     failure is an outcome too: the same nodes must take the same path."""
-    rings = [nn_ring(), nn_ring(charge=0.8), lr_ring(), lr_ring(spacing=1.2)]
+    rings = [nn_ring(), nn_ring(nu=0.8), lr_ring(), lr_ring(nu=1.2)]
     nu_t = 1.3
 
     def outcome(fn, *args):
@@ -403,24 +409,23 @@ def _weighted_mode_sum(kern, facs, phase_weights, n):
     return total
 
 
-def _reference_position_factor(omega, temperature, mass):
+def _reference_position_factor(omega, temperature):
     omega = np.asarray(omega, dtype=float)
     sig = _reference_thermal_sigma(omega, temperature)
-    return np.where(omega > 0.0, sig / (mass * np.where(omega > 0.0, omega, 1.0)), np.inf)
+    return np.where(omega > 0.0, sig / np.where(omega > 0.0, omega, 1.0), np.inf)
 
 
-def _reference_momentum_factor(omega, temperature, mass):
+def _reference_momentum_factor(omega, temperature):
     omega = np.asarray(omega, dtype=float)
     sig = _reference_thermal_sigma(omega, temperature)
-    safe = mass * omega * np.where(np.isinf(sig), 0.0, sig)
-    return np.where(omega > 0.0, safe, mass * temperature)
+    safe = omega * np.where(np.isinf(sig), 0.0, sig)
+    return np.where(omega > 0.0, safe, temperature)
 
 
 def _reference_factors(spec, temperature):
-    omega, mass = spec.omega, spec.params.mass
     return (
-        _reference_position_factor(omega, temperature, mass),
-        _reference_momentum_factor(omega, temperature, mass),
+        _reference_position_factor(spec.omega, temperature),
+        _reference_momentum_factor(spec.omega, temperature),
     )
 
 
@@ -449,7 +454,7 @@ def _reference_block(spec, temperature, sites, directions, drop_soft_modes):
     k = len(modes)
     cov = np.zeros((2 * k, 2 * k))
     qf, pf = _reference_factors(spec, temperature)
-    scale = {d: params.mass * (params.nu if d == "x" else spec.nu_t) for d in DIRECTIONS}
+    scale = {"x": params.nu, "y": spec.nu_t}
     for i, (s1, d1) in enumerate(modes):
         for j, (s2, d2) in enumerate(modes[i:], start=i):
             g = math.sqrt(scale[d1] * scale[d2])
@@ -466,8 +471,7 @@ def _reference_pair(spec, temperature, tau, direction):
     parity = -1.0 if (
         spec.config.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
     ) else 1.0
-    nu_ref = params.nu if direction == "x" else spec.nu_t
-    q_scale = params.mass * nu_ref
+    q_scale = params.nu if direction == "x" else spec.nu_t
     n = params.n
     qf, pf = _reference_factors(spec, temperature)
     mode_sum = _weighted_mode_sum
@@ -590,7 +594,7 @@ def _reference_stacked_block(table, sites, directions):
     spec = table.spectrum
     params = spec.params
     modes = tuple((s, d) for s in sites for d in directions)
-    scale = {d: params.mass * (params.nu if d == "x" else spec.nu_t) for d in DIRECTIONS}
+    scale = {"x": params.nu, "y": spec.nu_t}
     upper = [(i, j) for i in range(len(modes)) for j in range(i, len(modes))]
     raw, signs, g = [], [], []
     for i, j in upper:
@@ -615,8 +619,7 @@ def _reference_stacked_pairs(table, tau, direction):
     params = spec.params
     kern = getattr(table.kernels, direction)
     (cov_q, cov_p), parity = _reference_stacked_entry(table, 1, direction, 1 + tau, direction)
-    nu_ref = params.nu if direction == "x" else spec.nu_t
-    q_scale = params.mass * nu_ref
+    q_scale = params.nu if direction == "x" else spec.nu_t
     n = params.n
     cosd = _cos_weights(n, tau)
     var_q, var_p = covariance._mode_sum(table, direction, 0)
@@ -649,7 +652,7 @@ def test_block_gather_equals_the_per_entry_loop(nn_ring, lr_ring, ring, drop):
     params = lr_ring(n=12) if ring.startswith("lr") else nn_ring(n=8)
     phase = ring.split("-")[1]
     if phase == "critical" and ring.startswith("nn"):
-        nu_t = NU_T_CRITICAL_NN8 * params.nu_t_unit
+        nu_t = NU_T_CRITICAL_NN8 * NU_T_UNIT
     else:
         nu_t = _factor(params, {"buckled": 0.8, "flat": 1.5, "critical": 1.0}[phase])
     spec = build_spectrum(params, nu_t)
@@ -716,13 +719,13 @@ def _reference_spectrum(sigma):
 
 
 def _reference_rows(params, nu_t_paper, temperatures, negativity):
-    spec = build_spectrum(params, nu_t_paper * params.nu_t_unit)
+    spec = build_spectrum(params, nu_t_paper * NU_T_UNIT)
     rows = []
     for t_paper in temperatures:
-        temperature = t_paper * params.temperature_unit
+        temperature = t_paper * TEMPERATURE_UNIT
         row = _blank_row(nu_t_paper, t_paper)
         row["configVariant"] = spec.config.variant.value
-        row["b"] = spec.config.b / params.spacing
+        row["b"] = spec.config.b
         try:
             for d in DIRECTIONS:
                 _, _, _, _, q_plus, q_minus, p_plus, p_minus = _reference_pair(
@@ -758,8 +761,8 @@ def _same_cells(got, want):
             assert got[c] == want[c], c
 
 
-#: reduced nuT whose raw value is exactly the critical point of the n = 8 NN
-#: ring (its zone-edge y mode is 0.0)
+#: reduced nuT whose library-unit value is exactly the critical point of the
+#: n = 8 NN ring (its zone-edge y mode is 0.0)
 NU_T_CRITICAL_NN8 = 1.414213562373095
 
 
@@ -775,8 +778,8 @@ def test_stacked_sweep_rows_equal_the_per_temperature_reference(
     grid = (1.0, NU_T_CRITICAL_NN8, 2.0) if ring == "nn" else (1.0, 1.3, 2.0)
     temperatures = (0.0, 0.2, 0.5, 1.6)
     # the y criteria of the buckled point's second temperature
-    buckled = build_spectrum(params, grid[0] * params.nu_t_unit)
-    pair = _reference_pair(buckled, temperatures[1] * params.temperature_unit, 1, "y")
+    buckled = build_spectrum(params, grid[0] * NU_T_UNIT)
+    pair = _reference_pair(buckled, temperatures[1] * TEMPERATURE_UNIT, 1, "y")
     target = (4.0 * pair[4] * pair[7] - 1.0, 4.0 * pair[5] * pair[6] - 1.0)
 
     def failing_negativity(s1, s2):

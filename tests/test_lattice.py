@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ionlattice import lattice
+from ionlattice import cli, lattice
 from ionlattice.errors import ConfigError, NoConvergence
 from ionlattice.lattice import (
     Configuration,
@@ -22,6 +22,7 @@ from ionlattice.lattice import (
     equilibrium_residual,
     solve_equilibrium,
     taylor_coefficients,
+    tilde_frequencies,
 )
 
 
@@ -41,7 +42,7 @@ def test_linear_couplings_match_hessian_oracle(lr_ring):
     params = lr_ring()
     coeff = taylor_coefficients(params, Configuration(variant=Variant.LINEAR, b=0.0))
     for i, tau in enumerate(coeff.tau):
-        dx, dy, dxy = half_hessian(tau * params.spacing, 0.0)
+        dx, dy, dxy = half_hessian(tau, 0.0)
         assert_allclose(coeff.dx[i], dx, rtol=1e-5)
         assert_allclose(coeff.dy[i], dy, rtol=1e-5)
         assert abs(dxy) < 1e-8
@@ -63,7 +64,7 @@ def test_zigzag_couplings_match_hessian_oracle(lr_ring):
     for i, tau in enumerate(coeff.tau):
         # odd neighbours sit on opposite legs, transverse offset b
         offset = config.b if tau % 2 else 0.0
-        dx, dy, dxy = half_hessian(tau * params.spacing, offset)
+        dx, dy, dxy = half_hessian(tau, offset)
         assert_allclose(coeff.dx[i], dx, rtol=1e-5)
         assert_allclose(coeff.dy[i], dy, rtol=1e-5)
         assert_allclose(coeff.dxy[i], abs(dxy), rtol=1e-5, atol=1e-10)
@@ -78,14 +79,17 @@ def test_zigzag_unit_separation_frozen(nn_ring):
 
 
 def test_coulomb_constant(nn_ring, lr_ring):
-    assert_allclose(nn_ring().coulomb_constant, 2.0, rtol=1e-15)
-    assert_allclose(
-        lr_ring(spacing=14 / 15).coulomb_constant, 2.4599125364431487, rtol=1e-14
-    )
+    # C = 4 Q^2 / (m a^3) is 2 in library units: at the zone edge l = n/2,
+    # where sin^2(pi l tau / n) is 1 for odd tau and 0 for even, the flat
+    # ring's squared axial frequency is nu^2 + C sum_{tau odd} 1/tau^3
+    flat = Configuration(variant=Variant.LINEAR, b=0.0)
+    for params, odd_sum in ((nn_ring(), 1.0), (lr_ring(), 1.0 + 1.0 / 27.0)):
+        wx2, _, _ = tilde_frequencies(params, flat, 1.0)
+        assert_allclose(wx2[params.n // 2 - 1], params.nu**2 + 2.0 * odd_sum, rtol=1e-15)
 
 
 def test_nn_critical_point_exact(nn_ring):
-    # single odd neighbour: nu_crit = sqrt(C/2) = 1 for C = 2
+    # single odd neighbour: nu_crit = 1 in library units
     assert_allclose(critical_potential(nn_ring(), td_limit=True), 1.0, atol=1e-12)
     assert_allclose(critical_potential(nn_ring(n=20)), 1.0, atol=1e-12)
 
@@ -100,8 +104,8 @@ def test_finite_even_ring_matches_bulk_critical_point(lr_ring):
 
 
 def test_nn_equilibrium_closed_form_frozen(nn_ring):
-    """b(nu_t = 0.8) for C = 2; the frozen value is the closed form
-    sqrt((2 Q^2 / (m nu_t^2))^(2/3) - a^2) and carries residual zero."""
+    """b(nu_t = 0.8) in library units; the frozen value is the closed form
+    sqrt(nu_t^(-4/3) - 1) and carries residual zero."""
     params = nn_ring()
     config = solve_equilibrium(params, 0.8)
     assert config.variant is Variant.ZIGZAG
@@ -113,10 +117,9 @@ def test_a_range_one_ring_takes_the_closed_form(monkeypatch):
     # the range alone picks the route: no root-find, and b is the closed form
     # bit for bit at every buckled nu_t
     monkeypatch.setattr(lattice, "brentq", None)
-    params = LatticeParams(n=20, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, tau_max=1)
+    params = LatticeParams(n=20, nu=1.0, tau_max=1)
     for nu_t in np.linspace(0.05, 0.999, 50):
-        closed = math.sqrt((2.0 * params.charge**2 / (params.mass * nu_t**2)) ** (2.0 / 3.0)
-                           - params.spacing**2)
+        closed = math.sqrt((1.0 / nu_t**2) ** (2.0 / 3.0) - 1.0)
         assert solve_equilibrium(params, nu_t).b == closed
 
 
@@ -129,13 +132,13 @@ def test_lr_equilibrium_residual(lr_ring, fraction):
 
 
 def test_lr_equilibrium_far_below_crit_widens_the_bracket(lr_ring):
-    # at raw nu_t 0.01 the root lies beyond the starting bracket of 10 a,
-    # so the bracket has to double before brentq runs
+    # at nu_t 0.01 the root lies beyond the starting bracket of 10 lattice
+    # constants, so the bracket has to double before brentq runs
     params = lr_ring()
     config = solve_equilibrium(params, 0.01)
     assert config.variant is Variant.ZIGZAG
-    assert config.b > 10.0 * params.spacing
-    assert_allclose(config.b / params.spacing, 27.0, rtol=0.01)
+    assert config.b > 10.0
+    assert_allclose(config.b, 27.0, rtol=0.01)
     assert equilibrium_residual(params, 0.01, config.b) < 1e-12
 
 
@@ -144,7 +147,7 @@ def test_buckling_grows_monotonically_below_crit(lr_ring):
     crit = critical_potential(params, td_limit=True)
     values = [solve_equilibrium(params, f * crit).b for f in np.linspace(0.3, 0.999, 12)]
     assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] < 0.05 * params.spacing  # continuous onset
+    assert values[-1] < 0.05  # continuous onset
 
 
 def test_flat_at_and_above_crit(nn_ring):
@@ -155,9 +158,12 @@ def test_flat_at_and_above_crit(nn_ring):
         assert config.b == 0.0
 
 
-def test_uncharged_ring_is_flat():
-    params = LatticeParams(n=8, mass=2.0, charge=0.0, spacing=1.0, nu=1.0)
-    assert solve_equilibrium(params, 0.3).variant is Variant.LINEAR
+def test_uncharged_ring_is_flat(nn_ring):
+    # the nearly uncharged ring: a charge Q -> 0 at fixed raw traps is, in
+    # library units, traps far above the coupling, so even a trap 0.3 of
+    # the axial one stays far above the transition at 1
+    params = nn_ring(n=8, nu=1e4)
+    assert solve_equilibrium(params, 0.3e4).variant is Variant.LINEAR
 
 
 def test_odd_ring_rejects_buckling(nn_ring):
@@ -175,22 +181,21 @@ def test_nonpositive_trap_rejected(nn_ring):
     "kwargs",
     [
         dict(n=2),
-        dict(mass=0.0),
-        dict(spacing=-1.0),
+        dict(n=20.0),  # a float is not a ring size
+        dict(nu=-1.0),
         dict(nu=0.0),
-        dict(charge=-0.5),
+        dict(nu=-math.inf),
         dict(tau_max=0),
         dict(tau_max=12),  # wrap-around on n = 20
-        # spacing = inf gave pair criteria (0, 0), mass = inf NaN ones
-        dict(spacing=math.inf),
-        dict(mass=math.inf),
-        dict(charge=math.inf),
+        dict(tau_max=4.0),
+        dict(n=math.nan),
+        dict(tau_max=math.nan),
         dict(nu=math.inf),
         dict(tau_max=True),  # a bool is an int
     ],
 )
 def test_parameter_validation(kwargs):
-    base = dict(n=20, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
+    base = dict(n=20, nu=1.0)
     base.update(kwargs)
     with pytest.raises(ConfigError):
         LatticeParams(**base)
@@ -205,10 +210,13 @@ def test_configuration_validation():
 
 @pytest.mark.parametrize("field", ["mass", "charge", "spacing", "nu"])
 def test_a_nan_parameter_is_a_config_error(field):
-    base = dict(n=8, mass=2.0, charge=1.0, spacing=1.0, nu=1.0)
-    base[field] = math.nan
-    with pytest.raises(ConfigError, match="must be (positive|non-negative)"):
-        LatticeParams(**base)
+    # a ring holds nu only; the raw units are checked by the loader that
+    # reads them and builds the ring
+    with pytest.raises(ConfigError, match="must be finite"):
+        cli._params_from_mapping({"n": 8, field: math.nan})
+    if field == "nu":
+        with pytest.raises(ConfigError, match="nu must be positive"):
+            LatticeParams(n=8, nu=math.nan)
 
 
 def test_a_nan_transverse_trap_is_a_config_error(nn_ring):
@@ -232,5 +240,5 @@ def test_a_nan_root_fails_the_residual_gate(lr_ring, monkeypatch):
 
 def test_default_neighbour_range():
     # the nearest-neighbour ring; the CLI's --model LR presets tau_max 4
-    nn = LatticeParams(n=8, mass=1.0, charge=1.0, spacing=1.0, nu=1.0)
+    nn = LatticeParams(n=8, nu=1.0)
     assert nn.tau_max == 1

@@ -115,10 +115,11 @@ def test_flat_dispersion_recovers_vacuum(nu):
 
 
 def test_td_single_site_vacuum(nn_ring):
-    # uncharged ring: every site is in its ground state, eigenvalue 1
-    params = nn_ring(charge=0.0, nu=1.0)
-    r = td_single_site_eigenvalue(params, 1.3, "y")
-    assert_allclose(r, 1.0, atol=1e-9)
+    # traps that dwarf the coupling: every site is in its ground state, up to
+    # terms of order (coupling / trap^2)^2 = 1e-4 (the value is 1 + 1.6e-6)
+    params = nn_ring(nu=10.0)
+    r = td_single_site_eigenvalue(params, 10.0, "y")
+    assert_allclose(r, 1.0, atol=1e-5)
 
 
 def test_td_single_site_diverges_at_critical_point(nn_ring):
@@ -213,7 +214,7 @@ def test_bulk_integrands_equal_the_composed_ones(nn_ring, lr_ring, ring, directi
     gives zeros. The other weights fill the node cache on the same
     intervals first, so no cached entry of theirs can stand in."""
     params = nn_ring() if ring == "nn" else lr_ring()
-    c, tau_max = params.coulomb_constant, params.tau_max
+    c, tau_max = 2.0, params.tau_max  # C = 4 Q^2 / (m a^3) in library units
     crit = critical_potential(params, td_limit=True)
     weight = textbook_weight(tau, sign)
     rng = np.random.default_rng(tau)

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionlattice.cli import SweepSpec, run_sweep
+from ionlattice.cli import NU_T_UNIT, TEMPERATURE_UNIT, SweepSpec, run_sweep
 from ionlattice.covariance import direct_covariance_oracle
 from ionlattice.lattice import (
     LatticeParams,
@@ -38,8 +38,8 @@ def sweeps(draw):
     one temperature, in reduced units."""
     n = draw(st.sampled_from([8, 10, 12, 14, 16]))
     tau_max = draw(st.integers(1, 3))
-    params = LatticeParams(n=n, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, tau_max=tau_max)
-    crit = critical_potential(params, td_limit=True) / params.nu_t_unit
+    params = LatticeParams(n=n, nu=1.0, tau_max=tau_max)
+    crit = critical_potential(params, td_limit=True) / NU_T_UNIT
     buckled = draw(st.booleans())
     fraction = draw(st.floats(0.75, 0.97) if buckled else st.floats(1.03, 2.0))
     temperature = draw(st.sampled_from([0.0]) | st.floats(0.01, 1.0))
@@ -76,9 +76,10 @@ def _dense_energy(params, nu_t, temperature):
     """U = sum over normal modes of (omega / 2) coth(omega / 2T), with the
     frequencies from ``eigvalsh`` of the site-basis Hessian over
     u = (x_1..x_n, y_1..y_n), summed pair by pair from the pair energy
-    (Q^2/2) [dx dX^2 + dy dY^2 + s dxy dX dY], dX = x_j - x_k, with the
-    cross sign s alternating with the first site of the pair."""
-    n, m, q2 = params.n, params.mass, params.charge**2
+    (1/2) [dx dX^2 + dy dY^2 + s dxy dX dY], dX = x_j - x_k, with the
+    cross sign s alternating with the first site of the pair; the mass is
+    the library's, 2."""
+    n, m = params.n, 2.0
     config = solve_equilibrium(params, nu_t)
     coeff = taylor_coefficients(params, config)
     hess = np.diag(np.r_[np.full(n, m * params.nu**2), np.full(n, m * nu_t**2)])
@@ -87,9 +88,9 @@ def _dense_energy(params, nu_t, temperature):
             k = (j + tau) % n
             d_x, d_y = np.zeros(2 * n), np.zeros(2 * n)
             d_x[j], d_x[k], d_y[n + j], d_y[n + k] = 1.0, -1.0, 1.0, -1.0
-            hess += q2 * (dx * np.outer(d_x, d_x) + dy * np.outer(d_y, d_y))
+            hess += dx * np.outer(d_x, d_x) + dy * np.outer(d_y, d_y)
             if config.variant is Variant.ZIGZAG and tau % 2:
-                cross = 0.5 * q2 * dxy * (-1.0) ** (j + 1) * np.outer(d_x, d_y)
+                cross = 0.5 * dxy * (-1.0) ** (j + 1) * np.outer(d_x, d_y)
                 hess += cross + cross.T
     omega = np.sqrt(np.linalg.eigvalsh(hess / m))
     if temperature == 0.0:
@@ -98,8 +99,8 @@ def _dense_energy(params, nu_t, temperature):
 
 
 def _check_row(params, row):
-    nu_t = row["nuT"] * params.nu_t_unit
-    temperature = row["T"] * params.temperature_unit
+    nu_t = row["nuT"] * NU_T_UNIT
+    temperature = row["T"] * TEMPERATURE_UNIT
     dense = direct_covariance_oracle(params, nu_t, temperature).matrix
     for d in ("x", "y"):
         pair = dense[np.ix_(_indices((1, 2), d), _indices((1, 2), d))]
@@ -121,7 +122,7 @@ def _check_row(params, row):
         assert row["error"].startswith("DomainError: effective"), row["error"]
         assert row["U"] is None
     else:
-        _close(row["U"], _dense_energy(params, nu_t, temperature) / params.nu_t_unit)
+        _close(row["U"], _dense_energy(params, nu_t, temperature) / NU_T_UNIT)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -136,8 +137,8 @@ def test_every_printed_cell_matches_the_dense_oracle(case):
 
 def test_pooled_cells_match_the_dense_oracle():
     """Both phases of an LR ring at two temperatures through two workers."""
-    params = LatticeParams(n=12, mass=2.0, charge=1.0, spacing=1.0, nu=1.0, tau_max=3)
-    crit = critical_potential(params, td_limit=True) / params.nu_t_unit
+    params = LatticeParams(n=12, nu=1.0, tau_max=3)
+    crit = critical_potential(params, td_limit=True) / NU_T_UNIT
     spec = SweepSpec(params=params, nu_t_grid=(0.85 * crit, 1.3 * crit),
                      temperatures=(0.0, 0.4), measures=MEASURES)
     rows = run_sweep(spec, jobs=2)

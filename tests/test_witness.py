@@ -2,7 +2,7 @@
 
 For the NN flat chain the dressed frequencies close in elementary form:
 Omega_x^2 = nu^2 + 2 Q^2/(m) * 2/a^3 = nu^2 + C and Omega_y^2 = nu_t^2 - C/4,
-giving sqrt(3) and sqrt(1.25) at C = 2, nu = 1, nu_t = 1.5.
+giving sqrt(3) and sqrt(1.25) at C = 2 (library units), nu = 1, nu_t = 1.5.
 """
 
 import math
@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from ionlattice import witness
 from ionlattice._solvers import brentq
-from ionlattice.cli import SweepSpec, _params_from_mapping, run_sweep
+from ionlattice.cli import NU_T_UNIT, TEMPERATURE_UNIT
 from ionlattice.errors import ConfigError
 from ionlattice.lattice import (
     LatticeParams,
@@ -40,11 +40,14 @@ def test_flat_dressed_frequencies_closed_form(nn_ring):
     assert_allclose(wy, math.sqrt(1.25), atol=1e-12)
 
 
-def test_uncharged_ring_never_triggers(nn_ring):
-    params = nn_ring(n=8, charge=0.0)
-    assert effective_frequencies(params, 1.3) == (1.0, 1.3)
-    # U(0) equals the bound exactly: no temperature window remains
-    assert critical_temperature(params, 1.3) is None
+def test_strong_traps_undress_the_bound(nn_ring):
+    # the decoupled limit: traps that dwarf the coupling leave the dressed
+    # frequencies at the bare traps and U(0) at the bound, to about 1e-8
+    nu, nu_t = 1e4, 1.3e4
+    params = nn_ring(n=8, nu=nu)
+    assert_allclose(effective_frequencies(params, nu_t), (nu, nu_t), rtol=2e-8)
+    bound = separability_bound(params, nu_t)
+    assert_allclose(internal_energy(params, nu_t, 0.0), bound, rtol=1e-8)
 
 
 def test_internal_energy_increases_with_temperature(nn_ring):
@@ -70,12 +73,12 @@ def test_bound_is_half_ring_times_frequency_sum(nn_ring):
 
 @st.composite
 def small_even_rings(draw):
-    """(params, nu_t): an even ring of range 1 or 4 and at most 16 sites at
-    (m, Q, a) = (2, 1, 1), with nu_t between half and twice its critical value."""
+    """(params, nu_t): an even ring of range 1 or 4 and at most 16 sites in
+    library units, with nu_t between half and twice its critical value."""
     tau_max = draw(st.sampled_from((1, 4)))
     sizes = (4, 6, 8, 10, 12) if tau_max == 1 else (10, 12, 14, 16)
-    params = LatticeParams(n=draw(st.sampled_from(sizes)), mass=2.0, charge=1.0,
-                           spacing=1.0, nu=draw(st.floats(0.5, 2.0)), tau_max=tau_max)
+    params = LatticeParams(n=draw(st.sampled_from(sizes)), nu=draw(st.floats(0.5, 2.0)),
+                           tau_max=tau_max)
     return params, draw(st.floats(0.5, 2.0)) * critical_potential(params)
 
 
@@ -90,14 +93,14 @@ def small_even_rings(draw):
 @given(small_even_rings())
 def test_no_product_state_falls_below_the_bound(case):
     # The least energy of a product Gaussian state puts every site in the ground
-    # state of its own diagonal Omega~^2 = nu_u^2 + (2 Q^2 / m) sum d_tau of the
-    # dense oracle's quadratic form; the x-y and inter-site terms average to zero.
-    # A separability bound may not exceed that energy (n / 2)(Omega~x + Omega~y).
+    # state of its own diagonal Omega~^2 = nu_u^2 + sum d_tau of the dense
+    # oracle's quadratic form ((2 Q^2 / m) sum d_tau in raw units); the x-y and
+    # inter-site terms average to zero. A separability bound may not exceed that
+    # energy (n / 2)(Omega~x + Omega~y).
     params, nu_t = case
     coeff = taylor_coefficients(params, solve_equilibrium(params, nu_t))
-    pref = 2.0 * params.charge**2 / params.mass
-    site_x = math.sqrt(params.nu**2 + pref * float(np.sum(coeff.dx)))
-    site_y = math.sqrt(nu_t**2 + pref * float(np.sum(coeff.dy)))
+    site_x = math.sqrt(params.nu**2 + float(np.sum(coeff.dx)))
+    site_y = math.sqrt(nu_t**2 + float(np.sum(coeff.dy)))
     assert separability_bound(params, nu_t) <= 0.5 * params.n * (site_x + site_y)
 
 
@@ -147,7 +150,7 @@ def test_crossing_search_survives_cold_modes_on_a_large_ring(lr_ring, nu_t_reduc
     # (about 709.8); such modes must count as omega / 2 instead of overflowing.
     # Readings at this ring: 0.2805 and 0.3692 T units.
     params = lr_ring(n=1000)
-    nu_t = nu_t_reduced * params.nu_t_unit
+    nu_t = nu_t_reduced * NU_T_UNIT
     tc = critical_temperature(params, nu_t)
     assert tc is not None and math.isfinite(tc) and tc > 0.0
     bound = separability_bound(params, nu_t)
@@ -174,7 +177,7 @@ def scalar_energy(omega, temperature, expm1=np.expm1):
 @pytest.mark.parametrize("nu_t_reduced", [1.31, 1.72])
 def test_energy_equals_scalar_loop_bit_for_bit(lr_ring, nu_t_reduced):
     params = lr_ring(n=1000)
-    nu_t = nu_t_reduced * params.nu_t_unit
+    nu_t = nu_t_reduced * NU_T_UNIT
     omega = build_spectrum(params, nu_t).omega
     for t in (0.0, 1e-6, 0.2, 5.0):
         assert internal_energy(params, nu_t, t) == scalar_energy(omega, t), t
@@ -257,7 +260,7 @@ def test_crossing_equals_brentq_on_the_scalar_loop_bit_for_bit(lr_ring, nn_ring,
                                                                 nu_t_reduced):
     if ring == "LR":
         params = lr_ring(n=1000)
-        nu_t = nu_t_reduced * params.nu_t_unit
+        nu_t = nu_t_reduced * NU_T_UNIT
     else:
         # the NN ring of nn_ring buckles below nu_t = 1
         params = nn_ring(n=20)
@@ -275,7 +278,7 @@ def test_energy_agrees_with_a_math_expm1_loop(lr_ring, nn_ring):
         want = scalar_energy(omega, t, math.expm1)
         assert_allclose(internal_energy(small, 1.5, t), want, rtol=1e-15, atol=0)
     params = lr_ring(n=1000)
-    for nu_t in (1.31 * params.nu_t_unit, 1.72 * params.nu_t_unit):
+    for nu_t in (1.31 * NU_T_UNIT, 1.72 * NU_T_UNIT):
         omega = build_spectrum(params, nu_t).omega
         for t in (1e-6, 0.2, 5.0):
             want = scalar_energy(omega, t, math.expm1)
@@ -284,7 +287,7 @@ def test_energy_agrees_with_a_math_expm1_loop(lr_ring, nn_ring):
 
 def test_witness_makes_one_expm1_call_per_temperature(lr_ring, monkeypatch):
     params = lr_ring(n=1000)
-    spec = build_spectrum(params, 1.31 * params.nu_t_unit)
+    spec = build_spectrum(params, 1.31 * NU_T_UNIT)
     expm1_calls = []
     expm1 = np.expm1
 
@@ -301,7 +304,7 @@ def test_witness_makes_one_expm1_call_per_temperature(lr_ring, monkeypatch):
 
     monkeypatch.setattr(np, "expm1", counted)
     monkeypatch.setattr(witness._Energy, "_evaluate", recorded)
-    warm = 0.2 * params.temperature_unit
+    warm = 0.2 * TEMPERATURE_UNIT
     reports = witness_reports(spec, (0.0, warm, 0.0, warm))
     assert reports[0] == reports[2] and reports[1] == reports[3]
     # T = 0 and the crossing search's temperatures are each evaluated once
@@ -309,35 +312,3 @@ def test_witness_makes_one_expm1_call_per_temperature(lr_ring, monkeypatch):
     positive = [t for t in evaluated if t > 0.0]
     assert len(positive) > 10
     assert len(expm1_calls) == len(positive)
-
-
-def witness_cells(model, n, mass, charge, spacing):
-    """(variant, U, bound, Tc) of each row of ``sweep --measures witness``
-    on both sides of the transition at two temperatures, in reduced units."""
-    params = _params_from_mapping({
-        "n": n, "model": model, "mass": mass, "charge": charge, "spacing": spacing,
-        "nu": 1.4142135623730951,
-    })
-    spec = SweepSpec(params=params, nu_t_grid=(1.0, 2.0), temperatures=(0.0, 0.3),
-                     measures=("witness",))
-    rows = run_sweep(spec)
-    assert all(row["error"] == "" for row in rows)
-    return [(row["configVariant"], row["U"], row["bound"], row["Tc"]) for row in rows]
-
-
-#: a raw mass, charge or spacing between 1e-3 and 1e3
-RAW_SCALE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
-
-
-@settings(max_examples=20, deadline=None, database=None)
-@given(mass=RAW_SCALE, charge=RAW_SCALE, spacing=RAW_SCALE)
-def test_reduced_witness_does_not_depend_on_the_raw_scale(mass, charge, spacing):
-    for model, n in (("NN", 8), ("LR", 12)):
-        want = witness_cells(model, n, 2.0, 1.0, 1.0)
-        got = witness_cells(model, n, mass, charge, spacing)
-        variants = [c[0] for c in got]
-        assert variants == [c[0] for c in want] == ["zigzag"] * 2 + ["linear"] * 2
-        assert_allclose([c[1:3] for c in got], [c[1:3] for c in want], rtol=1e-11, atol=0)
-        # each Tc is within brentq's tolerance TC_XTOL + 1e-10 Tc of the root
-        assert_allclose([c[3] for c in got], [c[3] for c in want], rtol=2e-10,
-                        atol=2 * witness.TC_XTOL)
