@@ -1083,6 +1083,16 @@ def test_a_floating_point_fault_ends_its_row(jobs):
         assert not {"inf", "nan"} & set(row.values())
 
 
+def test_a_non_finite_squared_frequency_is_a_numerical_failure(capsys):
+    # the squared axial trap overflows: the spectrum ends in exit 3, not in
+    # inf frequencies with exit 0
+    argv = ["spectrum", "--n", "8", "--nu", "1e160", "--nu-t", "1.5"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: OverflowError: ")
+
+
 def test_a_floating_point_fault_in_a_one_point_command_is_a_numerical_failure(capsys):
     rc, out, err = run(["covariance", "--n", "8", "--nu", "5e-324", "--nu-t", "2"], capsys)
     assert (rc, out) == (3, "")

@@ -15,7 +15,13 @@ from numpy.testing import assert_allclose
 
 from ionlattice import witness
 from ionlattice._solvers import brentq
-from ionlattice.cli import NU_T_UNIT, TEMPERATURE_UNIT
+from ionlattice.cli import (
+    NU_T_UNIT,
+    TEMPERATURE_UNIT,
+    SweepSpec,
+    _params_from_mapping,
+    run_sweep,
+)
 from ionlattice.errors import ConfigError
 from ionlattice.lattice import (
     LatticeParams,
@@ -312,3 +318,33 @@ def test_witness_makes_one_expm1_call_per_temperature(lr_ring, monkeypatch):
     positive = [t for t in evaluated if t > 0.0]
     assert len(positive) > 10
     assert len(expm1_calls) == len(positive)
+
+
+def witness_cells(model, n, mass, charge, spacing):
+    """(variant, U, bound, Tc) of each row of ``sweep --measures witness``
+    on both sides of the transition at two temperatures, in reduced units."""
+    params = _params_from_mapping({
+        "n": n, "model": model, "mass": mass, "charge": charge, "spacing": spacing,
+        "nu": 1.4142135623730951,
+    })
+    spec = SweepSpec(params=params, nu_t_grid=(1.0, 2.0), temperatures=(0.0, 0.3),
+                     measures=("witness",))
+    rows = run_sweep(spec)
+    assert all(row["error"] == "" for row in rows)
+    return [(row["configVariant"], row["U"], row["bound"], row["Tc"]) for row in rows]
+
+
+#: a raw mass, charge or spacing between 1e-3 and 1e3
+RAW_SCALE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(mass=RAW_SCALE, charge=RAW_SCALE, spacing=RAW_SCALE)
+def test_reduced_witness_does_not_depend_on_the_raw_scale(mass, charge, spacing):
+    # the library works in the units of (m, Q, a) = (2, 1, 1), so every
+    # reduced witness cell is the same number at any raw scale
+    for model, n in (("NN", 8), ("LR", 12)):
+        want = witness_cells(model, n, 2.0, 1.0, 1.0)
+        got = witness_cells(model, n, mass, charge, spacing)
+        assert [c[0] for c in got] == ["zigzag"] * 2 + ["linear"] * 2
+        assert got == want
