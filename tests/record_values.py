@@ -1,12 +1,12 @@
 """The value record: full-precision cells of the pinned command outputs.
 
-`tests/test_golden.py` pins the SHA-256 of eight command outputs and of the
+`tests/test_golden.py` pins the SHA-256 of ten command outputs and of the
 seed-0 sweep of each benchmark workload (perfbench/workloads.py). Those
 files print 12 significant digits, so a hash cannot tell a move in the last
 bits of a value from a real one. This module computes the cells of the same
 commands in process and at full precision: the rows of ``run_sweep`` for a
-sweep, and the ``ModeSpectrum``, ``BlockEntropyReport`` or
-``CovarianceMatrix`` that the other commands print. ``value_record.json``
+sweep, and the ``ModeSpectrum``, ``BlockEntropyReport``,
+``CovarianceMatrix`` or ``WitnessReport`` that the other commands print. ``value_record.json``
 holds them as recorded, and ``tests/test_value_record.py`` compares today's
 cells with it.
 
@@ -32,6 +32,7 @@ from ionlattice import cli  # noqa: E402
 from ionlattice.covariance import block_covariance  # noqa: E402
 from ionlattice.entanglement import block_entropy_profile  # noqa: E402
 from ionlattice.spectrum import build_spectrum  # noqa: E402
+from ionlattice.witness import witness_report  # noqa: E402
 
 RECORD = Path(__file__).with_name("value_record.json")
 
@@ -83,6 +84,12 @@ def cells(argv) -> tuple[list, list]:
                                    tuple(args.directions.split(",")))
             table = cov.matrix.tolist()
             columns = [f"{q}{s}{d}" for s, d in cov.modes for q in "qp"]
+        elif args.command == "witness":
+            rep = witness_report(params, nu_t, temperature)
+            omega = [w / cli.NU_T_UNIT for w in (rep.omega_x, rep.omega_y)]
+            u, bound, tc, triggered = cli._reduced_witness(rep)
+            table = [[*omega, bound, u, tc, triggered]]
+            columns = ["omegaX", "omegaY", "bound", "U", "Tc", "triggered"]
         else:
             raise ValueError(f"no value record for the {args.command} command")
     return columns, [[cell(v) for v in row] for row in table]

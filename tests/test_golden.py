@@ -5,8 +5,9 @@ file it writes with a recorded value. The cases cover both phases, zero and
 finite temperature, every finite sweep measure including the witness, the
 bulk-limit rows of the NN and the LR ring (closed forms above the
 transition, the large-ring stand-in for block entropies, the witness and
-the buckled side), the `spectrum` table and the two-direction `covariance`
-table. A refactor that moves any
+the buckled side), the `spectrum` table, the two-direction `covariance`
+table and the `witness` row of a buckled NN and a flat LR ring. A
+refactor that moves any
 printed digit, or the sign of a printed zero, fails here. So does one that
 moves a byte of the seed-0 CSV of a benchmark workload (perfbench/), whose
 SHA-256 the benchmark pins.
@@ -64,6 +65,15 @@ CASES = {
         ["covariance", *BASE, "--nu-t", "2.0", "--temp", "0.3", "--sites", "1,2,3",
          "--directions", "x,y"],
         "6387794d1ee552ab2b7a4e32bad49e1d54aca5fabadf5479925757efc51294b7",
+    ),
+    "witness-buckled": (
+        ["witness", *BASE, "--nu-t", "1.2", "--temp", "0.3"],
+        "d63735218dc54afe42d6e0a3daa4f883c5b8d75745c4026f378c34f2173759e9",
+    ),
+    "witness-flat-lr": (
+        ["witness", "--n", "12", "--model", "LR", "--mass", "2", "--charge", "1",
+         "--spacing", "1", "--nu", "1.4142135623730951", "--nu-t", "2.0", "--temp", "0.2"],
+        "277bd433641f052fe4d5479f05dc5c98c60b03d8965fd1059a0bf5a75c4a69f7",
     ),
 }
 

@@ -1,6 +1,6 @@
 """The value gate: today's cells of the pinned commands against the record.
 
-`tests/value_record.json` holds the full-precision cells of the eight golden
+`tests/value_record.json` holds the full-precision cells of the ten golden
 commands and of the seed-0 sweep of each benchmark workload (see
 `tests/record_values.py`). A number agrees with its recorded value within
 ``RTOL`` relative, or ``ATOL`` absolute near zero; text (variants, error
