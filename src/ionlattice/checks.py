@@ -3,8 +3,9 @@
 Each check builds a small ring from scratch and either compares two
 independent routes to the same quantity or tests a property the model
 must have: a pure ground state, the uncertainty floor, the refusal of a
-buckled odd ring. Only the ``check`` command imports this module, so no
-other command compiles it.
+buckled odd ring. Every value is in library units (see
+:mod:`ionlattice.lattice`). Only the ``check`` command imports this
+module, so no other command compiles it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 
 import numpy as np
 
-from .cli import TEMPERATURE_UNIT
 from .covariance import block_covariance, direct_covariance_oracle
 from .entanglement import symplectic_spectrum
 from .errors import ConfigError, DomainError
@@ -32,8 +32,7 @@ def _check_oracle_equivalence():
         params = LatticeParams(n=n, nu=1.0)
         crit = critical_potential(params)
         for fac in (1.5, 0.8):
-            for t_paper in (0.0, 0.5):
-                t = t_paper * TEMPERATURE_UNIT
+            for t in (0.0, 0.2):
                 a = block_covariance(params, fac * crit, t, sites=range(1, n + 1))
                 b = direct_covariance_oracle(params, fac * crit, t)
                 worst = max(worst, float(np.max(np.abs(a.matrix - b.matrix))))
@@ -116,8 +115,7 @@ def _check_uncertainty():
     worst = math.inf
     try:
         for fac in (1.5, 0.8):
-            for t_paper in (0.0, 0.4):
-                t = t_paper * TEMPERATURE_UNIT
+            for t in (0.0, 0.15):
                 for sites in ((1,), (1, 2), (1, 3, 5)):
                     cov = block_covariance(params, fac * crit, t, sites=sites)
                     spec = symplectic_spectrum(cov)

@@ -245,11 +245,13 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
     the chunk, and the block and witness cells follow, in that order.
     """
     axial = {}
+    # a bulk row's U and bound are per site of the stand-in ring
+    sites = TD_PROXY_N if spec.td_limit else 1
     with np.errstate(**_FP_FAULTS):
         points = [_point(spec, nu_t_paper, axial) for nu_t_paper in nu_t_papers]
         _block_cells(points)
         for point in points:
-            _witness_cells(point)
+            _witness_cells(point, sites)
     return [point.rows for point in points]
 
 
@@ -353,26 +355,27 @@ def _size_cells(points, size: int):
                 _fail([row], exc)
 
 
-def _reduced_witness(rep) -> tuple:
-    """(U, bound, Tc, U < bound) of a witness report in reduced units; the
-    comparison takes the library-unit U and bound, which the division
-    could tie."""
+def _reduced_witness(rep, sites: int = 1) -> tuple:
+    """(U, bound, Tc, U < bound) of a witness report in reduced units, U and
+    bound per ``sites`` sites (totals at 1); the comparison takes the
+    library-unit totals, which the divisions could tie."""
     tc = rep.critical_temperature
     return (
-        rep.internal_energy / NU_T_UNIT,
-        rep.bound / NU_T_UNIT,
+        rep.internal_energy / NU_T_UNIT / sites,
+        rep.bound / NU_T_UNIT / sites,
         None if tc is None else tc / TEMPERATURE_UNIT,
         rep.internal_energy < rep.bound,
     )
 
 
-def _witness_cells(point: _Point):
+def _witness_cells(point: _Point, sites: int):
     if isinstance(point.witness, Exception):
         _fail(point.rows, point.witness)
         return
     for rep, row in zip(point.witness or (), point.rows):
         if not row["error"]:
-            row["U"], row["bound"], row["Tc"], row["witnessTriggered"] = _reduced_witness(rep)
+            cells = _reduced_witness(rep, sites)
+            row["U"], row["bound"], row["Tc"], row["witnessTriggered"] = cells
 
 
 def _finite_point(params, measures, nu_t: float, config, temperatures, point: _Point,
@@ -454,27 +457,11 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _json_cell(value):
-    """The JSON value of a cell: a float as the number its CSV text reads,
-    or that text for an infinity or NaN."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        text = _format_cell(value)
-        return float(text) if math.isfinite(value) else text
-    return value
-
-
 def rows_to_csv(rows, columns=COLUMNS) -> str:
     cell = _format_cell
     lines = [",".join(columns)]
     lines += [",".join([cell(row[c]) for c in columns]) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows, columns=COLUMNS) -> str:
-    payload = [{c: _json_cell(row[c]) for c in columns} for row in rows]
-    return json.dumps({"rows": payload}, indent=2) + "\n"
 
 
 def _write(path: str, text: str, what: str):
@@ -507,9 +494,8 @@ def _emit(text: str, out: str | None):
 
 
 def _emit_rows(args, rows, columns=COLUMNS):
-    """Emit ``rows`` in the ``--format`` of ``args`` to its ``--out``."""
-    text = rows_to_csv(rows, columns) if args.format == "csv" else rows_to_json(rows, columns)
-    _emit(text, args.out)
+    """Emit ``rows`` as CSV to the ``--out`` of ``args``."""
+    _emit(rows_to_csv(rows, columns), args.out)
 
 
 # ------------------------------------------------------------------- parsing
@@ -670,7 +656,6 @@ def _add_param_flags(sub, grids=tuple(GRIDS)):
         sub.add_argument(flag, dest=dest,
                          help=f"{name} grid, reduced units: comma list or start:stop:count")
     sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 # --------------------------------------------------------------- subcommands
@@ -709,13 +694,7 @@ def _cmd_block_entropy(args) -> int:
         "spectrum": " ".join(_format_cell(r) for r in rep.spectrum),
         "droppedSoftModes": rep.dropped_soft_modes,
     }
-    if args.format == "json":
-        payload = dict(row)
-        payload["spectrum"] = [_json_cell(float(r)) for r in rep.spectrum]
-        payload["entropy"] = _json_cell(rep.entropy)
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(rows_to_csv([row], cols), args.out)
+    _emit_rows(args, [row], cols)
     return 0
 
 
@@ -746,16 +725,9 @@ def _cmd_covariance(args) -> int:
     if args.dump:
         text = "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in cov.matrix)
         _write(args.dump, text, "dump file")
-    if args.format == "json":
-        payload = {
-            "modes": [[s, d] for s, d in cov.modes],
-            "matrix": [[_json_cell(v) for v in r] for r in cov.matrix.tolist()],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        # one column per quadrature, interleaved as in the matrix
-        cols = tuple(f"{q}{s}{d}" for s, d in cov.modes for q in "qp")
-        _emit(rows_to_csv([dict(zip(cols, r)) for r in cov.matrix.tolist()], cols), args.out)
+    # one column per quadrature, interleaved as in the matrix
+    cols = tuple(f"{q}{s}{d}" for s, d in cov.modes for q in "qp")
+    _emit_rows(args, [dict(zip(cols, r)) for r in cov.matrix.tolist()], cols)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Command line layer: grids, units, formats, exit codes.
+"""Command line layer: grids, units, the CSV cell rule, exit codes.
 
 Everything crosses the CLI in reduced units (frequencies in sqrt(Q^2/m a^3),
 temperatures in half that), so these tests pin the conversion happening
@@ -28,7 +28,6 @@ from ionlattice.cli import (
     _parse_grid,
     main,
     rows_to_csv,
-    rows_to_json,
     run_sweep,
 )
 from ionlattice import _solvers, checks, cli, covariance, entanglement, lattice, spectrum, witness
@@ -131,16 +130,7 @@ def _reference_format_cell(value) -> str:
     return str(value)
 
 
-def _reference_json_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        text = _reference_format_cell(value)
-        return float(text) if math.isfinite(value) else text
-    return value
-
-
-def test_csv_and_json_equal_the_per_cell_rule_byte_for_byte():
+def test_csv_equals_the_per_cell_rule_byte_for_byte():
     """Every cell type a row can hold: extreme and signed Python floats,
     NumPy scalars, flags, integers, text and absent values."""
     cells = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan,
@@ -157,8 +147,6 @@ def test_csv_and_json_equal_the_per_cell_rule_byte_for_byte():
         + [",".join(_reference_format_cell(row[c]) for c in columns) for row in rows]
     ) + "\n"
     assert rows_to_csv(rows, columns) == want
-    payload = [{c: _reference_json_cell(row[c]) for c in columns} for row in rows]
-    assert rows_to_json(rows, columns) == json.dumps({"rows": payload}, indent=2) + "\n"
     for value in cells:
         assert _format_cell(value) == _reference_format_cell(value), repr(value)
 
@@ -168,25 +156,27 @@ def test_csv_header_matches_schema():
     assert text == ",".join(COLUMNS) + "\n"
 
 
-def test_csv_and_json_carry_identical_values():
-    rows = run_sweep(small_spec())
-    csv_rows = parse_csv(rows_to_csv(rows))
-    json_rows = json.loads(rows_to_json(rows))["rows"]
-    assert len(csv_rows) == len(json_rows) == 4
-    for crow, jrow in zip(csv_rows, json_rows):
-        for col in COLUMNS:
-            c, j = crow[col], jrow[col]
-            if c == "":
-                assert j in (None, "")
-            elif c in ("true", "false"):
-                assert j is (c == "true")
-            elif c in ("inf", "-inf", "nan"):
-                assert j == c
-            else:
-                try:
-                    assert float(c) == j
-                except ValueError:
-                    assert c == str(j)
+#: one point of each subcommand that prints a table
+TABLE_COMMANDS = {
+    "sweep": ["sweep", "--nu-t", "2.0"],
+    "spectrum": ["spectrum", "--nu-t", "2.0"],
+    "block-entropy": ["block-entropy", "--nu-t", "2.0"],
+    "witness": ["witness", "--nu-t", "2.0"],
+    "covariance": ["covariance", "--nu-t", "2.0"],
+}
+
+
+@pytest.mark.parametrize("command", list(TABLE_COMMANDS))
+def test_every_subcommand_prints_csv_and_takes_no_format_flag(command, capsys):
+    argv = [*TABLE_COMMANDS[command], *base_args()]
+    assert main(argv) == 0
+    # a header, then rows with as many cells
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 1 and all(line.count(",") == lines[0].count(",") for line in lines)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_parallel_rows_identical_to_serial():
@@ -650,7 +640,7 @@ def test_block_entropy_of_a_divergent_block_is_a_numerical_failure(capsys):
     assert "numerical failure:" in err and "non-finite" in err and "Traceback" not in err
 
 
-def test_covariance_csv_names_every_quadrature_and_json_agrees(capsys):
+def test_covariance_csv_names_every_quadrature(capsys):
     argv = ["covariance", *base_args(), "--nu-t", "1.2", "--temp", "0.3",
             "--sites", "1,2,3", "--directions", "x,y"]
     rc, text, _ = run(argv, capsys)
@@ -660,14 +650,6 @@ def test_covariance_csv_names_every_quadrature_and_json_agrees(capsys):
     assert header == [f"{q}{s}{d}" for s in (1, 2, 3) for d in "xy" for q in "qp"]
     rows = list(reader)
     assert len(rows) == 12 and all(None not in row and len(row) == 12 for row in rows)
-    rc, text, _ = run([*argv, "--format", "json"], capsys)
-    assert rc == 0
-    payload = json.loads(text)
-    # modes in header order: mode i owns columns 2i (q) and 2i + 1 (p)
-    assert [f"q{s}{d}" for s, d in payload["modes"]] == header[::2]
-    assert [f"p{s}{d}" for s, d in payload["modes"]] == header[1::2]
-    # both print 12 significant digits, so the values agree exactly
-    assert payload["matrix"] == [[float(row[c]) for c in header] for row in rows]
 
 
 def test_covariance_rejects_non_integer_sites(capsys):
@@ -705,13 +687,15 @@ def test_config_list_given_as_a_string_is_a_config_error(config, tmp_path, capsy
 def test_block_entropy_command(capsys):
     rc = main([
         "block-entropy", *base_args(), "--nu-t", "2.0", "--sites", "2",
-        "--direction", "y", "--format", "json",
+        "--direction", "y",
     ])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["nSites"] == 2 and payload["direction"] == "y"
-    assert payload["entropy"] >= 0.0
-    assert len(payload["spectrum"]) == 2
+    out = capsys.readouterr().out
+    assert out.split("\n")[0] == "nSites,direction,entropy,spectrum,droppedSoftModes"
+    [row] = parse_csv(out)
+    assert row["nSites"] == "2" and row["direction"] == "y"
+    assert float(row["entropy"]) >= 0.0
+    assert len(row["spectrum"].split(" ")) == 2
 
 
 def test_witness_command(capsys):
@@ -797,38 +781,62 @@ CLOSED_FORM_COLUMNS = ("S1x", "S2x", "S1y", "S2y", "ENx", "ENy", "SV1x", "SV1y",
                        "SV1xDivergent", "SV1yDivergent")
 
 
-def test_a_bulk_row_just_below_the_critical_point_is_the_stand_in_row(capsys):
+def test_a_bulk_row_just_below_the_critical_point_is_the_stand_in_row():
     """5e-13 below the bulk critical point the n = TD_PROXY_N stand-in ring
-    buckles, so every cell of the bulk row is that ring's finite row; no
-    row mixes closed-form flat cells with buckled stand-in cells. At a
-    flat point (reduced nuT 1.6) the bulk row is the stand-in's row but
-    for the cells with closed forms, which are those forms."""
+    buckles, so every cell of the bulk row is that ring's finite row, but U
+    and bound, which are per site: the stand-in's totals times 2**-12,
+    exactly. No row mixes closed-form flat cells with buckled stand-in
+    cells. At a flat point (reduced nuT 1.6) the bulk row is the stand-in's
+    row in the same way, but for the cells with closed forms, which are
+    those forms."""
     params, nu_t_paper = bulk_boundary_point(5e-13)
     with pytest.raises(ConfigError, match="flat configuration only"):
         covariance.td_pair_criteria(params, nu_t_paper * cli.NU_T_UNIT, 1, "y")
+    assert cli.TD_PROXY_N == 2**12
+    stand_in_ring = dataclasses.replace(params, n=cli.TD_PROXY_N)
     rows = {}
     for case, nu_t in (("buckled", nu_t_paper), ("flat", 1.6)):
-        point = ["--nu-t", repr(nu_t), "--measures", "negativity,entropy,blockEntropy2,witness"]
-        assert main(["sweep", *base_args(), *point, "--td-limit"]) == 0
-        bulk = capsys.readouterr().out
-        assert main(["sweep", *base_args(cli.TD_PROXY_N), *point]) == 0
-        rows[case] = bulk, capsys.readouterr().out
-    bulk, stand_in = rows["buckled"]
-    [row] = parse_csv(bulk)
-    assert row["configVariant"] == "zigzag" and float(row["b"]) > 0.0
-    assert row["error"] == "" and row["S1y"] != "" and row["bound"] != ""
-    assert bulk == stand_in
-    [row], [finite] = (parse_csv(text) for text in rows["flat"])
-    assert row["configVariant"] == "linear" and row["error"] == "" and row["SV2y"] != ""
+        spec = SweepSpec(params=params, nu_t_grid=(nu_t,), temperatures=(0.0,),
+                         measures=("negativity", "entropy", "blockEntropy2", "witness"),
+                         td_limit=True)
+        [bulk] = run_sweep(spec)
+        [stand_in] = run_sweep(dataclasses.replace(spec, params=stand_in_ring, td_limit=False))
+        for c in ("U", "bound"):
+            assert bulk[c] == stand_in[c] * 2.0**-12, (case, c)
+        rows[case] = bulk, stand_in
+    row, stand_in = rows["buckled"]
+    assert row["configVariant"] == "zigzag" and row["b"] > 0.0
+    assert row["error"] == "" and row["S1y"] is not None and row["bound"] is not None
     for c in COLUMNS:
-        if c not in CLOSED_FORM_COLUMNS:
-            assert row[c] == finite[c], c
+        if c not in ("U", "bound"):
+            assert row[c] == stand_in[c], c
+    row, stand_in = rows["flat"]
+    assert row["configVariant"] == "linear" and row["error"] == "" and row["SV2y"] is not None
+    for c in COLUMNS:
+        if c not in (*CLOSED_FORM_COLUMNS, "U", "bound"):
+            assert row[c] == stand_in[c], c
     nu_t = 1.6 * cli.NU_T_UNIT
     for d in ("x", "y"):
         s1, s2 = covariance.td_pair_criteria(params, nu_t, 1, d)
         r = covariance.td_single_site_eigenvalue(params, nu_t, d)
-        assert row[f"S1{d}"] == _format_cell(s1) and row[f"S2{d}"] == _format_cell(s2)
-        assert row[f"SV1{d}"] == _format_cell(entanglement.spectrum_entropy((r,)))
+        assert (row[f"S1{d}"], row[f"S2{d}"]) == (s1, s2)
+        assert row[f"SV1{d}"] == entanglement.spectrum_entropy((r,))
+        assert row[f"SV1{d}Divergent"] is False
+
+
+def test_bulk_rows_print_the_witness_per_site(capsys):
+    """The bulk row's U and bound are per site: on these gapped rings the
+    mode sums converge geometrically in n, so the n = 20 ring's totals over
+    20 sites already agree with them to 1e-10, and both print one Tc."""
+    point = ["--nu-t", "1.2,1.6", "--measures", "witness"]
+    assert main(["sweep", *base_args(20), *point, "--td-limit"]) == 0
+    bulk = parse_csv(capsys.readouterr().out)
+    assert main(["sweep", *base_args(20), *point]) == 0
+    finite = parse_csv(capsys.readouterr().out)
+    for b, f in zip(bulk, finite):
+        for c in ("U", "bound"):
+            assert_allclose(float(b[c]), float(f[c]) / 20, rtol=1e-10)
+        assert b["Tc"] == f["Tc"]
 
 
 def test_bulk_closed_forms_end_beyond_the_margin(capsys):

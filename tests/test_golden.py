@@ -34,7 +34,7 @@ CASES = {
     "sweep-td-limit": (
         ["sweep", *BASE, "--nu-t", "1.2,1.6", "--td-limit", "--measures",
          "negativity,entropy,blockEntropy2,witness"],
-        "3523502d9e0e1da548656f8dab6cd34bf0e73ed3fec42ff7d37f7f98eafedbbe",
+        "a6a7beaa99593d66f72dda18f963a0c119ce15701583e3575246123278b31546",
     ),
     # longer-range couplings (tau_max 4) through every bulk-limit quadrature
     "sweep-td-limit-lr": (
@@ -45,8 +45,8 @@ CASES = {
     ),
     "block-entropy-critical-soft-dropped": (
         ["block-entropy", *BASE, "--nu-t", "1.4142135623730951", "--sites", "2",
-         "--direction", "x", "--drop-soft-modes", "--format", "json"],
-        "c12ad3fd34bc1a0690429328dab9463b6079fdb4ae7af695cb758f81f215ad23",
+         "--direction", "x", "--drop-soft-modes"],
+        "effd9b4db9e8c7e674e18f2e7f319f5bf2c30f8ce2298432459f1bf94fb912c2",
     ),
     "spectrum-buckled": (
         ["spectrum", *BASE, "--nu-t", "1.2"],
