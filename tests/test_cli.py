@@ -658,6 +658,17 @@ def test_covariance_rejects_non_integer_sites(capsys):
     assert "configuration error: sites must be a comma list of integers" in err
 
 
+@pytest.mark.parametrize("directions", ["y,y", "x,y,x"])
+def test_covariance_rejects_a_repeated_direction(directions, capsys):
+    # a block names each mode once: y,y would print a singular matrix whose
+    # header names every mode twice
+    argv = ["covariance", *base_args(), "--nu-t", "2.0", "--sites", "1,2",
+            "--directions", directions]
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("configuration error: directions must be") and "each once" in err
+
+
 def test_empty_measures_flag_is_a_config_error(capsys):
     assert main(["sweep", *base_args(), "--nu-t", "2.0", "--measures", ""]) == 2
     captured = capsys.readouterr()
@@ -850,6 +861,18 @@ def test_bulk_closed_forms_end_beyond_the_margin(capsys):
     # the n = 4096 stand-in ring, just buckled
     assert row["configVariant"] == "zigzag"
     assert row["S1y"] != "" and row["error"] == ""
+
+
+def test_the_lr_bulk_row_just_above_the_critical_point_prints_its_values(capsys):
+    """ROADMAP item 12's LR reproducer, 1e-6 above the bulk critical point:
+    r1y is 1.9029559193 (a 2**20-site ring agrees) and S2y is finite, so
+    the row prints both and flags nothing Divergent."""
+    argv = ["sweep", "--nu", NU_PAPER, "--td-limit", "--n", "20", "--model", "LR",
+            "--nu-t", "1.4401660398107907", "--measures", "negativity,entropy"]
+    assert main(argv) == 0
+    [row] = parse_csv(capsys.readouterr().out)
+    assert row["error"] == "" and row["SV1yDivergent"] == "false"
+    assert (row["SV1y"], row["S2y"]) == ("0.899823266752", "7.83716740627")
 
 
 def test_division_by_zero_at_a_tiny_nu_t_ends_its_row_only(capsys):

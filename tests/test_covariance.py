@@ -189,6 +189,7 @@ def test_mode_ordering_and_shape(nn_ring):
         {"sites": (1,), "directions": ("z",)},
         {"sites": (1,), "directions": ()},
         {"sites": (1,), "temperature": -0.1},
+        {"sites": (1, 2), "directions": ("y", "y")},
     ],
 )
 def test_block_covariance_validation(nn_ring, kwargs):

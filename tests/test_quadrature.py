@@ -6,6 +6,7 @@ cos(alpha) on [0, pi/2], where every average below has an elementary
 antiderivative. Those closed forms are the oracles here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from ionlattice.covariance import (
     _bulk_dispersion,
     _bulk_integrands,
     _dispersion_sum,
+    block_covariance,
     pair_moments,
     td_pair_criteria,
     td_single_site_eigenvalue,
@@ -95,15 +97,13 @@ def test_weighted_inverse_flags_edge_divergence():
     assert "zone-edge" in got.reason
 
 
-def test_weighted_inverse_growth_detector():
-    # omega^2 = cos^8(a) vanishes at the edge too fast for the analytic
-    # precheck window, but a constant-plus-cos weight stays finite there;
-    # only the refinement watch can catch this one
-    got = integrate_inverse(
-        lambda a: 1.0 + math.cos(2 * a), lambda a: math.cos(a) ** 8
-    )
-    assert isinstance(got, Divergent)
-    assert "refinement" in got.reason
+def test_weighted_inverse_beyond_the_model_is_a_quadrature_failure():
+    # omega^2 = cos^8(a) has an eighth-order zero at the edge, where this
+    # model's branch has curvature: the analytic test does not apply, and
+    # the endpoint refinement never settles, so the average is refused,
+    # neither a number nor Divergent
+    with pytest.raises(QuadratureFailure):
+        integrate_inverse(lambda a: 1.0 + math.cos(2 * a), lambda a: math.cos(a) ** 8)
 
 
 @pytest.mark.parametrize("nu", [0.7, 1.0, 2.5])
@@ -150,6 +150,43 @@ def test_td_criteria_match_large_ring(nn_ring):
     s2_ring = 4.0 * mom.q_minus * mom.p_plus - 1.0
     assert_allclose(s1, s1_ring, atol=1e-3)
     assert_allclose(s2, s2_ring, atol=1e-3)
+
+
+@pytest.mark.parametrize("ring, eps", [("nn", 1e-7), ("nn", 1e-5), ("lr", 1e-6), ("lr", 1e-5)])
+def test_near_critical_bulk_values_match_a_large_ring(nn_ring, lr_ring, ring, eps):
+    # just above the transition the inverse averages are large but finite:
+    # a 2**16-site ring, converged here, gives the same r1y and (S1, S2)
+    params = nn_ring() if ring == "nn" else lr_ring()
+    nu_t = critical_potential(params, td_limit=True) * (1.0 + eps)
+    big = dataclasses.replace(params, n=2**16)
+    cov = block_covariance(big, nu_t, 0.0, (1,), directions=("y",)).matrix
+    mom = pair_moments(big, nu_t, 0.0, 1, "y")
+    s_ring = (4.0 * mom.q_plus * mom.p_minus - 1.0, 4.0 * mom.q_minus * mom.p_plus - 1.0)
+    r_ring = 2.0 * math.sqrt(np.linalg.det(cov))
+    assert_allclose(td_single_site_eigenvalue(params, nu_t, "y"), r_ring, rtol=1e-9)
+    assert_allclose(td_pair_criteria(params, nu_t, 1, "y"), s_ring, rtol=1e-9)
+
+
+@pytest.mark.parametrize("ring", ["nn", "lr"])
+def test_near_critical_bulk_values_are_never_divergent(nn_ring, lr_ring, ring):
+    # above the transition the zone-edge gap is open, so every average is
+    # finite: a call returns a number, or raises QuadratureFailure where the
+    # refinement misses its error target, and never reports Divergent
+    params = nn_ring() if ring == "nn" else lr_ring()
+    crit = critical_potential(params, td_limit=True)
+    values = []
+    for eps in np.logspace(-11, -2, 10):
+        nu_t = crit * (1.0 + eps)
+        for call in (
+            lambda: [td_single_site_eigenvalue(params, nu_t, "y")],
+            lambda: td_pair_criteria(params, nu_t, 1, "y"),
+        ):
+            try:
+                values.extend(call())
+            except QuadratureFailure:
+                pass
+    assert len(values) > 10 and all(isinstance(v, float) for v in values)
+    assert np.isfinite(values).all()
 
 
 def test_td_criteria_reject_buckled_regime(nn_ring):
