@@ -440,7 +440,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
 
 def _format_cell(value) -> str:
     """The CSV text of a cell: a float to 12 significant digits (inf, -inf
-    and nan as such), None as an empty cell, a flag as true or false."""
+    and nan as such), None as an empty cell, a flag as true or false, a
+    tuple as the texts of its items joined by spaces."""
     kind = value.__class__
     # the exact types of nearly every cell first; the general rules below
     # give each of them the same text
@@ -454,6 +455,8 @@ def _format_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.12g}"
+    if kind is tuple:
+        return " ".join([_format_cell(v) for v in value])
     return str(value)
 
 
@@ -491,11 +494,6 @@ def _emit(text: str, out: str | None):
         _write(out, text, "output")
     else:
         sys.stdout.write(text)
-
-
-def _emit_rows(args, rows, columns=COLUMNS):
-    """Emit ``rows`` as CSV to the ``--out`` of ``args``."""
-    _emit(rows_to_csv(rows, columns), args.out)
 
 
 # ------------------------------------------------------------------- parsing
@@ -659,15 +657,14 @@ def _add_param_flags(sub, grids=tuple(GRIDS)):
 
 
 # --------------------------------------------------------------- subcommands
+# Each CSV subcommand returns its (rows, columns); ``main`` prints them.
 
 
-def _cmd_sweep(args) -> int:
-    spec = _spec_from_args(args)
-    _emit_rows(args, run_sweep(spec, jobs=args.jobs))
-    return 0
+def _sweep_rows(args) -> tuple:
+    return run_sweep(_spec_from_args(args), jobs=args.jobs), COLUMNS
 
 
-def _cmd_spectrum(args) -> int:
+def _spectrum_rows(args) -> tuple:
     cfg, params = _load(args)
     spec = build_spectrum(params, _single(args, cfg, "nuT") * NU_T_UNIT)
     cols = ("l", "variant", "omegaX", "omegaY", "omegaV", "omegaW")
@@ -677,28 +674,25 @@ def _cmd_spectrum(args) -> int:
         row = dict.fromkeys(cols)
         row.update({"l": l, "variant": spec.variant.value, **dict(zip(names, freqs))})
         rows.append(row)
-    _emit_rows(args, rows, cols)
-    return 0
+    return rows, cols
 
 
-def _cmd_block_entropy(args) -> int:
+def _block_entropy_rows(args) -> tuple:
     params, nu_t, temperature = _point_from_args(args)
     rep = block_entropy_profile(
         params, nu_t, temperature, args.sites, args.direction, args.drop_soft_modes
     )
-    cols = ("nSites", "direction", "entropy", "spectrum", "droppedSoftModes")
     row = {
         "nSites": args.sites,
         "direction": args.direction,
         "entropy": rep.entropy,
-        "spectrum": " ".join(_format_cell(r) for r in rep.spectrum),
+        "spectrum": rep.spectrum,
         "droppedSoftModes": rep.dropped_soft_modes,
     }
-    _emit_rows(args, [row], cols)
-    return 0
+    return [row], tuple(row)
 
 
-def _cmd_witness(args) -> int:
+def _witness_rows(args) -> tuple:
     params, nu_t, temperature = _point_from_args(args)
     rep = witness_report(params, nu_t, temperature)
     u, bound, tc, below = _reduced_witness(rep)
@@ -710,11 +704,10 @@ def _cmd_witness(args) -> int:
         "Tc": tc,
         "triggered": below,
     }
-    _emit_rows(args, [row], tuple(row))
-    return 0
+    return [row], tuple(row)
 
 
-def _cmd_covariance(args) -> int:
+def _covariance_rows(args) -> tuple:
     params, nu_t, temperature = _point_from_args(args)
     try:
         sites = tuple(int(s) for s in args.sites.split(","))
@@ -727,11 +720,10 @@ def _cmd_covariance(args) -> int:
         _write(args.dump, text, "dump file")
     # one column per quadrature, interleaved as in the matrix
     cols = tuple(f"{q}{s}{d}" for s, d in cov.modes for q in "qp")
-    _emit_rows(args, [dict(zip(cols, r)) for r in cov.matrix.tolist()], cols)
-    return 0
+    return [dict(zip(cols, r)) for r in cov.matrix.tolist()], cols
 
 
-def _cmd_check(args) -> int:
+def _run_checks() -> int:
     from .checks import run_check_suite
 
     results = run_check_suite()
@@ -760,32 +752,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--td-limit", action="store_true", dest="td_limit",
                        help="bulk-limit evaluation (temperature grid must be [0])")
     sweep.add_argument("--jobs", type=int, default=1)
-    sweep.set_defaults(func=_cmd_sweep)
+    sweep.set_defaults(rows=_sweep_rows)
 
     spectrum = subs.add_parser("spectrum", help="normal-mode frequencies at one point")
     _add_param_flags(spectrum, grids=("nuT",))
-    spectrum.set_defaults(func=_cmd_spectrum)
+    spectrum.set_defaults(rows=_spectrum_rows)
 
     blocke = subs.add_parser("block-entropy", help="entropy of a block of sites")
     _add_param_flags(blocke)
     blocke.add_argument("--sites", type=int, default=1, help="block size")
     blocke.add_argument("--direction", choices=["x", "y"], default="y")
     blocke.add_argument("--drop-soft-modes", action="store_true")
-    blocke.set_defaults(func=_cmd_block_entropy)
+    blocke.set_defaults(rows=_block_entropy_rows)
 
     witness = subs.add_parser("witness", help="energy witness at one point")
     _add_param_flags(witness)
-    witness.set_defaults(func=_cmd_witness)
+    witness.set_defaults(rows=_witness_rows)
 
     covariance = subs.add_parser("covariance", help="covariance matrix of chosen sites")
     _add_param_flags(covariance)
     covariance.add_argument("--sites", default="1,2", help="comma list of site indices")
     covariance.add_argument("--directions", default="x,y")
     covariance.add_argument("--dump", help="write full-precision matrix to this path")
-    covariance.set_defaults(func=_cmd_covariance)
+    covariance.set_defaults(rows=_covariance_rows)
 
-    check = subs.add_parser("check", help="run the internal consistency suite")
-    check.set_defaults(func=_cmd_check)
+    subs.add_parser("check", help="run the internal consistency suite")
     return parser
 
 
@@ -798,7 +789,11 @@ def main(argv=None) -> int:
             if path:
                 _check_writable(path, what)
         with np.errstate(**_FP_FAULTS):
-            return args.func(args)
+            if args.command == "check":
+                return _run_checks()
+            rows, columns = args.rows(args)
+        _emit(rows_to_csv(rows, columns), args.out)
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

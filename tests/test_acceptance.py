@@ -17,6 +17,11 @@ traps with the zone-edge coupling sum (4 Q^2 / m) sum d_tau where the site
 diagonal is (2 Q^2 / m) sum d_tau (corrected, the reading is 0.4163), and
 nothing in the repository derives the 0.12 anchor or its temperature unit.
 
+Beside criterion 01, two plain tests check how the bulk values approach the
+transition from the flat side: the derivative of the neighbour negativity
+diverges as a ln(eps) and the squared single-site symplectic eigenvalue grows
+as b ln(1/eps), with a and b fixed by band averages at the critical trap.
+
 Beside criterion 03, three plain tests check the block entropy at and near
 the transition, at zero and finite temperature, against the c = 1 laws
 that conformal field theory fixes, which the code does not itself encode.
@@ -43,13 +48,12 @@ from ionlattice.entanglement import (
     separability_criteria,
     symplectic_spectrum,
 )
-from ionlattice.errors import DomainError
+from ionlattice.errors import Divergent, DomainError
 from ionlattice.lattice import (
     LatticeParams,
     critical_potential,
     solve_equilibrium,
 )
-from ionlattice.quadrature import Divergent
 from ionlattice.witness import critical_temperature
 
 ROOT_HALF = math.sqrt(0.5)
@@ -84,6 +88,58 @@ def test_criterion_01_bulk_critical_negativity(record_criterion, capsys):
         1, ok, f"S1={s1:.9f} (expect {s1_expect:.9f}), "
         f"EN={en:.9f} (expect {en_expect:.9f}), {elapsed:.2f}s",
     )
+
+
+def _band_slopes(tau_max, points=2**18):
+    """(a, b) of the bulk transition from band averages at the critical trap,
+    by a midpoint rule on the flat transverse branch
+    omega^2 = nu_c^2 - 1/2 sum_tau (1 - cos k tau) / tau^3, which is written
+    here independently of the library's spectrum. Near the zone edge
+    k = pi + q it reads g^2 + c q^2 with g^2 = nu_t^2 - nu_c^2; the g^2 ln g
+    terms of A = <(1 + cos k) / omega> and B = <(1 - cos k) omega> give the
+    negativity slope a, and <omega> the site-variance slope b."""
+    k = (np.arange(points) + 0.5) * (2.0 * math.pi / points)
+    taus = range(1, tau_max + 1)
+    nu_c2 = sum(1.0 / tau**3 for tau in taus if tau % 2)
+    omega = np.sqrt(nu_c2 - 0.5 * sum((1.0 - np.cos(tau * k)) / tau**3 for tau in taus))
+    c = 0.25 * sum((-1.0) ** (tau + 1) / tau for tau in taus)
+    a_c = np.mean((1.0 + np.cos(k)) / omega)
+    b_c = np.mean((1.0 - np.cos(k)) * omega)
+    a = -0.5 * math.sqrt(nu_c2) * (
+        1.0 / (4.0 * math.pi * c**1.5 * a_c) - 1.0 / (math.pi * math.sqrt(c) * b_c))
+    b = np.mean(omega) / (2.0 * math.pi * math.sqrt(c))
+    return float(a), float(b)
+
+
+#: the NN slopes in closed form: A_c = 4/pi, B_c = 4/(3 pi), <omega>_c = 2/pi
+NN_SLOPES = (0.5, 2.0 / math.pi**2)
+
+
+def test_the_band_averages_give_the_nn_slopes_in_closed_form():
+    assert _band_slopes(1) == pytest.approx(NN_SLOPES, rel=1e-9)
+
+
+@pytest.mark.parametrize("tau_max", [1, 4])
+def test_the_bulk_negativity_slope_and_site_variance_grow_as_log_eps(tau_max):
+    """On a 2^16-site ring at T = 0 and nu_t = crit (1 + eps),
+    dENy/dnu_t = a ln(eps) + O(1) and r1y^2 = b ln(1/eps) + O(1): per decade
+    of eps the central-difference slope changes by a ln 10 and r1y^2 by
+    b ln 10. At eps >= 1e-8 the correlation length (about 3,500 sites at
+    1e-8) is far below the ring; at 1e-5 the O(eps) terms still show."""
+    params = LatticeParams(n=2**16, nu=1.0, tau_max=tau_max)
+    crit = critical_potential(params)
+    want = NN_SLOPES if tau_max == 1 else _band_slopes(tau_max)
+    slope, variance = {}, {}
+    for eps in (1e-6, 1e-7, 1e-8):
+        nu_t, h = crit * (1.0 + eps), 1e-2 * crit * eps
+        slope[eps] = (_eny(params, nu_t + h, 0.0) - _eny(params, nu_t - h, 0.0)) / (2.0 * h)
+        cov = block_covariance(params, nu_t, 0.0, sites=(1,), directions=("y",))
+        variance[eps] = float(symplectic_spectrum(cov)[0]) ** 2
+    for hi, lo in ((1e-6, 1e-7), (1e-7, 1e-8)):
+        a = (slope[hi] - slope[lo]) / math.log(hi / lo)
+        b = (variance[lo] - variance[hi]) / math.log(hi / lo)
+        assert abs(a - want[0]) < 1e-3, (hi, lo, a, want[0])
+        assert abs(b - want[1]) < 1e-3, (hi, lo, b, want[1])
 
 
 def test_criterion_02_critical_potentials(record_criterion, nn_ring, lr_ring):

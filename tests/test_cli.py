@@ -117,6 +117,7 @@ def test_format_cell():
     assert _format_cell(np.bool_(True)) == "true"
     assert _format_cell(np.float64(0.25)) == "0.25"
     assert _format_cell("zigzag") == "zigzag"
+    assert _format_cell((1.0 / 3.0, np.float64(0.25), math.inf)) == "0.333333333333 0.25 inf"
 
 
 def _reference_format_cell(value) -> str:
@@ -1112,6 +1113,18 @@ def test_a_floating_point_fault_ends_its_row(jobs):
     for row in parse_csv(out):
         assert row["error"] == "FloatingPointError: overflow encountered in divide"
         assert not {"inf", "nan"} & set(row.values())
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: up*log(up) - dn*log(dn) is "
+                   "inf - inf at r = 4.2e307; the stable form gives 708.64")
+def test_a_huge_temperature_prints_no_nan_entropy():
+    """At T = 1e308 the x block's symplectic eigenvalue is 4.2e307, whose
+    entropy is finite (708.64), so no entropy cell may print nan."""
+    argv = ["sweep", "--n", "5", "--nu", "2", "--nu-t", "20", "--temp", "1e308",
+            "--measures", "entropy,negativity"]
+    _, out, _ = printed(argv)
+    for row in parse_csv(out):
+        assert [c for c, v in row.items() if c.startswith("SV") and v == "nan"] == []
 
 
 def test_a_non_finite_squared_frequency_is_a_numerical_failure(capsys):

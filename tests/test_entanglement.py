@@ -16,8 +16,7 @@ from ionlattice.entanglement import (
     symplectic_spectra,
     symplectic_spectrum,
 )
-from ionlattice.errors import ConfigError, DomainError, NumericalFailure
-from ionlattice.quadrature import Divergent
+from ionlattice.errors import ConfigError, Divergent, DomainError, NumericalFailure
 from ionlattice.spectrum import symplectic_form
 
 

@@ -24,11 +24,10 @@ from ionlattice.covariance import (
     td_pair_criteria,
     td_single_site_eigenvalue,
 )
-from ionlattice.errors import ConfigError, QuadratureFailure
+from ionlattice.errors import ConfigError, Divergent, QuadratureFailure
 from ionlattice.lattice import critical_potential
 from ionlattice.quadrature import (
     HALF_PI,
-    Divergent,
     integrate_weighted_frequency,
     integrate_weighted_inverse,
 )

@@ -5,9 +5,13 @@ commands and of the seed-0 sweep of each benchmark workload (see
 `tests/record_values.py`). A number agrees with its recorded value within
 ``RTOL`` relative, or ``ATOL`` absolute near zero; text (variants, error
 cells), flags (the ``Divergent`` columns), integers, empty cells and
-non-finite values agree only when they are identical. So a change that moves
-the last bits of a value passes, and one that moves a printed digit, flips a
-flag or changes an error fails, even where the 12-digit CSV hides the move.
+non-finite values agree only when they are identical, and a list cell (the
+``block-entropy`` spectrum) agrees item by item under the same rule. So a
+change that moves the last bits of a value passes, and one that moves a
+printed digit, flips a flag or changes an error fails, even where the
+12-digit CSV hides the move.
+Formatted by the cell rule, each entry's rows are the pinned CSV itself: the
+record and the SHA-256 of `tests/test_golden.py` are re-pinned together.
 
 A change that moves a cell on purpose beyond the tolerance lists it in
 ``INTENDED_MOVES`` with its reason, runs this gate against the old record,
@@ -17,10 +21,13 @@ record fails the gate, so no entry outlives its move.
 """
 
 import copy
+import hashlib
 
 import pytest
 
 import record_values
+import test_golden
+from ionlattice import cli
 
 #: relative agreement demanded of every recorded number
 RTOL = 1e-12
@@ -39,6 +46,8 @@ RECORD = record_values.load()
 def agree(want, got) -> bool:
     if type(want) is float and type(got) is float:
         return abs(got - want) <= max(RTOL * abs(want), ATOL)
+    if type(want) is list and type(got) is list:
+        return len(want) == len(got) and all(map(agree, want, got))
     return type(want) is type(got) and want == got
 
 
@@ -60,6 +69,33 @@ def test_the_record_holds_every_pinned_command():
     """The record's commands are the golden cases and the seed-0 workload
     sweeps, in that order, so neither list can drift from the other."""
     assert [(e["name"], e["argv"]) for e in RECORD] == list(record_values.commands().items())
+
+
+def printed(value):
+    """A recorded cell as the command holds it before the cell rule: a list
+    as a tuple, the text of a non-finite float as that float."""
+    if type(value) is list:
+        return tuple(map(printed, value))
+    if value in ("inf", "-inf", "nan"):
+        return float(value)
+    return value
+
+
+def pinned_sha256(name: str) -> str:
+    """The SHA-256 `tests/test_golden.py` pins for a recorded command."""
+    if name.startswith("workload-"):
+        return test_golden.WORKLOADS.REFERENCE_SHA256[name.removeprefix("workload-")]
+    return test_golden.CASES[name][1]
+
+
+@pytest.mark.parametrize("entry", RECORD, ids=[e["name"] for e in RECORD])
+def test_the_record_is_what_the_command_prints(entry):
+    """The recorded rows, formatted by the cell rule, are the bytes whose
+    SHA-256 the golden tests pin, so neither pin can be re-pinned alone."""
+    columns = entry["columns"]
+    rows = [dict(zip(columns, map(printed, row))) for row in entry["rows"]]
+    text = cli.rows_to_csv(rows, columns)
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned_sha256(entry["name"])
 
 
 @pytest.mark.parametrize("entry", RECORD, ids=[e["name"] for e in RECORD])
