@@ -33,6 +33,7 @@ from .lattice import (
     critical_potential,
     solve_equilibrium,
     taylor_coefficients,
+    _read_only,
 )
 from .quadrature import (
     HALF_PI,
@@ -129,11 +130,6 @@ def _weighted_mode_sums(kern, factors, phase_weights, n):
     return total
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
-
-
 # The phase weights depend on the ring size and the site distance only, so
 # every working point and temperature shares them; the cached arrays are
 # read-only because every caller gets the same one. A sweep uses a handful
@@ -186,8 +182,9 @@ def moment_table(
     :func:`block_covariance`).
     """
     temperatures = tuple(temperatures)
-    if any(t < 0 for t in temperatures):
-        raise ConfigError("temperatures must be non-negative")
+    # written so that a NaN fails it
+    if not all(0 <= t < math.inf for t in temperatures):
+        raise ConfigError("temperatures must be non-negative and finite")
     factors = _mode_factors(spec.omega, temperatures)
     return MomentTable(
         spec, temperatures, _direction_kernels(spec, drop_soft_modes), np.stack(factors, axis=1)
@@ -407,8 +404,8 @@ def direct_covariance_oracle(
     n = params.n
     if n > DENSE_SITE_LIMIT:
         raise ConfigError(f"dense oracle supports n <= {DENSE_SITE_LIMIT}, got {n}")
-    if temperature < 0:
-        raise ConfigError("temperature must be non-negative")
+    if not 0 <= temperature < math.inf:
+        raise ConfigError("temperature must be non-negative and finite")
     config = solve_equilibrium(params, nu_t)
     coeff = taylor_coefficients(params, config)
 

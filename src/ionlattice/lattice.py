@@ -130,11 +130,24 @@ def critical_potential(params: LatticeParams, td_limit: bool = False) -> float:
     return math.sqrt(-wy2.min())
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+# The root-find of an LR ring's buckling displacement asks for these squares
+# at every step; the cached array is read-only because every caller gets the
+# same one.
+@functools.lru_cache(maxsize=64)
+def _odd_squares(tau_max: int) -> np.ndarray:
+    """tau^2 over odd tau <= tau_max."""
+    return _read_only(np.arange(1, tau_max + 1, 2, dtype=float) ** 2)
+
+
 def _force_balance(params: LatticeParams, nu_t: float, b: float) -> float:
     """nu_t^2 - sum_{tau odd} (tau^2 + b^2)^(-3/2), the transverse force
     balance at displacement b; zero at equilibrium."""
-    taus = np.arange(1, params.tau_max + 1, 2, dtype=float)
-    pull = float(np.sum((taus**2 + b**2) ** -1.5))
+    pull = float(np.sum((_odd_squares(params.tau_max) + b**2) ** -1.5))
     return nu_t**2 - pull
 
 
@@ -219,6 +232,28 @@ def taylor_coefficients(params: LatticeParams, config: Configuration) -> Couplin
     )
 
 
+# The trig tables of tilde_frequencies depend on the ring size and the
+# neighbour distance only, so every nu_t of a ring shares them; the cached
+# arrays are read-only because every caller gets the same one. A flat ring
+# needs only the sin^2 table. A sweep uses tau_max of each per ring size.
+def _phases(n: int, tau: int) -> np.ndarray:
+    """pi l tau / n for l = 1 .. n."""
+    ls = np.arange(1, n + 1, dtype=float)
+    return np.pi * ls * tau / n
+
+
+@functools.lru_cache(maxsize=128)
+def _sin2_table(n: int, tau: int) -> np.ndarray:
+    return _read_only(np.sin(_phases(n, tau)) ** 2)
+
+
+@functools.lru_cache(maxsize=128)
+def _buckled_tables(n: int, tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos^2 and sin(2 phase) of an odd tau in the buckled frame."""
+    phase = _phases(n, tau)
+    return _read_only(np.cos(phase) ** 2), _read_only(np.sin(2.0 * phase))
+
+
 def tilde_frequencies(
     params: LatticeParams, config: Configuration, nu_t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,17 +273,16 @@ def tilde_frequencies(
     source of the flat spectrum and of the finite ring's critical trap.
     """
     coeff = taylor_coefficients(params, config)
-    ls = np.arange(1, params.n + 1, dtype=float)
     wx2 = np.full(params.n, params.nu**2)
     wy2 = np.full(params.n, nu_t**2)
     wxy = np.zeros(params.n)
-    for i, tau in enumerate(coeff.tau):
-        phase = np.pi * ls * tau / params.n
-        sin2 = np.sin(phase) ** 2
+    for i, tau in enumerate(coeff.tau.tolist()):
+        sin2 = _sin2_table(params.n, tau)
         wx2 += 2.0 * coeff.dx[i] * sin2
         if config.variant is Variant.ZIGZAG and tau % 2 == 1:
-            wy2 += 2.0 * coeff.dy[i] * np.cos(phase) ** 2
-            wxy += 0.5 * coeff.dxy[i] * np.sin(2.0 * phase)
+            cos2, sin_double = _buckled_tables(params.n, tau)
+            wy2 += 2.0 * coeff.dy[i] * cos2
+            wxy += 0.5 * coeff.dxy[i] * sin_double
         else:
             wy2 += 2.0 * coeff.dy[i] * sin2
     return wx2, wy2, wxy

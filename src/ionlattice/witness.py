@@ -11,6 +11,11 @@ dressed by the full coupling row (library units, see
 :mod:`ionlattice.lattice`). The x-y cross coupling of the
 buckled phase alternates with the site parity over odd tau, so on every
 site its two neighbour terms cancel and it adds nothing to the bound.
+
+U(T) sums omega (1 / expm1(omega / T) + 1/2) over the positive modes in
+one pass, and T over the zero modes, left to right in mode order; past
+omega / T of about 37 a term is omega / 2 exactly, so no cut-off is needed.
+The crossing temperature Tc is a root-find on U(T) minus the bound.
 """
 
 from __future__ import annotations
@@ -24,11 +29,6 @@ from ._solvers import brentq
 from .errors import ConfigError, DomainError, NoConvergence
 from .lattice import Configuration, LatticeParams, solve_equilibrium, taylor_coefficients
 from .spectrum import ModeSpectrum, build_spectrum
-
-#: beyond this omega / T the Bose occupation 1 / expm1(omega / T) is far below
-#: one ulp of 1/2, so a mode carries exactly omega / 2; expm1 itself overflows
-#: past about 709.8
-_BOSE_NEGLIGIBLE = 700.0
 
 #: absolute tolerance of the crossing temperature Tc, in library units
 TC_XTOL = 2e-12
@@ -57,14 +57,21 @@ def _bound(n: int, omega_x: float, omega_y: float) -> float:
 
 
 class _Energy:
-    """U(T) of the modes ``omega`` (a flat array): one ``np.expm1`` call per
-    temperature, and the terms summed left to right in mode order as a scalar
-    loop over the modes would. No temperature is evaluated twice.
+    """U(T) of the modes ``omega`` (a flat array), summed left to right in
+    mode order as a scalar loop over the modes would. No temperature is
+    evaluated twice.
+
+    At T > 0 every positive mode carries omega (1 / expm1(omega / T) + 1/2),
+    in one pass over them. Past omega / T of about 37 the Bose term is below
+    half an ulp of 1/2, so the mode carries omega / 2 exactly; that holds
+    also where expm1 overflows to inf, past about 709.8.
     """
 
     def __init__(self, omega: np.ndarray):
-        self._omega = omega
         self._positive = omega > 0.0
+        # only a critical point has modes that are not positive
+        self._all_positive = bool(self._positive.all())
+        self._warm = omega if self._all_positive else omega[self._positive]
         self._memo = {}
 
     def __call__(self, temperature: float) -> float:
@@ -74,21 +81,26 @@ class _Energy:
         return self._memo[key]
 
     def _evaluate(self, temperature: float) -> float:
-        omega = self._omega
-        # a zero mode takes the equipartition kinetic share T only
-        terms = np.where(self._positive, 0.5 * omega, temperature)
+        warm = self._warm
         if temperature > 0.0:
-            with np.errstate(over="ignore"):  # inf at a subnormal T: the cold limit
-                x = omega / temperature
-            warm = self._positive & (x <= _BOSE_NEGLIGIBLE)
-            terms[warm] = omega[warm] * (1.0 / np.expm1(x[warm]) + 0.5)
+            # inf at a subnormal T or past the range of expm1: the cold limit
+            with np.errstate(over="ignore"):
+                bose = np.expm1(warm / temperature)
+            terms = warm * (1.0 / bose + 0.5)
+        else:
+            terms = 0.5 * warm
+        if not self._all_positive:
+            # a zero mode takes the equipartition kinetic share T only
+            warm_terms, terms = terms, np.full(self._positive.shape, temperature, dtype=float)
+            terms[self._positive] = warm_terms
         return float(np.add.accumulate(terms)[-1])
 
 
 def internal_energy(params: LatticeParams, nu_t: float, temperature: float) -> float:
     """Thermal internal energy U(T) summed over all normal modes."""
-    if temperature < 0:
-        raise ConfigError("temperature must be non-negative")
+    # written so that a NaN fails it
+    if not 0 <= temperature < math.inf:
+        raise ConfigError("temperature must be non-negative and finite")
     return _Energy(build_spectrum(params, nu_t).omega.ravel())(temperature)
 
 
@@ -147,8 +159,9 @@ def witness_report(params: LatticeParams, nu_t: float, temperature: float) -> Wi
 def witness_reports(spec: ModeSpectrum, temperatures) -> list[WitnessReport]:
     """The witness at every temperature of one mode spectrum; the bound and
     the crossing temperature do not depend on T and are evaluated once."""
-    if any(t < 0 for t in temperatures):
-        raise ConfigError("temperature must be non-negative")
+    # written so that a NaN fails it
+    if not all(0 <= t < math.inf for t in temperatures):
+        raise ConfigError("temperature must be non-negative and finite")
     params = spec.params
     wx, wy = effective_frequencies(params, spec.nu_t, spec.config)
     bound = _bound(params.n, wx, wy)

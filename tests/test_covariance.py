@@ -172,6 +172,18 @@ def test_dense_oracle_refuses_a_negative_temperature(nn_ring):
         direct_covariance_oracle(nn_ring(n=8), 1.5, -0.1)
 
 
+@pytest.mark.parametrize("temperature", [math.nan, math.inf])
+def test_a_non_finite_temperature_is_a_config_error(nn_ring, temperature):
+    # a NaN would pass a t < 0 test, and T = inf would give p_plus 0.0
+    params = nn_ring(n=8)
+    with pytest.raises(ConfigError, match="temperatures must be non-negative and finite"):
+        moment_table(build_spectrum(params, 1.5), (0.0, temperature))
+    with pytest.raises(ConfigError, match="temperatures must be non-negative and finite"):
+        pair_moments(params, 1.5, temperature, 1, "y")
+    with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
+        direct_covariance_oracle(params, 1.5, temperature)
+
+
 def test_mode_ordering_and_shape(nn_ring):
     params = nn_ring(n=8)
     cov = block_covariance(params, 1.3, 0.0, (3, 5), directions=("y",))

@@ -88,6 +88,64 @@ def test_coulomb_constant(nn_ring, lr_ring):
         assert_allclose(wx2[params.n // 2 - 1], params.nu**2 + 2.0 * odd_sum, rtol=1e-15)
 
 
+def uncached_tilde_frequencies(params, config, nu_t):
+    """tilde_frequencies with every trig table computed afresh."""
+    coeff = taylor_coefficients(params, config)
+    ls = np.arange(1, params.n + 1, dtype=float)
+    wx2 = np.full(params.n, params.nu**2)
+    wy2 = np.full(params.n, nu_t**2)
+    wxy = np.zeros(params.n)
+    for i, tau in enumerate(coeff.tau):
+        phase = np.pi * ls * tau / params.n
+        sin2 = np.sin(phase) ** 2
+        wx2 += 2.0 * coeff.dx[i] * sin2
+        if config.variant is Variant.ZIGZAG and tau % 2 == 1:
+            wy2 += 2.0 * coeff.dy[i] * np.cos(phase) ** 2
+            wxy += 0.5 * coeff.dxy[i] * np.sin(2.0 * phase)
+        else:
+            wy2 += 2.0 * coeff.dy[i] * sin2
+    return wx2, wy2, wxy
+
+
+@pytest.mark.parametrize("n,tau_max,crit_mult", [
+    (20, 1, 0.8), (20, 1, 1.5), (21, 1, 1.5), (1000, 4, 0.8), (1000, 4, 1.5),
+    (33, 4, 1.5), (4096, 1, 1.2), (4096, 4, 0.9),
+])
+def test_tilde_frequencies_equal_the_uncached_expression_bit_for_bit(n, tau_max, crit_mult):
+    params = LatticeParams(n=n, nu=1.2, tau_max=tau_max)
+    nu_t = crit_mult * critical_potential(params, td_limit=True)
+    config = solve_equilibrium(params, nu_t)
+    assert config.variant is (Variant.ZIGZAG if crit_mult < 1 else Variant.LINEAR)
+    lattice._sin2_table.cache_clear()
+    lattice._buckled_tables.cache_clear()
+    want = [w.tobytes() for w in uncached_tilde_frequencies(params, config, nu_t)]
+    # a fresh table, then the cached one; a caller's in-place update of the
+    # returned arrays leaves the cache as it was
+    for _ in range(2):
+        got = tilde_frequencies(params, config, nu_t)
+        assert [g.tobytes() for g in got] == want
+        for g in got:
+            g += 1.0
+    # the force balance of the root-find reads its odd squares from a cache
+    taus = np.arange(1, tau_max + 1, 2, dtype=float)
+    for b in (0.0, config.b, 3.7):
+        pull = float(np.sum((taus**2 + b**2) ** -1.5))
+        assert lattice._force_balance(params, nu_t, b).hex() == (nu_t**2 - pull).hex()
+
+
+def test_cached_trig_tables_are_read_only():
+    params = LatticeParams(n=12, nu=1.0, tau_max=4)
+    nu_t = 0.5 * critical_potential(params, td_limit=True)
+    tilde_frequencies(params, solve_equilibrium(params, nu_t), nu_t)
+    tables = [lattice._sin2_table(12, tau) for tau in range(1, 5)]
+    tables += [t for tau in (1, 3) for t in lattice._buckled_tables(12, tau)]
+    tables.append(lattice._odd_squares(4))
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table += 1.0
+
+
 def test_nn_critical_point_exact(nn_ring):
     # single odd neighbour: nu_crit = 1 in library units
     assert_allclose(critical_potential(nn_ring(), td_limit=True), 1.0, atol=1e-12)

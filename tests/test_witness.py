@@ -141,6 +141,15 @@ def test_negative_temperature_is_a_config_error(nn_ring):
         witness_reports(build_spectrum(nn_ring(), 1.5), (0.0, -0.5))
 
 
+@pytest.mark.parametrize("temperature", [math.nan, math.inf])
+def test_a_non_finite_temperature_is_a_config_error(nn_ring, temperature):
+    # a NaN would pass a t < 0 test and read as T = 0
+    with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
+        internal_energy(nn_ring(), 1.5, temperature)
+    with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
+        witness_reports(build_spectrum(nn_ring(), 1.5), (0.0, temperature))
+
+
 def test_critical_point_zero_mode_gets_kinetic_share(nn_ring):
     params = nn_ring(n=20)
     crit = critical_potential(params)
@@ -167,17 +176,28 @@ def test_crossing_search_survives_cold_modes_on_a_large_ring(lr_ring, nu_t_reduc
 
 def scalar_energy(omega, temperature, expm1=np.expm1):
     """U(T) as a scalar loop over the modes, summed left to right, with each
-    Bose term from ``expm1`` of its single value."""
+    Bose term from ``expm1`` of its single value; an overflow of w / T or of
+    ``expm1`` is the cold limit inf, any other floating-point fault is not."""
     total = 0.0
     for w in omega.ravel():
         if w <= 0.0:
             total += temperature
             continue
-        if temperature == 0.0 or w / temperature > 700.0:
+        if temperature == 0.0:
             total += 0.5 * w
         else:
-            total += w * (1.0 / expm1(w / temperature) + 0.5)
+            with np.errstate(over="ignore"):
+                bose = expm1(w / temperature)
+            total += w * (1.0 / bose + 0.5)
     return float(total)
+
+
+def libm_expm1(x):
+    """math.expm1, inf past its range as np.expm1 gives."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
 
 
 @pytest.mark.parametrize("nu_t_reduced", [1.31, 1.72])
@@ -217,11 +237,18 @@ def bits(value):
 @st.composite
 def modes_and_temperature(draw):
     """(omega, T): distinct frequencies each repeated 1-4 times, some exact
-    zeros, all in shuffled order, with omega / T on both sides of the cut-off
-    700 beyond which a mode counts as omega / 2."""
+    zeros, all in shuffled order. Besides a wide range, omega / T is drawn
+    near 37, past which the Bose term is below half an ulp of 1/2, near
+    709.78, past which expm1 overflows, and at subnormal values, where
+    1 / expm1(omega / T) overflows."""
     t = draw(st.sampled_from((0.0, 1e-300, 0.37, 1e300)))
     scale = t if t > 0.0 else 1.0
-    ratio = st.one_of(st.floats(1e-3, 2e3), st.floats(699.0, 701.0), st.just(700.0))
+    ratio = st.one_of(
+        st.floats(1e-3, 2e3),
+        st.floats(36.0, 38.0),
+        st.floats(709.7, 709.9),
+        st.floats(5e-324, 2.2250738585072014e-308),
+    )
     ratios = draw(st.lists(ratio, min_size=1, max_size=30))
     repeats = draw(st.lists(st.integers(1, 4), min_size=len(ratios), max_size=len(ratios)))
     values = [r * scale for r, k in zip(ratios, repeats) for _ in range(k)]
@@ -229,14 +256,38 @@ def modes_and_temperature(draw):
     return np.array(draw(st.permutations(values))), t
 
 
-@settings(max_examples=200, deadline=None, database=None)
+def outcome(evaluate):
+    """The bits of ``evaluate()``, or the name of the floating-point fault it
+    raised."""
+    try:
+        return bits(evaluate())
+    except FloatingPointError:
+        return "FloatingPointError"
+
+
+@settings(max_examples=300, deadline=None, database=None)
 @given(modes_and_temperature())
 def test_energy_of_drawn_modes_equals_scalar_loop_bit_for_bit(case):
     omega, t = case
     energy = witness._Energy(omega)
-    # T, then T = 0, then T again from the memo: each equals its own scalar loop
-    for temperature in (t, 0.0, t):
-        assert bits(energy(temperature)) == bits(scalar_energy(omega, temperature))
+    # T, then T = 0, then T again (from the memo unless T raised): each equals
+    # its own scalar loop, and raises exactly where that loop raises
+    with np.errstate(all="raise"):
+        for temperature in (t, 0.0, t):
+            want = outcome(lambda: scalar_energy(omega, temperature))
+            assert outcome(lambda: energy(temperature)) == want
+
+
+@pytest.mark.parametrize("ratio,raises", [(37.5, False), (709.79, False), (1e-310, True)])
+def test_energy_raises_exactly_where_the_scalar_loop_raises(ratio, raises):
+    # past 37 and past the range of expm1 a mode carries omega / 2 with no
+    # fault; at a subnormal omega / T, 1 / expm1 overflows in both
+    omega = np.array([1.0, ratio * 0.37, 0.0])
+    with np.errstate(all="raise"):
+        want = outcome(lambda: scalar_energy(omega, 0.37))
+        got = outcome(lambda: witness._Energy(omega)(0.37))
+    assert got == want
+    assert (got == "FloatingPointError") is raises
 
 
 def test_energy_keeps_the_sign_of_a_negative_zero_temperature():
@@ -281,13 +332,13 @@ def test_energy_agrees_with_a_math_expm1_loop(lr_ring, nn_ring):
     small = nn_ring(n=4)
     omega = build_spectrum(small, 1.5).omega
     for t in np.geomspace(0.05, 20.0, 60):
-        want = scalar_energy(omega, t, math.expm1)
+        want = scalar_energy(omega, t, libm_expm1)
         assert_allclose(internal_energy(small, 1.5, t), want, rtol=1e-15, atol=0)
     params = lr_ring(n=1000)
     for nu_t in (1.31 * NU_T_UNIT, 1.72 * NU_T_UNIT):
         omega = build_spectrum(params, nu_t).omega
         for t in (1e-6, 0.2, 5.0):
-            want = scalar_energy(omega, t, math.expm1)
+            want = scalar_energy(omega, t, libm_expm1)
             assert_allclose(internal_energy(params, nu_t, t), want, rtol=1e-15, atol=0)
 
 
