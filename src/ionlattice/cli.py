@@ -10,7 +10,7 @@ lattice spacing, witness energies in the frequency unit (hbar = 1).
 ``--mass``, ``--charge`` and ``--spacing`` are checked and change no output.
 
 Exit codes: 0 success, 1 check-suite failure, 2 configuration error,
-3 numerical failure.
+3 numerical failure, or a run out of memory or short of a worker process.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +131,7 @@ COLUMNS = (
 
 #: errors that end a sweep row (exit 3 in a one-point command);
 #: ArithmeticError covers a float overflow or a division by zero at an
-#: extreme finite nuT
+#: extreme finite nuT. A MemoryError or a broken pool ends the run instead.
 _ROW_ERRORS = (
     DomainError,
     NoConvergence,
@@ -575,10 +575,10 @@ def _load(args):
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except (OSError, ValueError) as exc:  # or not text, or an integer too long for int()
+            raise ConfigError(f"cannot read config file: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         extra = set(cfg) - CONFIG_KEYS.keys()
@@ -784,8 +784,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for what, path in (("output", getattr(args, "out", None)),
-                           ("dump file", getattr(args, "dump", None))):
+        out, dump = getattr(args, "out", None), getattr(args, "dump", None)
+        if out and dump and os.path.realpath(out) == os.path.realpath(dump):
+            raise ConfigError("--out and --dump must name different files")
+        for what, path in (("output", out), ("dump file", dump)):
             if path:
                 _check_writable(path, what)
         with np.errstate(**_FP_FAULTS):
@@ -799,6 +801,9 @@ def main(argv=None) -> int:
         return 2
     except _ROW_ERRORS as exc:
         print(f"numerical failure: {_error_text(exc)}", file=sys.stderr)
+        return 3
+    except (MemoryError, BrokenExecutor) as exc:
+        print(f"resource failure: {_error_text(exc)}", file=sys.stderr)
         return 3
 
 

@@ -33,7 +33,10 @@ from .lattice import (
     critical_potential,
     solve_equilibrium,
     taylor_coefficients,
+    _checked_temperatures,
+    _cos_double_table,
     _read_only,
+    _sin_double_table,
 )
 from .quadrature import (
     HALF_PI,
@@ -130,27 +133,11 @@ def _weighted_mode_sums(kern, factors, phase_weights, n):
     return total
 
 
-# The phase weights depend on the ring size and the site distance only, so
-# every working point and temperature shares them; the cached arrays are
-# read-only because every caller gets the same one. A sweep uses a handful
-# of (n, delta) pairs.
-@functools.lru_cache(maxsize=128)
-def _cos_weights(n, delta):
-    ls = np.arange(1, n + 1, dtype=float)
-    return _read_only(np.cos(2.0 * np.pi * ls * delta / n))
-
-
-@functools.lru_cache(maxsize=128)
-def _sin_weights(n, delta):
-    ls = np.arange(1, n + 1, dtype=float)
-    return _read_only(np.sin(2.0 * np.pi * ls * delta / n))
-
-
 @functools.lru_cache(maxsize=128)
 def _pair_weights(n, tau, parity):
-    """The weights 1 + parity cos and 1 - parity cos of the pair sums at
-    site distance ``tau`` (``parity`` exactly +-1.0)."""
-    cosd = _cos_weights(n, tau)
+    """The weights 1 +- parity cos(2 phase) of the pair sums at site distance
+    ``tau`` (``parity`` exactly +-1.0), shared by every working point."""
+    cosd = _cos_double_table(n, tau)
     return _read_only(1.0 + parity * cosd), _read_only(1.0 - parity * cosd)
 
 
@@ -181,10 +168,7 @@ def moment_table(
     max(nu, nu_t)`` from every mode sum of the table (see
     :func:`block_covariance`).
     """
-    temperatures = tuple(temperatures)
-    # written so that a NaN fails it
-    if not all(0 <= t < math.inf for t in temperatures):
-        raise ConfigError("temperatures must be non-negative and finite")
+    temperatures = _checked_temperatures(temperatures)
     factors = _mode_factors(spec.omega, temperatures)
     return MomentTable(
         spec, temperatures, _direction_kernels(spec, drop_soft_modes), np.stack(factors, axis=1)
@@ -194,9 +178,10 @@ def moment_table(
 def _mode_sum(table: MomentTable, kernel: str, delta: int) -> np.ndarray:
     """Raw mode sums, shape (2, n_T), of the position and momentum factors
     over ``kernel`` ("x", "y" or "cross") with the phase weights of site
-    distance ``delta`` (cos for a direction, sin for the cross kernel)."""
+    distance ``delta``: the lattice's cos(2 phase) table for a direction,
+    its sin(2 phase) table for the cross kernel."""
     n = table.spectrum.params.n
-    phase = _sin_weights(n, delta) if kernel == "cross" else _cos_weights(n, delta)
+    phase = (_sin_double_table if kernel == "cross" else _cos_double_table)(n, delta)
     return _weighted_mode_sums(getattr(table.kernels, kernel), table.factors, phase, n)
 
 
@@ -404,8 +389,7 @@ def direct_covariance_oracle(
     n = params.n
     if n > DENSE_SITE_LIMIT:
         raise ConfigError(f"dense oracle supports n <= {DENSE_SITE_LIMIT}, got {n}")
-    if not 0 <= temperature < math.inf:
-        raise ConfigError("temperature must be non-negative and finite")
+    _checked_temperatures((temperature,))
     config = solve_equilibrium(params, nu_t)
     coeff = taylor_coefficients(params, config)
 

@@ -32,6 +32,9 @@ from .errors import ConfigError, NoConvergence
 #: Relative residual demanded of the transverse force balance after solving.
 EQUILIBRIUM_RTOL = 1e-12
 
+# the largest n whose (2, n) float arrays NumPy can index
+_N_MAX = np.iinfo(np.intp).max // (2 * np.dtype(float).itemsize)
+
 
 class Variant(Enum):
     LINEAR = "linear"
@@ -61,6 +64,8 @@ class LatticeParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 3:
             raise ConfigError(f"n must be an integer >= 3, got {self.n!r}")
+        if self.n > _N_MAX:
+            raise ConfigError(f"n must be at most {_N_MAX}: a larger ring does not fit an array")
         # written so that a NaN fails it
         if not self.nu > 0:
             raise ConfigError("nu must be positive")
@@ -76,6 +81,15 @@ class LatticeParams:
             )
         # an integer would give integer NumPy accumulators downstream
         object.__setattr__(self, "nu", float(self.nu))
+
+
+def _checked_temperatures(temperatures) -> tuple:
+    """Any iterable of temperatures as a tuple, each non-negative and finite."""
+    temperatures = tuple(temperatures)
+    # written so that a NaN fails it
+    if not all(0 <= t < math.inf for t in temperatures):
+        raise ConfigError("temperature must be non-negative and finite")
+    return temperatures
 
 
 @dataclass(frozen=True)
@@ -232,14 +246,13 @@ def taylor_coefficients(params: LatticeParams, config: Configuration) -> Couplin
     )
 
 
-# The trig tables of tilde_frequencies depend on the ring size and the
-# neighbour distance only, so every nu_t of a ring shares them; the cached
-# arrays are read-only because every caller gets the same one. A flat ring
-# needs only the sin^2 table. A sweep uses tau_max of each per ring size.
+# A ring's trig tables depend on its size and a site distance only, so every
+# nu_t and temperature shares them, read-only. tilde_frequencies reads them
+# at the neighbour distances, the covariance mode sums at site distances of
+# either sign. Doubling the phase is exact.
 def _phases(n: int, tau: int) -> np.ndarray:
-    """pi l tau / n for l = 1 .. n."""
-    ls = np.arange(1, n + 1, dtype=float)
-    return np.pi * ls * tau / n
+    """pi l tau / n for l = 1 .. n: the one source of the mode phase."""
+    return np.pi * np.arange(1, n + 1, dtype=float) * tau / n
 
 
 @functools.lru_cache(maxsize=128)
@@ -248,10 +261,18 @@ def _sin2_table(n: int, tau: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _buckled_tables(n: int, tau: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos^2 and sin(2 phase) of an odd tau in the buckled frame."""
-    phase = _phases(n, tau)
-    return _read_only(np.cos(phase) ** 2), _read_only(np.sin(2.0 * phase))
+def _cos_double_table(n: int, tau: int) -> np.ndarray:
+    return _read_only(np.cos(2.0 * _phases(n, tau)))
+
+
+@functools.lru_cache(maxsize=128)
+def _sin_double_table(n: int, tau: int) -> np.ndarray:
+    return _read_only(np.sin(2.0 * _phases(n, tau)))
+
+
+@functools.lru_cache(maxsize=128)
+def _cos2_table(n: int, tau: int) -> np.ndarray:
+    return _read_only(np.cos(_phases(n, tau)) ** 2)
 
 
 def tilde_frequencies(
@@ -280,9 +301,8 @@ def tilde_frequencies(
         sin2 = _sin2_table(params.n, tau)
         wx2 += 2.0 * coeff.dx[i] * sin2
         if config.variant is Variant.ZIGZAG and tau % 2 == 1:
-            cos2, sin_double = _buckled_tables(params.n, tau)
-            wy2 += 2.0 * coeff.dy[i] * cos2
-            wxy += 0.5 * coeff.dxy[i] * sin_double
+            wy2 += 2.0 * coeff.dy[i] * _cos2_table(params.n, tau)
+            wxy += 0.5 * coeff.dxy[i] * _sin_double_table(params.n, tau)
         else:
             wy2 += 2.0 * coeff.dy[i] * sin2
     return wx2, wy2, wxy

@@ -26,8 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import brentq
-from .errors import ConfigError, DomainError, NoConvergence
-from .lattice import Configuration, LatticeParams, solve_equilibrium, taylor_coefficients
+from .errors import DomainError, NoConvergence
+from .lattice import (
+    Configuration,
+    LatticeParams,
+    _checked_temperatures,
+    solve_equilibrium,
+    taylor_coefficients,
+)
 from .spectrum import ModeSpectrum, build_spectrum
 
 #: absolute tolerance of the crossing temperature Tc, in library units
@@ -98,9 +104,7 @@ class _Energy:
 
 def internal_energy(params: LatticeParams, nu_t: float, temperature: float) -> float:
     """Thermal internal energy U(T) summed over all normal modes."""
-    # written so that a NaN fails it
-    if not 0 <= temperature < math.inf:
-        raise ConfigError("temperature must be non-negative and finite")
+    _checked_temperatures((temperature,))
     return _Energy(build_spectrum(params, nu_t).omega.ravel())(temperature)
 
 
@@ -115,8 +119,7 @@ def critical_temperature(params: LatticeParams, nu_t: float) -> float | None:
     Returns None when even the ground state sits above the bound, so the
     witness never triggers.
     """
-    [report] = witness_reports(build_spectrum(params, nu_t), (0.0,))
-    return report.critical_temperature
+    return witness_report(params, nu_t, 0.0).critical_temperature
 
 
 def _crossing(params: LatticeParams, nu_t: float, energy: _Energy, bound: float):
@@ -159,23 +162,10 @@ def witness_report(params: LatticeParams, nu_t: float, temperature: float) -> Wi
 def witness_reports(spec: ModeSpectrum, temperatures) -> list[WitnessReport]:
     """The witness at every temperature of one mode spectrum; the bound and
     the crossing temperature do not depend on T and are evaluated once."""
-    # written so that a NaN fails it
-    if not all(0 <= t < math.inf for t in temperatures):
-        raise ConfigError("temperature must be non-negative and finite")
+    temperatures = _checked_temperatures(temperatures)
     params = spec.params
     wx, wy = effective_frequencies(params, spec.nu_t, spec.config)
     bound = _bound(params.n, wx, wy)
     energy = _Energy(spec.omega.ravel())
     tc = _crossing(params, spec.nu_t, energy, bound)
-    reports = []
-    for t in temperatures:
-        reports.append(
-            WitnessReport(
-                omega_x=wx,
-                omega_y=wy,
-                bound=bound,
-                internal_energy=energy(t),
-                critical_temperature=tc,
-            )
-        )
-    return reports
+    return [WitnessReport(wx, wy, bound, energy(t), tc) for t in temperatures]

@@ -14,6 +14,7 @@ import math
 import sys
 import warnings
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -552,6 +553,58 @@ def test_covariance_checks_both_destinations_first(monkeypatch, tmp_path, capsys
     what = "output" if bad == "out" else "dump file"
     assert f"configuration error: cannot write {what}" in capsys.readouterr().err
     assert not any(path.exists() for path in paths.values())
+
+
+@pytest.mark.parametrize("dump", ["cov.csv", "sub/../cov.csv"])
+def test_covariance_refuses_one_file_for_output_and_dump(monkeypatch, tmp_path, capsys, dump):
+    # the CSV would overwrite the full-precision dump
+    monkeypatch.setattr(cli, "block_covariance", _must_not_run)
+    (tmp_path / "sub").mkdir()
+    argv = ["covariance", *base_args(), "--nu-t", "2.0",
+            "--out", str(tmp_path / "cov.csv"), "--dump", str(tmp_path / dump)]
+    assert main(argv) == 2
+    assert "configuration error: --out and --dump must name different files" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "cov.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"params": {"n": 1e300}}', "n must be at most"),
+        # Python refuses to convert an integer literal of over 4300 digits
+        ('{"params": {"n": 1' + "0" * 5000 + "}}", "cannot read config file: Exceeds the limit"),
+        # not UTF-8: undecodable, or not JSON where the locale decodes it
+        (b"\xff\xfe{}", ""),
+    ],
+    ids=["float", "long-int", "not-text"],
+)
+def test_a_config_n_too_large_or_unreadable_is_a_config_error(monkeypatch, tmp_path, capsys,
+                                                              text, message):
+    monkeypatch.setattr(cli, "run_sweep", _must_not_run)
+    config = tmp_path / "c.json"
+    if isinstance(text, bytes):
+        config.write_bytes(text)
+    else:
+        config.write_text(text)
+    assert main(["sweep", "--config", str(config), "--nu-t", "1.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc", [MemoryError("Unable to allocate"), BrokenProcessPool("a worker died")],
+    ids=["memory", "pool"],
+)
+def test_a_run_out_of_memory_or_workers_exits_3(monkeypatch, capsys, exc):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_sweep", failing)
+    assert main(["sweep", *base_args(), "--nu-t", "1.5", "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"resource failure: {type(exc).__name__}: {exc}\n"
 
 
 def test_failed_command_leaves_an_existing_output_untouched(tmp_path, capsys):

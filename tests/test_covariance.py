@@ -16,11 +16,9 @@ from ionlattice import _solvers, covariance
 from ionlattice.covariance import (
     DIRECTIONS,
     _block_layout,
-    _cos_weights,
     _dispersion_sum,
     _pair_weights,
     _rule_node_data,
-    _sin_weights,
     block_covariance,
     block_covariance_at,
     direct_covariance_oracle,
@@ -39,7 +37,12 @@ from ionlattice.errors import (
     NumericalFailure,
     QuadratureFailure,
 )
-from ionlattice.lattice import Variant, critical_potential
+from ionlattice.lattice import (
+    Variant,
+    _cos_double_table,
+    _sin_double_table,
+    critical_potential,
+)
 from ionlattice.spectrum import build_spectrum, symplectic_form
 
 
@@ -176,12 +179,38 @@ def test_dense_oracle_refuses_a_negative_temperature(nn_ring):
 def test_a_non_finite_temperature_is_a_config_error(nn_ring, temperature):
     # a NaN would pass a t < 0 test, and T = inf would give p_plus 0.0
     params = nn_ring(n=8)
-    with pytest.raises(ConfigError, match="temperatures must be non-negative and finite"):
+    with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
         moment_table(build_spectrum(params, 1.5), (0.0, temperature))
-    with pytest.raises(ConfigError, match="temperatures must be non-negative and finite"):
+    with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
         pair_moments(params, 1.5, temperature, 1, "y")
     with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
         direct_covariance_oracle(params, 1.5, temperature)
+
+
+def test_moment_table_takes_temperatures_from_a_generator(nn_ring):
+    spec = build_spectrum(nn_ring(n=8), 0.8)
+    temps = [0.0, 0.3, 2.0]
+    want = moment_table(spec, temps)
+    got = moment_table(spec, (t for t in temps))
+    assert got.temperatures == want.temperatures == tuple(temps)
+    assert got.factors.tobytes() == want.factors.tobytes()
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.3])
+@pytest.mark.parametrize("phase", ["flat", "buckled"])
+@pytest.mark.parametrize("ring", ["nn", "lr"])
+def test_sites_out_of_order_swap_the_block_bit_for_bit(nn_ring, lr_ring, ring, phase,
+                                                       temperature):
+    """A block at sites (b, a) reads the phase tables at the negative site
+    distance a - b; it is the (a, b) block with the two sites' rows and
+    columns swapped, bit for bit, x-y cross entries included."""
+    params = nn_ring(n=8) if ring == "nn" else lr_ring(n=12)
+    nu_t = _factor(params, {"flat": 1.5, "buckled": 0.8}[phase])
+    swap = [4, 5, 6, 7, 0, 1, 2, 3]
+    for a, b in ((1, 2), (1, 3), (2, 5), (3, 7), (1, 5), (4, 8)):
+        ordered = block_covariance(params, nu_t, temperature, (a, b)).matrix
+        reversed_ = block_covariance(params, nu_t, temperature, (b, a)).matrix
+        assert _same_bits(reversed_, ordered[np.ix_(swap, swap)]), (a, b)
 
 
 def test_mode_ordering_and_shape(nn_ring):
@@ -356,7 +385,7 @@ def test_axial_bulk_averages_are_computed_once_per_ring(nn_ring, lr_ring):
         assert ys[0] != ys[1] != ys[2]
 
 
-@pytest.mark.parametrize("weights", [_cos_weights, _sin_weights])
+@pytest.mark.parametrize("weights", [_cos_double_table, _sin_double_table])
 @pytest.mark.parametrize("delta", [0, 3])
 def test_shared_phase_weights_are_read_only(weights, delta):
     w = weights(8, delta)
@@ -381,7 +410,7 @@ def test_buckled_moments_equal_with_cold_and_warm_phase_cache(nn_ring, lr_ring, 
         return moments, block
 
     def hits():
-        return _cos_weights.cache_info().hits + _sin_weights.cache_info().hits
+        return _cos_double_table.cache_info().hits + _sin_double_table.cache_info().hits
 
     _clear_caches()
     cold_moments, cold_block = evaluate()
@@ -448,13 +477,13 @@ def _reference_pair_entry(spec, kerns, facs, s1, d1, s2, d2):
     delta = s2 - s1
     if d1 == d2:
         kern = kerns.x if d1 == "x" else kerns.y
-        val = _weighted_mode_sum(kern, facs, _cos_weights(n, delta), n)
+        val = _weighted_mode_sum(kern, facs, _cos_double_table(n, delta), n)
         if d1 == "y" and zigzag:
             val *= (-1.0) ** (s1 + s2)
         return val
     if not zigzag:
         return 0.0
-    sin_sum = _weighted_mode_sum(kerns.cross, facs, _sin_weights(n, delta), n)
+    sin_sum = _weighted_mode_sum(kerns.cross, facs, _sin_double_table(n, delta), n)
     if d1 == "x":
         return ((-1.0) ** s2) * sin_sum
     return -((-1.0) ** s1) * sin_sum
@@ -489,7 +518,7 @@ def _reference_pair(spec, temperature, tau, direction):
     qf, pf = _reference_factors(spec, temperature)
     mode_sum = _weighted_mode_sum
     ones = np.ones(n)
-    cosd = _cos_weights(n, tau)
+    cosd = _cos_double_table(n, tau)
     return (
         q_scale * mode_sum(kern, qf, ones, n),
         mode_sum(kern, pf, ones, n) / q_scale,
@@ -634,7 +663,7 @@ def _reference_stacked_pairs(table, tau, direction):
     (cov_q, cov_p), parity = _reference_stacked_entry(table, 1, direction, 1 + tau, direction)
     q_scale = params.nu if direction == "x" else spec.nu_t
     n = params.n
-    cosd = _cos_weights(n, tau)
+    cosd = _cos_double_table(n, tau)
     var_q, var_p = covariance._mode_sum(table, direction, 0)
     mode_sums = covariance._weighted_mode_sums
     q_plus, p_plus = mode_sums(kern, table.factors, 1.0 + parity * cosd, n)

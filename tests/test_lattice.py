@@ -116,8 +116,8 @@ def test_tilde_frequencies_equal_the_uncached_expression_bit_for_bit(n, tau_max,
     nu_t = crit_mult * critical_potential(params, td_limit=True)
     config = solve_equilibrium(params, nu_t)
     assert config.variant is (Variant.ZIGZAG if crit_mult < 1 else Variant.LINEAR)
-    lattice._sin2_table.cache_clear()
-    lattice._buckled_tables.cache_clear()
+    for table in (lattice._sin2_table, lattice._cos2_table, lattice._sin_double_table):
+        table.cache_clear()
     want = [w.tobytes() for w in uncached_tilde_frequencies(params, config, nu_t)]
     # a fresh table, then the cached one; a caller's in-place update of the
     # returned arrays leaves the cache as it was
@@ -138,7 +138,9 @@ def test_cached_trig_tables_are_read_only():
     nu_t = 0.5 * critical_potential(params, td_limit=True)
     tilde_frequencies(params, solve_equilibrium(params, nu_t), nu_t)
     tables = [lattice._sin2_table(12, tau) for tau in range(1, 5)]
-    tables += [t for tau in (1, 3) for t in lattice._buckled_tables(12, tau)]
+    tables += [lattice._cos_double_table(12, tau) for tau in (-3, 0, 3)]
+    tables += [table(12, tau) for tau in (1, 3)
+               for table in (lattice._cos2_table, lattice._sin_double_table)]
     tables.append(lattice._odd_squares(4))
     for table in tables:
         assert not table.flags.writeable
@@ -257,6 +259,32 @@ def test_parameter_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ConfigError):
         LatticeParams(**base)
+
+
+def test_a_ring_too_large_for_a_numpy_array_is_a_config_error():
+    # the bound fails before any array is made, so nothing is allocated
+    LatticeParams(n=lattice._N_MAX, nu=1.0)
+    for n in (lattice._N_MAX + 1, 3_000_000_000_000_000_000, 10**300):
+        with pytest.raises(ConfigError, match="n must be at most"):
+            LatticeParams(n=n, nu=1.0)
+
+
+@pytest.mark.parametrize("n", [3, 8, 12, 1000, 4096])
+def test_double_phase_tables_equal_the_direct_expression_bit_for_bit(n):
+    # doubling is exact, so cos and sin of 2 phase are those of 2 pi l tau / n
+    ls = np.arange(1, n + 1, dtype=float)
+    for tau in sorted({-n, -n // 2, -3, -1, 0, 1, 3, n // 2, n}):
+        angle = 2.0 * np.pi * ls * tau / n
+        assert lattice._cos_double_table(n, tau).tobytes() == np.cos(angle).tobytes()
+        assert lattice._sin_double_table(n, tau).tobytes() == np.sin(angle).tobytes()
+
+
+def test_checked_temperatures_reads_any_iterable_once():
+    temps = (0.0, 0.3, 2.0)
+    assert lattice._checked_temperatures(t for t in temps) == temps
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
+            lattice._checked_temperatures(iter((0.0, bad)))
 
 
 def test_configuration_validation():

@@ -141,6 +141,15 @@ def test_negative_temperature_is_a_config_error(nn_ring):
         witness_reports(build_spectrum(nn_ring(), 1.5), (0.0, -0.5))
 
 
+def test_witness_reports_take_temperatures_from_a_generator(nn_ring):
+    # the temperature check must leave a generator for the reports
+    spec = build_spectrum(nn_ring(n=8), 0.8)
+    temps = [0.0, 0.1, 1.0]
+    want = witness_reports(spec, temps)
+    assert len(want) == 3
+    assert witness_reports(spec, (t for t in temps)) == want
+
+
 @pytest.mark.parametrize("temperature", [math.nan, math.inf])
 def test_a_non_finite_temperature_is_a_config_error(nn_ring, temperature):
     # a NaN would pass a t < 0 test and read as T = 0
