@@ -23,11 +23,13 @@ import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .covariance import (
     DIRECTIONS,
+    _head,
     block_covariance,
     block_covariance_at,
     moment_table,
@@ -217,19 +219,9 @@ def _fail(rows, exc):
             row["error"] = _error_text(exc)
 
 
-class _Point:
-    """One nuT point of a chunk while it waits for the chunk's block
-    spectra: its rows, one per temperature, filled up to the block cells;
-    the block sizes it asks for with the covariance stack of the largest
-    block in each direction, shape (n_T, 2K, 2K), x first; and its witness
-    reports, or the error that ends its rows once their block cells are
-    in. Its spectrum and moment table are not kept. (A plain class: a
-    dataclass costs every command about half a millisecond to create.)"""
-
-    __slots__ = ("rows", "sizes", "blocks", "witness")
-
-    def __init__(self, rows: list):
-        self.rows, self.sizes, self.blocks, self.witness = rows, (), (), None
+#: most elements of a batch's moment table, shape (P, 2, 2, n_T, n), P >= 1:
+#: 128 KiB, the allocator's mmap threshold; two n = 4096 points were slower
+_BATCH_ELEMENTS = 2**14
 
 
 def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
@@ -238,42 +230,54 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
 
     A row's cells are filled measure by measure until the first error,
     which goes into its ``error`` cell; an error of a step shared by all
-    temperatures of a point (equilibrium, spectrum, witness bound and
-    crossing) ends every row of the point that has not failed yet. Each
-    point is evaluated up to its block stack and witness; then one
-    :func:`symplectic_spectra` call per block size serves every block of
-    the chunk, and the block and witness cells follow, in that order.
-    """
-    axial = {}
-    # a bulk row's U and bound are per site of the stand-in ring
-    sites = TD_PROXY_N if spec.td_limit else 1
+    temperatures of a point (equilibrium, spectrum, mode sums, witness
+    bound and crossing) ends every row of the point that has not failed
+    yet. Batches of points are evaluated up to their spectra, and those of
+    one phase share one moment table; the block and witness cells follow
+    at the end of the chunk."""
+    ring = dataclasses.replace(spec.params, n=TD_PROXY_N) if spec.td_limit else spec.params
+    temperatures = tuple(t * TEMPERATURE_UNIT for t in spec.temperatures)
+    size = max(1, _BATCH_ELEMENTS // (4 * len(temperatures) * ring.n))
+    # the flat-phase x half of the chunk: pair moments, block stack
+    points, axial = [], [None, None]
     with np.errstate(**_FP_FAULTS):
-        points = [_point(spec, nu_t_paper, axial) for nu_t_paper in nu_t_papers]
-        _block_cells(points)
+        for start in range(0, len(nu_t_papers), size):
+            batch = [_point(spec, ring, v) for v in nu_t_papers[start : start + size]]
+            for phase in Variant:
+                live = [point for point in batch if point.modes and point.modes.variant is phase]
+                if live:
+                    _table_cells(live, temperatures, axial)
+            for point in batch:
+                point.modes = None
+            points += batch
+        _block_cells(points, axial[1])
         for point in points:
-            _witness_cells(point, sites)
+            # a bulk row's U and bound are per site of the stand-in ring
+            _witness_cells(point, TD_PROXY_N if spec.td_limit else 1)
     return [point.rows for point in points]
 
 
-def _point(spec: SweepSpec, nu_t_paper: float, axial: dict) -> _Point:
-    """One nuT point, evaluated up to its block stacks and witness. A
-    bulk-limit point is the point of the stand-in ring (n = TD_PROXY_N),
-    whose equilibrium decides the phase; where that ring is flat, the pair
-    criteria and the single-site entropy take their closed forms instead."""
-    point = _Point([_blank_row(nu_t_paper, t) for t in spec.temperatures])
-    params, measures = spec.params, spec.measures
-    ring = dataclasses.replace(params, n=TD_PROXY_N) if spec.td_limit else params
+def _point(spec: SweepSpec, ring, nu_t_paper: float) -> SimpleNamespace:
+    """One nuT point, evaluated up to its spectrum. A bulk-limit point is
+    the point of the stand-in ring (n = TD_PROXY_N), whose equilibrium
+    decides the phase; where that ring is flat, the pair criteria and the
+    single-site entropy take their closed forms instead. The point holds its
+    rows; the measures left to its ring and, until its batch is evaluated,
+    its spectrum; the (n_T, 2K, 2K) stacks of its largest block, x (None for
+    the chunk's flat x half) and y; its witness reports or error."""
+    rows = [_blank_row(nu_t_paper, t) for t in spec.temperatures]
+    point = SimpleNamespace(rows=rows, measures=(), modes=None, blocks=(), witness=None)
     nu_t = nu_t_paper * NU_T_UNIT
     try:
         config = solve_equilibrium(ring, nu_t)
         for row in point.rows:
             row["configVariant"] = config.variant.value
             row["b"] = config.b
+        measures = spec.measures
         if spec.td_limit and config.variant is Variant.LINEAR:
-            measures = _closed_form_cells(params, nu_t, measures, point.rows[0])
+            measures = _closed_form_cells(spec.params, nu_t, measures, point.rows[0])
         if measures:
-            temperatures = tuple(t * TEMPERATURE_UNIT for t in spec.temperatures)
-            _finite_point(ring, measures, nu_t, config, temperatures, point, axial)
+            point.modes, point.measures = build_spectrum(ring, nu_t, config), measures
     except _ROW_ERRORS as exc:
         _fail(point.rows, exc)
     return point
@@ -299,60 +303,81 @@ def _pair_cells(row, direction, s1, s2):
     row[f"EN{direction}"] = negativity(s1, s2)
 
 
-def _moments(table, direction: str, size, axial: dict):
-    """The pair moments at tau = 1 (``size`` None) or the covariance of
-    sites 1..size, of one direction at every temperature of ``table``.
+def _table_cells(points, temperatures, axial: list):
+    """The pair cells, the stacks of the largest block (whose leading 2k x 2k
+    part is the block of k sites) and the witness reports of ``points``, in
+    one phase with the same measures, from one moment table of their
+    spectra. A failed batched step is taken again point by point, so an
+    error ends its own point's rows, with the text it has there alone."""
+    measures = points[0].measures
+    try:
+        table = moment_table([point.modes for point in points], temperatures)
+        if "negativity" in measures:
+            xs, ys = _halves(table, axial, 0, lambda t, d: pair_moments_at(t, 1, d))
+            for point, x, y in zip(points, xs, ys):
+                for row, moments in zip(point.rows, zip(x or axial[0], y)):
+                    try:
+                        for d, pm in zip(DIRECTIONS, moments):
+                            _pair_cells(row, d, *separability_criteria(pm))
+                    except _ROW_ERRORS as exc:
+                        _fail([row], exc)
+        sizes = range(1, max(_block_sizes(measures), default=0) + 1)
+        if sizes:
+            xs, ys = _halves(table, axial, 1, lambda t, d: block_covariance_at(t, sizes, (d,)))
+            for point, x, y in zip(points, xs, ys):
+                point.blocks = (x, y)
+    except _ROW_ERRORS as exc:
+        if len(points) == 1:
+            return _fail(points[0].rows, exc)
+        for point in points:
+            _table_cells([point], temperatures, axial)
+        return
+    for point in points if "witness" in measures else ():
+        try:
+            point.witness = witness_reports(point.modes, temperatures)
+        except _ROW_ERRORS as exc:
+            # the error ends the point's rows; its traceback would keep the
+            # point's spectrum alive
+            point.witness = exc.with_traceback(None)
 
-    The x half of a flat point does not involve nuT (the axial branch,
-    weights 1, 0, 0), so ``axial`` keeps it for every later flat point of
-    the chunk with the same ring and temperatures."""
-    modes = table.spectrum
-    key = (modes.params, table.temperatures, size)
-    shared = direction == "x" and modes.variant is Variant.LINEAR
-    if shared and key in axial:
-        return axial[key]
-    if size is None:
-        value = pair_moments_at(table, 1, direction)
-    else:
-        value = block_covariance_at(table, range(1, size + 1), (direction,))
-    if shared:
-        axial[key] = value
-    return value
+
+def _halves(table, axial: list, slot: int, evaluate) -> tuple:
+    """The x and y values of ``evaluate(table, direction)``, one per spectrum.
+    A flat point's x half does not involve nuT (axial branch, weights 1, 0,
+    0): the chunk's first flat point evaluates it into ``axial[slot]``."""
+    if table.spectra[0].variant is Variant.ZIGZAG:
+        return tuple(evaluate(table, d) for d in DIRECTIONS)
+    if axial[slot] is None:
+        axial[slot] = evaluate(_head(table), "x")[0]
+    return [None] * len(table.spectra), evaluate(table, "y")
 
 
-def _block_cells(points):
-    """Block entropy cells of a chunk's rows, size by size. A row that has
-    failed gets no cells, and a failed block ends its own row only, so
-    filling size by size fills each row as filling it alone would."""
-    for size in sorted({size for point in points for size in point.sizes}):
-        _size_cells([point for point in points if size in point.sizes], size)
-
-
-def _size_cells(points, size: int):
-    """The block entropy cells of one size. One :func:`symplectic_spectra`
-    call serves every temperature, direction and point of the chunk; a
-    stack that several points share (the flat-phase x half, see
-    :func:`_moments`) enters it once."""
-    offsets, parts, starts, end = {}, [], [], 0
-    for point in points:
-        for stack in point.blocks:
-            if id(stack) not in offsets:
-                offsets[id(stack)] = end
-                parts.append(stack[:, : 2 * size, : 2 * size])
-                end += len(stack)
-        starts.append([offsets[id(stack)] for stack in point.blocks])
-    stack = np.concatenate(parts)
-    spectra = symplectic_spectra(stack)
-    for point, point_starts in zip(points, starts):
-        for t, row in enumerate(point.rows):
-            if row["error"]:
-                continue
-            try:
-                for d, start in zip(DIRECTIONS, point_starts):
-                    cell = _entropy_cell(spectra[start + t])
-                    row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = cell
-            except _ROW_ERRORS as exc:
-                _fail([row], exc)
+def _block_cells(points, axial):
+    """Block entropy cells of a chunk's rows, size by size: one
+    :func:`symplectic_spectra` call serves every block of a size, the
+    flat-phase x half ``axial`` once, first. A failed row gets no cells,
+    and a failed block ends its own row only."""
+    points = [point for point in points if point.blocks]
+    for size in sorted({size for point in points for size in _block_sizes(point.measures)}):
+        chosen = [point for point in points if size in _block_sizes(point.measures)]
+        stacks = [axial] if any(point.blocks[0] is None for point in chosen) else []
+        starts = []
+        for point in chosen:
+            x, y = point.blocks
+            starts.append((0 if x is None else len(stacks), len(stacks) + (x is not None)))
+            stacks += [y] if x is None else [x, y]
+        stacks = [stack[:, : 2 * size, : 2 * size] for stack in stacks]
+        spectra = symplectic_spectra(np.concatenate(stacks))
+        for point, point_starts in zip(chosen, starts):
+            for t, row in enumerate(point.rows):
+                if row["error"]:
+                    continue
+                try:
+                    for d, start in zip(DIRECTIONS, point_starts):
+                        cell = _entropy_cell(spectra[start * len(point.rows) + t])
+                        row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = cell
+                except _ROW_ERRORS as exc:
+                    _fail([row], exc)
 
 
 def _reduced_witness(rep, sites: int = 1) -> tuple:
@@ -368,7 +393,7 @@ def _reduced_witness(rep, sites: int = 1) -> tuple:
     )
 
 
-def _witness_cells(point: _Point, sites: int):
+def _witness_cells(point, sites: int):
     if isinstance(point.witness, Exception):
         _fail(point.rows, point.witness)
         return
@@ -376,33 +401,6 @@ def _witness_cells(point: _Point, sites: int):
         if not row["error"]:
             cells = _reduced_witness(rep, sites)
             row["U"], row["bound"], row["Tc"], row["witnessTriggered"] = cells
-
-
-def _finite_point(params, measures, nu_t: float, config, temperatures, point: _Point,
-                  axial: dict):
-    modes = build_spectrum(params, nu_t, config)
-    table = moment_table(modes, temperatures)
-    if "negativity" in measures:
-        pairs = [_moments(table, d, None, axial) for d in DIRECTIONS]
-        for row, moments in zip(point.rows, zip(*pairs)):
-            try:
-                for d, pm in zip(DIRECTIONS, moments):
-                    _pair_cells(row, d, *separability_criteria(pm))
-            except _ROW_ERRORS as exc:
-                _fail([row], exc)
-    sizes = _block_sizes(measures)
-    if sizes:
-        # the stacks of the largest block: a block of k sites is its
-        # leading 2k x 2k part
-        point.blocks = tuple(_moments(table, d, max(sizes), axial) for d in DIRECTIONS)
-        point.sizes = sizes
-    if "witness" in measures:
-        try:
-            point.witness = witness_reports(modes, temperatures)
-        except _ROW_ERRORS as exc:
-            # the error ends the point's rows; its traceback would keep the
-            # point's spectrum alive
-            point.witness = exc.with_traceback(None)
 
 
 def _row_worker(task):

@@ -59,9 +59,10 @@ def _mode_factors(omega, temperatures):
     each of ``temperatures``, with sigma = (1/2) coth(omega / 2T), 1/2 at
     T = 0; one evaluation of sigma serves both. A zero mode has the
     position factor inf and the momentum factor T, the limit of omega sigma
-    (equipartition). The temperature axis goes in before the
-    mode axis, so omega of shape (2, n) gives factors of shape (2, n_T, n);
-    each value equals the evaluation at its temperature alone bit for bit.
+    (equipartition). The temperature axis goes in before the mode axis, so
+    omega of shape (P, 2, n) gives factors of shape (P, 2, n_T, n); each
+    value equals the evaluation at its spectrum and temperature alone bit
+    for bit.
     """
     omega = np.asarray(omega, dtype=float)[..., None, :]
     temps = np.asarray(temperatures, dtype=float)[:, None]
@@ -80,56 +81,95 @@ def _mode_factors(omega, temperatures):
 
 
 @dataclass(frozen=True)
-class _Kernels:
-    """Per-direction mode kernels: lists of (branch index, mixing weights)."""
+class MomentTable:
+    """The thermal factors of P mode spectra of one ring in one phase at a
+    stack of temperatures, evaluated once, shape (P, 2, 2, n_T, n):
+    spectrum, branch, position or momentum factor, temperature, mode.
+    ``weights[kernel]`` holds the mixing weights of branch 0 and 1 in the
+    "x", "y" or "cross" sums, each (P, n) with 0 at a soft mode left out, or
+    None where all vanish; ``dropped`` counts the modes left out per
+    spectrum. A ``batch`` table, built by :func:`moment_table` from a
+    sequence of spectra, gives one result per spectrum."""
 
-    x: list
-    y: list
-    cross: list
-    dropped: int
+    spectra: tuple
+    temperatures: tuple
+    weights: dict
+    factors: np.ndarray
+    dropped: tuple
+    batch: bool
 
 
-def _direction_kernels(spec: ModeSpectrum, drop_soft_modes: bool = False) -> _Kernels:
-    # per branch: the weights of the x, y and cross mode sums
-    weights = [(spec.c2, spec.s2, spec.cs), (spec.s2, spec.c2, -spec.cs)]
-    dropped = 0
-    if drop_soft_modes:
-        keep = spec.omega > SOFT_FREQ_FACTOR * max(spec.params.nu, spec.nu_t)
-        dropped = int((~keep).sum())
-        weights = [[np.where(k, w, 0.0) for w in ws] for k, ws in zip(keep, weights)]
-    (x0, y0, c0), (x1, y1, c1) = weights
-    # a branch without weight (the flat phase has one per direction) adds
-    # nothing to a mode sum; leaving it out saves the work
-    return _Kernels(
-        x=[(b, wt) for b, wt in ((0, x0), (1, x1)) if np.count_nonzero(wt)],
-        y=[(b, wt) for b, wt in ((0, y0), (1, y1)) if np.count_nonzero(wt)],
-        cross=[(0, c0), (1, c1)],
-        dropped=dropped,
+def moment_table(spec, temperatures, drop_soft_modes: bool = False) -> MomentTable:
+    """The moment table of ``spec`` at each of ``temperatures`` (a
+    sequence; one temperature is a sequence of one). ``spec`` is one
+    :class:`ModeSpectrum`, or a sequence of spectra of one ring in one phase
+    whose factors one :func:`_mode_factors` call evaluates. ``drop_soft_modes``
+    excludes modes below ``SOFT_FREQ_FACTOR * max(nu, nu_t)`` from every
+    mode sum of the table (see :func:`block_covariance`)."""
+    temperatures = _checked_temperatures(temperatures)
+    batch = not isinstance(spec, ModeSpectrum)
+    spectra = tuple(spec) if batch else (spec,)
+    if not spectra or len({(s.params, s.variant) for s in spectra}) > 1:
+        raise ConfigError("a moment table takes spectra of one ring in one phase")
+    omega, c2, s2, cs = (
+        arrays[0][None] if len(spectra) == 1 else np.stack(arrays)
+        for arrays in zip(*((s.omega, s.c2, s.s2, s.cs) for s in spectra))
     )
+    c2, s2, cs = (w if w.any() else None for w in (c2, s2, cs))
+    weights = {"x": (c2, s2), "y": (s2, c2), "cross": (cs, None if cs is None else -cs)}
+    dropped = (0,) * len(spectra)
+    if drop_soft_modes:
+        floor = np.array([SOFT_FREQ_FACTOR * max(s.params.nu, s.nu_t) for s in spectra])
+        keep = omega > floor[:, None, None]
+        dropped = tuple((~keep).sum(axis=(1, 2)).tolist())
+        for key, pair in weights.items():
+            masked = zip(keep.transpose(1, 0, 2), pair)
+            weights[key] = tuple(w if w is None else np.where(k, w, 0.0) for k, w in masked)
+    factors = np.stack(_mode_factors(omega, temperatures), axis=2)
+    return MomentTable(spectra, temperatures, weights, factors, dropped, batch)
 
 
-def _weighted_mode_sums(kern, factors, phase_weights, n):
-    """(1/n) sum_l w_l fac_l of both factors at every temperature of
-    ``factors`` (shape (2, 2, n_T, n), see :class:`MomentTable`), as an
-    array of shape (2, n_T); an exact-zero weight kills its term.
+def _head(table: MomentTable) -> MomentTable:
+    """The batch table of the first spectrum of ``table``, sharing its arrays."""
+    head = {key: tuple(w if w is None else w[:1] for w in ws) for key, ws in table.weights.items()}
+    first = table.spectra[:1], table.temperatures, head, table.factors[:1]
+    return MomentTable(*first, table.dropped[:1], True)
 
-    The nonzero weights of a branch are compacted once for all rows. Each
-    row of the product is C-contiguous, so NumPy reduces it with the same
-    pairwise sum it takes over the one-dimensional product of one factor at
-    one temperature, and each value equals that sum bit for bit. The
-    accumulation 0.0 + s_0/n + s_1/n keeps the sign of zero of that loop.
+
+def _mode_sums(table: MomentTable, kernel: str, phase) -> np.ndarray:
+    """(1/n) sum_l w_l fac_l of both factors of each of the table's P
+    spectra at every temperature, shape (P, 2, n_T), over ``kernel``: w_l is
+    a branch's mixing weight times the phase weight ``phase``, and an
+    exact-zero w_l kills its term. Per branch, the spectra whose w vanish at
+    the same modes share one product and one row-wise reduction. Each value
+    is the one-dimensional sum of its spectrum, factor and temperature bit
+    for bit: (1) ``compress`` keeps the mode axis C-contiguous, so NumPy
+    reduces each row pairwise as it does a 1-d array (``a[..., mask]`` does
+    not, and moves sums by 1 ulp); (2) spectra whose patterns differ go into
+    separate groups; (3) each accumulates 0.0 + s_0/n + s_1/n in branch
+    order, skipping a branch whose w all vanish, which keeps the sign of 0.
     """
-    total = np.zeros(factors.shape[1:3])
-    for branch, wt in kern:
-        w = wt * phase_weights
-        nz = w != 0.0
-        if nz.all():
-            terms = factors[branch] * w
-        elif nz.any():
-            terms = np.compress(nz, factors[branch], axis=2) * w[nz]
-        else:
+    n = table.factors.shape[-1]
+    total = np.zeros((len(table.spectra), 2, len(table.temperatures)))
+    for branch, weights in enumerate(table.weights[kernel]):
+        if weights is None:
             continue
-        total = total + terms.sum(axis=2) / n
+        w = weights * phase
+        nz = w != 0.0
+        # one group of all spectra, unless their zero patterns differ
+        groups = {}
+        for i, row in enumerate(nz if len(nz) > 1 and (nz != nz[0]).any() else ()):
+            groups.setdefault(row.tobytes(), []).append(i)
+        for part in groups.values() or [slice(None)]:
+            facs, mask, wt = table.factors[part, branch], nz[part][0], w[part]
+            count = np.count_nonzero(mask)
+            if count == n:
+                terms = facs * wt[:, None, None]
+            elif count:
+                terms = facs.compress(mask, axis=-1) * wt.compress(mask, axis=-1)[:, None, None]
+            else:
+                continue
+            total[part] += terms.sum(axis=-1) / n
     return total
 
 
@@ -139,50 +179,6 @@ def _pair_weights(n, tau, parity):
     ``tau`` (``parity`` exactly +-1.0), shared by every working point."""
     cosd = _cos_double_table(n, tau)
     return _read_only(1.0 + parity * cosd), _read_only(1.0 - parity * cosd)
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """The thermal factors of one mode spectrum at a stack of temperatures.
-
-    The factors of every temperature are evaluated once, when the table is
-    built; each mode sum over them serves all temperatures and both
-    quadratures at once. ``factors`` has shape (2, 2, n_T, n): branch,
-    position or momentum factor, temperature, mode; each branch's block is
-    contiguous. Build it with :func:`moment_table`.
-    """
-
-    spectrum: ModeSpectrum
-    temperatures: tuple
-    kernels: _Kernels
-    factors: np.ndarray
-
-
-def moment_table(
-    spec: ModeSpectrum, temperatures, drop_soft_modes: bool = False
-) -> MomentTable:
-    """The moment table of ``spec`` at each of ``temperatures`` (a
-    sequence; one temperature is a sequence of one).
-
-    ``drop_soft_modes`` excludes modes below ``SOFT_FREQ_FACTOR *
-    max(nu, nu_t)`` from every mode sum of the table (see
-    :func:`block_covariance`).
-    """
-    temperatures = _checked_temperatures(temperatures)
-    factors = _mode_factors(spec.omega, temperatures)
-    return MomentTable(
-        spec, temperatures, _direction_kernels(spec, drop_soft_modes), np.stack(factors, axis=1)
-    )
-
-
-def _mode_sum(table: MomentTable, kernel: str, delta: int) -> np.ndarray:
-    """Raw mode sums, shape (2, n_T), of the position and momentum factors
-    over ``kernel`` ("x", "y" or "cross") with the phase weights of site
-    distance ``delta``: the lattice's cos(2 phase) table for a direction,
-    its sin(2 phase) table for the cross kernel."""
-    n = table.spectrum.params.n
-    phase = (_sin_double_table if kernel == "cross" else _cos_double_table)(n, delta)
-    return _weighted_mode_sums(getattr(table.kernels, kernel), table.factors, phase, n)
 
 
 @dataclass(frozen=True)
@@ -217,27 +213,26 @@ def pair_moments(
     return pair_moments_at(table, tau, direction)[0]
 
 
-def pair_moments_at(table: MomentTable, tau: int, direction: str) -> tuple:
+def pair_moments_at(table: MomentTable, tau: int, direction: str):
     """:func:`pair_moments` at every temperature of a moment table: one
-    :class:`PairMoments` per temperature, in the table's order."""
-    spec = table.spectrum
-    params = spec.params
+    :class:`PairMoments` per temperature, in order; for a batch table a
+    list of such tuples, one per spectrum."""
+    params = table.spectra[0].params
     _check_direction(direction)
     if not 1 <= tau <= params.n // 2:
         raise ConfigError(f"tau must be in 1..{params.n // 2}, got {tau}")
-    kern = getattr(table.kernels, direction)
     # the pair's parity is the sign of its covariance entry: (-1)^(2 + tau),
     # exactly +-1.0, for y on the zigzag, 1.0 otherwise
-    zigzag = spec.config.variant is Variant.ZIGZAG
+    zigzag = table.spectra[0].variant is Variant.ZIGZAG
     parity = (-1.0) ** (2 + tau) if direction == "y" and zigzag else 1.0
-    nu_ref = params.nu if direction == "x" else spec.nu_t
-    n = params.n
-
-    plus, minus = _pair_weights(n, tau, parity)
-    q_plus, p_plus = _weighted_mode_sums(kern, table.factors, plus, n)
-    q_minus, p_minus = _weighted_mode_sums(kern, table.factors, minus, n)
+    nu_ref = np.array([[params.nu if direction == "x" else s.nu_t] for s in table.spectra])
+    plus, minus = _pair_weights(params.n, tau, parity)
+    q_plus, p_plus = _mode_sums(table, direction, plus).transpose(1, 0, 2)
+    q_minus, p_minus = _mode_sums(table, direction, minus).transpose(1, 0, 2)
     columns = (nu_ref * q_plus, nu_ref * q_minus, p_plus / nu_ref, p_minus / nu_ref)
-    return tuple(PairMoments(*v) for v in zip(*(c.tolist() for c in columns)))
+    columns = zip(*(c.tolist() for c in columns))
+    moments = [tuple(PairMoments(*v) for v in zip(*c)) for c in columns]
+    return moments if table.batch else moments[0]
 
 
 @dataclass(frozen=True)
@@ -346,34 +341,37 @@ def block_covariance(
     return CovarianceMatrix(
         matrix=block_covariance_at(table, sites, directions)[0],
         modes=_block_modes(params, sites, directions),
-        dropped_soft_modes=table.kernels.dropped,
+        dropped_soft_modes=table.dropped[0],
     )
 
 
 def block_covariance_at(table: MomentTable, sites, directions=DIRECTIONS) -> np.ndarray:
-    """:func:`block_covariance` at every temperature of a moment table, as
-    one array of shape (n_T, 2k, 2k); the modes are ``sites`` outer and
-    ``directions`` inner. The covariance of the first k modes is the
-    leading 2k x 2k submatrix, entry for entry."""
-    spec = table.spectrum
-    params = spec.params
+    """:func:`block_covariance` at every temperature of a moment table, shape
+    (n_T, 2k, 2k), or (P, n_T, 2k, 2k) for a batch table of P spectra, by
+    one scatter; the modes are ``sites`` outer and ``directions`` inner, and
+    the first k modes' covariance is the leading 2k x 2k part."""
+    spectra = table.spectra
+    params = spectra[0].params
     modes = _block_modes(params, sites, directions)
-    keys, entry_key, signs, pairs, entry_pair, i, j = _block_layout(
-        modes, spec.config.variant is Variant.ZIGZAG
-    )
-    n_t = len(table.temperatures)
-    zero = np.zeros((2, n_t))
-    # per upper entry: position and momentum moment at every temperature
-    sums = np.stack([zero if key is None else _mode_sum(table, *key) for key in keys])
-    entries = sums[entry_key] * signs
-    scale = {"x": params.nu, "y": spec.nu_t}
-    g = np.array([math.sqrt(scale[d1] * scale[d2]) for d1, d2 in pairs])[entry_pair, None]
-    qq, pp = (g * entries[:, 0]).T, (entries[:, 1] / g).T
-    k = len(modes)
-    cov = np.zeros((n_t, 2 * k, 2 * k))
-    cov[:, i, j] = cov[:, j, i] = qq
-    cov[:, i + 1, j + 1] = cov[:, j + 1, i + 1] = pp
-    return cov
+    zigzag = spectra[0].variant is Variant.ZIGZAG
+    keys, entry_key, signs, pairs, entry_pair, i, j = _block_layout(modes, zigzag)
+    n_t, k = len(table.temperatures), len(modes)
+    # a direction's sums take the lattice's cos(2 phase) table at the key's
+    # site distance, the cross sums its sin(2 phase) table
+    tables = {"x": _cos_double_table, "y": _cos_double_table, "cross": _sin_double_table}
+    zero = np.zeros((len(spectra), 2, n_t))
+    sums = [zero if key is None else _mode_sums(table, key[0], tables[key[0]](params.n, key[1]))
+            for key in keys]
+    # per spectrum and upper entry: position and momentum moment at every temperature
+    entries = np.stack(sums, axis=1)[:, entry_key] * signs
+    scales = [{"x": params.nu, "y": s.nu_t} for s in spectra]
+    g = np.array([[math.sqrt(c[d1] * c[d2]) for d1, d2 in pairs] for c in scales])[:, entry_pair]
+    qq = (g[..., None] * entries[:, :, 0]).transpose(0, 2, 1)
+    pp = (entries[:, :, 1] / g[..., None]).transpose(0, 2, 1)
+    cov = np.zeros((len(spectra), n_t, 2 * k, 2 * k))
+    cov[:, :, i, j] = cov[:, :, j, i] = qq
+    cov[:, :, i + 1, j + 1] = cov[:, :, j + 1, i + 1] = pp
+    return cov if table.batch else cov[0]
 
 
 def direct_covariance_oracle(

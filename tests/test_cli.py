@@ -319,18 +319,19 @@ def test_sweep_builds_each_working_point_once(rebuilds):
 
 @pytest.fixture
 def mode_sums(monkeypatch):
-    """Counts of stacked mode sums and thermal-factor evaluations."""
+    """Counts of batched mode sums and thermal-factor evaluations."""
     return count_calls(
-        monkeypatch, ((covariance, "_weighted_mode_sums"), (covariance, "_mode_factors"))
+        monkeypatch, ((covariance, "_mode_sums"), (covariance, "_mode_factors"))
     )
 
 
 def test_sweep_computes_each_mode_sum_once_per_working_point(mode_sums):
     # the pair at tau = 1 and blocks of 1-3 sites in both directions need
-    # the raw entries of site distance 0, 1, 2 and the pair's combinations;
-    # each stacked sum covers every temperature and both quadratures of
-    # one working point, so at most 20 of them serve all its rows, where
-    # one per row and entry took 20 per row
+    # the raw entries of site distance 0, 1, 2 and the pair's two
+    # combinations: 5 sums per direction. Each batched sum covers every
+    # temperature, both quadratures and every working point of the batch,
+    # here the whole two-point chunk, so 10 of them serve all its rows,
+    # where one per point and entry took 10 per point
     params = LatticeParams(n=20, nu=1.0)
     spec = small_spec(
         params=params, nu_t_grid=(1.0, 1.2), temperatures=(0.0, 0.3, 0.6),
@@ -339,9 +340,8 @@ def test_sweep_computes_each_mode_sum_once_per_working_point(mode_sums):
     rows = run_sweep(spec)
     assert len(rows) == 6
     assert all(row["error"] == "" and row["configVariant"] == "zigzag" for row in rows)
-    points = len(spec.nu_t_grid)
-    assert 0 < mode_sums["_weighted_mode_sums"] <= 20 * points, mode_sums
-    assert mode_sums["_mode_factors"] == points, mode_sums
+    assert mode_sums["_mode_sums"] == 10, mode_sums
+    assert mode_sums["_mode_factors"] == 1, mode_sums
 
 
 def test_a_failed_block_ends_only_its_own_row(monkeypatch):
@@ -421,8 +421,10 @@ def test_the_flat_axial_half_is_computed_once_per_chunk(monkeypatch, jobs):
 
         def recorded(table, arg, direction, _name=name, _original=getattr(cli, name)):
             # pair_moments_at(table, tau, direction) and
-            # block_covariance_at(table, sites, directions)
-            calls[_name, table.spectrum.variant.value, "".join(direction)] += 1
+            # block_covariance_at(table, sites, directions), each over every
+            # working point of a batch table
+            for spectrum in table.spectra:
+                calls[_name, spectrum.variant.value, "".join(direction)] += 1
             return _original(table, arg, direction)
 
         monkeypatch.setattr(cli, name, recorded)
@@ -434,6 +436,97 @@ def test_the_flat_axial_half_is_computed_once_per_chunk(monkeypatch, jobs):
         assert calls[name, "linear", "x"] == jobs, calls
         assert calls[name, "linear", "y"] == 4, calls
         assert calls[name, "zigzag", "x"] == calls[name, "zigzag", "y"] == 2, calls
+
+
+def _cell_reprs(rows):
+    return [{c: repr(v) for c, v in row.items()} for row in rows]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "over",
+    [
+        # NN n = 8 and 20: buckled, exactly critical and flat points
+        dict(nu_t_grid=(1.0, 1.2, NU_T_CRITICAL, 2.0, 2.5, 3.0)),
+        dict(params=LatticeParams(n=20, nu=1.0),
+             nu_t_grid=(1.0, 1.2, 1.3, NU_T_CRITICAL, 1.6, 2.0, 2.5)),
+        # tau_max 4 n = 12: the witness fails with a DomainError at 1.4 and 1.5
+        dict(params=LatticeParams(n=12, nu=1.0, tau_max=4),
+             nu_t_grid=(1.0, 1.3, 1.4, 1.5, 2.0, 2.5)),
+    ],
+    ids=["nn8", "nn20", "lr12"],
+)
+def test_batching_the_moment_tables_changes_no_bit(monkeypatch, jobs, over):
+    """A sweep with one working point per moment table, with batches of
+    three points (a chunk in several batches) and with the default budget
+    (a chunk in one batch) gives the same cells, compared by repr."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    spec = small_spec(**over, temperatures=(0.0, 0.2, 0.5), measures=ALL_MEASURES)
+    default = run_sweep(spec, jobs=jobs)
+    per_point = 4 * len(spec.temperatures) * spec.params.n
+    assert per_point * len(spec.nu_t_grid) <= cli._BATCH_ELEMENTS
+    for points in (1, 3):
+        monkeypatch.setattr(cli, "_BATCH_ELEMENTS", points * per_point)
+        assert _cell_reprs(run_sweep(spec, jobs=jobs)) == _cell_reprs(default), points
+    assert {row["configVariant"] for row in default} == {"zigzag", "linear"}
+    if spec.params.tau_max == 4:
+        assert {row["error"].split(":")[0] for row in default} == {"", "DomainError"}
+
+
+@pytest.mark.parametrize("faulty", [1.2, 2.0], ids=["buckled", "flat"])
+def test_a_fault_in_a_batch_ends_only_its_own_point(monkeypatch, faulty):
+    """One spectrum with a subnormal frequency makes the batched thermal
+    factors overflow. The batch is evaluated again point by point: that
+    point's rows read the error it has when swept alone, and every other
+    row equals its one-point sweep."""
+    original = cli.build_spectrum
+
+    def build(params, nu_t, config=None):
+        spec = original(params, nu_t, config)
+        if nu_t == faulty * cli.NU_T_UNIT:
+            omega = spec.omega.copy()
+            omega[1, 2] = 1e-310
+            spec = dataclasses.replace(spec, omega=omega)
+        return spec
+
+    monkeypatch.setattr(cli, "build_spectrum", build)
+    spec = small_spec(nu_t_grid=(1.0, 1.2, 2.0, 2.5), temperatures=(0.0, 0.2, 0.5),
+                      measures=ALL_MEASURES)
+    rows = run_sweep(spec)
+    for i, nu_t in enumerate(spec.nu_t_grid):
+        alone = run_sweep(dataclasses.replace(spec, nu_t_grid=(nu_t,)))
+        assert rows_to_csv(rows[3 * i : 3 * i + 3]) == rows_to_csv(alone), nu_t
+        fault = "FloatingPointError: overflow encountered in divide"
+        assert {row["error"] for row in alone} == ({fault} if nu_t == faulty else {""})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "1000", "--model", "LR", "--temp", "0,0.2",
+         "--measures", "negativity,entropy,blockEntropy3,witness", "--nu-t", "1.2,1.3,1.9,2.0"],
+        ["--n", "20", "--td-limit", "--measures", "negativity,entropy,blockEntropy3",
+         "--nu-t", "1.2,1.3,1.9,2.0"],
+    ],
+    ids=["finite-n1000-lr", "bulk-stand-in-n4096"],
+)
+def test_no_moment_table_holds_more_than_the_batch_budget(monkeypatch, argv):
+    """Every factor stack a sweep builds, (P, 2, 2, n_T, n) elements, fits
+    ``_BATCH_ELEMENTS``; the n = 1000 ring still takes more than one point
+    per table."""
+    shapes = []
+    original = covariance._mode_factors
+
+    def recorded(omega, temperatures):
+        shapes.append((np.shape(omega), len(temperatures)))
+        return original(omega, temperatures)
+
+    monkeypatch.setattr(covariance, "_mode_factors", recorded)
+    assert main(["sweep", "--nu", NU_PAPER, *argv, "--out", "/dev/null"]) == 0
+    assert shapes
+    for (points, branches, n), n_t in shapes:
+        assert points * branches * 2 * n_t * n <= cli._BATCH_ELEMENTS, shapes
+    assert max(points for (points, _, _), _ in shapes) == (2 if "1000" in argv else 1)
 
 
 # ------------------------------------------------------------------ commands

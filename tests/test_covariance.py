@@ -187,6 +187,53 @@ def test_a_non_finite_temperature_is_a_config_error(nn_ring, temperature):
         direct_covariance_oracle(params, 1.5, temperature)
 
 
+@pytest.mark.parametrize("drop", [False, True], ids=["all-modes", "drop-soft"])
+@pytest.mark.parametrize(
+    "ring, mults",
+    [
+        ("nn", (0.5, 0.8, 0.95, 0.999)),
+        ("nn", (1.0, 1.2, 1.5, 3.0)),
+        ("lr", (0.6, 0.9, 0.99)),
+        ("lr", (1.01, 1.5, 2.5)),
+    ],
+    ids=["nn-buckled", "nn-critical-and-flat", "lr-buckled", "lr-flat"],
+)
+def test_a_batch_table_gives_each_spectrum_its_own_result(nn_ring, lr_ring, ring, mults, drop):
+    """Pair moments and blocks (x, y, mixed, out of order) read from one
+    table over a batch of spectra equal those of each spectrum's own table
+    bit for bit, sign of zero and inf included."""
+    params = nn_ring(n=8) if ring == "nn" else lr_ring(n=12)
+    specs = [build_spectrum(params, _factor(params, m)) for m in mults]
+    temperatures = (0.0, 0.3, 2.0)
+    batch = moment_table(specs, temperatures, drop)
+    singles = [moment_table(spec, temperatures, drop) for spec in specs]
+    assert batch.batch and not singles[0].batch
+    assert batch.dropped == tuple(t.dropped[0] for t in singles)
+    for tau in (1, 2, 3):
+        for d in DIRECTIONS:
+            got = pair_moments_at(batch, tau, d)
+            assert len(got) == len(specs)
+            for moments, single in zip(got, singles):
+                want = pair_moments_at(single, tau, d)
+                assert _same_bits([_pair_fields(pm) for pm in moments],
+                                  [_pair_fields(pm) for pm in want]), (tau, d)
+    for sites, directions in [((1, 2, 3), ("x",)), ((1, 2, 3), ("y",)),
+                              ((1, 2, 4), ("x", "y")), ((3, 1, 2), ("y", "x"))]:
+        stacks = block_covariance_at(batch, sites, directions)
+        assert stacks.shape[:2] == (len(specs), len(temperatures))
+        for stack, single in zip(stacks, singles):
+            assert _same_bits(stack, block_covariance_at(single, sites, directions)), sites
+
+
+def test_a_batch_table_refuses_spectra_of_two_phases_or_rings(nn_ring):
+    params = nn_ring(n=8)
+    buckled, flat = (build_spectrum(params, _factor(params, m)) for m in (0.8, 1.5))
+    other = build_spectrum(nn_ring(n=10), _factor(nn_ring(n=10), 0.8))
+    for specs in ([buckled, flat], [buckled, other], []):
+        with pytest.raises(ConfigError, match="one ring in one phase"):
+            moment_table(specs, (0.0,))
+
+
 def test_moment_table_takes_temperatures_from_a_generator(nn_ring):
     spec = build_spectrum(nn_ring(n=8), 0.8)
     temps = [0.0, 0.3, 2.0]
@@ -427,7 +474,41 @@ def test_buckled_moments_equal_with_cold_and_warm_phase_cache(nn_ring, lr_ring, 
 # The moment table computes each distinct mode sum once, for all its
 # temperatures at once; these are the one-temperature thermal factors, the
 # scalar mode sum and the per-entry loops it replaced, kept verbatim as the
-# reference its outputs must equal bit for bit.
+# reference its outputs must equal bit for bit. The per-direction kernels
+# and the stacked sum of one spectrum are kept here as well: the library
+# now evaluates a batch of spectra in one pass.
+
+
+def _reference_kernels(spec, drop_soft_modes=False):
+    """Per direction ("x", "y", "cross"): the (branch, mixing weights) of
+    the branches with a nonzero weight (every branch for "cross")."""
+    weights = [(spec.c2, spec.s2, spec.cs), (spec.s2, spec.c2, -spec.cs)]
+    if drop_soft_modes:
+        keep = spec.omega > covariance.SOFT_FREQ_FACTOR * max(spec.params.nu, spec.nu_t)
+        weights = [[np.where(k, w, 0.0) for w in ws] for k, ws in zip(keep, weights)]
+    (x0, y0, c0), (x1, y1, c1) = weights
+    return {
+        "x": [(b, wt) for b, wt in ((0, x0), (1, x1)) if np.count_nonzero(wt)],
+        "y": [(b, wt) for b, wt in ((0, y0), (1, y1)) if np.count_nonzero(wt)],
+        "cross": [(0, c0), (1, c1)],
+    }
+
+
+def _reference_stacked_sums(kern, factors, phase_weights, n):
+    """(1/n) sum_l w_l fac_l of both factors of one spectrum at every
+    temperature of ``factors`` (shape (2, 2, n_T, n)), shape (2, n_T)."""
+    total = np.zeros(factors.shape[1:3])
+    for branch, wt in kern:
+        w = wt * phase_weights
+        nz = w != 0.0
+        if nz.all():
+            terms = factors[branch] * w
+        elif nz.any():
+            terms = np.compress(nz, factors[branch], axis=2) * w[nz]
+        else:
+            continue
+        total = total + terms.sum(axis=2) / n
+    return total
 
 
 def _reference_thermal_sigma(omega, temperature):
@@ -476,14 +557,14 @@ def _reference_pair_entry(spec, kerns, facs, s1, d1, s2, d2):
     zigzag = spec.config.variant is Variant.ZIGZAG
     delta = s2 - s1
     if d1 == d2:
-        kern = kerns.x if d1 == "x" else kerns.y
+        kern = kerns[d1]
         val = _weighted_mode_sum(kern, facs, _cos_double_table(n, delta), n)
         if d1 == "y" and zigzag:
             val *= (-1.0) ** (s1 + s2)
         return val
     if not zigzag:
         return 0.0
-    sin_sum = _weighted_mode_sum(kerns.cross, facs, _sin_double_table(n, delta), n)
+    sin_sum = _weighted_mode_sum(kerns["cross"], facs, _sin_double_table(n, delta), n)
     if d1 == "x":
         return ((-1.0) ** s2) * sin_sum
     return -((-1.0) ** s1) * sin_sum
@@ -491,7 +572,7 @@ def _reference_pair_entry(spec, kerns, facs, s1, d1, s2, d2):
 
 def _reference_block(spec, temperature, sites, directions, drop_soft_modes):
     params = spec.params
-    kerns = covariance._direction_kernels(spec, drop_soft_modes)
+    kerns = _reference_kernels(spec, drop_soft_modes)
     modes = tuple((s, d) for s in sites for d in directions)
     k = len(modes)
     cov = np.zeros((2 * k, 2 * k))
@@ -509,7 +590,7 @@ def _reference_block(spec, temperature, sites, directions, drop_soft_modes):
 
 def _reference_pair(spec, temperature, tau, direction):
     params = spec.params
-    kern = getattr(covariance._direction_kernels(spec), direction)
+    kern = _reference_kernels(spec)[direction]
     parity = -1.0 if (
         spec.config.variant is Variant.ZIGZAG and direction == "y" and tau % 2 == 1
     ) else 1.0
@@ -618,22 +699,30 @@ def test_stacked_table_equals_the_per_temperature_reference(nn_ring, lr_ring, ri
 # replaced, kept verbatim as the reference its stacks must equal bit for bit.
 
 
+def _stacked_mode_sum(table, kernel, delta):
+    """The table's raw mode sums over ``kernel`` at site distance ``delta``,
+    shape (2, n_T): cos(2 phase) weights for a direction, sin for "cross"."""
+    n = table.spectra[0].params.n
+    phase = (_sin_double_table if kernel == "cross" else _cos_double_table)(n, delta)
+    return covariance._mode_sums(table, kernel, phase)[0]
+
+
 def _reference_stacked_entry(table, s1, d1, s2, d2):
-    zigzag = table.spectrum.config.variant is Variant.ZIGZAG
+    zigzag = table.spectra[0].config.variant is Variant.ZIGZAG
     delta = s2 - s1
     if d1 == d2:
         sign = (-1.0) ** (s1 + s2) if d1 == "y" and zigzag else 1.0
-        return covariance._mode_sum(table, d1, delta), sign
+        return _stacked_mode_sum(table, d1, delta), sign
     if not zigzag:
         return np.zeros((2, len(table.temperatures))), 1.0
-    sin_sum = covariance._mode_sum(table, "cross", delta)
+    sin_sum = _stacked_mode_sum(table, "cross", delta)
     if d1 == "x":  # <x_{s1} y_{s2}>
         return sin_sum, (-1.0) ** s2
     return sin_sum, -((-1.0) ** s1)  # <y_{s1} x_{s2}>
 
 
 def _reference_stacked_block(table, sites, directions):
-    spec = table.spectrum
+    spec = table.spectra[0]
     params = spec.params
     modes = tuple((s, d) for s in sites for d in directions)
     scale = {"x": params.nu, "y": spec.nu_t}
@@ -656,18 +745,18 @@ def _reference_stacked_block(table, sites, directions):
     return cov
 
 
-def _reference_stacked_pairs(table, tau, direction):
-    spec = table.spectrum
+def _reference_stacked_pairs(table, tau, direction, drop_soft_modes):
+    spec = table.spectra[0]
     params = spec.params
-    kern = getattr(table.kernels, direction)
+    kern = _reference_kernels(spec, drop_soft_modes)[direction]
     (cov_q, cov_p), parity = _reference_stacked_entry(table, 1, direction, 1 + tau, direction)
     q_scale = params.nu if direction == "x" else spec.nu_t
     n = params.n
     cosd = _cos_double_table(n, tau)
-    var_q, var_p = covariance._mode_sum(table, direction, 0)
-    mode_sums = covariance._weighted_mode_sums
-    q_plus, p_plus = mode_sums(kern, table.factors, 1.0 + parity * cosd, n)
-    q_minus, p_minus = mode_sums(kern, table.factors, 1.0 - parity * cosd, n)
+    var_q, var_p = _stacked_mode_sum(table, direction, 0)
+    mode_sums = _reference_stacked_sums
+    q_plus, p_plus = mode_sums(kern, table.factors[0], 1.0 + parity * cosd, n)
+    q_minus, p_minus = mode_sums(kern, table.factors[0], 1.0 - parity * cosd, n)
     columns = (
         q_scale * var_q,
         var_p / q_scale,
@@ -703,7 +792,7 @@ def test_block_gather_equals_the_per_entry_loop(nn_ring, lr_ring, ring, drop):
     reference = moment_table(spec, temperatures, drop)
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
-            want = _reference_stacked_pairs(reference, tau, d)
+            want = _reference_stacked_pairs(reference, tau, d, drop)
             got = [_pair_fields(pm) for pm in pair_moments_at(table, tau, d)]
             assert _same_bits(got, [w[4:] for w in want]), (tau, d)
             raw = [_raw_pair_entries(b) for b in block_covariance_at(table, (1, 1 + tau), (d,))]
