@@ -29,7 +29,6 @@ import numpy as np
 
 from .covariance import (
     DIRECTIONS,
-    _head,
     block_covariance,
     block_covariance_at,
     moment_table,
@@ -52,6 +51,7 @@ from .errors import (
     NumericalFailure,
     QuadratureFailure,
 )
+from . import lattice
 from .lattice import LatticeParams, Variant, solve_equilibrium
 from .spectrum import build_spectrum
 from .witness import witness_report, witness_reports
@@ -178,8 +178,8 @@ def _check_grid(name: str, grid):
         raise ConfigError(f"{name} grid must hold finite values")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{name} grid must be strictly increasing")
-    if name == "temperature" and any(t < 0 for t in grid):
-        raise ConfigError("temperatures must be non-negative")
+    if name == "temperature":
+        lattice._checked_temperatures(grid)
 
 
 def _block_sizes(measures) -> tuple:
@@ -344,11 +344,12 @@ def _table_cells(points, temperatures, axial: list):
 def _halves(table, axial: list, slot: int, evaluate) -> tuple:
     """The x and y values of ``evaluate(table, direction)``, one per spectrum.
     A flat point's x half does not involve nuT (axial branch, weights 1, 0,
-    0): the chunk's first flat point evaluates it into ``axial[slot]``."""
+    0): the chunk's first flat point evaluates it, on its own table, into
+    ``axial[slot]``."""
     if table.spectra[0].variant is Variant.ZIGZAG:
         return tuple(evaluate(table, d) for d in DIRECTIONS)
     if axial[slot] is None:
-        axial[slot] = evaluate(_head(table), "x")[0]
+        axial[slot] = evaluate(moment_table(table.spectra[:1], table.temperatures), "x")[0]
     return [None] * len(table.spectra), evaluate(table, "y")
 
 
@@ -488,10 +489,16 @@ def _check_writable(path: str, what: str):
 
 
 def _emit(text: str, out: str | None):
+    """Write ``text`` to the file ``out``, else to stdout and flush it, so
+    that a failed write ends in a configuration error here and not at exit."""
     if out:
         _write(out, text, "output")
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
 
 
 # ------------------------------------------------------------------- parsing
@@ -721,17 +728,15 @@ def _covariance_rows(args) -> tuple:
     return [dict(zip(cols, r)) for r in cov.matrix.tolist()], cols
 
 
-def _run_checks() -> int:
+def _run_checks() -> tuple:
+    """(report text, exit code) of the check suite."""
     from .checks import run_check_suite
 
     results = run_check_suite()
-    failed = 0
-    for name, ok, detail in results:
-        status = "pass" if ok else "FAIL"
-        print(f"{status}  {name}: {detail}")
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    lines = [f"{'pass' if ok else 'FAIL'}  {name}: {detail}\n" for name, ok, detail in results]
+    passed = sum(1 for _, ok, _ in results if ok)
+    lines.append(f"{passed}/{len(results)} checks passed\n")
+    return "".join(lines), 0 if passed == len(results) else 1
 
 
 # --------------------------------------------------------------------- main
@@ -790,10 +795,12 @@ def main(argv=None) -> int:
                 _check_writable(path, what)
         with np.errstate(**_FP_FAULTS):
             if args.command == "check":
-                return _run_checks()
-            rows, columns = args.rows(args)
-        _emit(rows_to_csv(rows, columns), args.out)
-        return 0
+                text, code = _run_checks()
+            else:
+                rows, columns = args.rows(args)
+                text, code = rows_to_csv(rows, columns), 0
+        _emit(text, out)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

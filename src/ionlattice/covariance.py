@@ -43,7 +43,7 @@ from .quadrature import (
     integrate_weighted_frequency,
     integrate_weighted_inverse,
 )
-from .spectrum import RADICAND_TOL, ModeSpectrum, build_spectrum
+from .spectrum import RADICAND_TOL, build_spectrum
 
 #: Largest ring accepted by the dense site-basis oracle.
 DENSE_SITE_LIMIT = 64
@@ -88,27 +88,24 @@ class MomentTable:
     ``weights[kernel]`` holds the mixing weights of branch 0 and 1 in the
     "x", "y" or "cross" sums, each (P, n) with 0 at a soft mode left out, or
     None where all vanish; ``dropped`` counts the modes left out per
-    spectrum. A ``batch`` table, built by :func:`moment_table` from a
-    sequence of spectra, gives one result per spectrum."""
+    spectrum. Its readers give one result per spectrum."""
 
     spectra: tuple
     temperatures: tuple
     weights: dict
     factors: np.ndarray
     dropped: tuple
-    batch: bool
 
 
-def moment_table(spec, temperatures, drop_soft_modes: bool = False) -> MomentTable:
-    """The moment table of ``spec`` at each of ``temperatures`` (a
-    sequence; one temperature is a sequence of one). ``spec`` is one
-    :class:`ModeSpectrum`, or a sequence of spectra of one ring in one phase
-    whose factors one :func:`_mode_factors` call evaluates. ``drop_soft_modes``
-    excludes modes below ``SOFT_FREQ_FACTOR * max(nu, nu_t)`` from every
-    mode sum of the table (see :func:`block_covariance`)."""
+def moment_table(spectra, temperatures, drop_soft_modes: bool = False) -> MomentTable:
+    """The moment table of ``spectra``, a sequence of mode spectra of one
+    ring in one phase (one spectrum is a sequence of one), at each of
+    ``temperatures`` (likewise a sequence); one :func:`_mode_factors` call
+    evaluates its factors. ``drop_soft_modes`` excludes modes below
+    ``SOFT_FREQ_FACTOR * max(nu, nu_t)`` from every mode sum of the table
+    (see :func:`block_covariance`)."""
     temperatures = _checked_temperatures(temperatures)
-    batch = not isinstance(spec, ModeSpectrum)
-    spectra = tuple(spec) if batch else (spec,)
+    spectra = tuple(spectra)
     if not spectra or len({(s.params, s.variant) for s in spectra}) > 1:
         raise ConfigError("a moment table takes spectra of one ring in one phase")
     omega, c2, s2, cs = (
@@ -126,14 +123,7 @@ def moment_table(spec, temperatures, drop_soft_modes: bool = False) -> MomentTab
             masked = zip(keep.transpose(1, 0, 2), pair)
             weights[key] = tuple(w if w is None else np.where(k, w, 0.0) for k, w in masked)
     factors = np.stack(_mode_factors(omega, temperatures), axis=2)
-    return MomentTable(spectra, temperatures, weights, factors, dropped, batch)
-
-
-def _head(table: MomentTable) -> MomentTable:
-    """The batch table of the first spectrum of ``table``, sharing its arrays."""
-    head = {key: tuple(w if w is None else w[:1] for w in ws) for key, ws in table.weights.items()}
-    first = table.spectra[:1], table.temperatures, head, table.factors[:1]
-    return MomentTable(*first, table.dropped[:1], True)
+    return MomentTable(spectra, temperatures, weights, factors, dropped)
 
 
 def _mode_sums(table: MomentTable, kernel: str, phase) -> np.ndarray:
@@ -209,14 +199,13 @@ def pair_moments(
 ) -> PairMoments:
     """Normalized sum and difference moments of two sites at neighbour
     distance tau."""
-    table = moment_table(build_spectrum(params, nu_t), (temperature,))
-    return pair_moments_at(table, tau, direction)[0]
+    table = moment_table([build_spectrum(params, nu_t)], (temperature,))
+    return pair_moments_at(table, tau, direction)[0][0]
 
 
-def pair_moments_at(table: MomentTable, tau: int, direction: str):
-    """:func:`pair_moments` at every temperature of a moment table: one
-    :class:`PairMoments` per temperature, in order; for a batch table a
-    list of such tuples, one per spectrum."""
+def pair_moments_at(table: MomentTable, tau: int, direction: str) -> list:
+    """:func:`pair_moments` at every temperature of a moment table: per
+    spectrum a tuple of one :class:`PairMoments` per temperature, in order."""
     params = table.spectra[0].params
     _check_direction(direction)
     if not 1 <= tau <= params.n // 2:
@@ -231,8 +220,7 @@ def pair_moments_at(table: MomentTable, tau: int, direction: str):
     q_minus, p_minus = _mode_sums(table, direction, minus).transpose(1, 0, 2)
     columns = (nu_ref * q_plus, nu_ref * q_minus, p_plus / nu_ref, p_minus / nu_ref)
     columns = zip(*(c.tolist() for c in columns))
-    moments = [tuple(PairMoments(*v) for v in zip(*c)) for c in columns]
-    return moments if table.batch else moments[0]
+    return [tuple(PairMoments(*v) for v in zip(*c)) for c in columns]
 
 
 @dataclass(frozen=True)
@@ -337,19 +325,19 @@ def block_covariance(
         below 1).
     """
     sites, directions = tuple(sites), tuple(directions)
-    table = moment_table(build_spectrum(params, nu_t), (temperature,), drop_soft_modes)
+    table = moment_table([build_spectrum(params, nu_t)], (temperature,), drop_soft_modes)
     return CovarianceMatrix(
-        matrix=block_covariance_at(table, sites, directions)[0],
+        matrix=block_covariance_at(table, sites, directions)[0][0],
         modes=_block_modes(params, sites, directions),
         dropped_soft_modes=table.dropped[0],
     )
 
 
 def block_covariance_at(table: MomentTable, sites, directions=DIRECTIONS) -> np.ndarray:
-    """:func:`block_covariance` at every temperature of a moment table, shape
-    (n_T, 2k, 2k), or (P, n_T, 2k, 2k) for a batch table of P spectra, by
-    one scatter; the modes are ``sites`` outer and ``directions`` inner, and
-    the first k modes' covariance is the leading 2k x 2k part."""
+    """:func:`block_covariance` at every temperature of a moment table of P
+    spectra, shape (P, n_T, 2k, 2k), by one scatter; the modes are
+    ``sites`` outer and ``directions`` inner, and the first k modes'
+    covariance is the leading 2k x 2k part."""
     spectra = table.spectra
     params = spectra[0].params
     modes = _block_modes(params, sites, directions)
@@ -371,7 +359,7 @@ def block_covariance_at(table: MomentTable, sites, directions=DIRECTIONS) -> np.
     cov = np.zeros((len(spectra), n_t, 2 * k, 2 * k))
     cov[:, :, i, j] = cov[:, :, j, i] = qq
     cov[:, :, i + 1, j + 1] = cov[:, :, j + 1, i + 1] = pp
-    return cov if table.batch else cov[0]
+    return cov
 
 
 def direct_covariance_oracle(

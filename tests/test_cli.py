@@ -8,9 +8,11 @@ exactly once against API calls made directly in library units.
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from collections import Counter
@@ -624,6 +626,32 @@ def test_unwritable_dump_is_a_config_error(tmp_path, capsys):
     assert "configuration error: cannot write dump file" in capsys.readouterr().err
 
 
+#: what writing to a full disk raises, and the message it ends with
+FULL_DISK = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+FULL_DISK_MESSAGE = f"configuration error: cannot write output: {FULL_DISK}\n"
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv", [["sweep", *base_args(), "--nu-t", "1.2"], ["check"]], ids=lambda argv: argv[0]
+)
+def test_a_failed_write_to_stdout_is_a_config_error(capsys, argv, failing):
+    def full(*args):
+        raise FULL_DISK
+
+    stdout = io.StringIO()
+    setattr(stdout, failing, full)
+    with contextlib.redirect_stdout(stdout):
+        rc = main(argv)
+    assert (rc, capsys.readouterr().err) == (2, FULL_DISK_MESSAGE)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_output_to_a_full_device_is_a_config_error(capsys):
+    argv = ["sweep", *base_args(), "--nu-t", "1.2", "--out", "/dev/full"]
+    assert run(argv, capsys) == (2, "", FULL_DISK_MESSAGE)
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("computation started before the destinations were checked")
 
@@ -1101,6 +1129,15 @@ def test_a_root_find_that_does_not_converge_ends_its_row(monkeypatch, capsys, mo
     assert rows[1]["error"] == ("" if module is lattice else expect)
 
 
+def test_an_unbracketed_buckling_root_ends_the_sweep_row_and_the_witness(capsys):
+    lr = ["--n", "10", "--model", "LR", "--nu-t", "1e-15"]
+    message = "NoConvergence: could not bracket the buckling displacement"
+    rc, out, err = run(["sweep", *lr, "--measures", "negativity"], capsys)
+    (row,) = parse_csv(out)
+    assert (rc, row["error"], err) == (0, message, "")
+    assert run(["witness", *lr], capsys) == (3, "", f"numerical failure: {message}\n")
+
+
 def test_measure_subsetting_leaves_other_cells_empty(capsys):
     rc = main(["sweep", *base_args(), "--nu-t", "2.0", "--measures", "negativity"])
     assert rc == 0
@@ -1491,7 +1528,7 @@ def test_spectrum_ignores_the_config_temperatures(tmp_path, capsys):
     path = write_config(tmp_path, nuTGrid=[2.0], temperatures=[-0.5])
     rc, out, err = run(["witness", "--config", path], capsys)
     assert (rc, out) == (2, "")
-    assert "configuration error: temperatures must be non-negative" in err
+    assert "configuration error: temperature must be non-negative and finite" in err
 
 
 def test_spectrum_has_no_temperature_flag(capsys):

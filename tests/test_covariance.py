@@ -180,7 +180,7 @@ def test_a_non_finite_temperature_is_a_config_error(nn_ring, temperature):
     # a NaN would pass a t < 0 test, and T = inf would give p_plus 0.0
     params = nn_ring(n=8)
     with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
-        moment_table(build_spectrum(params, 1.5), (0.0, temperature))
+        moment_table([build_spectrum(params, 1.5)], (0.0, temperature))
     with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
         pair_moments(params, 1.5, temperature, 1, "y")
     with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
@@ -206,15 +206,14 @@ def test_a_batch_table_gives_each_spectrum_its_own_result(nn_ring, lr_ring, ring
     specs = [build_spectrum(params, _factor(params, m)) for m in mults]
     temperatures = (0.0, 0.3, 2.0)
     batch = moment_table(specs, temperatures, drop)
-    singles = [moment_table(spec, temperatures, drop) for spec in specs]
-    assert batch.batch and not singles[0].batch
+    singles = [moment_table([spec], temperatures, drop) for spec in specs]
     assert batch.dropped == tuple(t.dropped[0] for t in singles)
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
             got = pair_moments_at(batch, tau, d)
             assert len(got) == len(specs)
             for moments, single in zip(got, singles):
-                want = pair_moments_at(single, tau, d)
+                (want,) = pair_moments_at(single, tau, d)
                 assert _same_bits([_pair_fields(pm) for pm in moments],
                                   [_pair_fields(pm) for pm in want]), (tau, d)
     for sites, directions in [((1, 2, 3), ("x",)), ((1, 2, 3), ("y",)),
@@ -222,7 +221,8 @@ def test_a_batch_table_gives_each_spectrum_its_own_result(nn_ring, lr_ring, ring
         stacks = block_covariance_at(batch, sites, directions)
         assert stacks.shape[:2] == (len(specs), len(temperatures))
         for stack, single in zip(stacks, singles):
-            assert _same_bits(stack, block_covariance_at(single, sites, directions)), sites
+            (want,) = block_covariance_at(single, sites, directions)
+            assert _same_bits(stack, want), sites
 
 
 def test_a_batch_table_refuses_spectra_of_two_phases_or_rings(nn_ring):
@@ -237,8 +237,8 @@ def test_a_batch_table_refuses_spectra_of_two_phases_or_rings(nn_ring):
 def test_moment_table_takes_temperatures_from_a_generator(nn_ring):
     spec = build_spectrum(nn_ring(n=8), 0.8)
     temps = [0.0, 0.3, 2.0]
-    want = moment_table(spec, temps)
-    got = moment_table(spec, (t for t in temps))
+    want = moment_table([spec], temps)
+    got = moment_table([spec], (t for t in temps))
     assert got.temperatures == want.temperatures == tuple(temps)
     assert got.factors.tobytes() == want.factors.tobytes()
 
@@ -451,9 +451,9 @@ def test_buckled_moments_equal_with_cold_and_warm_phase_cache(nn_ring, lr_ring, 
     spec = build_spectrum(params, _factor(params, 0.8))
 
     def evaluate():
-        table = moment_table(spec, (0.2,))
-        moments = [pair_moments_at(table, tau, d) for tau in (1, 2, 3) for d in DIRECTIONS]
-        block = block_covariance_at(table, (1, 2, 4))[0]
+        table = moment_table([spec], (0.2,))
+        moments = [pair_moments_at(table, tau, d)[0] for tau in (1, 2, 3) for d in DIRECTIONS]
+        block = block_covariance_at(table, (1, 2, 4))[0][0]
         return moments, block
 
     def hits():
@@ -637,17 +637,17 @@ def test_moment_table_equals_the_entry_by_entry_loop(nn_ring, lr_ring, ring, tem
     params = lr_ring(n=12) if ring.startswith("lr") else nn_ring(n=8)
     mult = {"buckled": 0.8, "flat": 1.5, "critical": 1.0}[ring.split("-")[1]]
     spec = build_spectrum(params, _factor(params, mult))
-    table = moment_table(spec, (temperature,))
+    table = moment_table([spec], (temperature,))
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
-            (pm,) = pair_moments_at(table, tau, d)
+            ((pm,),) = pair_moments_at(table, tau, d)
             want = _reference_pair(spec, temperature, tau, d)
             assert _same_bits(_pair_fields(pm), want[4:]), (tau, d)
-            (block,) = block_covariance_at(table, (1, 1 + tau), (d,))
+            ((block,),) = block_covariance_at(table, (1, 1 + tau), (d,))
             assert _same_bits(_raw_pair_entries(block), want[:4]), (tau, d)
     cases = [((1, 2, 3), ("x", "y")), ((3, 1, 2), ("y", "x")), ((1, 2, 4), ("y",))]
     for sites, directions in cases:
-        (got,) = block_covariance_at(table, sites, directions)
+        ((got,),) = block_covariance_at(table, sites, directions)
         want = _reference_block(spec, temperature, sites, directions, False)
         assert _same_bits(got, want), (sites, directions)
         dropped = block_covariance(
@@ -657,7 +657,7 @@ def test_moment_table_equals_the_entry_by_entry_loop(nn_ring, lr_ring, ring, tem
         assert _same_bits(dropped.matrix, want), (sites, directions, "dropped")
     if ring == "nn-flat":
         # the flat phase's x-y entries are +0.0, not -0.0
-        cross = block_covariance_at(table, (1, 2), ("x", "y"))[0, 0::2, 0::2][0, 1::2]
+        cross = block_covariance_at(table, (1, 2), ("x", "y"))[0, 0, 0::2, 0::2][0, 1::2]
         assert (cross == 0.0).all() and not np.signbit(cross).any()
     if ring == "nn-critical":
         assert np.isinf(block_covariance_at(table, (1, 2), ("y",))).any()
@@ -673,11 +673,11 @@ def test_stacked_table_equals_the_per_temperature_reference(nn_ring, lr_ring, ri
     mult = {"buckled": 0.8, "flat": 1.5, "critical": 1.0}[ring.split("-")[1]]
     spec = build_spectrum(params, _factor(params, mult))
     temperatures = (0.0, 0.1, 0.3, 1.6)
-    table = moment_table(spec, temperatures)
+    table = moment_table([spec], temperatures)
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
-            moments = pair_moments_at(table, tau, d)
-            blocks = block_covariance_at(table, (1, 1 + tau), (d,))
+            (moments,) = pair_moments_at(table, tau, d)
+            (blocks,) = block_covariance_at(table, (1, 1 + tau), (d,))
             assert len(moments) == len(blocks) == len(temperatures)
             for pm, block, t in zip(moments, blocks, temperatures):
                 want = _reference_pair(spec, t, tau, d)
@@ -685,7 +685,7 @@ def test_stacked_table_equals_the_per_temperature_reference(nn_ring, lr_ring, ri
                 assert _same_bits(_raw_pair_entries(block), want[:4]), (tau, d, t)
     cases = [((1, 2, 3), ("x", "y")), ((3, 1, 2), ("y", "x")), ((1, 2, 4), ("y",))]
     for sites, directions in cases:
-        stack = block_covariance_at(table, sites, directions)
+        (stack,) = block_covariance_at(table, sites, directions)
         assert stack.shape[0] == len(temperatures)
         for got, t in zip(stack, temperatures):
             want = _reference_block(spec, t, sites, directions, False)
@@ -788,19 +788,19 @@ def test_block_gather_equals_the_per_entry_loop(nn_ring, lr_ring, ring, drop):
         nu_t = _factor(params, {"buckled": 0.8, "flat": 1.5, "critical": 1.0}[phase])
     spec = build_spectrum(params, nu_t)
     temperatures = (0.0, 0.3, 2.0)
-    table = moment_table(spec, temperatures, drop)
-    reference = moment_table(spec, temperatures, drop)
+    table = moment_table([spec], temperatures, drop)
+    reference = moment_table([spec], temperatures, drop)
     for tau in (1, 2, 3):
         for d in DIRECTIONS:
             want = _reference_stacked_pairs(reference, tau, d, drop)
-            got = [_pair_fields(pm) for pm in pair_moments_at(table, tau, d)]
+            got = [_pair_fields(pm) for pm in pair_moments_at(table, tau, d)[0]]
             assert _same_bits(got, [w[4:] for w in want]), (tau, d)
-            raw = [_raw_pair_entries(b) for b in block_covariance_at(table, (1, 1 + tau), (d,))]
+            raw = [_raw_pair_entries(b) for b in block_covariance_at(table, (1, 1 + tau), (d,))[0]]
             assert _same_bits(raw, [w[:4] for w in want]), (tau, d)
     site_sets = [tuple(range(1, k + 1)) for k in (1, 2, 3, 4)] + [(1, 2, 4)]
     for sites in site_sets:
         for directions in (("x",), ("y",), ("x", "y"), ("y", "x")):
-            got = block_covariance_at(table, sites, directions)
+            (got,) = block_covariance_at(table, sites, directions)
             want = _reference_stacked_block(reference, sites, directions)
             assert got.shape == want.shape
             assert _same_bits(got, want), (sites, directions)
@@ -808,7 +808,7 @@ def test_block_gather_equals_the_per_entry_loop(nn_ring, lr_ring, ring, drop):
         assert np.isinf(block_covariance_at(table, (1, 2), ("y",))).any()
     if phase == "flat":
         # the flat phase's x-y entries are +0.0
-        cross = block_covariance_at(table, (1, 2), ("x", "y"))[:, 0::2, 0::2][:, 0, 1::2]
+        cross = block_covariance_at(table, (1, 2), ("x", "y"))[0][:, 0::2, 0::2][:, 0, 1::2]
         assert (cross == 0.0).all() and not np.signbit(cross).any()
 
 

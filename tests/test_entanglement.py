@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import ionlattice.entanglement as ent
 from ionlattice.covariance import block_covariance, pair_moments
 from ionlattice.entanglement import (
     block_entropy_profile,
@@ -149,14 +148,13 @@ def test_stacked_spectra_fail_only_their_own_matrix(nn_ring):
             symplectic_spectrum(sigma)
 
 
-def test_a_stack_longer_than_one_eigensolver_batch_keeps_every_spectrum(monkeypatch):
+def test_a_whole_stack_takes_one_eigensolver_call_and_keeps_every_spectrum(monkeypatch):
     # random physical states (Gram matrices plus half the identity), with
-    # a non-finite matrix on each side of a batch boundary
+    # two non-finite matrices among them
     rng = np.random.default_rng(5)
-    batch = ent.EIGVALS_BATCH
-    root = rng.standard_normal((2 * batch + 3, 6, 6))
+    root = rng.standard_normal((131, 6, 6))
     sigmas = root @ root.transpose(0, 2, 1) + 0.5 * np.eye(6)
-    sigmas[batch - 1, 2, 3] = sigmas[batch + 1, 0, 0] = np.inf
+    sigmas[63, 2, 3] = sigmas[65, 0, 0] = np.inf
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -166,7 +164,10 @@ def test_a_stack_longer_than_one_eigensolver_batch_keeps_every_spectrum(monkeypa
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     spectra = symplectic_spectra(sigmas)
-    assert calls == [batch, batch, 1]
+    assert calls == [129]
+    # a stack without a finite matrix makes no call
+    assert all(isinstance(s, Divergent) for s in symplectic_spectra(sigmas[[63, 65]]))
+    assert calls == [129]
     for sigma, spectrum in zip(sigmas, spectra):
         alone = symplectic_spectra(sigma[None])[0]
         if isinstance(alone, Divergent):

@@ -324,6 +324,12 @@ def test_a_nan_root_fails_the_residual_gate(lr_ring, monkeypatch):
         solve_equilibrium(params, nu_t)
 
 
+def test_a_vanishing_transverse_trap_leaves_the_buckling_root_unbracketed():
+    # the force balance stays negative at every b up to the bracket's 1e9
+    with pytest.raises(NoConvergence, match="^could not bracket the buckling displacement$"):
+        solve_equilibrium(LatticeParams(10, 1.0, tau_max=4), 1e-15)
+
+
 def test_default_neighbour_range():
     # the nearest-neighbour ring; the CLI's --model LR presets tau_max 4
     nn = LatticeParams(n=8, nu=1.0)

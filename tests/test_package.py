@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import importlib
 import json
 import os
@@ -18,6 +19,20 @@ def test_every_exported_name_resolves():
     missing = [name for name in ionlattice.__all__ if not hasattr(ionlattice, name)]
     assert missing == []
     assert len(set(ionlattice.__all__)) == len(ionlattice.__all__)
+
+
+def test_the_cli_and_the_check_suite_import_no_private_library_name():
+    """``cli`` and ``checks`` use the library through its public names: no
+    ``from .<module> import _<name>``."""
+    package = Path(ionlattice.__file__).parent
+    private = []
+    for source in ("cli.py", "checks.py"):
+        for node in ast.walk(ast.parse((package / source).read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names if alias.name.startswith("_")]
+                private += [f"{source}: from {'.' * node.level}{node.module or ''} import {name}"
+                            for name in names]
+    assert private == []
 
 
 def test_the_readme_python_examples_run():
