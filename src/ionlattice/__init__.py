@@ -44,6 +44,7 @@ from .lattice import (
     CouplingCoefficients,
     LatticeParams,
     Variant,
+    checked_temperatures,
     critical_potential,
     equilibrium_residual,
     solve_equilibrium,
@@ -91,6 +92,7 @@ __all__ = [
     "block_entropy",
     "block_entropy_profile",
     "build_spectrum",
+    "checked_temperatures",
     "coupling_matrix",
     "critical_potential",
     "critical_temperature",

@@ -51,8 +51,7 @@ from .errors import (
     NumericalFailure,
     QuadratureFailure,
 )
-from . import lattice
-from .lattice import LatticeParams, Variant, solve_equilibrium
+from .lattice import LatticeParams, Variant, checked_temperatures, solve_equilibrium
 from .spectrum import build_spectrum
 from .witness import witness_report, witness_reports
 
@@ -179,7 +178,7 @@ def _check_grid(name: str, grid):
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{name} grid must be strictly increasing")
     if name == "temperature":
-        lattice._checked_temperatures(grid)
+        checked_temperatures(grid)
 
 
 def _block_sizes(measures) -> tuple:
@@ -345,7 +344,8 @@ def _halves(table, axial: list, slot: int, evaluate) -> tuple:
     """The x and y values of ``evaluate(table, direction)``, one per spectrum.
     A flat point's x half does not involve nuT (axial branch, weights 1, 0,
     0): the chunk's first flat point evaluates it, on its own table, into
-    ``axial[slot]``."""
+    ``axial[slot]``, and the batch table, read along y only, evaluates no
+    axial factor."""
     if table.spectra[0].variant is Variant.ZIGZAG:
         return tuple(evaluate(table, d) for d in DIRECTIONS)
     if axial[slot] is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,10 +30,10 @@ from .errors import ConfigError, Divergent, ImaginaryFrequency
 from .lattice import (
     LatticeParams,
     Variant,
+    checked_temperatures,
     critical_potential,
     solve_equilibrium,
     taylor_coefficients,
-    _checked_temperatures,
     _cos_double_table,
     _read_only,
     _sin_double_table,
@@ -83,28 +83,54 @@ def _mode_factors(omega, temperatures):
 @dataclass(frozen=True)
 class MomentTable:
     """The thermal factors of P mode spectra of one ring in one phase at a
-    stack of temperatures, evaluated once, shape (P, 2, 2, n_T, n):
-    spectrum, branch, position or momentum factor, temperature, mode.
-    ``weights[kernel]`` holds the mixing weights of branch 0 and 1 in the
-    "x", "y" or "cross" sums, each (P, n) with 0 at a soft mode left out, or
-    None where all vanish; ``dropped`` counts the modes left out per
-    spectrum. Its readers give one result per spectrum."""
+    stack of temperatures. ``omega`` stacks their frequencies, shape
+    (P, 2, n): spectrum, branch, mode. ``weights[kernel]`` holds the mixing
+    weights of branch 0 and 1 in the "x", "y" or "cross" sums, each (P, n)
+    with 0 at a soft mode left out, or None where all vanish; ``dropped``
+    counts the modes left out per spectrum. A branch's factors are
+    evaluated when a kernel that weights it first reads the table (see
+    :meth:`_kernel_factors`), so a flat table read along y evaluates no axial
+    factor; ``factors`` holds every branch, shape (P, 2, 2, n_T, n):
+    spectrum, branch, position or momentum factor, temperature, mode. Its
+    readers give one result per spectrum."""
 
     spectra: tuple
     temperatures: tuple
     weights: dict
-    factors: np.ndarray
+    omega: np.ndarray
     dropped: tuple
+    _branches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _kernel_factors(self, kernel: str) -> dict:
+        """The (P, 2, n_T, n) factors of the table's spectra by branch, each
+        branch ``kernel`` weights among them. The weighted branches that no
+        earlier read evaluated take one :func:`_mode_factors` call, both
+        branches of a buckled table together."""
+        self._evaluate([b for b, w in enumerate(self.weights[kernel]) if w is not None])
+        return self._branches
+
+    @property
+    def factors(self) -> np.ndarray:
+        self._evaluate((0, 1))
+        return np.stack((self._branches[0], self._branches[1]), axis=1)
+
+    def _evaluate(self, branches):
+        missing = [b for b in branches if b not in self._branches]
+        if missing:
+            omega = self.omega if len(missing) == 2 else self.omega[:, missing]
+            factors = np.stack(_mode_factors(omega, self.temperatures), axis=2)
+            for i, b in enumerate(missing):
+                self._branches[b] = factors[:, i]
 
 
 def moment_table(spectra, temperatures, drop_soft_modes: bool = False) -> MomentTable:
     """The moment table of ``spectra``, a sequence of mode spectra of one
     ring in one phase (one spectrum is a sequence of one), at each of
-    ``temperatures`` (likewise a sequence); one :func:`_mode_factors` call
-    evaluates its factors. ``drop_soft_modes`` excludes modes below
+    ``temperatures`` (likewise a sequence); its factors are evaluated as
+    its readers ask for them. ``drop_soft_modes`` excludes modes below
     ``SOFT_FREQ_FACTOR * max(nu, nu_t)`` from every mode sum of the table
     (see :func:`block_covariance`)."""
-    temperatures = _checked_temperatures(temperatures)
+    temperatures = checked_temperatures(temperatures)
     spectra = tuple(spectra)
     if not spectra or len({(s.params, s.variant) for s in spectra}) > 1:
         raise ConfigError("a moment table takes spectra of one ring in one phase")
@@ -122,8 +148,7 @@ def moment_table(spectra, temperatures, drop_soft_modes: bool = False) -> Moment
         for key, pair in weights.items():
             masked = zip(keep.transpose(1, 0, 2), pair)
             weights[key] = tuple(w if w is None else np.where(k, w, 0.0) for k, w in masked)
-    factors = np.stack(_mode_factors(omega, temperatures), axis=2)
-    return MomentTable(spectra, temperatures, weights, factors, dropped)
+    return MomentTable(spectra, temperatures, weights, omega, dropped)
 
 
 def _mode_sums(table: MomentTable, kernel: str, phase) -> np.ndarray:
@@ -139,8 +164,9 @@ def _mode_sums(table: MomentTable, kernel: str, phase) -> np.ndarray:
     separate groups; (3) each accumulates 0.0 + s_0/n + s_1/n in branch
     order, skipping a branch whose w all vanish, which keeps the sign of 0.
     """
-    n = table.factors.shape[-1]
+    n = table.omega.shape[-1]
     total = np.zeros((len(table.spectra), 2, len(table.temperatures)))
+    factors = table._kernel_factors(kernel)
     for branch, weights in enumerate(table.weights[kernel]):
         if weights is None:
             continue
@@ -151,7 +177,7 @@ def _mode_sums(table: MomentTable, kernel: str, phase) -> np.ndarray:
         for i, row in enumerate(nz if len(nz) > 1 and (nz != nz[0]).any() else ()):
             groups.setdefault(row.tobytes(), []).append(i)
         for part in groups.values() or [slice(None)]:
-            facs, mask, wt = table.factors[part, branch], nz[part][0], w[part]
+            facs, mask, wt = factors[branch][part], nz[part][0], w[part]
             count = np.count_nonzero(mask)
             if count == n:
                 terms = facs * wt[:, None, None]
@@ -375,7 +401,7 @@ def direct_covariance_oracle(
     n = params.n
     if n > DENSE_SITE_LIMIT:
         raise ConfigError(f"dense oracle supports n <= {DENSE_SITE_LIMIT}, got {n}")
-    _checked_temperatures((temperature,))
+    checked_temperatures((temperature,))
     config = solve_equilibrium(params, nu_t)
     coeff = taylor_coefficients(params, config)
 
@@ -430,14 +456,16 @@ def direct_covariance_oracle(
     return CovarianceMatrix(matrix=cov, modes=modes)
 
 
-# One sum serves the node data of every weight on the same interval (see
-# _rule_node_data) and the zone-edge and zone-centre values of every row.
-@functools.lru_cache(maxsize=4096)
+# The zone-edge and zone-centre values of every row; the rule nodes take
+# the same sum a row of nodes at a time (see _rule_node_data).
+@functools.lru_cache(maxsize=64)
 def _dispersion_sum(tau_max: int, a: float) -> float:
     """sum_{tau=1}^{tau_max} sin^2(a tau) / tau^3, the nuT-independent part
     of the bulk dispersion. NumPy's pairwise sum (``np.add.reduce``, the
     reduction ``np.sum`` calls) and its ``x**2`` are kept as they are: a
-    scalar rewrite differs in the last bit at some nodes."""
+    scalar rewrite differs in the last bit at some nodes. The same
+    expression over a (nodes, tau_max) array, reduced along its rows, gives
+    each node this value bit for bit."""
     taus, cubes = _dispersion_taus(tau_max)
     return float(np.add.reduce(np.sin(a * taus) ** 2 / cubes))
 
@@ -461,27 +489,26 @@ def _bulk_dispersion(params: LatticeParams, nu_t: float, direction: str) -> tupl
 # QAGS bisects the same few dozen intervals for every nuT and direction: the
 # seed-0 bulk workload of perfbench evaluates 1,813 rules on 49 distinct
 # intervals, 81 with their weights. What a node's value takes besides the
-# dispersion's base and prefactor is computed once per interval and weight;
-# the entries are tuples, read-only.
+# dispersion's base and prefactor is computed once per interval and weight,
+# the 21 dispersion sums in one array expression; the entries are tuples,
+# read-only.
 @functools.lru_cache(maxsize=1024)
 def _rule_node_data(
     variable: str, tau_max: int, tau: int, sign: float, centr: float, hlgth: float
 ) -> tuple:
     """Per node of ``rule_nodes(centr, hlgth)``, for ``variable`` "alpha"
     the pair (S(alpha), w) and for "u" the triple (S(alpha), w, 1 - u^2)
-    at alpha = acos(u): S = ``_dispersion_sum(tau_max, .)`` and the weight
-    w = 1 + sign cos(2 alpha tau). Each is the scalar expression the
-    integrand would evaluate at the node, so its bits are kept."""
-    acos, cos, dsum = math.acos, math.cos, _dispersion_sum
+    at alpha = acos(u): S(alpha) equals ``_dispersion_sum(tau_max, alpha)``
+    bit for bit, and the weight w = 1 + sign cos(2 alpha tau) and 1 - u^2
+    are the scalar expressions the integrand would evaluate at the node."""
+    cos, nodes = math.cos, rule_nodes(centr, hlgth)
+    alphas = nodes if variable == "alpha" else [math.acos(u) for u in nodes]
+    taus, cubes = _dispersion_taus(tau_max)
+    sums = np.add.reduce(np.sin(np.array(alphas)[:, None] * taus) ** 2 / cubes, axis=1)
+    weights = [1.0 + sign * cos(2.0 * a * tau) for a in alphas]
     if variable == "alpha":
-        return tuple(
-            (dsum(tau_max, a), 1.0 + sign * cos(2.0 * a * tau)) for a in rule_nodes(centr, hlgth)
-        )
-    data = []
-    for u in rule_nodes(centr, hlgth):
-        a = acos(u)
-        data.append((dsum(tau_max, a), 1.0 + sign * cos(2.0 * a * tau), 1.0 - u * u))
-    return tuple(data)
+        return tuple(zip(sums.tolist(), weights))
+    return tuple(zip(sums.tolist(), weights, [1.0 - u * u for u in nodes]))
 
 
 def _bulk_integrands(base: float, k: float, tau_max: int, tau: int = 0, sign: float = 0.0):

@@ -83,7 +83,7 @@ class LatticeParams:
         object.__setattr__(self, "nu", float(self.nu))
 
 
-def _checked_temperatures(temperatures) -> tuple:
+def checked_temperatures(temperatures) -> tuple:
     """Any iterable of temperatures as a tuple, each non-negative and finite."""
     temperatures = tuple(temperatures)
     # written so that a NaN fails it

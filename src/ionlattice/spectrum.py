@@ -17,6 +17,7 @@ onto them as l -> l + n/2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .lattice import (
     Variant,
     solve_equilibrium,
     tilde_frequencies,
+    _read_only,
 )
 
 #: Squared frequencies more negative than this raise; values in [-tol, 0) clamp to 0.
@@ -151,6 +153,15 @@ class ModeSpectrum:
         return self.config.variant
 
 
+# The flat ring's axial dispersion involves neither nu_t nor the buckling,
+# so every flat nu_t of a ring shares it, read-only.
+@functools.lru_cache(maxsize=16)
+def _axial_branch(params: LatticeParams) -> np.ndarray:
+    """The axial frequencies of the flat ring, l = 1 .. n."""
+    wx2, _, _ = tilde_frequencies(params, Configuration(Variant.LINEAR, 0.0), 0.0)
+    return _read_only(_sqrt_radicand(wx2, "axial"))
+
+
 def build_spectrum(
     params: LatticeParams, nu_t: float, config: Configuration | None = None
 ) -> ModeSpectrum:
@@ -161,7 +172,7 @@ def build_spectrum(
     wx2, wy2, wxy = tilde_frequencies(params, config, nu_t)
     if config.variant is Variant.LINEAR:
         zeros = np.zeros(params.n)
-        omega = np.array([_sqrt_radicand(wx2, "axial"), _sqrt_radicand(wy2, "transverse")])
+        omega = np.array([_axial_branch(params), _sqrt_radicand(wy2, "transverse")])
         return ModeSpectrum(params, nu_t, config, omega, np.ones(params.n), zeros, zeros)
 
     delta = wx2 - wy2

@@ -30,7 +30,7 @@ from .errors import DomainError, NoConvergence
 from .lattice import (
     Configuration,
     LatticeParams,
-    _checked_temperatures,
+    checked_temperatures,
     solve_equilibrium,
     taylor_coefficients,
 )
@@ -104,7 +104,7 @@ class _Energy:
 
 def internal_energy(params: LatticeParams, nu_t: float, temperature: float) -> float:
     """Thermal internal energy U(T) summed over all normal modes."""
-    _checked_temperatures((temperature,))
+    checked_temperatures((temperature,))
     return _Energy(build_spectrum(params, nu_t).omega.ravel())(temperature)
 
 
@@ -162,7 +162,7 @@ def witness_report(params: LatticeParams, nu_t: float, temperature: float) -> Wi
 def witness_reports(spec: ModeSpectrum, temperatures) -> list[WitnessReport]:
     """The witness at every temperature of one mode spectrum; the bound and
     the crossing temperature do not depend on T and are evaluated once."""
-    temperatures = _checked_temperatures(temperatures)
+    temperatures = checked_temperatures(temperatures)
     params = spec.params
     wx, wy = effective_frequencies(params, spec.nu_t, spec.config)
     bound = _bound(params.n, wx, wy)

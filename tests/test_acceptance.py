@@ -17,10 +17,12 @@ traps with the zone-edge coupling sum (4 Q^2 / m) sum d_tau where the site
 diagonal is (2 Q^2 / m) sum d_tau (corrected, the reading is 0.4163), and
 nothing in the repository derives the 0.12 anchor or its temperature unit.
 
-Beside criterion 01, two plain tests check how the bulk values approach the
-transition from the flat side: the derivative of the neighbour negativity
+Beside criterion 01, three plain tests check how the bulk values approach
+the transition from the flat side: the derivative of the neighbour negativity
 diverges as a ln(eps) and the squared single-site symplectic eigenvalue grows
-as b ln(1/eps), with a and b fixed by band averages at the critical trap.
+as b ln(1/eps), with a and b fixed by band averages at the critical trap, and
+the largest squared symplectic eigenvalue of a 2- or 3-site block as
+b_L ln(1/eps), with b_L fixed by the block's momentum part.
 
 Beside criterion 03, three plain tests check the block entropy at and near
 the transition, at zero and finite temperature, against the c = 1 laws
@@ -140,6 +142,31 @@ def test_the_bulk_negativity_slope_and_site_variance_grow_as_log_eps(tau_max):
         b = (variance[lo] - variance[hi]) / math.log(hi / lo)
         assert abs(a - want[0]) < 1e-3, (hi, lo, a, want[0])
         assert abs(b - want[1]) < 1e-3, (hi, lo, b, want[1])
+
+
+@pytest.mark.parametrize("tau_max", [1, 4])
+def test_the_largest_block_variance_grows_as_log_eps(tau_max):
+    """On a 2^16-site ring at T = 0 and nu_t = crit (1 + eps), the largest
+    symplectic eigenvalue of a y block of L sites grows as
+    r_max^2 = b_L ln(1/eps) + O(1), with b_L = nu_c v^T P v / (pi sqrt(c)):
+    v = (1, -1, 1, ...) is the staggered vector of the soft mode, P the
+    block's momentum part (finite at the transition) and c the zone-edge
+    curvature. At L = 1 this is the site law above (b = 2/pi^2 for NN)."""
+    params = LatticeParams(n=2**16, nu=1.0, tau_max=tau_max)
+    crit = critical_potential(params)
+    c = 0.25 * sum((-1.0) ** (tau + 1) / tau for tau in range(1, tau_max + 1))
+    blocks = {
+        eps: block_covariance(params, crit * (1.0 + eps), 0.0, (1, 2, 3), ("y",)).matrix
+        for eps in (1e-7, 1e-8)
+    }
+    for size in (2, 3):
+        r2 = {eps: float(max(symplectic_spectrum(sigma[: 2 * size, : 2 * size]))) ** 2
+              for eps, sigma in blocks.items()}
+        slope = (r2[1e-8] - r2[1e-7]) / math.log(10.0)
+        v = (-1.0) ** np.arange(size)
+        p = blocks[1e-8][1 : 2 * size : 2, 1 : 2 * size : 2]
+        want = crit * (v @ p @ v) / (math.pi * math.sqrt(c))
+        assert abs(slope - want) < 1e-3, (size, slope, want)
 
 
 def test_criterion_02_critical_potentials(record_criterion, nn_ring, lr_ring):

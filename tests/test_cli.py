@@ -440,6 +440,30 @@ def test_the_flat_axial_half_is_computed_once_per_chunk(monkeypatch, jobs):
         assert calls[name, "zigzag", "x"] == calls[name, "zigzag", "y"] == 2, calls
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_bulk_sweep_evaluates_the_axial_branch_once_per_chunk(monkeypatch, jobs):
+    """The stand-in points of a flat bulk sweep share the axial branch: the
+    moment tables of their batches evaluate the transverse factors only,
+    and each chunk the axial ones once, for its shared x half."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    branches = []
+    original = covariance._mode_factors
+
+    def recorded(omega, temperatures):
+        branches.extend(row.tobytes() for point in np.asarray(omega) for row in point)
+        return original(omega, temperatures)
+
+    monkeypatch.setattr(covariance, "_mode_factors", recorded)
+    spec = small_spec(nu_t_grid=(1.6, 1.8, 2.0, 2.2, 2.4), temperatures=(0.0,),
+                      td_limit=True, measures=BLOCK_MEASURES)
+    rows = run_sweep(spec, jobs=jobs)
+    assert all(row["error"] == "" and row["configVariant"] == "linear" for row in rows)
+    ring = dataclasses.replace(spec.params, n=cli.TD_PROXY_N)
+    axial = spectrum.build_spectrum(ring, 1.6 * cli.NU_T_UNIT).omega[0].tobytes()
+    assert branches.count(axial) == jobs
+    assert len(branches) == len(spec.nu_t_grid) + jobs
+
+
 def _cell_reprs(rows):
     return [{c: repr(v) for c, v in row.items()} for row in rows]
 

@@ -413,6 +413,63 @@ def test_rule_node_data_is_read_only():
         assert _rule_node_data(variable, 4, 1, -1.0, 0.5, 0.25) is data
 
 
+@pytest.mark.parametrize("tau_max", [1, 4, 8, 12])
+def test_rule_node_sums_equal_the_dispersion_sum_bit_for_bit(tau_max, monkeypatch):
+    """The node data take each interval's 21 dispersion sums in one array
+    expression, and each equals ``_dispersion_sum`` at its node to the last
+    bit, over alpha and over u = cos alpha, on random intervals."""
+    calls = []
+    monkeypatch.setattr(covariance, "_dispersion_sum", lambda *args: calls.append(args))
+    rng = np.random.default_rng(100 + tau_max)
+    _rule_node_data.cache_clear()
+    for variable, top in (("alpha", math.pi / 2), ("u", 1.0)):
+        for _ in range(200):
+            lo, hi = sorted(rng.uniform(0.0, top, 2))
+            centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            nodes = _solvers.rule_nodes(centr, hlgth)
+            alphas = nodes if variable == "alpha" else [math.acos(u) for u in nodes]
+            data = _rule_node_data(variable, tau_max, 1, 1.0, centr, hlgth)
+            got = [node[0].hex() for node in data]
+            assert got == [_dispersion_sum(tau_max, a).hex() for a in alphas]
+    assert calls == []
+
+
+def test_a_table_evaluates_a_branch_when_a_kernel_that_weights_it_first_reads(
+    nn_ring, monkeypatch
+):
+    """A flat table read along y evaluates the transverse factors only, the
+    axial ones when an x sum first reads it, and no factor for the cross
+    entries, which vanish; a buckled table evaluates both branches at its
+    first read, in one call. The factors equal one evaluation of all
+    branches bit for bit."""
+    calls, original = [], covariance._mode_factors
+
+    def recorded(omega, temperatures):
+        calls.append(np.array(omega))
+        return original(omega, temperatures)
+
+    monkeypatch.setattr(covariance, "_mode_factors", recorded)
+    params, temperatures = nn_ring(n=8), (0.0, 0.3)
+    flat = moment_table([build_spectrum(params, _factor(params, m)) for m in (1.2, 1.5, 3.0)],
+                        temperatures)
+    assert calls == []
+    pair_moments_at(flat, 1, "y")
+    block_covariance_at(flat, (1, 2, 3), ("y",))
+    assert [c.tobytes() for c in calls] == [flat.omega[:, 1:].tobytes()]
+    block_covariance_at(flat, (1, 2), ("x", "y"))
+    assert [c.tobytes() for c in calls[1:]] == [flat.omega[:, :1].tobytes()]
+    whole = np.stack(original(flat.omega, temperatures), axis=2)
+    assert flat.factors.tobytes() == whole.tobytes()
+    assert len(calls) == 2
+    calls.clear()
+    buckled = moment_table([build_spectrum(params, _factor(params, m)) for m in (0.5, 0.8)],
+                           temperatures)
+    for d in DIRECTIONS:
+        pair_moments_at(buckled, 1, d)
+    block_covariance_at(buckled, (1, 2), DIRECTIONS)
+    assert [c.tobytes() for c in calls] == [buckled.omega.tobytes()]
+
+
 def test_axial_bulk_averages_are_computed_once_per_ring(nn_ring, lr_ring):
     """The x dispersion nu^2 + C S does not involve nu_t: a sweep over nu_t
     integrates the x averages once and reuses them, bit for bit; the y

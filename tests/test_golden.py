@@ -14,11 +14,15 @@ SHA-256 the benchmark pins.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
+import ionlattice
 from ionlattice.cli import main
 
 BASE = ["--n", "8", "--mass", "2", "--charge", "1", "--spacing", "1",
@@ -105,3 +109,30 @@ def test_benchmark_reference_bytes_unchanged(name, tmp_path):
     out = tmp_path / "out.csv"
     assert main([*WORKLOADS.sweep_argv(name, 0), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WORKLOADS.REFERENCE_SHA256[name]
+
+
+#: NumPy's dispatch levels above its x86-64 baseline: with these switched
+#: off, NumPy runs its baseline kernels
+BASELINE_KERNELS = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+
+
+def test_the_bulk_bytes_hold_on_numpys_baseline_kernels(tmp_path):
+    """The seed-0 CSV of the bulk workload keeps its pinned SHA-256 when
+    NumPy runs without its AVX2 and AVX-512 kernels, in a fresh interpreter
+    (the variable is read when NumPy is imported). The other workloads take
+    np.tanh, whose bits differ there, so they are not checked. Skipped
+    where NumPy refuses the variable, as a build whose baseline holds these
+    features does."""
+    out = tmp_path / "out.csv"
+    src = str(Path(ionlattice.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": BASELINE_KERNELS,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; from ionlattice.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *WORKLOADS.sweep_argv("bulk", 0), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    if proc.returncode and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+        pytest.skip(proc.stderr.strip().splitlines()[-1])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WORKLOADS.REFERENCE_SHA256["bulk"]

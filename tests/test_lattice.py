@@ -281,10 +281,10 @@ def test_double_phase_tables_equal_the_direct_expression_bit_for_bit(n):
 
 def test_checked_temperatures_reads_any_iterable_once():
     temps = (0.0, 0.3, 2.0)
-    assert lattice._checked_temperatures(t for t in temps) == temps
+    assert lattice.checked_temperatures(t for t in temps) == temps
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ConfigError, match="temperature must be non-negative and finite"):
-            lattice._checked_temperatures(iter((0.0, bad)))
+            lattice.checked_temperatures(iter((0.0, bad)))
 
 
 def test_configuration_validation():

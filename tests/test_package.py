@@ -23,15 +23,31 @@ def test_every_exported_name_resolves():
 
 def test_the_cli_and_the_check_suite_import_no_private_library_name():
     """``cli`` and ``checks`` use the library through its public names: no
-    ``from .<module> import _<name>``."""
+    ``from .<module> import _<name>``, and no ``<module>._<name>`` on a
+    library module they import (``from . import lattice``, ``import
+    ionlattice.lattice``)."""
     package = Path(ionlattice.__file__).parent
+    library = {info.name for info in pkgutil.iter_modules([str(package)])}
     private = []
     for source in ("cli.py", "checks.py"):
-        for node in ast.walk(ast.parse((package / source).read_text())):
+        tree = ast.parse((package / source).read_text())
+        modules = set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
                 names = [alias.name for alias in node.names if alias.name.startswith("_")]
                 private += [f"{source}: from {'.' * node.level}{node.module or ''} import {name}"
                             for name in names]
+                if node.module is None:
+                    modules |= {alias.asname or alias.name
+                                for alias in node.names if alias.name in library}
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "ionlattice":
+                        modules.add(alias.asname or alias.name)
+                        modules |= {f"ionlattice.{name}" for name in library}
+        private += [f"{source}: {ast.unparse(node)}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and ast.unparse(node.value) in modules]
     assert private == []
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ionlattice import spectrum
 from ionlattice.covariance import block_covariance
 from ionlattice.errors import ConfigError, DomainError, ImaginaryFrequency, NumericalFailure
 from ionlattice.lattice import (
@@ -187,6 +188,22 @@ def test_axial_branch_ignores_transverse_trap(nn_ring):
     wx1, _ = flat_branches(params, 1.2)
     wx2, _ = flat_branches(params, 3.7)
     assert_allclose(wx1, wx2, rtol=0, atol=0)
+
+
+def test_the_flat_spectra_of_a_ring_share_one_axial_branch(nn_ring, lr_ring):
+    """Every flat nu_t of a ring copies one cached axial branch, equal bit
+    for bit to the square root of its own wx2; the spectrum's copy stays
+    writable."""
+    for params in (nn_ring(n=8), lr_ring(n=12)):
+        spectrum._axial_branch.cache_clear()
+        for mult in (1.2, 2.0, 3.7):
+            nu_t = mult * critical_potential(params)
+            spec = build_spectrum(params, nu_t)
+            wx2, _, _ = tilde_frequencies(params, spec.config, nu_t)
+            assert spec.omega[0].tobytes() == np.sqrt(wx2).tobytes()
+            assert spec.omega.flags.writeable
+        info = spectrum._axial_branch.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 def test_zone_edge_softens_at_critical_point(nn_ring):
