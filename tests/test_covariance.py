@@ -17,7 +17,6 @@ from ionlattice.covariance import (
     DIRECTIONS,
     _block_layout,
     _dispersion_sum,
-    _pair_weights,
     _rule_node_data,
     block_covariance,
     block_covariance_at,
@@ -869,14 +868,11 @@ def test_block_gather_equals_the_per_entry_loop(nn_ring, lr_ring, ring, drop):
         assert (cross == 0.0).all() and not np.signbit(cross).any()
 
 
-def test_block_layout_and_pair_weights_are_shared_read_only():
+def test_block_layout_is_shared_read_only():
     modes = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
     layout = _block_layout(modes, True)
     assert _block_layout(modes, True) is layout
-    plus, minus = _pair_weights(8, 1, -1.0)
-    assert _pair_weights(8, 1, -1.0)[0] is plus
-    arrays = [a for a in layout if isinstance(a, np.ndarray)] + [plus, minus]
-    for values in arrays:
+    for values in (a for a in layout if isinstance(a, np.ndarray)):
         with pytest.raises(ValueError):
             values[0] = 1.0
         with pytest.raises(ValueError):

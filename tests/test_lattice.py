@@ -141,7 +141,6 @@ def test_cached_trig_tables_are_read_only():
     tables += [lattice._cos_double_table(12, tau) for tau in (-3, 0, 3)]
     tables += [table(12, tau) for tau in (1, 3)
                for table in (lattice._cos2_table, lattice._sin_double_table)]
-    tables.append(lattice._odd_squares(4))
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):

@@ -21,13 +21,11 @@ record fails the gate, so no entry outlives its move.
 """
 
 import copy
-import hashlib
 
 import pytest
 
 import record_values
 import test_golden
-from ionlattice import cli
 
 #: relative agreement demanded of every recorded number
 RTOL = 1e-12
@@ -71,16 +69,6 @@ def test_the_record_holds_every_pinned_command():
     assert [(e["name"], e["argv"]) for e in RECORD] == list(record_values.commands().items())
 
 
-def printed(value):
-    """A recorded cell as the command holds it before the cell rule: a list
-    as a tuple, the text of a non-finite float as that float."""
-    if type(value) is list:
-        return tuple(map(printed, value))
-    if value in ("inf", "-inf", "nan"):
-        return float(value)
-    return value
-
-
 def pinned_sha256(name: str) -> str:
     """The SHA-256 `tests/test_golden.py` pins for a recorded command."""
     if name.startswith("workload-"):
@@ -91,11 +79,9 @@ def pinned_sha256(name: str) -> str:
 @pytest.mark.parametrize("entry", RECORD, ids=[e["name"] for e in RECORD])
 def test_the_record_is_what_the_command_prints(entry):
     """The recorded rows, formatted by the cell rule, are the bytes whose
-    SHA-256 the golden tests pin, so neither pin can be re-pinned alone."""
-    columns = entry["columns"]
-    rows = [dict(zip(columns, map(printed, row))) for row in entry["rows"]]
-    text = cli.rows_to_csv(rows, columns)
-    assert hashlib.sha256(text.encode()).hexdigest() == pinned_sha256(entry["name"])
+    SHA-256 the golden tests pin, so neither pin can be re-pinned alone;
+    ``python3 tests/record_values.py`` prints the same hashes."""
+    assert record_values.csv_sha256(entry) == pinned_sha256(entry["name"])
 
 
 @pytest.mark.parametrize("entry", RECORD, ids=[e["name"] for e in RECORD])
