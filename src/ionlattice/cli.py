@@ -250,7 +250,7 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
             for point in batch:
                 point.modes = None
             points += batch
-        _block_cells(points, axial.get("blocks"))
+        _block_cells(points)
         for point in points:
             # a bulk row's U and bound are per site of the stand-in ring
             _witness_cells(point, TD_PROXY_N if spec.td_limit else 1)
@@ -263,8 +263,8 @@ def _point(spec: SweepSpec, ring, nu_t_paper: float) -> SimpleNamespace:
     decides the phase; where that ring is flat, the pair criteria and the
     single-site entropy take their closed forms instead. The point holds its
     rows; the measures left to its ring and, until its batch is evaluated,
-    its spectrum; the (n_T, 2K, 2K) stacks of its largest block, x (None for
-    the chunk's flat x half) and y; its witness reports or error."""
+    its spectrum; the (n_T, 2K, 2K) stacks of its largest block, x and y;
+    its witness reports or error."""
     rows = [_blank_row(nu_t_paper, t) for t in spec.temperatures]
     point = SimpleNamespace(rows=rows, measures=(), modes=None, blocks=(), witness=None)
     nu_t = nu_t_paper * NU_T_UNIT
@@ -315,7 +315,7 @@ def _table_cells(points, temperatures, axial: dict):
         if "negativity" in measures:
             xs, ys = _halves(table, axial, "pairs", lambda t, d: pair_moments_at(t, 1, d))
             for point, x, y in zip(points, xs, ys):
-                for row, moments in zip(point.rows, zip(x or axial["pairs"], y)):
+                for row, moments in zip(point.rows, zip(x, y)):
                     try:
                         for d, pm in zip(DIRECTIONS, moments):
                             _pair_cells(row, d, *separability_criteria(pm))
@@ -348,40 +348,38 @@ def _halves(table, axial: dict, key: str, evaluate) -> tuple:
     A flat point's x half does not involve nuT (axial branch, weights 1, 0,
     0): it is evaluated into ``axial[key]`` on ``axial["table"]``, the
     one-spectrum table of the chunk's first flat point, which evaluates the
-    axial factors once for both keys; the batch table, read along y only,
-    evaluates no axial factor."""
+    axial factors once for both keys, and every flat point shares that one
+    value; the batch table, read along y only, evaluates no axial factor."""
     if table.spectra[0].variant is Variant.ZIGZAG:
         return tuple(evaluate(table, d) for d in DIRECTIONS)
     if key not in axial:
         if "table" not in axial:
             axial["table"] = moment_table(table.spectra[:1], table.temperatures)
         axial[key] = evaluate(axial["table"], "x")[0]
-    return [None] * len(table.spectra), evaluate(table, "y")
+    return [axial[key]] * len(table.spectra), evaluate(table, "y")
 
 
-def _block_cells(points, axial):
+def _block_cells(points):
     """Block entropy cells of a chunk's rows, size by size: one
-    :func:`symplectic_spectra` call serves every block of a size, the
-    flat-phase x half ``axial`` once, first. A failed row gets no cells,
+    :func:`symplectic_spectra` call serves every block of a size, and a
+    stack several points share enters it once. A failed row gets no cells,
     and a failed block ends its own row only."""
     points = [point for point in points if point.blocks]
     for size in sorted({size for point in points for size in _block_sizes(point.measures)}):
         chosen = [point for point in points if size in _block_sizes(point.measures)]
-        stacks = [axial] if any(point.blocks[0] is None for point in chosen) else []
-        starts = []
+        # each distinct stack, first seen first; the points keep them alive
+        stacks = {id(stack): stack for point in chosen for stack in point.blocks}
+        starts = {key: i for i, key in enumerate(stacks)}
+        spectra = symplectic_spectra(
+            np.concatenate([stack[:, : 2 * size, : 2 * size] for stack in stacks.values()])
+        )
         for point in chosen:
-            x, y = point.blocks
-            starts.append((0 if x is None else len(stacks), len(stacks) + (x is not None)))
-            stacks += [y] if x is None else [x, y]
-        stacks = [stack[:, : 2 * size, : 2 * size] for stack in stacks]
-        spectra = symplectic_spectra(np.concatenate(stacks))
-        for point, point_starts in zip(chosen, starts):
             for t, row in enumerate(point.rows):
                 if row["error"]:
                     continue
                 try:
-                    for d, start in zip(DIRECTIONS, point_starts):
-                        cell = _entropy_cell(spectra[start * len(point.rows) + t])
+                    for d, stack in zip(DIRECTIONS, point.blocks):
+                        cell = _entropy_cell(spectra[starts[id(stack)] * len(point.rows) + t])
                         row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = cell
                 except _ROW_ERRORS as exc:
                     _fail([row], exc)

@@ -339,10 +339,10 @@ def block_covariance(
     drop_soft_modes : bool
         Exclude modes below ``SOFT_FREQ_FACTOR * max(nu, nu_t)`` from every
         mode sum; the number of excluded modes is reported on the result.
-        This does not regularize the exactly critical point: the soft mode
-        there is transverse, so x blocks come out unchanged, and a y block
-        without it is not a physical state (its symplectic spectrum falls
-        below 1).
+        It drops the transverse soft mode within about 1e-13 of the
+        transition: x blocks come out unchanged, a y block is that of
+        another state, and a y block of several sites may fall below 1
+        (a ``DomainError`` from its symplectic spectrum).
     """
     sites, directions = tuple(sites), tuple(directions)
     table = moment_table([build_spectrum(params, nu_t)], (temperature,), drop_soft_modes)

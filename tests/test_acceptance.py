@@ -23,7 +23,8 @@ diverges as a ln(eps) and the squared single-site symplectic eigenvalue grows
 as b ln(1/eps), with a and b fixed by band averages at the critical trap, and
 the largest squared symplectic eigenvalue of a 2- or 3-site block as
 b_L ln(1/eps), with b_L fixed by the block's momentum part. A fourth checks
-the thermal law: at T > 0 the entropy of a y block grows as ln(1/eps) / 4.
+the thermal law: at T > 0 the entropy of a y block grows as ln(1/eps) / 4,
+and a fifth the amplitude of its largest squared symplectic eigenvalue.
 
 Beside criterion 03, three plain tests check the block entropy at and near
 the transition, at zero and finite temperature, against the c = 1 laws
@@ -191,6 +192,38 @@ def test_the_thermal_block_entropy_grows_as_a_quarter_log_eps(tau_max, temperatu
                    for eps, sigma in blocks.items()}
         slope = (entropy[1e-7] - entropy[1e-6]) / math.log(10.0)
         assert abs(slope - 0.25) < 3e-3, (size, slope)
+
+
+def test_the_thermal_block_variance_tends_to_its_amplitude():
+    """On a 2^16-site ring at T > 0 and nu_t = crit (1 + eps), the largest
+    symplectic eigenvalue of a y block of L sites obeys
+    r_max^2 eps^(1/2) -> A_L = sqrt(2) T v^T P v / sqrt(c), with v, P and c
+    as in the T = 0 law above (P taken at the same eps). The soft mode adds
+    K v v^T to the block's position part, K = nu_t T / (2 g sqrt(c)), so
+    r_max^2 ~ 4 K v^T P v, and g^2 ~ 2 nu_c^2 eps cancels nu_c. The
+    deviation is O(eps^(1/2)): it falls by about sqrt(10) per decade."""
+    deviation = {}
+    for tau_max in (1, 4):
+        params = LatticeParams(n=2**16, nu=1.0, tau_max=tau_max)
+        crit = critical_potential(params)
+        c = 0.25 * sum((-1.0) ** (tau + 1) / tau for tau in range(1, tau_max + 1))
+        for temperature in (0.05, 0.2):
+            for eps in (1e-7, 1e-8):
+                sigma = block_covariance(
+                    params, crit * (1.0 + eps), temperature, (1, 2, 3), ("y",)).matrix
+                for size in (1, 2, 3):
+                    r2 = float(max(symplectic_spectrum(sigma[: 2 * size, : 2 * size]))) ** 2
+                    v = (-1.0) ** np.arange(size)
+                    p = sigma[1 : 2 * size : 2, 1 : 2 * size : 2]
+                    amplitude = math.sqrt(2.0) * temperature * (v @ p @ v) / math.sqrt(c)
+                    case = (tau_max, temperature, size)
+                    deviation[case, eps] = r2 * math.sqrt(eps) / amplitude - 1.0
+    cases = {case for case, _ in deviation}
+    assert len(cases) == 12
+    for case in cases:
+        lo, hi = deviation[case, 1e-8], deviation[case, 1e-7]
+        assert abs(lo) <= 3e-3, (case, lo)
+        assert 2.9 <= hi / lo <= 3.4, (case, hi, lo)
 
 
 def test_criterion_02_critical_potentials(record_criterion, nn_ring, lr_ring):

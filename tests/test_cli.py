@@ -484,6 +484,35 @@ def test_the_pair_and_block_x_halves_share_one_axial_table(monkeypatch):
     assert shapes == [(1, 1, 20), (3, 1, 20), (1, 2, 20)]
 
 
+@pytest.mark.parametrize("jobs, batched", [(1, True), (1, False), (2, True)])
+def test_a_stack_several_points_share_is_solved_once(monkeypatch, jobs, batched):
+    """The eigensolver takes each distinct block stack of a chunk once: the
+    flat points' shared x stack once, beside each point's own stacks. Per
+    block size and temperature: the buckled point's x and y, each flat
+    point's y, and the shared x, in one batch per point or all in one."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    shapes = []
+    original = cli.symplectic_spectra
+
+    def recorded(sigmas):
+        shapes.append(sigmas.shape)
+        return original(sigmas)
+
+    monkeypatch.setattr(cli, "symplectic_spectra", recorded)
+    spec = small_spec(params=LatticeParams(n=20, nu=1.0), nu_t_grid=(1.2, 1.5, 2.0, 2.5),
+                      temperatures=(0.0, 0.2), measures=BLOCK_MEASURES)
+    if not batched:
+        monkeypatch.setattr(cli, "_BATCH_ELEMENTS", 4 * 2 * 20)
+    rows = run_sweep(spec, jobs=jobs)
+    assert [row["configVariant"] for row in rows[::2]] == ["zigzag"] + ["linear"] * 3
+    assert all(row["error"] == "" for row in rows)
+    if jobs == 1:
+        assert shapes == [(12, 2, 2), (12, 4, 4)]
+    else:
+        # chunks (1.2, 2.0): buckled and flat; (1.5, 2.5): both flat
+        assert shapes == [(8, 2, 2), (8, 4, 4), (6, 2, 2), (6, 4, 4)]
+
+
 def _cell_reprs(rows):
     return [{c: repr(v) for c, v in row.items()} for row in rows]
 

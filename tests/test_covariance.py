@@ -37,6 +37,7 @@ from ionlattice.errors import (
     QuadratureFailure,
 )
 from ionlattice.lattice import (
+    LatticeParams,
     Variant,
     _cos_double_table,
     _sin_double_table,
@@ -155,6 +156,21 @@ def test_critical_moments_and_soft_mode_drop(nn_ring):
     reg = block_covariance(params, 1.0, 0.0, (1, 2), drop_soft_modes=True)
     assert np.isfinite(reg.matrix).all()
     assert reg.dropped_soft_modes == 1
+
+
+@pytest.mark.parametrize("tau_max", [1, 3])
+@pytest.mark.parametrize("n", [8, 20, 512])
+def test_soft_modes_are_dropped_only_within_1e_13_of_the_transition(n, tau_max):
+    """At nu_t = nu_c (1 + eps) the soft mode's frequency is of order
+    nu_c sqrt(|eps|): the floor 1e-6 max(nu, nu_t) keeps it at |eps| = 1e-12
+    and drops it at 1e-13, on either side of the transition."""
+    params = LatticeParams(n=n, nu=1.0, tau_max=tau_max)
+    crit = critical_potential(params)
+    for eps, dropped in ((1e-12, (0,)), (1e-13, (1,))):
+        for sign in (1.0, -1.0):
+            spec = build_spectrum(params, crit * (1.0 + sign * eps))
+            assert moment_table([spec], (0.0,), drop_soft_modes=True).dropped == dropped, (
+                sign * eps)
 
 
 def test_large_ring_tracks_bulk_criterion(nn_ring):
