@@ -53,6 +53,7 @@ from .lattice import (
 )
 from .spectrum import (
     ModeSpectrum,
+    build_spectra,
     build_spectrum,
     coupling_matrix,
     symplectic_diagonalize,
@@ -91,6 +92,7 @@ __all__ = [
     "block_covariance_at",
     "block_entropy",
     "block_entropy_profile",
+    "build_spectra",
     "build_spectrum",
     "checked_temperatures",
     "coupling_matrix",

@@ -52,7 +52,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .lattice import LatticeParams, Variant, checked_temperatures, solve_equilibrium
-from .spectrum import build_spectrum
+from .spectrum import build_spectra, build_spectrum
 from .witness import witness_report, witness_reports
 
 #: Ring size standing in for the bulk limit where no closed form exists.
@@ -231,9 +231,9 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
     which goes into its ``error`` cell; an error of a step shared by all
     temperatures of a point (equilibrium, spectrum, mode sums, witness
     bound and crossing) ends every row of the point that has not failed
-    yet. Batches of points are evaluated up to their spectra, and those of
-    one phase share one moment table; the block and witness cells follow
-    at the end of the chunk."""
+    yet. Each point of a batch stops at its equilibrium; the points of
+    one phase then share one ``build_spectra`` call and one moment table,
+    and the block and witness cells follow at the end of the chunk."""
     ring = dataclasses.replace(spec.params, n=TD_PROXY_N) if spec.td_limit else spec.params
     temperatures = tuple(t * TEMPERATURE_UNIT for t in spec.temperatures)
     size = max(1, _BATCH_ELEMENTS // (4 * len(temperatures) * ring.n))
@@ -244,11 +244,10 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
         for start in range(0, len(nu_t_papers), size):
             batch = [_point(spec, ring, v) for v in nu_t_papers[start : start + size]]
             for phase in Variant:
-                live = [point for point in batch if point.modes and point.modes.variant is phase]
+                live = [point for point in batch
+                        if point.measures and point.config.variant is phase]
                 if live:
-                    _table_cells(live, temperatures, axial)
-            for point in batch:
-                point.modes = None
+                    _table_cells(live, ring, temperatures, axial)
             points += batch
         _block_cells(points)
         for point in points:
@@ -258,16 +257,17 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
 
 
 def _point(spec: SweepSpec, ring, nu_t_paper: float) -> SimpleNamespace:
-    """One nuT point, evaluated up to its spectrum. A bulk-limit point is
-    the point of the stand-in ring (n = TD_PROXY_N), whose equilibrium
+    """One nuT point, evaluated up to its equilibrium. A bulk-limit point
+    is the point of the stand-in ring (n = TD_PROXY_N), whose equilibrium
     decides the phase; where that ring is flat, the pair criteria and the
-    single-site entropy take their closed forms instead. The point holds its
-    rows; the measures left to its ring and, until its batch is evaluated,
-    its spectrum; the (n_T, 2K, 2K) stacks of its largest block, x and y;
-    its witness reports or error."""
+    single-site entropy take their closed forms instead. The point holds
+    its rows; its library nuT and configuration; the measures left to its
+    ring; the (n_T, 2K, 2K) stacks of its largest block, x and y; its
+    witness reports or error."""
     rows = [_blank_row(nu_t_paper, t) for t in spec.temperatures]
-    point = SimpleNamespace(rows=rows, measures=(), modes=None, blocks=(), witness=None)
     nu_t = nu_t_paper * NU_T_UNIT
+    point = SimpleNamespace(rows=rows, nu_t=nu_t, config=None, measures=(), blocks=(),
+                            witness=None)
     try:
         config = solve_equilibrium(ring, nu_t)
         for row in point.rows:
@@ -276,8 +276,7 @@ def _point(spec: SweepSpec, ring, nu_t_paper: float) -> SimpleNamespace:
         measures = spec.measures
         if spec.td_limit and config.variant is Variant.LINEAR:
             measures = _closed_form_cells(spec.params, nu_t, measures, point.rows[0])
-        if measures:
-            point.modes, point.measures = build_spectrum(ring, nu_t, config), measures
+        point.config, point.measures = config, measures
     except _ROW_ERRORS as exc:
         _fail(point.rows, exc)
     return point
@@ -303,15 +302,18 @@ def _pair_cells(row, direction, s1, s2):
     row[f"EN{direction}"] = negativity(s1, s2)
 
 
-def _table_cells(points, temperatures, axial: dict):
+def _table_cells(points, ring, temperatures, axial: dict):
     """The pair cells, the stacks of the largest block (whose leading 2k x 2k
     part is the block of k sites) and the witness reports of ``points``, in
-    one phase with the same measures, from one moment table of their
-    spectra. A failed batched step is taken again point by point, so an
-    error ends its own point's rows, with the text it has there alone."""
+    one phase with the same measures, from one ``build_spectra`` call and
+    one moment table of its spectra. A failed batched step is taken again
+    point by point, so an error ends its own point's rows, with the text it
+    has there alone."""
     measures = points[0].measures
     try:
-        table = moment_table([point.modes for point in points], temperatures)
+        spectra = build_spectra(ring, [point.nu_t for point in points],
+                                [point.config for point in points])
+        table = moment_table(spectra, temperatures)
         if "negativity" in measures:
             xs, ys = _halves(table, axial, "pairs", lambda t, d: pair_moments_at(t, 1, d))
             for point, x, y in zip(points, xs, ys):
@@ -332,11 +334,11 @@ def _table_cells(points, temperatures, axial: dict):
         if len(points) == 1:
             return _fail(points[0].rows, exc)
         for point in points:
-            _table_cells([point], temperatures, axial)
+            _table_cells([point], ring, temperatures, axial)
         return
-    for point in points if "witness" in measures else ():
+    for point, modes in zip(points, spectra) if "witness" in measures else ():
         try:
-            point.witness = witness_reports(point.modes, temperatures)
+            point.witness = witness_reports(modes, temperatures)
         except _ROW_ERRORS as exc:
             # the error ends the point's rows; its traceback would keep the
             # point's spectrum alive

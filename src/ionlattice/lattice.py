@@ -224,27 +224,40 @@ def taylor_coefficients(params: LatticeParams, config: Configuration) -> Couplin
     dx = 1/tau^3, dy = -dx/2 and the cross term vanishes. In the buckled
     configuration odd-tau pairs sit at transverse offset b.
     """
+    dx, dy, dxy = _coefficient_stack(params, (config,))
+    return CouplingCoefficients(
+        tau=np.arange(1, params.tau_max + 1), dx=dx[0], dy=dy[0], dxy=dxy[0]
+    )
+
+
+def _coefficient_stack(params: LatticeParams, configs) -> tuple:
+    """The (dx, dy, dxy) of ``taylor_coefficients`` for a batch of
+    configurations of one phase, as (P, tau_max) stacks. The flat
+    coefficients involve no b, so a flat stack has one row, which all its
+    configurations share. Each element takes the steps of a batch of one;
+    b^2 is squared by Python, one configuration at a time."""
     taus = np.arange(1, params.tau_max + 1, dtype=float)
-    b = config.b
     dx = 1.0 / taus**3
     dy = -0.5 * dx
     dxy = np.zeros_like(taus)
-    if config.variant is Variant.ZIGZAG:
-        odd = (np.arange(1, params.tau_max + 1) % 2) == 1
-        rho5 = (taus[odd] ** 2 + b**2) ** 2.5
-        dx[odd] = (2 * taus[odd] ** 2 - b**2) / (2 * rho5)
-        dy[odd] = (2 * b**2 - taus[odd] ** 2) / (2 * rho5)
-        dxy[odd] = 3 * taus[odd] * b / (2 * rho5)
-    return CouplingCoefficients(
-        tau=np.arange(1, params.tau_max + 1), dx=dx, dy=dy, dxy=dxy
-    )
+    if configs[0].variant is Variant.LINEAR:
+        return dx[None], dy[None], dxy[None]
+    dx, dy, dxy = (np.tile(c, (len(configs), 1)) for c in (dx, dy, dxy))
+    odd = taus[::2]
+    b = np.array([[config.b] for config in configs])
+    b2 = np.array([[config.b**2] for config in configs])
+    rho5 = (odd**2 + b2) ** 2.5
+    dx[:, ::2] = (2 * odd**2 - b2) / (2 * rho5)
+    dy[:, ::2] = (2 * b2 - odd**2) / (2 * rho5)
+    dxy[:, ::2] = 3 * odd * b / (2 * rho5)
+    return dx, dy, dxy
 
 
 # A ring's trig tables depend on its size and a site distance only, so every
 # nu_t and temperature shares them, read-only. tilde_frequencies reads them
 # at the neighbour distances, the covariance mode sums at site distances of
 # either sign. Doubling the phase is exact. The seed-0 perfbench sweeps hit
-# each table up to 164 times; a miss costs 4-70 us, by ring size.
+# each table up to 129 times; a miss costs 4-70 us, by ring size.
 def _phases(n: int, tau: int) -> np.ndarray:
     """pi l tau / n for l = 1 .. n: the one source of the mode phase."""
     return np.pi * np.arange(1, n + 1, dtype=float) * tau / n
@@ -288,16 +301,28 @@ def tilde_frequencies(
     the squared axial and transverse dispersion at the same l, the one
     source of the flat spectrum and of the finite ring's critical trap.
     """
-    coeff = taylor_coefficients(params, config)
-    wx2 = np.full(params.n, params.nu**2)
-    wy2 = np.full(params.n, nu_t**2)
-    wxy = np.zeros(params.n)
-    for i, tau in enumerate(coeff.tau.tolist()):
-        sin2 = _sin2_table(params.n, tau)
-        wx2 += 2.0 * coeff.dx[i] * sin2
-        if config.variant is Variant.ZIGZAG and tau % 2 == 1:
-            wy2 += 2.0 * coeff.dy[i] * _cos2_table(params.n, tau)
-            wxy += 0.5 * coeff.dxy[i] * _sin_double_table(params.n, tau)
+    wx2, wy2, wxy = _frequency_stack(params, (config,), (nu_t,))
+    return wx2[0], wy2[0], wxy[0]
+
+
+def _frequency_stack(params: LatticeParams, configs, nu_ts) -> tuple:
+    """The ``tilde_frequencies`` of a batch of configurations of one phase at
+    their ``nu_ts``, as (P, n) stacks, from one tau-sum: each element takes
+    the steps of a batch of one, nu_t^2 squared by Python. In the flat
+    phase wx2 and wxy involve no nu_t, so they have one row, which all the
+    points share: the axial sum is accumulated once per batch."""
+    dx, dy, dxy = _coefficient_stack(params, configs)
+    zigzag = configs[0].variant is Variant.ZIGZAG
+    n = params.n
+    # the first term of each sum broadcasts its start to (P, n); 0.0 + x is
+    # what a zero-filled accumulator gives
+    wx2, wy2, wxy = params.nu**2, np.array([[nu_t**2] for nu_t in nu_ts], dtype=float), 0.0
+    for i, tau in enumerate(range(1, params.tau_max + 1)):
+        sin2 = _sin2_table(n, tau)
+        wx2 = wx2 + 2.0 * dx[:, i, None] * sin2
+        if zigzag and tau % 2 == 1:
+            wy2 = wy2 + 2.0 * dy[:, i, None] * _cos2_table(n, tau)
+            wxy = wxy + 0.5 * dxy[:, i, None] * _sin_double_table(n, tau)
         else:
-            wy2 += 2.0 * coeff.dy[i] * sin2
-    return wx2, wy2, wxy
+            wy2 = wy2 + 2.0 * dy[:, i, None] * sin2
+    return wx2, wy2, wxy if zigzag else np.zeros(wx2.shape)

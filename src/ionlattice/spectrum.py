@@ -2,13 +2,14 @@
 
 Translation invariance reduces the quadratic Hamiltonian to independent
 wave-number blocks l = 1 .. n. Their squared frequencies and cross coupling
-are one tau-sum in both phases, ``lattice.tilde_frequencies``. In the flat
-configuration the cross coupling vanishes and the axial and transverse
-branches decouple. In the buckled configuration the two directions mix
-within each block: ``build_spectrum`` gives every block's normal frequencies
-and mixing weights in closed form, and ``symplectic_diagonalize`` brings one
-block to normal form with ``np.linalg.eigh`` as the independent oracle for
-them.
+are one tau-sum in both phases, ``lattice.tilde_frequencies``, taken over
+a batch of nu_t by ``build_spectra``. In the flat configuration the cross
+coupling vanishes and the axial and transverse branches decouple. In the
+buckled configuration the two directions mix within each block:
+``build_spectra`` gives every block's normal frequencies and mixing weights
+in closed form, ``build_spectrum`` is its batch of one, and
+``symplectic_diagonalize`` brings one block to normal form with
+``np.linalg.eigh`` as the independent oracle for them.
 
 The buckled labels carry the half-zone shift of the transverse transform
 (see ``tilde_frequencies``): the transverse branch of the flat ring maps
@@ -29,6 +30,7 @@ from .lattice import (
     Variant,
     solve_equilibrium,
     tilde_frequencies,
+    _frequency_stack,
     _read_only,
 )
 
@@ -51,15 +53,17 @@ def symplectic_form(k: int) -> np.ndarray:
 
 def _sqrt_radicand(w2, branch: str):
     """Square root with the clamp window; raises on a radicand below it and
-    on a non-finite one (an overflow). An array is indexed
-    by l = 1 .. n, and the error lists the offending wave numbers; a scalar
-    (one block of the oracle) has none to give."""
+    on a non-finite one (an overflow). An array is indexed by l = 1 .. n
+    (along its last axis), and the error lists the offending wave numbers;
+    a scalar (one block of the oracle) has none to give."""
     w2 = np.asarray(w2, dtype=float)
 
     def at(mask) -> tuple:
         if w2.ndim == 0:
             return "", None
-        ls = (np.flatnonzero(mask) + 1).tolist()
+        # a (P, n) stack names the wave numbers of its first failing row
+        row = mask if mask.ndim == 1 else mask[mask.any(axis=1).argmax()]
+        ls = (np.flatnonzero(row) + 1).tolist()
         return f" at l={ls}", ls
 
     finite = np.isfinite(w2)
@@ -154,8 +158,8 @@ class ModeSpectrum:
 
 
 # The flat ring's axial dispersion involves neither nu_t nor the buckling,
-# so every flat nu_t of a ring shares it, read-only. The seed-0 perfbench
-# sweeps hit it 22, 21 and 39 times (finite-small, finite-large, bulk); a
+# so every flat batch of a ring shares it, read-only. The seed-0 perfbench
+# sweeps hit it 1, 11 and 39 times (finite-small, finite-large, bulk); a
 # miss costs 31-64 us.
 @functools.lru_cache(maxsize=16)
 def _axial_branch(params: LatticeParams) -> np.ndarray:
@@ -168,23 +172,60 @@ def build_spectrum(
     params: LatticeParams, nu_t: float, config: Configuration | None = None
 ) -> ModeSpectrum:
     """Assemble the full mode spectrum at ``nu_t``, solving the equilibrium
-    unless ``config`` (the one at this ``nu_t``) is given."""
-    if config is None:
-        config = solve_equilibrium(params, nu_t)
-    wx2, wy2, wxy = tilde_frequencies(params, config, nu_t)
-    if config.variant is Variant.LINEAR:
-        zeros = np.zeros(params.n)
-        omega = np.array([_axial_branch(params), _sqrt_radicand(wy2, "transverse")])
-        return ModeSpectrum(params, nu_t, config, omega, np.ones(params.n), zeros, zeros)
+    unless ``config`` (the one at this ``nu_t``) is given: the batch of one
+    of ``build_spectra``."""
+    return build_spectra(params, (nu_t,), None if config is None else (config,))[0]
 
-    delta = wx2 - wy2
-    big_r = np.hypot(delta, 2.0 * wxy)
-    wv = _sqrt_radicand(0.5 * (wx2 + wy2 + big_r), "upper normal")
-    ww = _sqrt_radicand(0.5 * (wx2 + wy2 - big_r), "lower normal")
 
-    tiny = np.abs(wxy) < COUPLING_TOL
-    safe_r = np.where(big_r > 0.0, big_r, 1.0)
-    c2 = np.where(tiny, np.where(delta >= 0.0, 1.0, 0.0), (big_r + delta) / (2 * safe_r))
-    s2 = np.where(tiny, np.where(delta >= 0.0, 0.0, 1.0), (big_r - delta) / (2 * safe_r))
-    cs = np.where(tiny, 0.0, wxy / safe_r)
-    return ModeSpectrum(params, nu_t, config, np.array([wv, ww]), c2, s2, cs)
+def build_spectra(params: LatticeParams, nu_ts, configs=None) -> list:
+    """The mode spectra of ``params`` at each of ``nu_ts``, in one phase,
+    solving each equilibrium unless ``configs`` (those at ``nu_ts``) are
+    given.
+
+    The batch shares one tau-sum over its (P, n) stack and one evaluation
+    of the closed form; a flat batch shares its axial branch too. Each
+    spectrum equals the ``build_spectrum`` of its point bit for bit. A
+    batch that fails raises the error of one of its points; built one by
+    one, each point raises its own.
+
+    Raises
+    ------
+    ConfigError
+        If the points are not all in one phase, or ``configs`` does not
+        hold one configuration per point.
+    """
+    nu_ts = tuple(nu_ts)
+    if configs is None:
+        configs = [solve_equilibrium(params, nu_t) for nu_t in nu_ts]
+    configs = tuple(configs)
+    if len(configs) != len(nu_ts):
+        raise ConfigError(
+            f"expected one configuration per nu_t, got {len(configs)} for {len(nu_ts)}"
+        )
+    if not nu_ts:
+        return []
+    if len({config.variant for config in configs}) > 1:
+        raise ConfigError("a batch takes configurations of one phase")
+    wx2, wy2, wxy = _frequency_stack(params, configs, nu_ts)
+    omega = np.empty((len(nu_ts), 2, params.n))
+    if configs[0].variant is Variant.LINEAR:
+        omega[:, 0] = _axial_branch(params)
+        omega[:, 1] = _sqrt_radicand(wy2, "transverse")
+        c2, zeros = np.ones(wy2.shape), np.zeros(wy2.shape)
+        weights = zip(c2, zeros, zeros)
+    else:
+        delta = wx2 - wy2
+        big_r = np.hypot(delta, 2.0 * wxy)
+        omega[:, 0] = _sqrt_radicand(0.5 * (wx2 + wy2 + big_r), "upper normal")
+        omega[:, 1] = _sqrt_radicand(0.5 * (wx2 + wy2 - big_r), "lower normal")
+
+        tiny = np.abs(wxy) < COUPLING_TOL
+        safe_r = np.where(big_r > 0.0, big_r, 1.0)
+        c2 = np.where(tiny, np.where(delta >= 0.0, 1.0, 0.0), (big_r + delta) / (2 * safe_r))
+        s2 = np.where(tiny, np.where(delta >= 0.0, 0.0, 1.0), (big_r - delta) / (2 * safe_r))
+        cs = np.where(tiny, 0.0, wxy / safe_r)
+        weights = zip(c2, s2, cs)
+    return [
+        ModeSpectrum(params, nu_t, config, modes, *w)
+        for nu_t, config, modes, w in zip(nu_ts, configs, omega, weights)
+    ]

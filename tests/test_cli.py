@@ -303,20 +303,34 @@ def count_calls(monkeypatch, targets):
 
 @pytest.fixture
 def rebuilds(monkeypatch):
-    """Counts of equilibrium solves and spectrum builds."""
-    return count_calls(
+    """Counts of equilibrium solves, one-point spectrum builds, batched
+    builds and the points those batches hold."""
+    counts = count_calls(
         monkeypatch, ((lattice, "solve_equilibrium"), (spectrum, "build_spectrum"))
     )
+    original = cli.build_spectra
+
+    def build(params, nu_ts, configs=None):
+        counts["build_spectra"] += 1
+        counts["batched points"] += len(nu_ts)
+        return original(params, nu_ts, configs)
+
+    monkeypatch.setattr(cli, "build_spectra", build)
+    return counts
 
 
 def test_sweep_builds_each_working_point_once(rebuilds):
+    """Each point is solved and built once: the points of a phase in one
+    batched build, and no point by itself, as no batch fails."""
     spec = small_spec(
         nu_t_grid=(1.0, 2.0, 2.5), temperatures=(0.0, 0.1, 0.2, 0.5), measures=ALL_MEASURES
     )
     rows = run_sweep(spec)
     assert len(rows) == 12 and all(row["error"] == "" for row in rows)
-    for name in ("solve_equilibrium", "build_spectrum"):
-        assert 0 < rebuilds[name] <= len(spec.nu_t_grid), (name, rebuilds[name])
+    assert 0 < rebuilds["solve_equilibrium"] <= len(spec.nu_t_grid), rebuilds
+    assert rebuilds["batched points"] == len(spec.nu_t_grid), rebuilds
+    assert rebuilds["build_spectra"] == len({row["configVariant"] for row in rows}) == 2
+    assert rebuilds["build_spectrum"] == 0, rebuilds
 
 
 @pytest.fixture
@@ -554,25 +568,50 @@ def test_a_fault_in_a_batch_ends_only_its_own_point(monkeypatch, faulty):
     factors overflow. The batch is evaluated again point by point: that
     point's rows read the error it has when swept alone, and every other
     row equals its one-point sweep."""
-    original = cli.build_spectrum
+    original = cli.build_spectra
+    batches = []
 
-    def build(params, nu_t, config=None):
-        spec = original(params, nu_t, config)
-        if nu_t == faulty * cli.NU_T_UNIT:
-            omega = spec.omega.copy()
-            omega[1, 2] = 1e-310
-            spec = dataclasses.replace(spec, omega=omega)
-        return spec
+    def build(params, nu_ts, configs=None):
+        spectra = original(params, nu_ts, configs)
+        batches.append(len(spectra))
+        for i, spec in enumerate(spectra):
+            if spec.nu_t == faulty * cli.NU_T_UNIT:
+                omega = spec.omega.copy()
+                omega[1, 2] = 1e-310
+                spectra[i] = dataclasses.replace(spec, omega=omega)
+        return spectra
 
-    monkeypatch.setattr(cli, "build_spectrum", build)
+    monkeypatch.setattr(cli, "build_spectra", build)
     spec = small_spec(nu_t_grid=(1.0, 1.2, 2.0, 2.5), temperatures=(0.0, 0.2, 0.5),
                       measures=ALL_MEASURES)
     rows = run_sweep(spec)
+    # a buckled and a flat batch of two points each; the faulty batch's
+    # points are built again one by one
+    assert sorted(batches) == [1, 1, 2, 2]
     for i, nu_t in enumerate(spec.nu_t_grid):
         alone = run_sweep(dataclasses.replace(spec, nu_t_grid=(nu_t,)))
         assert rows_to_csv(rows[3 * i : 3 * i + 3]) == rows_to_csv(alone), nu_t
         fault = "FloatingPointError: overflow encountered in divide"
         assert {row["error"] for row in alone} == ({fault} if nu_t == faulty else {""})
+
+
+def test_a_failed_spectrum_batch_ends_only_its_own_point():
+    """A deeply buckled LR point is unstable, so the batched build of its
+    phase fails. The batch is built again point by point: the unstable
+    point's rows read the error it has when swept alone, and every other
+    row equals its one-point sweep."""
+    params = LatticeParams(n=8, nu=1.0, tau_max=3)
+    crit = lattice.critical_potential(params, td_limit=True) / cli.NU_T_UNIT
+    spec = small_spec(params=params, nu_t_grid=(0.2 * crit, 0.8 * crit, 0.9 * crit, 1.5 * crit),
+                      temperatures=(0.0, 0.2), measures=ALL_MEASURES)
+    rows = run_sweep(spec)
+    for i, nu_t in enumerate(spec.nu_t_grid):
+        alone = run_sweep(dataclasses.replace(spec, nu_t_grid=(nu_t,)))
+        assert rows_to_csv(rows[2 * i : 2 * i + 2]) == rows_to_csv(alone), nu_t
+    assert {row["configVariant"] for row in rows[:6]} == {"zigzag"}
+    assert all(row["error"].startswith("ImaginaryFrequency: lower normal branch unstable")
+               for row in rows[:2])
+    assert not any(row["error"] for row in rows[2:])
 
 
 @pytest.mark.parametrize(

@@ -136,3 +136,24 @@ def test_the_bulk_bytes_hold_on_numpys_baseline_kernels(tmp_path):
         pytest.skip(proc.stderr.strip().splitlines()[-1])
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WORKLOADS.REFERENCE_SHA256["bulk"]
+
+
+def test_batched_spectra_equal_their_points_on_numpys_baseline_kernels():
+    """The batch test of ``build_spectra`` passes when NumPy runs without
+    its AVX2 and AVX-512 kernels: ``np.power`` and ``np.hypot`` over a
+    (P, k) stack give each element the bits of a (k,) call there too. Run
+    in a fresh interpreter, as the variable is read when NumPy is
+    imported; skipped where NumPy refuses it."""
+    tests = Path(__file__).resolve().parent
+    src = str(Path(ionlattice.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": BASELINE_KERNELS,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    target = f"{tests / 'test_spectrum.py'}::test_a_batch_of_spectra_equals_its_points_bit_for_bit"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", target],
+        capture_output=True, text=True, env=env, timeout=300, cwd=tests.parent,
+    )
+    if proc.returncode and "NPY_DISABLE_CPU_FEATURES" in proc.stdout + proc.stderr:
+        pytest.skip((proc.stdout + proc.stderr).strip().splitlines()[-1])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1].startswith("6 passed"), proc.stdout

@@ -7,8 +7,10 @@ must equal SciPy's under ``==``, not just agree to a tolerance. The port's
 the rule's nodes first.
 """
 
+import inspect
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -139,3 +141,45 @@ def test_brentq_raises_what_scipy_raises(f, a, b, kwargs):
 def test_brentq_returns_an_exact_endpoint_root():
     for f, a, b in ((lambda x: x, 0.0, 2.0), (lambda x: x - 2.0, 0.0, 2.0)):
         assert _solvers.brentq(f, a, b) == scipy_optimize.brentq(f, a, b)
+
+
+def _runs_of_line(fn, text, call):
+    """``call()`` and how often the line of ``fn`` that reads ``text`` ran."""
+    source, first = inspect.getsourcelines(fn)
+    (target,) = [first + i for i, line in enumerate(source) if line.strip() == text]
+    runs = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            runs.append(target)
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code is fn.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, len(runs)
+
+
+def test_brentq_bisects_where_the_extrapolation_divides_by_zero():
+    """Function values near 1e-200 make the extrapolation's divisor, a
+    product of two difference quotients, underflow to zero. C divides by
+    zero there and bisects; Python raises ZeroDivisionError, which the port
+    turns into the same bisection, bit for bit."""
+    rng = random.Random(2009)
+    branch = 0
+    for trial in range(200):
+        r, f = _root_problem(trial % 4, rng)
+        tiny = (lambda f: lambda x: 1e-200 * f(x))(f)
+        a, b = r - rng.uniform(1e-3, 20.0), r + rng.uniform(1e-3, 20.0)
+        got, runs = _runs_of_line(
+            _solvers.brentq, 'stry = float("nan")', lambda: _solvers.brentq(tiny, a, b)
+        )
+        assert got == scipy_optimize.brentq(tiny, a, b), (trial, a, b)
+        branch += runs
+    assert branch > 0

@@ -24,6 +24,7 @@ from ionlattice.lattice import (
     tilde_frequencies,
 )
 from ionlattice.spectrum import (
+    build_spectra,
     build_spectrum,
     coupling_matrix,
     symplectic_diagonalize,
@@ -315,3 +316,51 @@ def test_an_integer_built_ring_equals_the_float_built_ring(nu_t):
     assert ints.config == floats.config
     for name in ("omega", "c2", "s2", "cs"):
         assert getattr(ints, name).tobytes() == getattr(floats, name).tobytes(), name
+
+
+#: rings of the batch tests: NN and the longest range each size admits
+#: (tau_max < n/2, so 3 at n = 8)
+BATCH_RINGS = [(8, 1), (8, 3), (20, 1), (20, 4), (1000, 1), (1000, 4)]
+
+#: multiples of the bulk critical trap: buckled points (by Brent's method
+#: where tau_max > 1), the exactly critical flat point, flat points
+BATCH_MULTIPLES = (0.35, 0.5, 0.8, 0.95, 0.999, 1.0, 1.05, 1.5, 3.0)
+
+
+@pytest.mark.parametrize("n, tau_max", BATCH_RINGS)
+def test_a_batch_of_spectra_equals_its_points_bit_for_bit(n, tau_max):
+    """Each phase's points built as one batch, with and without their
+    configurations, equal their one-point builds in every byte."""
+    params = LatticeParams(n=n, nu=1.0, tau_max=tau_max)
+    crit = critical_potential(params, td_limit=True)
+    alone = [build_spectrum(params, m * crit) for m in BATCH_MULTIPLES]
+    assert [s.variant for s in alone] == [Variant.ZIGZAG] * 5 + [Variant.LINEAR] * 4
+    for phase in Variant:
+        points = [s for s in alone if s.variant is phase]
+        nu_ts = [s.nu_t for s in points]
+        for batch in (build_spectra(params, nu_ts),
+                      build_spectra(params, nu_ts, [s.config for s in points])):
+            for got, want in zip(batch, points, strict=True):
+                assert (got.params, got.nu_t, got.config) == (want.params, want.nu_t, want.config)
+                for name in ("omega", "c2", "s2", "cs"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_a_failed_batch_raises_the_error_of_its_failing_point():
+    params = LatticeParams(n=64, nu=1.0, tau_max=4)
+    crit = critical_potential(params, td_limit=True)
+    with pytest.raises(ImaginaryFrequency) as alone:
+        build_spectrum(params, 0.2 * crit)
+    with pytest.raises(ImaginaryFrequency) as batch:
+        build_spectra(params, [0.8 * crit, 0.2 * crit, 0.5 * crit])
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.modes == alone.value.modes
+
+
+def test_a_batch_takes_one_phase_and_one_configuration_per_point(nn_ring):
+    params = nn_ring(n=8)
+    assert build_spectra(params, []) == []
+    with pytest.raises(ConfigError, match="one phase"):
+        build_spectra(params, [0.8, 1.5])
+    with pytest.raises(ConfigError, match="one configuration per nu_t"):
+        build_spectra(params, [1.5, 2.0], [solve_equilibrium(params, 1.5)])

@@ -22,7 +22,7 @@ from ionlattice.cli import (
     _params_from_mapping,
     run_sweep,
 )
-from ionlattice.errors import ConfigError
+from ionlattice.errors import ConfigError, DomainError
 from ionlattice.lattice import (
     LatticeParams,
     critical_potential,
@@ -319,6 +319,35 @@ def scalar_crossing(params, nu_t):
     while gap(hi) <= 0.0:
         hi *= 2.0
     return brentq(gap, 0.0, hi, rtol=1e-10)
+
+
+def test_the_crossing_search_doubles_its_bracket_until_the_gap_opens(nn_ring):
+    """U(T) = T stays below a bound of 1000 up to T = 1000, so the upper end
+    of the bracket doubles from max(nu, nu_t) = 1.5 ten times, to 1536, and
+    Brent's method runs on [0, 1536]."""
+    seen = []
+
+    def energy(t):
+        seen.append(t)
+        return t
+
+    tc = witness._crossing(nn_ring(n=8), 1.5, energy, 1000.0)
+    assert seen[:12] == [0.0] + [1.5 * 2.0**k for k in range(11)]
+    want = brentq(lambda t: t - 1000.0, 0.0, 1536.0, xtol=witness.TC_XTOL, rtol=1e-10)
+    assert bits(tc) == bits(want)
+
+
+def test_a_bound_no_temperature_reaches_is_a_domain_error(nn_ring):
+    seen = []
+
+    def energy(t):
+        seen.append(t)
+        return 0.0
+
+    with pytest.raises(DomainError, match="no bound crossing"):
+        witness._crossing(nn_ring(n=8), 1.5, energy, 1.0)
+    # U(0) and the 200 doublings of the upper end
+    assert len(seen) == 201 and seen[-1] == 1.5 * 2.0**199
 
 
 @pytest.mark.parametrize("ring,nu_t_reduced", [("LR", 1.31), ("LR", 1.72), ("NN", 0.8)])
