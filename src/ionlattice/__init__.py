@@ -26,6 +26,7 @@ from .entanglement import (
     block_entropy_profile,
     negativity,
     separability_criteria,
+    spectrum_entropies,
     spectrum_entropy,
     symplectic_spectra,
     symplectic_spectrum,
@@ -109,6 +110,7 @@ __all__ = [
     "separability_bound",
     "separability_criteria",
     "solve_equilibrium",
+    "spectrum_entropies",
     "spectrum_entropy",
     "symplectic_diagonalize",
     "symplectic_spectra",

@@ -40,12 +40,11 @@ from .entanglement import (
     block_entropy_profile,
     negativity,
     separability_criteria,
-    spectrum_entropy,
+    spectrum_entropies,
     symplectic_spectra,
 )
 from .errors import (
     ConfigError,
-    Divergent,
     DomainError,
     NoConvergence,
     NumericalFailure,
@@ -187,14 +186,16 @@ def _block_sizes(measures) -> tuple:
     return tuple(k for k, name in names.items() if name in measures)
 
 
-def _entropy_cell(spectrum):
-    """(entropy or None, divergent flag) of one block column from its item
-    of :func:`symplectic_spectra`; a failed check raises its error."""
-    if isinstance(spectrum, Exception):
-        raise spectrum
-    if isinstance(spectrum, Divergent):
-        return None, True
-    return spectrum_entropy(spectrum), False
+def _entropy_cells(spectra) -> list:
+    """One block cell per item of :func:`symplectic_spectra`: (entropy,
+    False); (None, True) for an infinite entropy, which only a
+    ``Divergent`` item or eigenvalue has; or the error of a failed item,
+    stored and never raised."""
+    return [
+        entropy if isinstance(entropy, Exception)
+        else (None, True) if entropy == math.inf else (entropy, False)
+        for entropy in spectrum_entropies(spectra)
+    ]
 
 
 #: a row before any cell is filled: no values, no divergent flags, no error
@@ -290,8 +291,9 @@ def _closed_form_cells(params, nu_t: float, measures, row) -> tuple:
             _pair_cells(row, d, *td_pair_criteria(params, nu_t, 1, d))
     if "entropy" in measures:
         for d in DIRECTIONS:
-            r = td_single_site_eigenvalue(params, nu_t, d)
-            cell = _entropy_cell(r if isinstance(r, Divergent) else (r,))
+            (cell,) = _entropy_cells([(td_single_site_eigenvalue(params, nu_t, d),)])
+            if isinstance(cell, Exception):
+                raise cell
             row[f"SV1{d}"], row[f"SV1{d}Divergent"] = cell
     return tuple(m for m in measures if m not in ("negativity", "entropy"))
 
@@ -363,28 +365,32 @@ def _halves(table, axial: dict, key: str, evaluate) -> tuple:
 
 def _block_cells(points):
     """Block entropy cells of a chunk's rows, size by size: one
-    :func:`symplectic_spectra` call serves every block of a size, and a
-    stack several points share enters it once. A failed row gets no cells,
-    and a failed block ends its own row only."""
+    :func:`symplectic_spectra` call and one :func:`spectrum_entropies` call
+    serve every block of a size, and a stack several points share enters
+    them once. A failed row gets no cells, and a failed block ends every
+    row that reads it: its own row, or on the shared flat x stack, that
+    temperature's row of every flat point."""
     points = [point for point in points if point.blocks]
     for size in sorted({size for point in points for size in _block_sizes(point.measures)}):
         chosen = [point for point in points if size in _block_sizes(point.measures)]
         # each distinct stack, first seen first; the points keep them alive
         stacks = {id(stack): stack for point in chosen for stack in point.blocks}
-        starts = {key: i for i, key in enumerate(stacks)}
-        spectra = symplectic_spectra(
+        starts = {key: i * len(stack) for i, (key, stack) in enumerate(stacks.items())}
+        cells = _entropy_cells(symplectic_spectra(
             np.concatenate([stack[:, : 2 * size, : 2 * size] for stack in stacks.values()])
-        )
+        ))
+        columns = [(f"SV{size}{d}", f"SV{size}{d}Divergent") for d in DIRECTIONS]
         for point in chosen:
+            offsets = [starts[id(stack)] for stack in point.blocks]
             for t, row in enumerate(point.rows):
                 if row["error"]:
                     continue
-                try:
-                    for d, stack in zip(DIRECTIONS, point.blocks):
-                        cell = _entropy_cell(spectra[starts[id(stack)] * len(point.rows) + t])
-                        row[f"SV{size}{d}"], row[f"SV{size}{d}Divergent"] = cell
-                except _ROW_ERRORS as exc:
-                    _fail([row], exc)
+                for (value, flag), offset in zip(columns, offsets):
+                    cell = cells[offset + t]
+                    if isinstance(cell, Exception):
+                        _fail([row], cell)
+                        break
+                    row[value], row[flag] = cell
 
 
 def _reduced_witness(rep, sites: int = 1) -> tuple:

@@ -82,14 +82,16 @@ def symplectic_spectra(sigmas) -> list:
     unpaired = (np.abs(pairs - partners) > 1e-8 * scale).any(axis=1)
     below = (pairs < 1.0 - 1e-10).any(axis=1)
     spectra = np.where(pairs < 1.0, 1.0, pairs)
-    checks = zip(live.tolist(), unpaired.tolist(), below.tolist(), pairs, spectra)
-    for i, bad_pair, bad_floor, ev_row, spectrum in checks:
-        if bad_pair:
-            out[i] = NumericalFailure("symplectic eigenvalues failed to pair up")
-        elif bad_floor:
-            out[i] = DomainError(f"symplectic eigenvalue {ev_row.min()} below 1 beyond tolerance")
+    live = live.tolist()
+    for i, spectrum in zip(live, spectra):
+        out[i] = spectrum
+    for j in np.flatnonzero(unpaired | below).tolist():
+        if unpaired[j]:
+            out[live[j]] = NumericalFailure("symplectic eigenvalues failed to pair up")
         else:
-            out[i] = spectrum
+            out[live[j]] = DomainError(
+                f"symplectic eigenvalue {pairs[j].min()} below 1 beyond tolerance"
+            )
     return out
 
 
@@ -111,29 +113,62 @@ def symplectic_spectrum(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return spectrum
 
 
-def spectrum_entropy(spectrum) -> float:
-    """Von Neumann entropy of a state with the symplectic ``spectrum``: the
-    sum of g(r) = up ln(up) - dn ln(dn), up = (r + 1)/2 and dn = (r - 1)/2,
-    over its eigenvalues, 0 at r <= 1 and inf for a :class:`Divergent`
-    item. An eigenvalue below 1 - 1e-10 raises :class:`DomainError`."""
-    if isinstance(spectrum, np.ndarray):
-        # Python floats take the same IEEE steps as NumPy scalars, faster
-        spectrum = spectrum.tolist()
-    log, terms = math.log, []
-    add = terms.append
-    for r in spectrum:
-        if r.__class__ is Divergent:
-            add(math.inf)
-        elif r < 1.0 - 1e-10:
-            raise DomainError(f"symplectic eigenvalue {r} below 1")
-        elif r <= 1.0:
-            add(0.0)
+def spectrum_entropies(spectra) -> list:
+    """Von Neumann entropies of states with the symplectic ``spectra``, such
+    as the items of :func:`symplectic_spectra`, in one loop. The entropy of
+    a spectrum is the sum of g(r) = up ln(up) - dn ln(dn), up = (r + 1)/2
+    and dn = (r - 1)/2, over its eigenvalues, 0 at r <= 1 and inf for a
+    :class:`Divergent` eigenvalue. Item i of the result is one of:
+
+    - the entropy of spectrum i;
+    - inf if item i is :class:`Divergent`;
+    - item i itself if it is an exception;
+    - a :class:`DomainError` if an eigenvalue lies below 1 - 1e-10.
+
+    No error is raised: a failed item fails its own entropy only.
+    """
+    log, floor, out = math.log, 1.0 - 1e-10, []
+    for spectrum in spectra:
+        if spectrum.__class__ is Divergent:
+            out.append(math.inf)
+            continue
+        if isinstance(spectrum, Exception):
+            out.append(spectrum)
+            continue
+        if isinstance(spectrum, np.ndarray):
+            # Python floats take the same IEEE steps as NumPy scalars, faster
+            spectrum = spectrum.tolist()
+        terms = []
+        add = terms.append
+        for r in spectrum:
+            if r.__class__ is Divergent:
+                add(math.inf)
+            elif r < floor:
+                out.append(DomainError(f"symplectic eigenvalue {r} below 1"))
+                break
+            elif r <= 1.0:
+                add(0.0)
+            else:
+                up, dn = (r + 1.0) / 2.0, (r - 1.0) / 2.0
+                add(up * log(up) - dn * log(dn))
         else:
-            up, dn = (r + 1.0) / 2.0, (r - 1.0) / 2.0
-            add(up * log(up) - dn * log(dn))
-    # sum() rather than a running +=: Python 3.12 and later sum floats with
-    # compensation, and the entropy is what sum() of the terms gives
-    return float(sum(terms))
+            # sum() rather than a running +=: Python 3.12 and later sum
+            # floats with compensation, and the entropy is what sum() of the
+            # terms gives
+            out.append(float(sum(terms)))
+    return out
+
+
+def spectrum_entropy(spectrum) -> float:
+    """Von Neumann entropy of a state with the symplectic ``spectrum``:
+    :func:`spectrum_entropies` for a batch of one, inf for a
+    :class:`Divergent` item or eigenvalue. It raises what that returns as
+    an error: :class:`DomainError` for an eigenvalue below 1 - 1e-10, or
+    ``spectrum`` itself if it is an exception."""
+    (entropy,) = spectrum_entropies((spectrum,))
+    if isinstance(entropy, Exception):
+        raise entropy
+    return entropy
 
 
 @dataclass(frozen=True)

@@ -500,19 +500,25 @@ def test_the_pair_and_block_x_halves_share_one_axial_table(monkeypatch):
 
 @pytest.mark.parametrize("jobs, batched", [(1, True), (1, False), (2, True)])
 def test_a_stack_several_points_share_is_solved_once(monkeypatch, jobs, batched):
-    """The eigensolver takes each distinct block stack of a chunk once: the
-    flat points' shared x stack once, beside each point's own stacks. Per
-    block size and temperature: the buckled point's x and y, each flat
-    point's y, and the shared x, in one batch per point or all in one."""
+    """The eigensolver and the entropy rule take each distinct block stack
+    of a chunk once: the flat points' shared x stack once, beside each
+    point's own stacks. Per block size and temperature: the buckled point's
+    x and y, each flat point's y, and the shared x, in one batch per point
+    or all in one; 12 matrices per size where the rows hold 16 cells."""
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-    shapes = []
-    original = cli.symplectic_spectra
+    shapes, lengths = [], []
+    original, entropies = cli.symplectic_spectra, cli.spectrum_entropies
 
     def recorded(sigmas):
         shapes.append(sigmas.shape)
         return original(sigmas)
 
+    def recorded_entropies(spectra):
+        lengths.append(len(spectra))
+        return entropies(spectra)
+
     monkeypatch.setattr(cli, "symplectic_spectra", recorded)
+    monkeypatch.setattr(cli, "spectrum_entropies", recorded_entropies)
     spec = small_spec(params=LatticeParams(n=20, nu=1.0), nu_t_grid=(1.2, 1.5, 2.0, 2.5),
                       temperatures=(0.0, 0.2), measures=BLOCK_MEASURES)
     if not batched:
@@ -525,6 +531,53 @@ def test_a_stack_several_points_share_is_solved_once(monkeypatch, jobs, batched)
     else:
         # chunks (1.2, 2.0): buckled and flat; (1.5, 2.5): both flat
         assert shapes == [(8, 2, 2), (8, 4, 4), (6, 2, 2), (6, 4, 4)]
+    assert lengths == [shape[0] for shape in shapes]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_a_failed_block_matrix_ends_every_row_that_reads_it(monkeypatch, jobs, direction):
+    """A block matrix below the uncertainty floor at the second temperature:
+    in the flat points' shared x stack it ends that row of every flat point,
+    in the y stack of the point at nuT 2.0 that point's row only. Each failed
+    row reads the error of its one-point sweep, and the stored error is
+    never raised, so it carries no traceback."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    spec = small_spec(params=LatticeParams(n=20, nu=1.0), nu_t_grid=(1.2, 1.5, 2.0, 2.5),
+                      temperatures=(0.0, 0.2, 0.5), measures=BLOCK_MEASURES)
+    clean = run_sweep(spec, jobs=jobs)
+    original, spectra = cli.block_covariance_at, cli.symplectic_spectra
+
+    def shrunk(table, sites, directions):
+        stacks = original(table, sites, directions).copy()
+        for stack, modes in zip(stacks, table.spectra):
+            flat = modes.variant.value == "linear"
+            if directions == (direction,) and flat and (
+                direction == "x" or modes.nu_t == 2.0 * cli.NU_T_UNIT
+            ):
+                stack[1] *= 0.01
+        return stacks
+
+    stored = []
+
+    def recorded(sigmas):
+        items = spectra(sigmas)
+        stored.extend(item for item in items if isinstance(item, Exception))
+        return items
+
+    monkeypatch.setattr(cli, "block_covariance_at", shrunk)
+    monkeypatch.setattr(cli, "symplectic_spectra", recorded)
+    rows = run_sweep(spec, jobs=jobs)
+    failed = [nu_t for nu_t in spec.nu_t_grid[1:] if direction == "x" or nu_t == 2.0]
+    for i, row in enumerate(rows):
+        nu_t, t = spec.nu_t_grid[i // 3], i % 3
+        if t != 1 or nu_t not in failed:
+            assert row == clean[i], (nu_t, t)
+            continue
+        alone = run_sweep(dataclasses.replace(spec, nu_t_grid=(nu_t,)))
+        assert row["error"].startswith("DomainError: symplectic eigenvalue"), row["error"]
+        assert row == alone[1], nu_t
+    assert stored and all(exc.__traceback__ is None for exc in stored)
 
 
 def _cell_reprs(rows):

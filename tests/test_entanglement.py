@@ -11,6 +11,7 @@ from ionlattice.entanglement import (
     block_entropy_profile,
     negativity,
     separability_criteria,
+    spectrum_entropies,
     spectrum_entropy,
     symplectic_spectra,
     symplectic_spectrum,
@@ -95,6 +96,47 @@ def test_spectrum_entropy_keeps_divergent_and_floor_rules():
             spectrum_entropy(np.array(below[:-1]))
 
 
+def test_spectrum_entropies_take_each_item_as_spectrum_entropy_does():
+    """Item by item and bit for bit what the one-spectrum form gives or
+    raises, in whatever company; a failed item is returned, never raised."""
+    marker = Divergent("covariance matrix has a non-finite entry")
+    failure = NumericalFailure("symplectic eigenvalues failed to pair up")
+    rows = np.array([[1.0, 3.0], [1.0 - 5e-11, 1e6], [1.0 + 1e-15, 1e300]])
+    items = [
+        *rows,
+        *(tuple(spectrum) for spectrum in _random_spectra(13, count=40)),
+        *([*spectrum, marker] for spectrum in _random_spectra(14, count=10)),
+        (1.0,), (1.0 - 5e-11,), (1.0 - 2e-10,), [3.0, 0.9, marker], np.array([2.0, 0.5]),
+        marker, failure,
+    ]
+    got = spectrum_entropies(items)
+    assert len(got) == len(items)
+    for item, entropy in zip(items, got):
+        if item is failure:
+            assert entropy is failure
+            continue
+        try:
+            want = spectrum_entropy(item)
+        except DomainError as exc:
+            assert type(entropy) is DomainError and str(entropy) == str(exc), item
+            assert entropy.__traceback__ is None
+            continue
+        assert entropy.hex() == want.hex(), item
+        values = item.tolist() if isinstance(item, np.ndarray) else item
+        reference = math.inf if item is marker else sum(_reference_entropy(r) for r in values)
+        assert entropy.hex() == float(reference).hex(), item
+    assert got[3 + 40 + 10 : 3 + 40 + 10 + 2] == [0.0, 0.0]
+    assert [str(e) for e in got[-5:-2]] == [
+        "symplectic eigenvalue 0.9999999998 below 1",
+        "symplectic eigenvalue 0.9 below 1",
+        "symplectic eigenvalue 0.5 below 1",
+    ]
+    assert got[-2] == math.inf and failure.__traceback__ is None
+    with pytest.raises(NumericalFailure) as raised:
+        spectrum_entropy(failure)
+    assert raised.value is failure
+
+
 def test_negativity_single_violation_anchor():
     s1 = 16.0 / (3.0 * math.pi**2) - 1.0
     expect = 0.3077416690635716
@@ -135,12 +177,23 @@ def test_stacked_spectra_fail_only_their_own_matrix(nn_ring):
     unpaired = np.array([[1.0, 0.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0],
                          [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]])
     below = 0.25 * np.eye(4)  # r = 0.5, under the uncertainty floor
-    spectra = symplectic_spectra(np.stack([good, infinite, unpaired, below, good]))
+    lower = np.diag([0.2, 0.2, 0.5, 0.5])  # r = 0.4 and 1
+    sigmas = np.stack([good, infinite, unpaired, below, good, lower, unpaired])
+    spectra = symplectic_spectra(sigmas)
     assert np.array_equal(spectra[0], symplectic_spectrum(good))
     assert np.array_equal(spectra[4], spectra[0])
     assert isinstance(spectra[1], Divergent)
     assert isinstance(spectra[2], NumericalFailure)
     assert isinstance(spectra[3], DomainError) and "below 1 beyond tolerance" in str(spectra[3])
+    # each item, in its place, is the item of a one-matrix call, message and all
+    for item, sigma in zip(spectra, sigmas):
+        (alone,) = symplectic_spectra(sigma[None])
+        assert type(item) is type(alone)
+        if isinstance(alone, np.ndarray):
+            assert np.array_equal(item, alone)
+        else:
+            assert repr(item) == repr(alone)
+    assert str(spectra[3]) != str(spectra[5])
     # the one-matrix form raises what the stacked form reports
     for sigma, error in ((infinite, DomainError), (unpaired, NumericalFailure),
                          (below, DomainError)):
