@@ -23,6 +23,7 @@ import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,13 +63,18 @@ TD_PROXY_N = 4096
 NU_T_UNIT = math.sqrt(0.5)
 TEMPERATURE_UNIT = 0.5 * NU_T_UNIT
 
-MEASURES = (
-    "negativity",
-    "entropy",
-    "blockEntropy2",
-    "blockEntropy3",
-    "witness",
-)
+#: the sweep's measures in the order a row's cells are filled: per name,
+#: the input it reads and the columns it writes. An input holds per row the
+#: values of those columns, x before y, any of which may be an error that
+#: ends the row: "pairs" (tau = 1 criteria and negativity), a block size k
+#: (entropy and divergent flag) or "reports" (see _reduced_witness).
+MEASURES = {
+    "negativity": ("pairs", ("S1x", "S2x", "ENx", "S1y", "S2y", "ENy")),
+    "entropy": (1, ("SV1x", "SV1xDivergent", "SV1y", "SV1yDivergent")),
+    "blockEntropy2": (2, ("SV2x", "SV2xDivergent", "SV2y", "SV2yDivergent")),
+    "blockEntropy3": (3, ("SV3x", "SV3xDivergent", "SV3y", "SV3yDivergent")),
+    "witness": ("reports", ("U", "bound", "Tc", "witnessTriggered")),
+}
 DEFAULT_MEASURES = ("negativity", "entropy")
 
 #: top-level keys of a config file, each with the JSON type it must hold
@@ -161,7 +167,7 @@ class SweepSpec:
         _check_grid("temperature", self.temperatures)
         bad = [m for m in self.measures if m not in MEASURES]
         if bad:
-            raise ConfigError(f"unknown measures {bad}; choose from {MEASURES}")
+            raise ConfigError(f"unknown measures {bad}; choose from {tuple(MEASURES)}")
         if not self.measures:
             raise ConfigError("at least one measure is required")
         if self.td_limit and tuple(self.temperatures) != (0.0,):
@@ -180,22 +186,25 @@ def _check_grid(name: str, grid):
         checked_temperatures(grid)
 
 
-def _block_sizes(measures) -> tuple:
-    """Block sizes of the requested entropy columns: 1 for ``entropy``."""
-    names = {1: "entropy", 2: "blockEntropy2", 3: "blockEntropy3"}
-    return tuple(k for k, name in names.items() if name in measures)
-
-
-def _entropy_cells(spectra) -> list:
-    """One block cell per item of :func:`symplectic_spectra`: (entropy,
-    False); (None, True) for an infinite entropy, which only a
-    ``Divergent`` item or eigenvalue has; or the error of a failed item,
+def _entropy_values(spectra) -> list:
+    """The values of one block cell per item of :func:`symplectic_spectra`:
+    (entropy, False); (None, True) for an infinite entropy, which only a
+    ``Divergent`` item or eigenvalue has; or (error,) for a failed item,
     stored and never raised."""
     return [
-        entropy if isinstance(entropy, Exception)
+        (entropy,) if isinstance(entropy, Exception)
         else (None, True) if entropy == math.inf else (entropy, False)
         for entropy in spectrum_entropies(spectra)
     ]
+
+
+def _pair_values(s1: float, s2: float) -> tuple:
+    """(S1, S2, EN) of one direction; EN is the error of a criterion the
+    negativity refuses, stored and never raised."""
+    try:
+        return s1, s2, negativity(s1, s2)
+    except _ROW_ERRORS as exc:
+        return s1, s2, exc.with_traceback(None)
 
 
 #: a row before any cell is filled: no values, no divergent flags, no error
@@ -212,13 +221,6 @@ def _error_text(exc) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _fail(rows, exc):
-    """Record ``exc`` on every row that has not failed yet."""
-    for row in rows:
-        if not row["error"]:
-            row["error"] = _error_text(exc)
-
-
 #: most elements of a batch's moment table, shape (P, 2, 2, n_T, n), P >= 1:
 #: 128 KiB, the allocator's mmap threshold; two n = 4096 points were slower
 _BATCH_ELEMENTS = 2**14
@@ -228,123 +230,121 @@ def _chunk_rows(spec: SweepSpec, nu_t_papers) -> list:
     """The rows of a chunk of nuT points: one list per point, in the order
     of ``nu_t_papers``, with one row per temperature.
 
-    A row's cells are filled measure by measure until the first error,
-    which goes into its ``error`` cell; an error of a step shared by all
-    temperatures of a point (equilibrium, spectrum, mode sums, witness
-    bound and crossing) ends every row of the point that has not failed
-    yet. Each point of a batch stops at its equilibrium; the points of
-    one phase then share one ``build_spectra`` call and one moment table,
-    and the block and witness cells follow at the end of the chunk."""
+    Each input of a requested measure is computed once per point: each
+    point of a batch stops at its equilibrium, a flat bulk point at its
+    closed forms; the points of one phase share one ``build_spectra`` call
+    and one moment table; the block entropies follow at the end of the
+    chunk, and then ``_fill_cells`` writes every row."""
     ring = dataclasses.replace(spec.params, n=TD_PROXY_N) if spec.td_limit else spec.params
     temperatures = tuple(t * TEMPERATURE_UNIT for t in spec.temperatures)
     size = max(1, _BATCH_ELEMENTS // (4 * len(temperatures) * ring.n))
+    measures = [entry for name, entry in MEASURES.items() if name in spec.measures]
+    reads = tuple(source for source, _ in measures)
+    # a bulk row's U and bound are per site of the stand-in ring
+    sites = TD_PROXY_N if spec.td_limit else 1
     # the flat-phase x half of the chunk: its one-spectrum table, pair
     # moments, block stack
     points, axial = [], {}
     with np.errstate(**_FP_FAULTS):
         for start in range(0, len(nu_t_papers), size):
-            batch = [_point(spec, ring, v) for v in nu_t_papers[start : start + size]]
+            batch = [_point(spec, ring, v, reads) for v in nu_t_papers[start : start + size]]
             for phase in Variant:
                 live = [point for point in batch
-                        if point.measures and point.config.variant is phase]
+                        if point.reads and point.config.variant is phase]
                 if live:
-                    _table_cells(live, ring, temperatures, axial)
+                    _table_inputs(live, ring, temperatures, axial, sites)
             points += batch
-        _block_cells(points)
+        _block_inputs(points)
         for point in points:
-            # a bulk row's U and bound are per site of the stand-in ring
-            _witness_cells(point, TD_PROXY_N if spec.td_limit else 1)
+            _fill_cells(point, measures)
     return [point.rows for point in points]
 
 
-def _point(spec: SweepSpec, ring, nu_t_paper: float) -> SimpleNamespace:
+def _point(spec: SweepSpec, ring, nu_t_paper: float, reads: tuple) -> SimpleNamespace:
     """One nuT point, evaluated up to its equilibrium. A bulk-limit point
     is the point of the stand-in ring (n = TD_PROXY_N), whose equilibrium
     decides the phase; where that ring is flat, the pair criteria and the
     single-site entropy take their closed forms instead. The point holds
-    its rows; its library nuT and configuration; the measures left to its
-    ring; the (n_T, 2K, 2K) stacks of its largest block, x and y; its
-    witness reports or error."""
+    its rows; its library nuT and configuration; the inputs of ``reads``
+    left to its ring; the inputs it has, by name; the (n_T, 2K, 2K) stacks
+    of its largest block, x and y; the error that stopped it, or None."""
     rows = [_blank_row(nu_t_paper, t) for t in spec.temperatures]
     nu_t = nu_t_paper * NU_T_UNIT
-    point = SimpleNamespace(rows=rows, nu_t=nu_t, config=None, measures=(), blocks=(),
-                            witness=None)
+    point = SimpleNamespace(rows=rows, nu_t=nu_t, config=None, reads=(), inputs={}, blocks=(),
+                            error=None)
     try:
         config = solve_equilibrium(ring, nu_t)
         for row in point.rows:
             row["configVariant"] = config.variant.value
             row["b"] = config.b
-        measures = spec.measures
         if spec.td_limit and config.variant is Variant.LINEAR:
-            measures = _closed_form_cells(spec.params, nu_t, measures, point.rows[0])
-        point.config, point.measures = config, measures
+            reads = _closed_form_inputs(spec.params, nu_t, reads, point.inputs)
+        point.config, point.reads = config, reads
     except _ROW_ERRORS as exc:
-        _fail(point.rows, exc)
+        point.error = exc.with_traceback(None)
     return point
 
 
-def _closed_form_cells(params, nu_t: float, measures, row) -> tuple:
-    """Fill the pair and single-site cells of a flat bulk row from their
-    dispersion averages; return the measures left to the stand-in ring."""
-    if "negativity" in measures:
-        for d in DIRECTIONS:
-            _pair_cells(row, d, *td_pair_criteria(params, nu_t, 1, d))
-    if "entropy" in measures:
-        for d in DIRECTIONS:
-            (cell,) = _entropy_cells([(td_single_site_eigenvalue(params, nu_t, d),)])
-            if isinstance(cell, Exception):
-                raise cell
-            row[f"SV1{d}"], row[f"SV1{d}Divergent"] = cell
-    return tuple(m for m in measures if m not in ("negativity", "entropy"))
+def _closed_form_inputs(params, nu_t: float, reads: tuple, inputs: dict) -> tuple:
+    """The inputs of a flat bulk row that have closed forms, the pair
+    criteria and the single-site entropy, from their dispersion averages,
+    into ``inputs``, direction by direction (a raised error keeps the
+    values before it); return the inputs of ``reads`` left to the ring."""
+    forms = {
+        "pairs": lambda d: _pair_values(*td_pair_criteria(params, nu_t, 1, d)),
+        1: lambda d: _entropy_values([(td_single_site_eigenvalue(params, nu_t, d),)])[0],
+    }
+    for source in reads:
+        if source in forms:
+            values = inputs[source] = [()]
+            for d in DIRECTIONS:
+                values[0] += forms[source](d)
+    return tuple(source for source in reads if source not in forms)
 
 
-def _pair_cells(row, direction, s1, s2):
-    row[f"S1{direction}"] = s1
-    row[f"S2{direction}"] = s2
-    row[f"EN{direction}"] = negativity(s1, s2)
-
-
-def _table_cells(points, ring, temperatures, axial: dict):
-    """The pair cells, the stacks of the largest block (whose leading 2k x 2k
-    part is the block of k sites) and the witness reports of ``points``, in
-    one phase with the same measures, from one ``build_spectra`` call and
-    one moment table of its spectra. A failed batched step is taken again
-    point by point, so an error ends its own point's rows, with the text it
-    has there alone."""
-    measures = points[0].measures
+def _table_inputs(points, ring, temperatures, axial: dict, sites: int):
+    """The ring's inputs of ``points``, in one phase with the same
+    ``reads``, from one ``build_spectra`` call and one moment table of its
+    spectra: the pair criteria, the stacks of the largest block (whose
+    leading 2k x 2k part is the block of k sites) and the witness reports,
+    U and bound per ``sites`` sites. A failed batched step is taken again
+    point by point, so an error stops its own point, with the text it has
+    there alone."""
+    reads = points[0].reads
+    sizes = [source for source in reads if isinstance(source, int)]
     try:
         spectra = build_spectra(ring, [point.nu_t for point in points],
                                 [point.config for point in points])
         table = moment_table(spectra, temperatures)
-        if "negativity" in measures:
+        if "pairs" in reads:
             xs, ys = _halves(table, axial, "pairs", lambda t, d: pair_moments_at(t, 1, d))
             for point, x, y in zip(points, xs, ys):
-                for row, moments in zip(point.rows, zip(x, y)):
-                    try:
-                        for d, pm in zip(DIRECTIONS, moments):
-                            _pair_cells(row, d, *separability_criteria(pm))
-                    except _ROW_ERRORS as exc:
-                        _fail([row], exc)
-        sizes = range(1, max(_block_sizes(measures), default=0) + 1)
+                point.inputs["pairs"] = [
+                    _pair_values(*separability_criteria(mx))
+                    + _pair_values(*separability_criteria(my))
+                    for mx, my in zip(x, y)
+                ]
         if sizes:
-            xs, ys = _halves(
-                table, axial, "blocks", lambda t, d: block_covariance_at(t, sizes, (d,))
-            )
+            block = range(1, max(sizes) + 1)
+            xs, ys = _halves(table, axial, "blocks",
+                             lambda t, d: block_covariance_at(t, block, (d,)))
             for point, x, y in zip(points, xs, ys):
                 point.blocks = (x, y)
     except _ROW_ERRORS as exc:
         if len(points) == 1:
-            return _fail(points[0].rows, exc)
+            points[0].error = exc.with_traceback(None)
+            return
         for point in points:
-            _table_cells([point], ring, temperatures, axial)
+            _table_inputs([point], ring, temperatures, axial, sites)
         return
-    for point, modes in zip(points, spectra) if "witness" in measures else ():
+    for point, modes in zip(points, spectra) if "reports" in reads else ():
         try:
-            point.witness = witness_reports(modes, temperatures)
+            reports = witness_reports(modes, temperatures)
+            point.inputs["reports"] = [_reduced_witness(rep, sites) for rep in reports]
         except _ROW_ERRORS as exc:
             # the error ends the point's rows; its traceback would keep the
             # point's spectrum alive
-            point.witness = exc.with_traceback(None)
+            point.inputs["reports"] = [(exc.with_traceback(None),)] * len(point.rows)
 
 
 def _halves(table, axial: dict, key: str, evaluate) -> tuple:
@@ -363,34 +363,42 @@ def _halves(table, axial: dict, key: str, evaluate) -> tuple:
     return [axial[key]] * len(table.spectra), evaluate(table, "y")
 
 
-def _block_cells(points):
-    """Block entropy cells of a chunk's rows, size by size: one
+def _block_inputs(points):
+    """The block entropy inputs of a chunk's points, size by size: one
     :func:`symplectic_spectra` call and one :func:`spectrum_entropies` call
     serve every block of a size, and a stack several points share enters
-    them once. A failed row gets no cells, and a failed block ends every
-    row that reads it: its own row, or on the shared flat x stack, that
-    temperature's row of every flat point."""
+    them once. A failed block is the error of every row that reads it: its
+    own row, or on the shared flat x stack, that temperature's row of every
+    flat point."""
     points = [point for point in points if point.blocks]
-    for size in sorted({size for point in points for size in _block_sizes(point.measures)}):
-        chosen = [point for point in points if size in _block_sizes(point.measures)]
+    for size in sorted({k for point in points for k in point.reads if isinstance(k, int)}):
+        chosen = [point for point in points if size in point.reads]
         # each distinct stack, first seen first; the points keep them alive
         stacks = {id(stack): stack for point in chosen for stack in point.blocks}
         starts = {key: i * len(stack) for i, (key, stack) in enumerate(stacks.items())}
-        cells = _entropy_cells(symplectic_spectra(
+        cells = _entropy_values(symplectic_spectra(
             np.concatenate([stack[:, : 2 * size, : 2 * size] for stack in stacks.values()])
         ))
-        columns = [(f"SV{size}{d}", f"SV{size}{d}Divergent") for d in DIRECTIONS]
         for point in chosen:
-            offsets = [starts[id(stack)] for stack in point.blocks]
-            for t, row in enumerate(point.rows):
-                if row["error"]:
-                    continue
-                for (value, flag), offset in zip(columns, offsets):
-                    cell = cells[offset + t]
-                    if isinstance(cell, Exception):
-                        _fail([row], cell)
-                        break
-                    row[value], row[flag] = cell
+            x, y = (starts[id(stack)] for stack in point.blocks)
+            point.inputs[size] = [cells[x + t] + cells[y + t] for t in range(len(point.rows))]
+
+
+def _fill_cells(point, measures):
+    """Write the measure cells of a point's rows, the one place that does:
+    per row, the values of each input of ``measures`` (the requested
+    entries of ``MEASURES``, in table order) that the point has, then the
+    error that stopped the point; the first error ends the row, in its
+    ``error`` cell."""
+    filled = [(columns, point.inputs[source]) for source, columns in measures
+              if source in point.inputs]
+    stop = [("error", point.error)] if point.error else []
+    for t, row in enumerate(point.rows):
+        for column, value in chain(*(zip(c, v[t]) for c, v in filled), stop):
+            if isinstance(value, Exception):
+                row["error"] = _error_text(value)
+                break
+            row[column] = value
 
 
 def _reduced_witness(rep, sites: int = 1) -> tuple:
@@ -404,16 +412,6 @@ def _reduced_witness(rep, sites: int = 1) -> tuple:
         None if tc is None else tc / TEMPERATURE_UNIT,
         rep.internal_energy < rep.bound,
     )
-
-
-def _witness_cells(point, sites: int):
-    if isinstance(point.witness, Exception):
-        _fail(point.rows, point.witness)
-        return
-    for rep, row in zip(point.witness or (), point.rows):
-        if not row["error"]:
-            cells = _reduced_witness(rep, sites)
-            row["U"], row["bound"], row["Tc"], row["witnessTriggered"] = cells
 
 
 def _row_worker(task):

@@ -41,9 +41,11 @@ from ionlattice.entanglement import (
     negativity,
     separability_criteria,
 )
-from ionlattice.errors import ConfigError, DomainError
+from ionlattice.errors import ConfigError, DomainError, QuadratureFailure
 from ionlattice.lattice import LatticeParams, solve_equilibrium
 from ionlattice.witness import witness_report
+
+import record_values
 
 #: reduced-unit value of the test ring's nu = 1 in library units
 NU_PAPER = "1.4142135623730951"
@@ -385,6 +387,137 @@ def test_a_failed_block_ends_only_its_own_row(monkeypatch):
         assert failed[c] is None, c
 
 
+#: the measure columns in the order a sweep row fills them: the pair
+#: criteria and negativity (x, then y), block sizes ascending (x, then y),
+#: then the witness
+FILL_ORDER = (
+    "S1x", "S2x", "ENx", "S1y", "S2y", "ENy",
+    *(f"SV{k}{d}{flag}" for k in (1, 2, 3) for d in "xy" for flag in ("", "Divergent")),
+    "U", "bound", "Tc", "witnessTriggered",
+)
+
+
+def blank(column):
+    """A measure cell no value was written into: empty, or a false flag."""
+    return False if column.endswith("Divergent") else None
+
+
+def assert_ends_at(row, clean, column, error):
+    """``row`` is ``clean`` up to ``column`` of FILL_ORDER, holds no measure
+    cell from there on and reads ``error``."""
+    assert row["error"] == error
+    assert (row["configVariant"], row["b"]) == (clean["configVariant"], clean["b"])
+    stop = FILL_ORDER.index(column)
+    for c in FILL_ORDER[:stop]:
+        assert row[c] == clean[c], c
+    for c in FILL_ORDER[stop:]:
+        assert row[c] is blank(c), c
+
+
+@pytest.mark.parametrize(
+    "stage, failed, column",
+    [
+        # the x negativity of the second temperature refuses its criteria
+        ("pair", (1,), "ENx"),
+        # the 2-site x block of the second temperature
+        ("block", (1,), "SV2x"),
+        # the witness of the point, shared by all its temperatures
+        ("witness", (0, 1, 2), "U"),
+    ],
+    ids=["pair", "block", "witness"],
+)
+def test_a_row_keeps_every_cell_before_its_first_error(monkeypatch, stage, failed, column):
+    """A row is filled in one order, pairs, blocks by size, witness, and its
+    first error ends it: the cells before it are kept, none after it is
+    set, and the other rows are untouched."""
+    spec = small_spec(nu_t_grid=(1.2,), temperatures=(0.0, 0.2, 0.5), measures=ALL_MEASURES)
+    clean = run_sweep(spec)
+    assert all(row["error"] == "" and row["U"] is not None for row in clean)
+    injected = DomainError("injected")
+    if stage == "pair":
+        original = cli.negativity
+
+        def refusing(s1, s2):
+            if (s1, s2) == (clean[1]["S1x"], clean[1]["S2x"]):
+                raise injected
+            return original(s1, s2)
+
+        monkeypatch.setattr(cli, "negativity", refusing)
+    elif stage == "block":
+        spectra = cli.symplectic_spectra
+
+        def failing(sigmas):
+            # items run (T0 x, T1 x, T2 x, T0 y, T1 y, T2 y)
+            items = spectra(sigmas)
+            if sigmas.shape[1] == 4:
+                items[1] = injected
+            return items
+
+        monkeypatch.setattr(cli, "symplectic_spectra", failing)
+    else:
+
+        def unstable(modes, temperatures):
+            raise injected
+
+        monkeypatch.setattr(cli, "witness_reports", unstable)
+    rows = run_sweep(spec)
+    for i, (row, want) in enumerate(zip(rows, clean)):
+        if i in failed:
+            assert_ends_at(row, want, column, "DomainError: injected")
+        else:
+            assert row == want, i
+
+
+@pytest.mark.parametrize("direction, column", [("x", "S1x"), ("y", "S1y")])
+def test_a_failed_bulk_closed_form_keeps_the_cells_before_it(monkeypatch, direction, column):
+    """A QuadratureFailure of a flat bulk row's pair closed form ends that
+    row and spares its buckled neighbour: in x it keeps only configVariant
+    and b, in y the x pair cells too, as the seed-0 ``bulk`` workload prints
+    its failing row."""
+    spec = small_spec(nu_t_grid=(1.2, 1.6), temperatures=(0.0,), td_limit=True,
+                      measures=("negativity", "entropy", "blockEntropy2", "witness"))
+    clean = run_sweep(spec)
+    assert [row["configVariant"] for row in clean] == ["zigzag", "linear"]
+    original = cli.td_pair_criteria
+
+    def failing(params, nu_t, tau, d):
+        if d == direction:
+            raise QuadratureFailure("injected")
+        return original(params, nu_t, tau, d)
+
+    monkeypatch.setattr(cli, "td_pair_criteria", failing)
+    buckled, flat = run_sweep(spec)
+    assert buckled == clean[0]
+    assert_ends_at(flat, clean[1], column, "QuadratureFailure: injected")
+    if direction == "y":
+        [entry] = [e for e in record_values.load() if e["name"] == "workload-bulk"]
+        recorded = [dict(zip(entry["columns"], row)) for row in entry["rows"]]
+        [row] = [row for row in recorded if row["error"].startswith("QuadratureFailure")]
+        assert row["configVariant"] == "linear"
+        kept = FILL_ORDER[: FILL_ORDER.index(column)]
+        assert all(type(row[c]) is float for c in kept)
+        assert all(row[c] is blank(c) for c in FILL_ORDER if c not in kept)
+
+
+def test_a_witness_error_keeps_the_pair_and_block_cells():
+    """The seed-0 ``finite-large`` rows at nuT 1.41 and 1.44 end at the
+    witness (ROADMAP item 5a's dressing defect): each keeps its pair and
+    block cells, and a sweep of those two points alone prints the recorded
+    rows cell for cell."""
+    [entry] = [e for e in record_values.load() if e["name"] == "workload-finite-large"]
+    columns = entry["columns"]
+    recorded = [row for row in entry["rows"] if round(row[0], 6) in (1.41, 1.44)]
+    assert len(recorded) == 4
+    argv = entry["argv"][:]
+    argv[argv.index("--nu-t") + 1] = ",".join(sorted({repr(row[0]) for row in recorded}))
+    assert record_values.cells(argv) == (columns, recorded)
+    for row in (dict(zip(columns, row)) for row in recorded):
+        assert row["error"].startswith("DomainError: effective y frequency squared negative")
+        for c in ("S1x", "S2x", "ENx", "S1y", "S2y", "ENy", "SV1x", "SV1y", "SV3x", "SV3y"):
+            assert type(row[c]) is float, c
+        assert [row[c] for c in ("U", "bound", "Tc", "witnessTriggered")] == [None] * 4
+
+
 class InProcessPool:
     """Stands in for the process pool: runs its tasks in this process, so
     that calls made inside a task can be counted."""
@@ -665,6 +798,11 @@ def test_a_failed_spectrum_batch_ends_only_its_own_point():
     assert all(row["error"].startswith("ImaginaryFrequency: lower normal branch unstable")
                for row in rows[:2])
     assert not any(row["error"] for row in rows[2:])
+    # the failed build ends the point after its equilibrium, before its
+    # first measure cell
+    for row in rows[:2]:
+        assert row["b"] > 0.0
+        assert all(row[c] is blank(c) for c in FILL_ORDER)
 
 
 @pytest.mark.parametrize(

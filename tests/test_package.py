@@ -9,10 +9,15 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import ionlattice
 from ionlattice import cli
+from ionlattice.errors import ConfigError
+from ionlattice.lattice import LatticeParams
 
 
 def test_every_exported_name_resolves():
@@ -178,3 +183,22 @@ def test_only_the_check_command_imports_the_check_suite(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[False, False, True]"
+
+
+def test_the_measure_table_writes_each_measure_column_once():
+    """The sweep's measure table names exactly the measures ``--measures``
+    accepts, and each of the 22 measure columns (every column but nuT, T,
+    configVariant, b and error) is written by exactly one entry."""
+    names = ["negativity", "entropy", "blockEntropy2", "blockEntropy3", "witness"]
+    assert list(cli.MEASURES) == names
+    params = LatticeParams(n=8, nu=1.0)
+    for name in names:
+        cli.SweepSpec(params=params, nu_t_grid=(2.0,), temperatures=(0.0,), measures=(name,))
+    with pytest.raises(ConfigError, match="unknown measures"):
+        cli.SweepSpec(params=params, nu_t_grid=(2.0,), temperatures=(0.0,),
+                      measures=("purity",))
+    measure_columns = [c for c in cli.COLUMNS
+                       if c not in ("nuT", "T", "configVariant", "b", "error")]
+    assert len(measure_columns) == 22
+    written = Counter(c for _, columns in cli.MEASURES.values() for c in columns)
+    assert written == Counter(measure_columns)
