@@ -535,20 +535,25 @@ def _parse_grid(text: str) -> tuple:
         raise ConfigError(f"cannot parse grid {text!r}: {exc}") from None
 
 
+def _real(key: str, value, kind: str = "a number") -> float:
+    """A config number as a float: a JSON int or float, neither a bool,
+    which float() would read as 0 or 1, nor a string, which it would parse
+    (" 1_4.5 " as 14.5), and within a float's range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise ConfigError(f"{key} is too large for a float: {digits} digits") from None
+
+
 def _integer(key: str, value) -> int:
-    """``value`` as an int, refusing a bool or a float with a fraction,
-    which int() would truncate (20.7 to 20, true to 1)."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A config number as an int, refusing one with a fraction, which int()
+    would truncate (20.7 to 20)."""
+    if not _real(key, value, "an integer").is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
-
-
-def _real(key: str, value) -> float:
-    """``value`` as a float, refusing a bool, which float() would read as
-    0 or 1."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
 
 
 def _params_from_mapping(raw: dict) -> LatticeParams:
@@ -559,17 +564,12 @@ def _params_from_mapping(raw: dict) -> LatticeParams:
     model = str(raw["model"]).upper()
     if model not in MODEL_TAU_MAX:
         raise ConfigError(f"model must be NN or LR, got {raw['model']!r}")
-    try:
-        mass, charge, spacing, nu_paper = (
-            _real(key, raw[key]) for key in ("mass", "charge", "spacing", "nu")
-        )
-        n = _integer("n", raw["n"])
-        tau_max = (MODEL_TAU_MAX[model] if raw["tauMax"] is None
-                   else _integer("tauMax", raw["tauMax"]))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameter value: {exc}") from None
+    mass, charge, spacing, nu_paper = (
+        _real(key, raw[key]) for key in ("mass", "charge", "spacing", "nu")
+    )
+    n = _integer("n", raw["n"])
+    tau_max = (MODEL_TAU_MAX[model] if raw["tauMax"] is None
+               else _integer("tauMax", raw["tauMax"]))
     if not all(math.isfinite(v) for v in (mass, charge, spacing, nu_paper)):
         raise ConfigError("mass, charge, spacing and nu must be finite")
     # every output is in reduced units, so the raw units are checked and
@@ -615,12 +615,7 @@ def _grid(args, cfg: dict, name: str) -> tuple:
     grid = cfg.get(key, default) if text is None else _parse_grid(text)
     if grid is None:
         raise ConfigError("a nuT grid is required (--nu-t or config nuTGrid)")
-    try:
-        grid = tuple(_real(f"{name} grid entry", v) for v in grid)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grids must be lists of numbers: {exc}") from None
+    grid = tuple(_real(f"{name} grid entry", v) for v in grid)
     _check_grid(name, grid)
     return grid
 

@@ -450,9 +450,9 @@ def direct_covariance_oracle(
     return CovarianceMatrix(matrix=cov, modes=modes)
 
 
-# The zone-edge and zone-centre values of every row; the rule nodes take
-# the same sum a row of nodes at a time (see _rule_node_data). The seed-0
-# bulk sweep of perfbench hits it 248 times; a miss costs about 5 us.
+# The zone-edge value of every row; the rule nodes take the same sum a
+# row of nodes at a time (see _rule_node_data). The seed-0 bulk sweep of
+# perfbench hits it 124 times; a miss costs about 5 us.
 @functools.lru_cache(maxsize=64)
 def _dispersion_sum(tau_max: int, a: float) -> float:
     """sum_{tau=1}^{tau_max} sin^2(a tau) / tau^3, the nuT-independent part
@@ -531,7 +531,8 @@ def _bulk_integrands(base: float, k: float, tau_max: int, tau: int = 0, sign: fl
 
     gap2 = base + k * _dispersion_sum(tau_max, HALF_PI)
     w_end = 1.0 + sign * math.cos(2.0 * HALF_PI * tau)
-    scale2 = abs(base + k * _dispersion_sum(tau_max, 0.0))
+    # omega^2(0) = base, since S(0) = 0 for every range
+    scale2 = abs(base)
     return f, (g, gap2, w_end, scale2)
 
 

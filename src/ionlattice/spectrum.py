@@ -18,7 +18,6 @@ onto them as l -> l + n/2.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ from .lattice import (
     solve_equilibrium,
     tilde_frequencies,
     _frequency_stack,
-    _read_only,
 )
 
 #: Squared frequencies more negative than this raise; values in [-tol, 0) clamp to 0.
@@ -157,17 +155,6 @@ class ModeSpectrum:
         return self.config.variant
 
 
-# The flat ring's axial dispersion involves neither nu_t nor the buckling,
-# so every flat batch of a ring shares it, read-only. The seed-0 perfbench
-# sweeps hit it 1, 11 and 39 times (finite-small, finite-large, bulk); a
-# miss costs 31-64 us.
-@functools.lru_cache(maxsize=16)
-def _axial_branch(params: LatticeParams) -> np.ndarray:
-    """The axial frequencies of the flat ring, l = 1 .. n."""
-    wx2, _, _ = tilde_frequencies(params, Configuration(Variant.LINEAR, 0.0), 0.0)
-    return _read_only(_sqrt_radicand(wx2, "axial"))
-
-
 def build_spectrum(
     params: LatticeParams, nu_t: float, config: Configuration | None = None
 ) -> ModeSpectrum:
@@ -183,7 +170,8 @@ def build_spectra(params: LatticeParams, nu_ts, configs=None) -> list:
     given.
 
     The batch shares one tau-sum over its (P, n) stack and one evaluation
-    of the closed form; a flat batch shares its axial branch too. Each
+    of the closed form; a flat batch takes its axial branch from the one
+    axial row of that sum, which all its points share. Each
     spectrum equals the ``build_spectrum`` of its point bit for bit. A
     batch that fails raises the error of one of its points; built one by
     one, each point raises its own.
@@ -209,7 +197,7 @@ def build_spectra(params: LatticeParams, nu_ts, configs=None) -> list:
     wx2, wy2, wxy = _frequency_stack(params, configs, nu_ts)
     omega = np.empty((len(nu_ts), 2, params.n))
     if configs[0].variant is Variant.LINEAR:
-        omega[:, 0] = _axial_branch(params)
+        omega[:, 0] = _sqrt_radicand(wx2, "axial")
         omega[:, 1] = _sqrt_radicand(wy2, "transverse")
         c2, zeros = np.ones(wy2.shape), np.zeros(wy2.shape)
         weights = zip(c2, zeros, zeros)

@@ -42,7 +42,7 @@ from ionlattice.entanglement import (
     separability_criteria,
 )
 from ionlattice.errors import ConfigError, DomainError, QuadratureFailure
-from ionlattice.lattice import LatticeParams, solve_equilibrium
+from ionlattice.lattice import Configuration, LatticeParams, Variant, solve_equilibrium
 from ionlattice.witness import witness_report
 
 import record_values
@@ -1044,20 +1044,43 @@ def test_failed_command_leaves_an_existing_output_untouched(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv"]
 
 
-def test_check_negative_control(monkeypatch, capsys):
-    # mixing weights off by 0.1% in the spectrum every sweep uses: the
-    # normal-form check must see it
-    build = checks.build_spectrum
-
+def _skewed_weights(build):
+    # mixing weights off by 0.1% in the spectrum every sweep uses
     def skewed(*args, **kwargs):
         spec = build(*args, **kwargs)
         return dataclasses.replace(spec, cs=spec.cs * 1.001)
+    return skewed
 
-    monkeypatch.setattr(checks, "build_spectrum", skewed)
-    assert main(["check"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL  symplectic-normal-form" in out
-    assert "5/6 checks passed" in out
+
+def _shrunk_small_blocks(covariance):
+    # blocks of at most 3 sites shrunk by 10%, below the uncertainty floor;
+    # the whole-ring covariances of the other checks are left as they are
+    def shrunk(params, nu_t, temperature, sites, *args, **kwargs):
+        cov = covariance(params, nu_t, temperature, sites, *args, **kwargs)
+        small = len(tuple(sites)) <= 3
+        return dataclasses.replace(cov, matrix=0.9 * cov.matrix) if small else cov
+    return shrunk
+
+
+def _buckled_odd_rings(solve):
+    # an odd ring buckles instead of being refused
+    return lambda params, nu_t: (Configuration(Variant.ZIGZAG, 0.1) if params.n % 2
+                                 else solve(params, nu_t))
+
+
+def test_check_negative_control(monkeypatch, capsys):
+    """A fault in what one check guards fails that check alone."""
+    for target, fault, check in (
+        ("build_spectrum", _skewed_weights, "symplectic-normal-form"),
+        ("block_covariance", _shrunk_small_blocks, "uncertainty-floor"),
+        ("solve_equilibrium", _buckled_odd_rings, "odd-ring-rejection"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, target, fault(getattr(checks, target)))
+            assert main(["check"]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL  {check}" in out
+        assert "5/6 checks passed" in out
 
 
 def test_check_takes_no_corruption_flag(capsys):
@@ -1613,6 +1636,21 @@ def test_a_huge_temperature_prints_no_nan_entropy():
         assert [c for c, v in row.items() if c.startswith("SV") and v == "nan"] == []
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 16: the soft mode's thermal variance "
+                   "leaves a rounding error in Q that takes the least symplectic "
+                   "eigenvalue to 0.9999886885511262")
+def test_a_thermal_block_at_the_transition_has_an_entropy():
+    """At the critical trap of a 512-site ring and T > 0 the 8-site block
+    is a valid thermal state: its entropy is finite, not a DomainError."""
+    argv = ["block-entropy", "--nu", "1.4142135623730951", "--n", "512", "--sites", "8",
+            "--nu-t", "1.4142135623730951", "--temp", "0.0566"]
+    rc, out, _ = printed(argv)
+    assert rc == 0
+    (row,) = parse_csv(out)
+    assert math.isfinite(float(row["entropy"]))
+
+
 def test_a_non_finite_squared_frequency_is_a_numerical_failure(capsys):
     # the squared axial trap overflows: the spectrum ends in exit 3, not in
     # inf frequencies with exit 0
@@ -1636,8 +1674,13 @@ def test_a_floating_point_fault_in_a_one_point_command_is_a_numerical_failure(ca
         {"params": {"nu": float("inf")}, "nuTGrid": [2.0]},
         {"nuTGrid": [1.5, float("nan")]},
         {"nuTGrid": [2.0], "temperatures": [0.0, float("inf")]},
+        # integers beyond a float's range
+        {"params": {"nu": 10**400}, "nuTGrid": [2.0]},
+        {"nuTGrid": [1.5, 10**400]},
+        {"nuTGrid": [2.0], "temperatures": [0.0, 10**400]},
     ],
-    ids=["mass", "nu", "nuTGrid", "temperatures"],
+    ids=["mass", "nu", "nuTGrid", "temperatures", "nu-huge", "nuTGrid-huge",
+         "temperatures-huge"],
 )
 def test_non_finite_config_value_is_a_config_error(config, tmp_path, capsys):
     path = tmp_path / "sweep.json"
@@ -1667,8 +1710,15 @@ def test_block_entropy_1_is_not_a_sweep_measure(capsys):
 @pytest.mark.parametrize(
     "config,message",
     [
-        ({"params": {"mass": "heavy"}, "nuTGrid": [2.0]},
-         "bad parameter value: could not convert string to float: 'heavy'"),
+        # a string is no config number, though float() or int() would parse it
+        ({"params": {"mass": "heavy"}, "nuTGrid": [2.0]}, "mass must be a number, got 'heavy'"),
+        ({"params": {"nu": " 1_4.5 "}, "nuTGrid": [2.0]}, "nu must be a number, got ' 1_4.5 '"),
+        ({"params": {"n": "8"}, "nuTGrid": [2.0]}, "n must be an integer, got '8'"),
+        ({"nuTGrid": [2.0], "temperatures": ["0.1"]},
+         "temperature grid entry must be a number, got '0.1'"),
+        # float() would raise OverflowError, a numerical failure
+        ({"params": {"nu": 10**400}, "nuTGrid": [2.0]}, "nu is too large for a float: 401 digits"),
+        ({"params": {"n": -10**400}, "nuTGrid": [2.0]}, "n is too large for a float: 401 digits"),
         ({"nuTGrid": 2.0}, "config key nuTGrid must hold a JSON list"),
         ({"params": [8, 2.0], "nuTGrid": [2.0]}, "config key params must hold a JSON object"),
         ({"nuTGrid": [2.0], "tdLimit": "no"}, "config key tdLimit must be true or false"),
@@ -1681,8 +1731,7 @@ def test_block_entropy_1_is_not_a_sweep_measure(capsys):
         # float() would run a ring of mass 1, nuT 1 and T 0
         ({"params": {"mass": True}, "nuTGrid": [2.0]}, "mass must be a number, got True"),
         ({"nuTGrid": [True, 2.0]}, "nuT grid entry must be a number, got True"),
-        ({"nuTGrid": ["abc"]},
-         "grids must be lists of numbers: could not convert string to float: 'abc'"),
+        ({"nuTGrid": ["abc"]}, "nuT grid entry must be a number, got 'abc'"),
         ({"nuTGrid": [2.0], "temperatures": [False]},
          "temperature grid entry must be a number, got False"),
         # LR defaults to tau_max 4, which wraps around a ring of 8
@@ -1702,7 +1751,8 @@ def test_block_entropy_1_is_not_a_sweep_measure(capsys):
         ({"params": {"charge": float("-inf")}, "nuTGrid": [2.0]},
          "mass, charge, spacing and nu must be finite"),
     ],
-    ids=["mass", "nuTGrid", "params", "tdLimit", "n-fraction", "tauMax-fraction", "n-bool",
+    ids=["mass", "nu-text", "n-text", "temperatures-text", "nu-huge", "n-huge",
+         "nuTGrid", "params", "tdLimit", "n-fraction", "tauMax-fraction", "n-bool",
          "n-inf", "mass-bool", "nuTGrid-bool", "nuTGrid-text", "temperatures-bool",
          "tauMax-wraps", "nuTGrid-empty", "params-key", "model", "mass-zero", "list",
          "charge-bool", "spacing-bool", "charge-zero", "spacing-negative", "charge-inf"],

@@ -33,6 +33,7 @@ from ionlattice.entanglement import negativity, spectrum_entropy
 from ionlattice.errors import (
     ConfigError,
     DomainError,
+    ImaginaryFrequency,
     NumericalFailure,
     QuadratureFailure,
 )
@@ -188,6 +189,20 @@ def test_dense_oracle_size_limit(nn_ring):
 def test_dense_oracle_refuses_a_negative_temperature(nn_ring):
     with pytest.raises(ConfigError, match="temperature must be non-negative"):
         direct_covariance_oracle(nn_ring(n=8), 1.5, -0.1)
+
+
+def test_dense_oracle_refuses_an_unstable_flat_ring():
+    """Far below the transition the flat ring is no minimum: the dense
+    form names its negative eigenmodes (by index, ascending), as the
+    spectrum names its unstable wave numbers."""
+    params = LatticeParams(n=8, nu=1.0, tau_max=3)
+    nu_t = 0.2 * critical_potential(params, td_limit=True)
+    with pytest.raises(ImaginaryFrequency, match="not positive semidefinite") as dense:
+        direct_covariance_oracle(params, nu_t, 0.0)
+    assert dense.value.modes == [0, 1, 2, 3]
+    with pytest.raises(ImaginaryFrequency) as spectral:
+        build_spectrum(params, nu_t)
+    assert spectral.value.modes == [2, 3, 5, 6]
 
 
 @pytest.mark.parametrize("temperature", [math.nan, math.inf])

@@ -105,6 +105,14 @@ def test_weighted_inverse_beyond_the_model_is_a_quadrature_failure():
         integrate_inverse(lambda a: 1.0 + math.cos(2 * a), lambda a: math.cos(a) ** 8)
 
 
+def test_endpoint_refinement_that_never_settles_is_a_quadrature_failure():
+    """Under 1/u every dyadic piece [lo/2, lo] is ln 2, so no piece falls
+    below ATOL: a nearly soft edge whose pieces do not shrink ends in
+    QuadratureFailure, not in a value."""
+    with pytest.raises(QuadratureFailure, match="endpoint refinement exhausted"):
+        integrate_weighted_inverse(lift(lambda u: 1.0 / u), 1e-6, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("nu", [0.7, 1.0, 2.5])
 def test_flat_dispersion_recovers_vacuum(nu):
     w2 = lambda a: nu * nu

@@ -191,20 +191,19 @@ def test_axial_branch_ignores_transverse_trap(nn_ring):
     assert_allclose(wx1, wx2, rtol=0, atol=0)
 
 
-def test_the_flat_spectra_of_a_ring_share_one_axial_branch(nn_ring, lr_ring):
-    """Every flat nu_t of a ring copies one cached axial branch, equal bit
-    for bit to the square root of its own wx2; the spectrum's copy stays
+def test_a_flat_axial_branch_is_the_root_of_its_own_wx2(nn_ring, lr_ring):
+    """Every flat nu_t's axial branch, built alone or in a batch, equals bit
+    for bit the square root of its own wx2; the spectrum's copy stays
     writable."""
     for params in (nn_ring(n=8), lr_ring(n=12)):
-        spectrum._axial_branch.cache_clear()
-        for mult in (1.2, 2.0, 3.7):
-            nu_t = mult * critical_potential(params)
+        nu_ts = [mult * critical_potential(params) for mult in (1.2, 2.0, 3.7)]
+        batch = spectrum.build_spectra(params, nu_ts)
+        for nu_t, batched in zip(nu_ts, batch):
             spec = build_spectrum(params, nu_t)
             wx2, _, _ = tilde_frequencies(params, spec.config, nu_t)
-            assert spec.omega[0].tobytes() == np.sqrt(wx2).tobytes()
-            assert spec.omega.flags.writeable
-        info = spectrum._axial_branch.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+            for built in (spec, batched):
+                assert built.omega[0].tobytes() == np.sqrt(wx2).tobytes()
+                assert built.omega.flags.writeable
 
 
 def test_zone_edge_softens_at_critical_point(nn_ring):
