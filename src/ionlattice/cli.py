@@ -165,7 +165,8 @@ class SweepSpec:
     def __post_init__(self):
         _check_grid("nuT", self.nu_t_grid)
         _check_grid("temperature", self.temperatures)
-        bad = [m for m in self.measures if m not in MEASURES]
+        # a config entry may be a JSON list or object, which cannot be looked up
+        bad = [m for m in self.measures if not isinstance(m, str) or m not in MEASURES]
         if bad:
             raise ConfigError(f"unknown measures {bad}; choose from {tuple(MEASURES)}")
         if not self.measures:

@@ -62,7 +62,8 @@ def symplectic_spectra(sigmas) -> list:
       matrix never reaches the eigensolver);
     - the exception :func:`symplectic_spectrum` raises for it:
       :class:`NumericalFailure` if its eigenvalues do not pair up, else
-      :class:`DomainError` if one falls below the physical floor.
+      :class:`DomainError` if one falls below the physical floor; its
+      message names the matrix's :func:`_rounding_estimate`.
 
     A failed check fails its own matrix only.
     """
@@ -91,8 +92,19 @@ def symplectic_spectra(sigmas) -> list:
         else:
             out[live[j]] = DomainError(
                 f"symplectic eigenvalue {pairs[j].min()} below 1 beyond tolerance"
+                f" (rounding estimate {_rounding_estimate(sigmas[live[j]]):.2g})"
             )
     return out
+
+
+def _rounding_estimate(sigma: np.ndarray) -> float:
+    """2u max Q_ii ||P||_2, u = 2^-53: the rounding error the mode sums
+    leave in the symplectic eigenvalues of ``sigma`` (vacuum 1), with Q and
+    P its position and momentum blocks (vacuum 1/2). Every entry of Q sums
+    terms no larger than Q_ii's, which are all positive (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 4)."""
+    q, p = sigma[::2, ::2], sigma[1::2, 1::2]
+    return 2.0 * 2.0**-53 * float(np.diagonal(q).max()) * float(np.linalg.norm(p, 2))
 
 
 def symplectic_spectrum(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:

@@ -151,17 +151,23 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _force_balance(params: LatticeParams, nu_t: float, b: float) -> float:
-    """nu_t^2 - sum_{tau odd} (tau^2 + b^2)^(-3/2), the transverse force
-    balance at displacement b; zero at equilibrium."""
+def _force_balance(params: LatticeParams, nu_t: float):
+    """The transverse force balance at ``nu_t`` as a function of the
+    displacement b, nu_t^2 - sum_{tau odd} (tau^2 + b^2)^(-3/2); zero at
+    equilibrium. The odd squares are built here, once for every b it is
+    evaluated at; ``np.add.reduce`` is what ``np.sum`` calls."""
     odd_squares = np.arange(1, params.tau_max + 1, 2, dtype=float) ** 2
-    pull = float(np.sum((odd_squares + b**2) ** -1.5))
-    return nu_t**2 - pull
+    nu_t2 = nu_t**2
+
+    def balance(b: float) -> float:
+        return nu_t2 - float(np.add.reduce((odd_squares + b**2) ** -1.5))
+
+    return balance
 
 
 def equilibrium_residual(params: LatticeParams, nu_t: float, b: float) -> float:
     """Relative residual of the transverse force balance at displacement b."""
-    return abs(_force_balance(params, nu_t, b)) / nu_t**2
+    return abs(_force_balance(params, nu_t)(b)) / nu_t**2
 
 
 def solve_equilibrium(params: LatticeParams, nu_t: float) -> Configuration:
@@ -193,10 +199,10 @@ def solve_equilibrium(params: LatticeParams, nu_t: float) -> Configuration:
             f"zigzag configuration requires even n (got n={params.n})"
         )
 
+    balance = _force_balance(params, nu_t)
     if params.tau_max == 1:
         b = math.sqrt((1.0 / nu_t**2) ** (2 / 3) - 1.0)
     else:
-        balance = functools.partial(_force_balance, params, nu_t)
         hi = 10.0
         while balance(hi) < 0:
             hi *= 2.0
@@ -207,7 +213,7 @@ def solve_equilibrium(params: LatticeParams, nu_t: float) -> Configuration:
         except RuntimeError as exc:
             raise NoConvergence(f"buckling displacement: {exc}") from None
 
-    res = equilibrium_residual(params, nu_t, b)
+    res = abs(balance(b)) / nu_t**2
     if not res <= EQUILIBRIUM_RTOL:
         raise NoConvergence(
             f"force balance residual {res:.3e} above {EQUILIBRIUM_RTOL:.0e}"
@@ -301,7 +307,7 @@ def tilde_frequencies(
     the squared axial and transverse dispersion at the same l, the one
     source of the flat spectrum and of the finite ring's critical trap.
     """
-    wx2, wy2, wxy = _frequency_stack(params, (config,), (nu_t,))
+    (wx2, wy2, wxy), _ = _frequency_stack(params, (config,), (nu_t,))
     return wx2[0], wy2[0], wxy[0]
 
 
@@ -310,7 +316,10 @@ def _frequency_stack(params: LatticeParams, configs, nu_ts) -> tuple:
     their ``nu_ts``, as (P, n) stacks, from one tau-sum: each element takes
     the steps of a batch of one, nu_t^2 squared by Python. In the flat
     phase wx2 and wxy involve no nu_t, so they have one row, which all the
-    points share: the axial sum is accumulated once per batch."""
+    points share: the axial sum is accumulated once per batch.
+
+    Returns ``((wx2, wy2, wxy), (dx, dy))``: the stacks, and the
+    ``_coefficient_stack`` rows they were summed from."""
     dx, dy, dxy = _coefficient_stack(params, configs)
     zigzag = configs[0].variant is Variant.ZIGZAG
     n = params.n
@@ -325,4 +334,4 @@ def _frequency_stack(params: LatticeParams, configs, nu_ts) -> tuple:
             wxy = wxy + 0.5 * dxy[:, i, None] * _sin_double_table(n, tau)
         else:
             wy2 = wy2 + 2.0 * dy[:, i, None] * sin2
-    return wx2, wy2, wxy if zigzag else np.zeros(wx2.shape)
+    return (wx2, wy2, wxy if zigzag else np.zeros(wx2.shape)), (dx, dy)

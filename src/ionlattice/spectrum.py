@@ -139,7 +139,9 @@ class ModeSpectrum:
     branch 1 the lower normal branch. Flat configuration: branch 0 is the
     axial and branch 1 the transverse dispersion, the square roots of
     ``tilde_frequencies``' ``wx2`` and ``wy2``, unmixed (weights exactly
-    1, 0, 0) and indexed without the half-zone shift.
+    1, 0, 0) and indexed without the half-zone shift. ``coupling`` is the
+    ring's coupling row ``(dx, dy)`` over tau = 1 .. tau_max at ``config``,
+    those of ``taylor_coefficients`` bit for bit.
     """
 
     params: LatticeParams
@@ -149,6 +151,7 @@ class ModeSpectrum:
     c2: np.ndarray
     s2: np.ndarray
     cs: np.ndarray
+    coupling: tuple
 
     @property
     def variant(self) -> Variant:
@@ -171,7 +174,8 @@ def build_spectra(params: LatticeParams, nu_ts, configs=None) -> list:
 
     The batch shares one tau-sum over its (P, n) stack and one evaluation
     of the closed form; a flat batch takes its axial branch from the one
-    axial row of that sum, which all its points share. Each
+    axial row of that sum, which all its points share. Each spectrum
+    carries its row of the coupling stack that sum was taken from. Each
     spectrum equals the ``build_spectrum`` of its point bit for bit. A
     batch that fails raises the error of one of its points; built one by
     one, each point raises its own.
@@ -194,13 +198,15 @@ def build_spectra(params: LatticeParams, nu_ts, configs=None) -> list:
         return []
     if len({config.variant for config in configs}) > 1:
         raise ConfigError("a batch takes configurations of one phase")
-    wx2, wy2, wxy = _frequency_stack(params, configs, nu_ts)
+    (wx2, wy2, wxy), (dx, dy) = _frequency_stack(params, configs, nu_ts)
     omega = np.empty((len(nu_ts), 2, params.n))
     if configs[0].variant is Variant.LINEAR:
         omega[:, 0] = _sqrt_radicand(wx2, "axial")
         omega[:, 1] = _sqrt_radicand(wy2, "transverse")
         c2, zeros = np.ones(wy2.shape), np.zeros(wy2.shape)
         weights = zip(c2, zeros, zeros)
+        # the flat stack's one coupling row, which all its points share
+        couplings = [(dx[0], dy[0])] * len(nu_ts)
     else:
         delta = wx2 - wy2
         big_r = np.hypot(delta, 2.0 * wxy)
@@ -213,7 +219,8 @@ def build_spectra(params: LatticeParams, nu_ts, configs=None) -> list:
         s2 = np.where(tiny, np.where(delta >= 0.0, 0.0, 1.0), (big_r - delta) / (2 * safe_r))
         cs = np.where(tiny, 0.0, wxy / safe_r)
         weights = zip(c2, s2, cs)
+        couplings = zip(dx, dy)
     return [
-        ModeSpectrum(params, nu_t, config, modes, *w)
-        for nu_t, config, modes, w in zip(nu_ts, configs, omega, weights)
+        ModeSpectrum(params, nu_t, config, modes, *w, coupling)
+        for nu_t, config, modes, w, coupling in zip(nu_ts, configs, omega, weights, couplings)
     ]

@@ -47,8 +47,14 @@ def effective_frequencies(
     if config is None:
         config = solve_equilibrium(params, nu_t)
     coeff = taylor_coefficients(params, config)
-    wx2 = params.nu**2 + 2.0 * float(np.sum(coeff.dx))
-    wy2 = nu_t**2 + 2.0 * float(np.sum(coeff.dy))
+    return _dressed(params, nu_t, coeff.dx, coeff.dy)
+
+
+def _dressed(params: LatticeParams, nu_t: float, dx, dy) -> tuple[float, float]:
+    """(Omega_x, Omega_y) of the module docstring from the coupling row
+    ``(dx, dy)``: the one home of the dressing rule."""
+    wx2 = params.nu**2 + 2.0 * float(np.add.reduce(dx))
+    wy2 = nu_t**2 + 2.0 * float(np.add.reduce(dy))
     for name, val in (("x", wx2), ("y", wy2)):
         if val < 0.0:
             raise DomainError(
@@ -164,7 +170,7 @@ def witness_reports(spec: ModeSpectrum, temperatures) -> list[WitnessReport]:
     the crossing temperature do not depend on T and are evaluated once."""
     temperatures = checked_temperatures(temperatures)
     params = spec.params
-    wx, wy = effective_frequencies(params, spec.nu_t, spec.config)
+    wx, wy = _dressed(params, spec.nu_t, *spec.coupling)
     bound = _bound(params.n, wx, wy)
     energy = _Energy(spec.omega.ravel())
     tc = _crossing(params, spec.nu_t, energy, bound)

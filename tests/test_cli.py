@@ -611,6 +611,31 @@ def test_a_bulk_sweep_evaluates_the_axial_branch_once_per_chunk(monkeypatch, job
     assert len(branches) == len(spec.nu_t_grid) + jobs
 
 
+def test_a_witness_sweep_reads_its_coupling_rows_from_the_batch(monkeypatch, capsys):
+    """The witness dresses the traps with the coupling row its point's
+    spectrum carries from the batch, so an LR witness sweep over both
+    phases, with a dressing failure in each, never calls
+    ``taylor_coefficients``."""
+    calls = []
+    original = lattice.taylor_coefficients
+
+    def recorded(params, config):
+        calls.append(config)
+        return original(params, config)
+
+    for module in (lattice, witness, covariance):
+        monkeypatch.setattr(module, "taylor_coefficients", recorded)
+    rc = main(["sweep", *base_args(20), "--model", "LR", "--temp", "0,0.2",
+               "--measures", "witness", "--nu-t", "1.2,1.4,1.5,2.0"])
+    rows = parse_csv(capsys.readouterr().out)
+    assert rc == 0
+    assert [row["configVariant"] for row in rows[::2]] == ["zigzag"] * 2 + ["linear"] * 2
+    assert [row["bound"] != "" for row in rows[::2]] == [True, False, False, True]
+    assert all(row["error"].startswith("DomainError: effective y frequency squared negative")
+               for row in rows[2:6])
+    assert calls == []
+
+
 def test_the_pair_and_block_x_halves_share_one_axial_table(monkeypatch):
     """A chunk's flat x half takes its pair moments and its block stack from
     one table, so the axial factors are evaluated once: then the y factors
@@ -1651,6 +1676,23 @@ def test_a_thermal_block_at_the_transition_has_an_entropy():
     assert math.isfinite(float(row["entropy"]))
 
 
+@pytest.mark.parametrize("temp,eigenvalue", [("0.0566", 0.9999886885511262),
+                                              ("0.2", 0.9999002503601013)])
+def test_a_block_below_the_floor_states_its_rounding_estimate(temp, eigenvalue):
+    """Where a thermal block at the transition fails the floor, the message
+    names the estimate 2u max Q_ii ||P||_2 of the rounding in its
+    eigenvalues, which comes within x10 of the miss."""
+    argv = ["block-entropy", "--nu", "1.4142135623730951", "--n", "512", "--sites", "8",
+            "--nu-t", "1.4142135623730951", "--temp", temp]
+    rc, out, err = printed(argv)
+    assert (rc, out) == (3, "")
+    head = f"numerical failure: DomainError: symplectic eigenvalue {eigenvalue!r} below 1"
+    assert err.startswith(f"{head} beyond tolerance (rounding estimate ")
+    estimate = float(err.rsplit(" ", 1)[1].rstrip(")\n"))
+    miss = 1.0 - eigenvalue
+    assert miss / 10 <= estimate <= 10 * miss
+
+
 def test_a_non_finite_squared_frequency_is_a_numerical_failure(capsys):
     # the squared axial trap overflows: the spectrum ends in exit 3, not in
     # inf frequencies with exit 0
@@ -1750,12 +1792,18 @@ def test_block_entropy_1_is_not_a_sweep_measure(capsys):
          "mass, charge and spacing must be positive"),
         ({"params": {"charge": float("-inf")}, "nuTGrid": [2.0]},
          "mass, charge, spacing and nu must be finite"),
+        # an unhashable entry is named, not looked up
+        ({"nuTGrid": [2.0], "measures": [["entropy"]]},
+         f"unknown measures [['entropy']]; choose from {tuple(cli.MEASURES)}"),
+        ({"nuTGrid": [2.0], "measures": [{"a": 1}]},
+         f"unknown measures [{{'a': 1}}]; choose from {tuple(cli.MEASURES)}"),
     ],
     ids=["mass", "nu-text", "n-text", "temperatures-text", "nu-huge", "n-huge",
          "nuTGrid", "params", "tdLimit", "n-fraction", "tauMax-fraction", "n-bool",
          "n-inf", "mass-bool", "nuTGrid-bool", "nuTGrid-text", "temperatures-bool",
          "tauMax-wraps", "nuTGrid-empty", "params-key", "model", "mass-zero", "list",
-         "charge-bool", "spacing-bool", "charge-zero", "spacing-negative", "charge-inf"],
+         "charge-bool", "spacing-bool", "charge-zero", "spacing-negative", "charge-inf",
+         "measures-list", "measures-object"],
 )
 def test_malformed_config_value_is_a_config_error(config, message, tmp_path, capsys):
     path = tmp_path / "sweep.json"

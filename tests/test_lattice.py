@@ -126,11 +126,13 @@ def test_tilde_frequencies_equal_the_uncached_expression_bit_for_bit(n, tau_max,
         assert [g.tobytes() for g in got] == want
         for g in got:
             g += 1.0
-    # the force balance of the root-find reads its odd squares from a cache
+    # the force balance of the root-find builds its odd squares once and
+    # evaluates the expression it replaced at every b
     taus = np.arange(1, tau_max + 1, 2, dtype=float)
+    balance = lattice._force_balance(params, nu_t)
     for b in (0.0, config.b, 3.7):
         pull = float(np.sum((taus**2 + b**2) ** -1.5))
-        assert lattice._force_balance(params, nu_t, b).hex() == (nu_t**2 - pull).hex()
+        assert balance(b).hex() == (nu_t**2 - pull).hex()
 
 
 def test_cached_trig_tables_are_read_only():
@@ -188,6 +190,32 @@ def test_lr_equilibrium_residual(lr_ring, fraction):
     nu_t = fraction * critical_potential(params, td_limit=True)
     config = solve_equilibrium(params, nu_t)
     assert abs(equilibrium_residual(params, nu_t, config.b)) < 1e-12
+
+
+def test_a_buckled_lr_solve_builds_its_odd_squares_once(lr_ring, monkeypatch):
+    """The root-find and the residual check share one force balance, whose
+    odd squares are built when it is made: one balance per solve, however
+    many steps Brent's method takes."""
+    made, steps = [], []
+    original = lattice._force_balance
+
+    def recorded(params, nu_t):
+        balance = original(params, nu_t)
+        made.append(nu_t)
+
+        def counted(b):
+            steps.append(b)
+            return balance(b)
+
+        return counted
+
+    monkeypatch.setattr(lattice, "_force_balance", recorded)
+    params = lr_ring()
+    nu_t = 0.5 * critical_potential(params, td_limit=True)
+    config = solve_equilibrium(params, nu_t)
+    assert config.variant is Variant.ZIGZAG
+    assert made == [nu_t]
+    assert len(steps) > 5 and steps[-1] == config.b
 
 
 def test_lr_equilibrium_far_below_crit_widens_the_bracket(lr_ring):

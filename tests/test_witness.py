@@ -29,7 +29,7 @@ from ionlattice.lattice import (
     solve_equilibrium,
     taylor_coefficients,
 )
-from ionlattice.spectrum import build_spectrum
+from ionlattice.spectrum import build_spectra, build_spectrum
 from ionlattice.witness import (
     critical_temperature,
     effective_frequencies,
@@ -378,6 +378,40 @@ def test_energy_agrees_with_a_math_expm1_loop(lr_ring, nn_ring):
         for t in (1e-6, 0.2, 5.0):
             want = scalar_energy(omega, t, libm_expm1)
             assert_allclose(internal_energy(params, nu_t, t), want, rtol=1e-15, atol=0)
+
+
+REPORT_FIELDS = ("omega_x", "omega_y", "bound", "internal_energy", "critical_temperature")
+
+
+@pytest.mark.parametrize("tau_max", [1, 4])
+@pytest.mark.parametrize("nu_ts", [(0.5, 0.7, 0.8), (1.5, 1.7, 2.0)], ids=["zigzag", "flat"])
+def test_batch_witness_equals_the_point_witness_bit_for_bit(tau_max, nu_ts):
+    """The witness of a ``build_spectra`` item, dressed with the coupling
+    row of its batch, is the one-point witness bit for bit."""
+    params = LatticeParams(n=20, nu=1.0, tau_max=tau_max)
+    temperatures = (0.0, 0.1)
+    for nu_t, spec in zip(nu_ts, build_spectra(params, nu_ts)):
+        for t, got in zip(temperatures, witness_reports(spec, temperatures)):
+            want = witness_report(params, nu_t, t)
+            assert [bits(getattr(got, f)) for f in REPORT_FIELDS] == [
+                bits(getattr(want, f)) for f in REPORT_FIELDS
+            ]
+
+
+@pytest.mark.parametrize("nu_t_reduced,variant", [(1.41, "zigzag"), (1.5, "linear")])
+def test_a_batch_dressing_failure_has_the_point_text(lr_ring, nu_t_reduced, variant):
+    # two of the DomainError points of the n = 1000 LR benchmark sweep,
+    # each in a batch with a neighbour of its phase
+    params = lr_ring(n=1000)
+    nu_ts = (nu_t_reduced * NU_T_UNIT, (nu_t_reduced + 0.01) * NU_T_UNIT)
+    spec = build_spectra(params, nu_ts)[0]
+    assert spec.variant.value == variant
+    with pytest.raises(DomainError) as point:
+        witness_report(params, nu_ts[0], 0.0)
+    assert str(point.value).startswith("effective y frequency squared negative")
+    with pytest.raises(DomainError) as batch:
+        witness_reports(spec, (0.0,))
+    assert str(batch.value) == str(point.value)
 
 
 def test_witness_makes_one_expm1_call_per_temperature(lr_ring, monkeypatch):
